@@ -1,0 +1,108 @@
+"""Golden outputs: one small end-to-end run pinned across code versions.
+
+The run goes through `segnoise.cli.main` in process: `phantom`, then
+`corrupt`, `score` (against float prediction bundles written here),
+`oracle`, `gridsearch` and `gradcheck`. Every CSV it writes and the
+`gradcheck` report are compared with the files under `tests/golden/`:
+counts and labels exactly, floats within 1e-9 relative.
+
+When an output change is intended, regenerate the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import math
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from segnoise.bundleio import load_dataset, write_prediction
+from segnoise.cli import main as cli_main
+
+GOLDEN = Path(__file__).parent / "golden"
+GRADCHECK_REPORT = "gradcheck.txt"
+
+_NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def _cli(*argv) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        status = cli_main([str(a) for a in argv])
+    assert status == 0, f"segnoise {argv[0]} exited {status}"
+    return stdout.getvalue()
+
+
+def _write_predictions(data: Path, preds: Path) -> None:
+    # A shifted copy of each mask plus jitter, so that soft and hard
+    # scores both sit away from 0 and 1.
+    rng = np.random.default_rng(2019)
+    for record in load_dataset(data):
+        shifted = np.roll(record.mask, (1, 2), axis=(1, 2))
+        jitter = 0.3 * rng.random(shifted.shape)
+        write_prediction(record.patient_id, np.where(shifted == 1, 0.6 + jitter, jitter), preds)
+
+
+def run_golden(work: Path) -> dict[str, str]:
+    """Run the golden config under `work`; map each output's name to its text."""
+    data = work / "phantoms"
+    preds = work / "preds"
+    _cli("phantom", "--depth", 5, "--out", data)
+    _cli("corrupt", "--data", data, "--out", work / "corrupt")
+    _write_predictions(data, preds)
+    _cli("score", "--pred", preds, "--data", data, "--out", work / "score")
+    _cli("oracle", "--data", data, "--repetitions", 4, "--out", work / "oracle")
+    _cli("gridsearch", "--data", data, "--epochs", 40, "--seeds", 1,
+         "--sigma2-values", 0, 4, "--out", work / "gridsearch")
+    outputs = {p.relative_to(work).as_posix(): p.read_text() for p in sorted(work.rglob("*.csv"))}
+    outputs[GRADCHECK_REPORT] = _cli("gradcheck", "--trials", 5)
+    return outputs
+
+
+def _line_mismatch(got: str, want: str) -> str | None:
+    if _NUMBER.split(got) != _NUMBER.split(want):
+        return f"{got!r} != golden {want!r}"
+    for g, w in zip(_NUMBER.findall(got), _NUMBER.findall(want)):
+        if g == w:
+            continue
+        is_count = g.lstrip("+-").isdigit() and w.lstrip("+-").isdigit()
+        if is_count or not math.isclose(float(g), float(w), rel_tol=1e-9, abs_tol=0.0):
+            return f"{g} != golden {w} in {got!r}"
+    return None
+
+
+def compare_text(name: str, got: str, want: str) -> list[str]:
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    if len(got_lines) != len(want_lines):
+        return [f"{name}: {len(got_lines)} lines, golden has {len(want_lines)}"]
+    problems = []
+    for line, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
+        mismatch = _line_mismatch(g, w)
+        if mismatch:
+            problems.append(f"{name}:{line}: {mismatch}")
+    return problems
+
+
+def test_golden_outputs(tmp_path):
+    outputs = run_golden(tmp_path)
+    golden = {p.relative_to(GOLDEN).as_posix(): p.read_text()
+              for p in sorted(GOLDEN.rglob("*")) if p.is_file()}
+    assert sorted(outputs) == sorted(golden)
+    problems = [p for name in sorted(golden) for p in compare_text(name, outputs[name], golden[name])]
+    assert not problems, "\n".join(problems[:20])
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in run_golden(Path(tmp)).items():
+            target = GOLDEN / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text)
+            print(f"wrote {target}", file=sys.stderr)
