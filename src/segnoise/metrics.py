@@ -2,22 +2,22 @@
 
 All scores share one smoothing constant (1.0) added to numerator and
 denominator, which keeps every score total (empty masks score 1) and
-keeps gradients alive. With t binary the three confusion sums reduce to
+keeps gradients alive. With t binary, tp = sum(p*t), sum_p = sum(p),
+sum_t = sum(t) and b2 = beta**2, smoothed f-beta is N / D with
 
-    tp = sum(p * t),   sum_p = sum(p),   sum_t = sum(t)
+    N = (1+b2)*tp + 1,   D = b2*sum_t + sum_p + 1
 
-and the whole family is expressed through them:
+so f_1 is exactly soft_dice = (2*tp + 1) / (sum_p + sum_t + 1), f_0 is
+exactly soft_precision = (tp + 1) / (sum_p + 1), and f_beta tends to
+soft_recall = (tp + 1) / (sum_t + 1) as beta -> inf.
 
-    soft_dice      = (2*tp + 1) / (sum_p + sum_t + 1)
-    soft_precision = (tp + 1) / (sum_p + 1)
-    soft_recall    = (tp + 1) / (sum_t + 1)
-    f_beta         = ((1+b^2)*tp + 1) / (b^2*sum_t + sum_p + 1)
-
-f_beta carries the smoothing through the generalization so that
-f_beta(., ., 1) is exactly soft_dice and f_beta(., ., 0) is exactly
-soft_precision; for beta -> inf it converges to recall. Sums run over
-every element of the input, so the same functions score 2-D frames and
-3-D volumes (volume-wise scoring is the whole-array sum).
+These formulas exist once, in a kernel over (..., pixels) arrays:
+`confusion_sums`, `f_beta_terms` (N, D) and `f_beta_loss_grad`
+(d(1 - N/D)/dp). The scores, the finite-difference reference and the
+toy trainer's descent (`trainer._descend`, one frame per row) all run
+through it, so `gradcheck` verifies the gradient that training follows.
+Scores sum over the whole input, so the same functions score 2-D frames
+and 3-D volumes.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ import numpy as np
 
 SMOOTHING = 1.0
 
-# Above this element count, sums switch to chunked compensated
-# summation so scores stay bit-stable for very large volumes.
-_COMPENSATED_THRESHOLD = 1 << 24
-_CHUNK = 1 << 20
-
 
 class ScoreTriple(NamedTuple):
     dice: float
@@ -41,16 +36,23 @@ class ScoreTriple(NamedTuple):
     recall: float
 
 
-def stable_sum(values: np.ndarray) -> float:
-    """Row-major sum, compensated above the large-volume threshold."""
-    flat = np.ascontiguousarray(values).reshape(-1)
-    if flat.size <= _COMPENSATED_THRESHOLD:
-        return float(np.sum(flat, dtype=np.float64))
-    partials = [
-        float(np.sum(flat[i : i + _CHUNK], dtype=np.float64))
-        for i in range(0, flat.size, _CHUNK)
-    ]
-    return math.fsum(partials)
+def confusion_sums(p: np.ndarray, t: np.ndarray):
+    """(tp, sum_p, sum_t) over the last axis of (..., pixels) arrays."""
+    return (p * t).sum(axis=-1), p.sum(axis=-1), t.sum(axis=-1)
+
+
+def f_beta_terms(tp, sum_p, sum_t, b2: float):
+    """Numerator and denominator of smoothed f-beta, b2 = beta**2."""
+    return (1.0 + b2) * tp + SMOOTHING, b2 * sum_t + sum_p + SMOOTHING
+
+
+def f_beta_loss_grad(t: np.ndarray, numer, denom, b2: float) -> np.ndarray:
+    """d(1 - N/D)/dp for targets (..., pixels) and N, D of shape (...).
+
+    The partial w.r.t. p_i is (N - (1+b2)*t_i*D) / D^2.
+    """
+    numer, denom = np.expand_dims(numer, -1), np.expand_dims(denom, -1)
+    return (numer - (1.0 + b2) * t * denom) / (denom * denom)
 
 
 def _check_pair(p, t) -> tuple[np.ndarray, np.ndarray]:
@@ -69,45 +71,48 @@ def _check_pair(p, t) -> tuple[np.ndarray, np.ndarray]:
     return p_arr, t_arr
 
 
-def _confusion_sums(p_arr: np.ndarray, t_arr: np.ndarray) -> tuple[float, float, float]:
-    tp = stable_sum(p_arr * t_arr)
-    sum_p = stable_sum(p_arr)
-    sum_t = stable_sum(t_arr)
-    return tp, sum_p, sum_t
-
-
-def _check_beta(beta) -> float:
+def check_beta(beta) -> float:
     b = float(beta)
     if not math.isfinite(b) or b < 0.0:
         raise ValueError("beta must be finite and >= 0")
     return b
 
 
+def _whole_sums(p_arr: np.ndarray, t_arr: np.ndarray):
+    return confusion_sums(p_arr.reshape(-1), t_arr.reshape(-1))
+
+
+def _score(sums, b2: float) -> float:
+    numer, denom = f_beta_terms(*sums, b2)
+    return float(numer / denom)
+
+
+def _triple(p_arr: np.ndarray, t_arr: np.ndarray) -> ScoreTriple:
+    sums = _whole_sums(p_arr, t_arr)
+    tp, _, sum_t = sums
+    return ScoreTriple(
+        dice=_score(sums, 1.0),
+        precision=_score(sums, 0.0),
+        recall=float((tp + SMOOTHING) / (sum_t + SMOOTHING)),
+    )
+
+
 def soft_dice(p, t) -> float:
-    p_arr, t_arr = _check_pair(p, t)
-    tp, sum_p, sum_t = _confusion_sums(p_arr, t_arr)
-    return (2.0 * tp + SMOOTHING) / (sum_p + sum_t + SMOOTHING)
+    return soft_metrics(p, t).dice
 
 
 def soft_precision(p, t) -> float:
-    p_arr, t_arr = _check_pair(p, t)
-    tp, sum_p, _ = _confusion_sums(p_arr, t_arr)
-    return (tp + SMOOTHING) / (sum_p + SMOOTHING)
+    return soft_metrics(p, t).precision
 
 
 def soft_recall(p, t) -> float:
-    p_arr, t_arr = _check_pair(p, t)
-    tp, _, sum_t = _confusion_sums(p_arr, t_arr)
-    return (tp + SMOOTHING) / (sum_t + SMOOTHING)
+    return soft_metrics(p, t).recall
 
 
 def f_beta(p, t, beta) -> float:
     """Recall/precision trade-off score; beta > 1 weights recall."""
-    b = _check_beta(beta)
-    p_arr, t_arr = _check_pair(p, t)
-    tp, sum_p, sum_t = _confusion_sums(p_arr, t_arr)
-    b2 = b * b
-    return ((1.0 + b2) * tp + SMOOTHING) / (b2 * sum_t + sum_p + SMOOTHING)
+    b = check_beta(beta)
+    return _score(_whole_sums(*_check_pair(p, t)), b * b)
 
 
 def loss(p, t, beta=1.0) -> float:
@@ -116,18 +121,12 @@ def loss(p, t, beta=1.0) -> float:
 
 
 def grad_loss(p, t, beta=1.0) -> np.ndarray:
-    """Closed-form d loss / d p_i, same shape as p.
-
-    With N = (1+b^2)*tp + 1 and D = b^2*sum_t + sum_p + 1 the loss is
-    1 - N/D, so the partial w.r.t. p_i is (N - (1+b^2)*t_i*D) / D^2.
-    """
-    b = _check_beta(beta)
+    """Closed-form d loss / d p_i, same shape as p."""
+    b = check_beta(beta)
     p_arr, t_arr = _check_pair(p, t)
-    tp, sum_p, sum_t = _confusion_sums(p_arr, t_arr)
     b2 = b * b
-    numer = (1.0 + b2) * tp + SMOOTHING
-    denom = b2 * sum_t + sum_p + SMOOTHING
-    return (numer - (1.0 + b2) * t_arr * denom) / (denom * denom)
+    numer, denom = f_beta_terms(*_whole_sums(p_arr, t_arr), b2)
+    return f_beta_loss_grad(t_arr.reshape(-1), numer, denom, b2).reshape(p_arr.shape)
 
 
 def hard_metrics(p, t, threshold: float = 0.5) -> ScoreTriple:
@@ -135,51 +134,34 @@ def hard_metrics(p, t, threshold: float = 0.5) -> ScoreTriple:
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     p_arr, t_arr = _check_pair(p, t)
-    hard = (p_arr > threshold).astype(np.float64)
-    tp, sum_p, sum_t = _confusion_sums(hard, t_arr)
-    return ScoreTriple(
-        dice=(2.0 * tp + SMOOTHING) / (sum_p + sum_t + SMOOTHING),
-        precision=(tp + SMOOTHING) / (sum_p + SMOOTHING),
-        recall=(tp + SMOOTHING) / (sum_t + SMOOTHING),
-    )
+    return _triple((p_arr > threshold).astype(np.float64), t_arr)
 
 
 def soft_metrics(p, t) -> ScoreTriple:
     """Soft dice/precision/recall from one pass over the sums."""
-    p_arr, t_arr = _check_pair(p, t)
-    tp, sum_p, sum_t = _confusion_sums(p_arr, t_arr)
-    return ScoreTriple(
-        dice=(2.0 * tp + SMOOTHING) / (sum_p + sum_t + SMOOTHING),
-        precision=(tp + SMOOTHING) / (sum_p + SMOOTHING),
-        recall=(tp + SMOOTHING) / (sum_t + SMOOTHING),
-    )
+    return _triple(*_check_pair(p, t))
 
 
 def finite_difference_grad_loss(p, t, beta=1.0, eps: float = 1e-4) -> np.ndarray:
     """Central-difference reference gradient of the loss (slow).
 
     Perturbs one pixel at a time; used to cross-check grad_loss.
+    Perturbed probes may step slightly outside [0,1], so they skip the
+    range checks.
     """
     p_arr, t_arr = _check_pair(p, t)
-    b = _check_beta(beta)
-    grad = np.zeros_like(p_arr)
-    flat_grad = grad.reshape(-1)
-    flat_p = p_arr.reshape(-1)
+    b = check_beta(beta)
+    b2 = b * b
+    flat_p, flat_t = p_arr.reshape(-1), t_arr.reshape(-1)
+    grad = np.zeros(flat_p.size)
     for i in range(flat_p.size):
         bumped = flat_p.copy()
         bumped[i] = flat_p[i] + eps
-        up = 1.0 - _f_beta_unchecked(bumped, t_arr.reshape(-1), b)
+        up = 1.0 - _score(confusion_sums(bumped, flat_t), b2)
         bumped[i] = flat_p[i] - eps
-        down = 1.0 - _f_beta_unchecked(bumped, t_arr.reshape(-1), b)
-        flat_grad[i] = (up - down) / (2.0 * eps)
-    return grad
-
-
-def _f_beta_unchecked(p_arr: np.ndarray, t_arr: np.ndarray, b: float) -> float:
-    # Perturbed probes may step slightly outside [0,1]; skip range checks.
-    tp, sum_p, sum_t = _confusion_sums(p_arr, t_arr)
-    b2 = b * b
-    return ((1.0 + b2) * tp + SMOOTHING) / (b2 * sum_t + sum_p + SMOOTHING)
+        down = 1.0 - _score(confusion_sums(bumped, flat_t), b2)
+        grad[i] = (up - down) / (2.0 * eps)
+    return grad.reshape(p_arr.shape)
 
 
 def aggregate_framewise(scores: Sequence[float]) -> float:

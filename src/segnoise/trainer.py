@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .folds import DatasetSplit
-from .metrics import ScoreTriple, hard_metrics
+from .metrics import ScoreTriple, check_beta, confusion_sums, f_beta_loss_grad, f_beta_terms, hard_metrics
 from .noise import NoiseMode, corrupt_mask_volume
 from .svgplot import heatmap, write_svg
 from .volume import PatientRecord, zscore_normalize
@@ -45,14 +46,13 @@ class TrainConfig:
 
     def __post_init__(self):
         # learning_rate 0 is allowed so a no-op descent stays expressible.
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be >= 0")
+        check_beta(self.beta)
+        if not math.isfinite(self.init_scale) or self.init_scale < 0:
+            raise ValueError("init_scale must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -136,26 +136,21 @@ def _descend(
     """Full-batch gradient descent on the mean per-frame f-beta loss.
 
     features: (frames, pixels, N_FEATURES); targets: (frames, pixels).
+    Loss and d loss / d p come from the metrics kernel, one frame per row.
     """
     w = _initial_weights(config)
     b2 = float(config.beta) ** 2
     n_frames, n_pixels = targets.shape
     flat_features = np.ascontiguousarray(features).reshape(-1, N_FEATURES)
-    sum_t = targets.sum(axis=1)
     history = []
     for epoch in range(config.epochs):
         p = _sigmoid((flat_features @ w).reshape(n_frames, n_pixels))
-        tp = (p * targets).sum(axis=1)
-        sum_p = p.sum(axis=1)
-        numer = (1.0 + b2) * tp + 1.0
-        denom = b2 * sum_t + sum_p + 1.0
-        losses = 1.0 - numer / denom
-        mean_loss = float(losses.mean())
+        numer, denom = f_beta_terms(*confusion_sums(p, targets), b2)
+        mean_loss = float((1.0 - numer / denom).mean())
         if not np.isfinite(mean_loss):
             raise TrainingDiverged(epoch)
         history.append(mean_loss)
-        grad_p = (numer[:, None] - (1.0 + b2) * targets * denom[:, None]) / (denom**2)[:, None]
-        grad_z = grad_p * p * (1.0 - p)
+        grad_z = f_beta_loss_grad(targets, numer, denom, b2) * p * (1.0 - p)
         grad_w = grad_z.reshape(-1) @ flat_features / n_frames
         w = w - config.learning_rate * grad_w
     return LinearSegmenter(weights=w), history

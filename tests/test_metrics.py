@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segnoise import metrics
 from segnoise.metrics import (
     ScoreTriple,
     aggregate_framewise,
@@ -16,7 +15,6 @@ from segnoise.metrics import (
     soft_metrics,
     soft_precision,
     soft_recall,
-    stable_sum,
 )
 from segnoise.morphology import dilate, erode
 
@@ -308,16 +306,3 @@ class TestValidation:
             for value in triple:
                 assert 0.0 < value <= 1.0
 
-
-class TestStableSum:
-    def test_matches_fsum_on_adversarial_values(self):
-        rng = np.random.default_rng(11)
-        values = np.concatenate([rng.random(1000) * 1e12, rng.random(1000) * 1e-12])
-        assert stable_sum(values) == pytest.approx(float(np.sum(values, dtype=np.float64)))
-
-    def test_compensated_path_agrees_with_plain_sum(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_COMPENSATED_THRESHOLD", 100)
-        monkeypatch.setattr(metrics, "_CHUNK", 64)
-        rng = np.random.default_rng(12)
-        values = rng.random(1000)
-        assert metrics.stable_sum(values) == pytest.approx(float(np.sum(values)), abs=1e-12)

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from segnoise.folds import make_folds
-from segnoise.metrics import grad_loss, hard_metrics, loss, soft_dice
+from segnoise.metrics import hard_metrics, loss, soft_dice
 from segnoise.noise import NoiseMode, NoiseSpec, corrupt_dataset
 from segnoise.phantom import PhantomSpec, generate_corpus
 from segnoise.trainer import (
@@ -157,27 +159,32 @@ class TestTrain:
         assert history[0] == pytest.approx(float(expected), abs=1e-12)
 
     def test_composed_gradient_matches_finite_differences(self):
+        # One epoch at learning_rate 1 moves the weights by exactly
+        # -grad_w (a learning_rate 0 run returns the initial weights), so
+        # the gradient `_descend` follows can be read off the step and
+        # compared with central differences of the mean per-frame loss.
         rng = np.random.default_rng(6)
-        frame = rng.normal(size=(8, 8))
-        mask = (rng.random((8, 8)) < 0.4).astype(np.float64)
-        feats = extract_features(frame).reshape(-1, 5)
-        w = rng.normal(scale=0.3, size=5)
-        beta = 0.6
+        samples = [
+            (rng.normal(size=(8, 8)), (rng.random((8, 8)) < 0.4).astype(np.float64))
+            for _ in range(3)
+        ]
+        config = TrainConfig(learning_rate=1.0, epochs=1, beta=0.6, seed=2, init_scale=0.3)
+        w0 = train(samples, replace(config, learning_rate=0.0))[0].weights
+        model, _ = train(samples, config)
+        analytic = w0 - model.weights
+        feats = [extract_features(img) for img, _ in samples]
 
         def objective(weights):
-            z = feats @ weights
-            p = 1.0 / (1.0 + np.exp(-z))
-            return loss(p.reshape(8, 8), mask, beta)
+            return np.mean([
+                loss(1.0 / (1.0 + np.exp(-(f @ weights))), mask, config.beta)
+                for f, (_, mask) in zip(feats, samples)
+            ])
 
-        z = feats @ w
-        p = 1.0 / (1.0 + np.exp(-z))
-        grad_p = grad_loss(p.reshape(8, 8), mask, beta).reshape(-1)
-        analytic = feats.T @ (grad_p * p * (1 - p))
         eps = 1e-6
         for i in range(5):
             bump = np.zeros(5)
             bump[i] = eps
-            numeric = (objective(w + bump) - objective(w - bump)) / (2 * eps)
+            numeric = (objective(w0 + bump) - objective(w0 - bump)) / (2 * eps)
             assert abs(analytic[i] - numeric) / max(abs(numeric), 1e-12) < 1e-3
 
     def test_mixed_shapes_rejected(self):
@@ -270,3 +277,9 @@ class TestTrainConfigValidation:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "beta", "init_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
