@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from segnoise.bundleio import load_dataset, write_prediction
-from segnoise.cli import main
+from segnoise.cli import build_parser, main
 
 
 def tree_bytes(root: Path) -> dict:
@@ -56,6 +57,34 @@ class TestTopLevel:
         rc = main(["oracle", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+FOLD_FLAGS = ["--fold-index", "--fold-seed", "--folds", "--test-size", "--train-size", "--val-size"]
+HELP = ["--help", "-h"]
+
+# The CLI's option strings per subcommand (None: the top-level parser).
+OPTION_STRINGS = {
+    None: ["--emit-default-config", *HELP],
+    "phantom": ["--config", "--depth", "--height", "--out", "--patients", "--seed", "--width", *HELP],
+    "corrupt": ["--config", "--data", "--mode", "--out", "--seed", "--sigma2", *FOLD_FLAGS, *HELP],
+    "oracle": ["--config", "--data", "--jobs", "--modes", "--out", "--repetitions", "--seed",
+               "--sigma2-values", *FOLD_FLAGS, *HELP],
+    "gridsearch": ["--betas", "--config", "--data", "--epochs", "--jobs", "--learning-rate", "--mode",
+                   "--out", "--seeds", "--sigma2-values", *FOLD_FLAGS, *HELP],
+    "gradcheck": ["--betas", "--config", "--eps", "--height", "--seed", "--tolerance", "--trials",
+                  "--width", *HELP],
+    "score": ["--config", "--data", "--out", "--pred", "--threshold", *HELP],
+}
+
+
+def test_option_strings_pinned():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {None: parser, **subparsers.choices}
+    assert sorted(found, key=str) == sorted(OPTION_STRINGS, key=str)
+    for name, sub in found.items():
+        options = sorted(s for action in sub._actions for s in action.option_strings)
+        assert options == sorted(OPTION_STRINGS[name]), name
 
 
 class TestPhantomCmd:

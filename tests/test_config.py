@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -121,3 +122,73 @@ class TestBuilders:
         assert sweep.repetitions == 20
         train = train_config_from(config)
         assert train.beta == 1.0
+
+
+# One out-of-range or wrong-type value for every leaf the validator checks.
+BAD_LEAVES = [
+    ("data.path", 5),
+    ("data.phantom.patients", 0),
+    ("data.phantom.patients", 2.5),
+    ("data.phantom.seed", -1),
+    ("data.phantom.depth", 0),
+    ("data.phantom.depth", "6"),
+    ("data.phantom.height", 0),
+    ("data.phantom.width", 0),
+    ("data.phantom.blobs_min", -1),
+    ("data.phantom.blobs_max", -1),
+    ("data.phantom.radius_min", -1.0),
+    ("data.phantom.radius_max", -1.0),
+    ("data.phantom.margin", -1),
+    ("data.phantom.background_mean", "dark"),
+    ("data.phantom.foreground_offset", float("inf")),
+    ("data.phantom.noise_std", -1.0),
+    ("data.phantom.modalities", []),
+    ("data.phantom.modalities", [3]),
+    ("folds.n_folds", 0),
+    ("folds.train", -1),
+    ("folds.val", -1),
+    ("folds.test", -1),
+    ("folds.seed", -1),
+    ("folds.fold_index", -1),
+    ("folds.fold_index", 2),
+    ("noise.mode", "explode"),
+    ("noise.mode", 1),
+    ("noise.sigma2", -1.0),
+    ("noise.sigma2", float("nan")),
+    ("noise.seed", -1),
+    ("noise.seed", 1.5),
+    ("sweep.modes", []),
+    ("sweep.modes", ["explode"]),
+    ("sweep.sigma2_values", [-1.0]),
+    ("sweep.sigma2_values", "0 1"),
+    ("sweep.repetitions", 0),
+    ("sweep.seed", -1),
+    ("train.learning_rate", -1.0),
+    ("train.epochs", 0),
+    ("train.epochs", True),
+    ("train.beta", -1.0),
+    ("train.seed", -1),
+    ("train.init_scale", -1.0),
+    ("grid.betas", [-1.0]),
+    ("grid.sigma2_values", [-1.0]),
+    ("grid.seeds", 0),
+    ("gradcheck.height", 1),
+    ("gradcheck.width", 1),
+    ("gradcheck.trials", 0),
+    ("gradcheck.eps", 0.0),
+    ("gradcheck.betas", [-1.0]),
+    ("gradcheck.tolerance", "tight"),
+    ("gradcheck.seed", -1),
+    ("score.threshold", 1.0),
+    ("score.threshold", "half"),
+    ("output_dir", 5),
+]
+
+
+@pytest.mark.parametrize("path, value", BAD_LEAVES, ids=[f"{p}={v!r}" for p, v in BAD_LEAVES])
+def test_bad_leaf_rejected_with_its_path(tmp_path, path, value):
+    payload = value
+    for key in reversed(path.split(".")):
+        payload = {key: payload}
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        load_config(write_config(tmp_path, payload))

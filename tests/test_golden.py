@@ -2,9 +2,11 @@
 
 The run goes through `segnoise.cli.main` in process: `phantom`, then
 `corrupt`, `score` (against float prediction bundles written here),
-`oracle`, `gridsearch` and `gradcheck`. Every CSV it writes and the
-`gradcheck` report are compared with the files under `tests/golden/`:
-counts and labels exactly, floats within 1e-9 relative.
+`oracle`, `gridsearch` and `gradcheck`. Every CSV it writes, the
+`gradcheck` report and the `--emit-default-config` tree are compared
+with the files under `tests/golden/`: counts and labels exactly, floats
+within 1e-9 relative. The default config tree must also match byte for
+byte.
 
 When an output change is intended, regenerate the files with
 
@@ -28,6 +30,7 @@ from segnoise.cli import main as cli_main
 
 GOLDEN = Path(__file__).parent / "golden"
 GRADCHECK_REPORT = "gradcheck.txt"
+DEFAULT_CONFIG = "default_config.json"
 
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
@@ -63,6 +66,7 @@ def run_golden(work: Path) -> dict[str, str]:
          "--sigma2-values", 0, 4, "--out", work / "gridsearch")
     outputs = {p.relative_to(work).as_posix(): p.read_text() for p in sorted(work.rglob("*.csv"))}
     outputs[GRADCHECK_REPORT] = _cli("gradcheck", "--trials", 5)
+    outputs[DEFAULT_CONFIG] = _cli("--emit-default-config")
     return outputs
 
 
@@ -97,6 +101,10 @@ def test_golden_outputs(tmp_path):
     assert sorted(outputs) == sorted(golden)
     problems = [p for name in sorted(golden) for p in compare_text(name, outputs[name], golden[name])]
     assert not problems, "\n".join(problems[:20])
+
+
+def test_default_config_byte_identical():
+    assert _cli("--emit-default-config") == (GOLDEN / DEFAULT_CONFIG).read_text()
 
 
 if __name__ == "__main__":
