@@ -27,7 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .volume import MultiModalVolume, PatientRecord, binarize_labels, validate_labels, validate_mask_volume
+from .volume import (
+    MultiModalVolume,
+    PatientRecord,
+    binarize_labels,
+    check_name,
+    validate_labels,
+    validate_mask_volume,
+)
 
 META_NAME = "meta.json"
 
@@ -75,25 +82,33 @@ def _read_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> np.ndarray
     return np.fromfile(path, dtype=dtype).reshape(shape)
 
 
-def load_patient(path: str | Path) -> PatientRecord:
-    """Load a patient bundle; validates shapes, labels and intensities."""
-    bundle = Path(path)
+def _read_meta(bundle: Path, *keys: str) -> tuple[dict, tuple[int, int, int]]:
+    """A bundle's checked meta.json and shape. Beyond `keys`, it must
+    hold a safe patient_id, a 3-D shape and little-endian byte order."""
     meta_path = bundle / META_NAME
     if not meta_path.is_file():
         raise FileNotFoundError(f"missing {META_NAME} in {bundle}")
     meta = json.loads(meta_path.read_text())
-    for key in ("patient_id", "shape", "modalities", "byte_order"):
-        if key not in meta:
+    for key in ("patient_id", "shape", "byte_order", *keys):
+        if not isinstance(meta, dict) or key not in meta:
             raise ValueError(f"{meta_path}: missing key {key!r}")
     if meta["byte_order"] != "little":
         raise ValueError(f"{meta_path}: unsupported byte order {meta['byte_order']!r}")
-    shape = tuple(int(s) for s in meta["shape"])
-    if len(shape) != 3 or min(shape) < 1:
-        raise ValueError(f"{meta_path}: shape must be three positive ints, got {meta['shape']}")
+    shape = meta["shape"]
+    if not (isinstance(shape, list) and len(shape) == 3
+            and all(type(s) is int and s >= 1 for s in shape)):
+        raise ValueError(f"{meta_path}: shape must be three positive ints, got {shape!r}")
+    check_name(str(meta["patient_id"]), "patient id")
+    return meta, tuple(shape)
 
+
+def load_patient(path: str | Path) -> PatientRecord:
+    """Load a patient bundle; validates shapes, labels and intensities."""
+    bundle = Path(path)
+    meta, shape = _read_meta(bundle, "modalities")
     grids = {}
     for name in meta["modalities"]:
-        grid = _read_raw(bundle / f"{name}.raw", shape, "<f4")
+        grid = _read_raw(bundle / f"{check_name(name, 'modality name')}.raw", shape, "<f4")
         if not np.isfinite(grid).all():
             raise ValueError(f"modality {name!r} in {bundle} contains non-finite intensities")
         grids[name] = grid
@@ -122,7 +137,16 @@ def load_dataset(root: str | Path) -> list[PatientRecord]:
     bundles = sorted(p for p in root.iterdir() if (p / META_NAME).is_file())
     if not bundles:
         raise FileNotFoundError(f"no patient bundles under {root}")
-    return [load_patient(p) for p in bundles]
+    records, seen = [], {}
+    for bundle in bundles:
+        record = load_patient(bundle)
+        if record.patient_id in seen:
+            raise ValueError(
+                f"patient id {record.patient_id!r} is used by both {seen[record.patient_id]} and {bundle}"
+            )
+        seen[record.patient_id] = bundle
+        records.append(record)
+    return records
 
 
 def write_prediction(patient_id: str, pred: np.ndarray, out_root: str | Path) -> Path:
@@ -132,7 +156,7 @@ def write_prediction(patient_id: str, pred: np.ndarray, out_root: str | Path) ->
         raise ValueError("prediction volume must be 3-D")
     if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("prediction values must be finite and in [0, 1]")
-    bundle = Path(out_root) / patient_id
+    bundle = Path(out_root) / check_name(patient_id, "patient id")
     bundle.mkdir(parents=True, exist_ok=True)
     _write_json(
         bundle / META_NAME,
@@ -145,11 +169,7 @@ def write_prediction(patient_id: str, pred: np.ndarray, out_root: str | Path) ->
 def load_prediction(path: str | Path) -> tuple[str, np.ndarray]:
     """Load a prediction bundle; returns (patient_id, volume)."""
     bundle = Path(path)
-    meta_path = bundle / META_NAME
-    if not meta_path.is_file():
-        raise FileNotFoundError(f"missing {META_NAME} in {bundle}")
-    meta = json.loads(meta_path.read_text())
-    shape = tuple(int(s) for s in meta["shape"])
+    meta, shape = _read_meta(bundle)
     pred = _read_raw(bundle / "pred.raw", shape, "<f4").astype(np.float64)
     if not np.isfinite(pred).all() or pred.min() < 0.0 or pred.max() > 1.0:
         raise ValueError(f"prediction in {bundle} must be finite and in [0, 1]")

@@ -54,44 +54,9 @@ def _resolve_out(args_out, config) -> Path:
     return path
 
 
-def _apply_overrides(config: dict, items: list[tuple[tuple[str, ...], object]]) -> dict:
-    for keys, value in items:
-        if value is None:
-            continue
-        node = config
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
-    return cfgmod.validate_config(config)
-
-
-def _load_config_for(args) -> dict:
-    return cfgmod.load_config(getattr(args, "config", None))
-
-
-def _fold_overrides(args) -> list[tuple[tuple[str, ...], object]]:
-    return [
-        (("folds", "n_folds"), getattr(args, "n_folds", None)),
-        (("folds", "train"), getattr(args, "train_size", None)),
-        (("folds", "val"), getattr(args, "val_size", None)),
-        (("folds", "test"), getattr(args, "test_size", None)),
-        (("folds", "seed"), getattr(args, "fold_seed", None)),
-        (("folds", "fold_index"), getattr(args, "fold_index", None)),
-    ]
-
-
-def cmd_phantom(args) -> int:
-    config = _load_config_for(args)
-    overrides: list[tuple[tuple[str, ...], object]] = [
-        (("data", "phantom", "patients"), args.patients),
-        (("data", "phantom", "seed"), args.seed),
-        (("data", "phantom", "depth"), args.depth),
-        (("data", "phantom", "height"), args.height),
-        (("data", "phantom", "width"), args.width),
-    ]
+def cmd_phantom(args, config) -> int:
     if config["data"]["phantom"] is None:
         raise cfgmod.ConfigError("phantom generation needs data.phantom in the config")
-    config = _apply_overrides(config, overrides)
     out = _resolve_out(args.out, config)
     records = cfgmod.records_from(config)
     for record in records:
@@ -100,20 +65,7 @@ def cmd_phantom(args) -> int:
     return 0
 
 
-def cmd_corrupt(args) -> int:
-    config = _load_config_for(args)
-    if args.data is not None:
-        config["data"]["path"] = args.data
-        config["data"]["phantom"] = None
-    config = _apply_overrides(
-        config,
-        [
-            (("noise", "mode"), args.mode),
-            (("noise", "sigma2"), args.sigma2),
-            (("noise", "seed"), args.seed),
-            *_fold_overrides(args),
-        ],
-    )
+def cmd_corrupt(args, config) -> int:
     out = _resolve_out(args.out, config)
     records = cfgmod.records_from(config)
     plan = cfgmod.foldplan_from(config, [r.patient_id for r in records])
@@ -138,21 +90,7 @@ def cmd_corrupt(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    config = _load_config_for(args)
-    overrides: list[tuple[tuple[str, ...], object]] = [
-        (("sweep", "repetitions"), args.repetitions),
-        (("sweep", "seed"), args.seed),
-        *_fold_overrides(args),
-    ]
-    if args.modes:
-        overrides.append((("sweep", "modes"), args.modes))
-    if args.sigma2_values:
-        overrides.append((("sweep", "sigma2_values"), args.sigma2_values))
-    if args.data is not None:
-        config["data"]["path"] = args.data
-        config["data"]["phantom"] = None
-    config = _apply_overrides(config, overrides)
+def cmd_oracle(args, config) -> int:
     out = _resolve_out(args.out, config)
     records = cfgmod.records_from(config)
     plan = cfgmod.foldplan_from(config, [r.patient_id for r in records])
@@ -163,23 +101,7 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_gridsearch(args) -> int:
-    config = _load_config_for(args)
-    overrides: list[tuple[tuple[str, ...], object]] = [
-        (("noise", "mode"), args.mode),
-        (("grid", "seeds"), args.seeds),
-        (("train", "epochs"), args.epochs),
-        (("train", "learning_rate"), args.learning_rate),
-        *_fold_overrides(args),
-    ]
-    if args.betas:
-        overrides.append((("grid", "betas"), args.betas))
-    if args.sigma2_values:
-        overrides.append((("grid", "sigma2_values"), args.sigma2_values))
-    if args.data is not None:
-        config["data"]["path"] = args.data
-        config["data"]["phantom"] = None
-    config = _apply_overrides(config, overrides)
+def cmd_gridsearch(args, config) -> int:
     out = _resolve_out(args.out, config)
     records = cfgmod.records_from(config)
     plan = cfgmod.foldplan_from(config, [r.patient_id for r in records])
@@ -200,19 +122,7 @@ def cmd_gridsearch(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    config = _load_config_for(args)
-    overrides: list[tuple[tuple[str, ...], object]] = [
-        (("gradcheck", "height"), args.height),
-        (("gradcheck", "width"), args.width),
-        (("gradcheck", "trials"), args.trials),
-        (("gradcheck", "eps"), args.eps),
-        (("gradcheck", "tolerance"), args.tolerance),
-        (("gradcheck", "seed"), args.seed),
-    ]
-    if args.betas:
-        overrides.append((("gradcheck", "betas"), args.betas))
-    config = _apply_overrides(config, overrides)
+def cmd_gradcheck(args, config) -> int:
     gc = config["gradcheck"]
     if gc["eps"] < 1e-8:
         print(
@@ -240,9 +150,7 @@ def cmd_gradcheck(args) -> int:
     return 0 if worst < gc["tolerance"] else 1
 
 
-def cmd_score(args) -> int:
-    config = _load_config_for(args)
-    config = _apply_overrides(config, [(("score", "threshold"), args.threshold)])
+def cmd_score(args, config) -> int:
     out = _resolve_out(args.out, config)
     threshold = config["score"]["threshold"]
     records = {r.patient_id: r for r in load_dataset(args.data)}
@@ -284,6 +192,63 @@ def cmd_score(args) -> int:
     return 0
 
 
+_FOLD_FLAGS = {
+    "--folds": "folds.n_folds",
+    "--train-size": "folds.train",
+    "--val-size": "folds.val",
+    "--test-size": "folds.test",
+    "--fold-seed": "folds.seed",
+    "--fold-index": "folds.fold_index",
+}
+
+# Per subcommand, each flag that overrides a config leaf and the leaf's
+# dotted path. A flag's type and nargs come from the leaf's default.
+CONFIG_FLAGS: dict[str, dict[str, str]] = {
+    "phantom": {f"--{key}": f"data.phantom.{key}" for key in ("patients", "seed", "depth", "height", "width")},
+    "corrupt": {**_FOLD_FLAGS, "--data": "data.path", "--mode": "noise.mode",
+                "--sigma2": "noise.sigma2", "--seed": "noise.seed"},
+    "oracle": {**_FOLD_FLAGS, "--data": "data.path", "--modes": "sweep.modes",
+               "--sigma2-values": "sweep.sigma2_values", "--repetitions": "sweep.repetitions",
+               "--seed": "sweep.seed"},
+    "gridsearch": {**_FOLD_FLAGS, "--data": "data.path", "--mode": "noise.mode", "--betas": "grid.betas",
+                   "--sigma2-values": "grid.sigma2_values", "--seeds": "grid.seeds",
+                   "--epochs": "train.epochs", "--learning-rate": "train.learning_rate"},
+    "gradcheck": {f"--{key}": f"gradcheck.{key}"
+                  for key in ("height", "width", "trials", "eps", "betas", "tolerance", "seed")},
+    "score": {"--threshold": "score.threshold"},
+}
+
+_MODE_CHOICES = {"choices": [m.value for m in NoiseMode]}
+_FLAG_EXTRAS = {
+    "--folds": {"help": "number of folds"},
+    "--data": {"help": "bundle directory (overrides phantom source)"},
+    "--mode": _MODE_CHOICES,
+    "--modes": _MODE_CHOICES,
+    "--seeds": {"help": "number of corruption seeds per cell"},
+}
+
+
+def _flag_kwargs(path: str) -> dict:
+    default = cfgmod.value_at(cfgmod.DEFAULT_CONFIG, path)
+    if isinstance(default, list):
+        return {"nargs": "+", "type": type(default[0])}
+    return {"type": type(default) if default is not None else str}
+
+
+def _config_overrides(args) -> dict:
+    """The config flags given on the command line, as a partial config tree."""
+    tree: dict = {}
+    for path in CONFIG_FLAGS[args.command].values():
+        value = getattr(args, path)
+        if value is not None:
+            *sections, leaf = path.split(".")
+            node = tree
+            for key in sections:
+                node = node.setdefault(key, {})
+            node[leaf] = value
+    return tree
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segnoise",
@@ -296,78 +261,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p):
+    def add(name, func, help_text, out=True):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", help=f"output directory (default: config/${cfgmod.OUTPUT_DIR_ENV})")
+        if out:
+            p.add_argument("--out", help=f"output directory (default: config/${cfgmod.OUTPUT_DIR_ENV})")
+        for flag, path in CONFIG_FLAGS[name].items():
+            p.add_argument(flag, dest=path, **_flag_kwargs(path), **_FLAG_EXTRAS.get(flag, {}))
+        p.set_defaults(func=func)
+        return p
 
-    def add_fold_flags(p):
-        p.add_argument("--folds", type=int, dest="n_folds", help="number of folds")
-        p.add_argument("--train-size", type=int, dest="train_size")
-        p.add_argument("--val-size", type=int, dest="val_size")
-        p.add_argument("--test-size", type=int, dest="test_size")
-        p.add_argument("--fold-seed", type=int, dest="fold_seed")
-        p.add_argument("--fold-index", type=int, dest="fold_index")
-
-    p = sub.add_parser("phantom", help="generate a synthetic bundle corpus")
-    add_common(p)
-    p.add_argument("--patients", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.set_defaults(func=cmd_phantom)
-
-    p = sub.add_parser("corrupt", help="corrupt train/val masks of one fold")
-    add_common(p)
-    add_fold_flags(p)
-    p.add_argument("--data", help="bundle directory (overrides phantom source)")
-    p.add_argument("--mode", choices=[m.value for m in NoiseMode])
-    p.add_argument("--sigma2", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_corrupt)
-
-    p = sub.add_parser("oracle", help="noise-robust oracle sweep")
-    add_common(p)
-    add_fold_flags(p)
-    p.add_argument("--data", help="bundle directory (overrides phantom source)")
-    p.add_argument("--modes", nargs="+", choices=[m.value for m in NoiseMode])
-    p.add_argument("--sigma2-values", nargs="+", type=float, dest="sigma2_values")
-    p.add_argument("--repetitions", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("gridsearch", help="beta x sigma2 bias-cancellation grid")
-    add_common(p)
-    add_fold_flags(p)
-    p.add_argument("--data", help="bundle directory (overrides phantom source)")
-    p.add_argument("--mode", choices=[m.value for m in NoiseMode])
-    p.add_argument("--betas", nargs="+", type=float)
-    p.add_argument("--sigma2-values", nargs="+", type=float, dest="sigma2_values")
-    p.add_argument("--seeds", type=int, help="number of corruption seeds per cell")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_gridsearch)
-
-    p = sub.add_parser("gradcheck", help="verify analytic gradients numerically")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--betas", nargs="+", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("score", help="score prediction bundles against masks")
-    add_common(p)
+    add("phantom", cmd_phantom, "generate a synthetic bundle corpus")
+    add("corrupt", cmd_corrupt, "corrupt train/val masks of one fold")
+    add("oracle", cmd_oracle, "noise-robust oracle sweep").add_argument("--jobs", type=int, default=1)
+    add("gridsearch", cmd_gridsearch, "beta x sigma2 bias-cancellation grid").add_argument(
+        "--jobs", type=int, default=1)
+    add("gradcheck", cmd_gradcheck, "verify analytic gradients numerically", out=False)
+    p = add("score", cmd_score, "score prediction bundles against masks")
     p.add_argument("--pred", required=True, help="directory of prediction bundles")
     p.add_argument("--data", required=True, help="directory of ground-truth bundles")
-    p.add_argument("--threshold", type=float)
-    p.set_defaults(func=cmd_score)
-
     return parser
 
 
@@ -381,7 +293,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        return args.func(args, cfgmod.load_config(args.config, _config_overrides(args)))
     except (cfgmod.ConfigError, ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

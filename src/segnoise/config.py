@@ -2,9 +2,11 @@
 
 One config tree drives every CLI command. The file is plain JSON; CLI
 flags override file values, and file values override the defaults
-below. Validation is strict: unknown keys and wrong types are errors,
-and exactly one data source (a bundle directory or a phantom spec) must
-be active.
+below. The phantom, sweep and train defaults are those of `PhantomSpec`,
+`SweepConfig` and `TrainConfig`, and those dataclasses also range-check
+their sections. Validation is strict: unknown keys and wrong types are
+errors, and exactly one data source (a bundle directory or a phantom
+spec) must be active.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .folds import FoldPlan, make_folds
@@ -23,35 +26,18 @@ from .volume import PatientRecord
 
 OUTPUT_DIR_ENV = "SEGNOISE_OUTDIR"
 
+
+def _plain(spec) -> dict:
+    """A dataclass's fields as JSON values (tuples become lists, modes strings)."""
+    return json.loads(json.dumps(asdict(spec)))
+
+
 DEFAULT_CONFIG: dict = {
-    "data": {
-        "path": None,
-        "phantom": {
-            "patients": 16,
-            "seed": 7,
-            "depth": 6,
-            "height": 64,
-            "width": 64,
-            "blobs_min": 1,
-            "blobs_max": 3,
-            "radius_min": 5.0,
-            "radius_max": 10.0,
-            "margin": 8,
-            "background_mean": 0.0,
-            "foreground_offset": 1.5,
-            "noise_std": 1.0,
-            "modalities": ["m0", "m1"],
-        },
-    },
+    "data": {"path": None, "phantom": {"patients": 16, "seed": 7, **_plain(PhantomSpec())}},
     "folds": {"n_folds": 2, "train": 8, "val": 4, "test": 4, "seed": 11, "fold_index": 0},
     "noise": {"mode": "dilate", "sigma2": 3.0, "seed": 123},
-    "sweep": {
-        "modes": ["dilate", "erode", "random"],
-        "sigma2_values": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
-        "repetitions": 20,
-        "seed": 123,
-    },
-    "train": {"learning_rate": 4.0, "epochs": 200, "beta": 1.0, "seed": 0, "init_scale": 0.0},
+    "sweep": _plain(SweepConfig()),
+    "train": _plain(TrainConfig()),
     "grid": {
         "betas": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
         "sigma2_values": [0.0, 3.0, 4.0, 5.0],
@@ -70,6 +56,27 @@ DEFAULT_CONFIG: dict = {
     "output_dir": None,
 }
 
+# The one section that may be null: a bundle path replaces it.
+_OPTIONAL_SECTION = "data.phantom"
+
+# Sections range-checked by constructing their dataclass.
+_DATACLASSES = {"data.phantom": PhantomSpec, "noise": NoiseSpec, "sweep": SweepConfig, "train": TrainConfig}
+
+# Rules for the leaves no dataclass checks: a lower bound, or the allowed
+# strings. A list's rule applies to each element.
+_MODES = tuple(m.value for m in NoiseMode)
+_RULES = {
+    "data.phantom.patients": 1, "data.phantom.seed": 0,
+    "folds.n_folds": 1, "folds.train": 0, "folds.val": 0, "folds.test": 0,
+    "folds.seed": 0, "folds.fold_index": 0,
+    "noise.mode": _MODES, "sweep.modes": _MODES,
+    "grid.betas": 0, "grid.sigma2_values": 0, "grid.seeds": 1,
+    "gradcheck.height": 2, "gradcheck.width": 2, "gradcheck.trials": 1,
+    "gradcheck.betas": 0, "gradcheck.seed": 0,
+}
+
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
 
 class ConfigError(ValueError):
     pass
@@ -79,150 +86,91 @@ def _fail(path: str, message: str):
     raise ConfigError(f"config {path}: {message}")
 
 
-def _want_int(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    return value
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _want_number(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        _fail(path, "must be finite")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _want_number_list(value, path, minimum=None):
-    if not isinstance(value, list) or not value:
-        _fail(path, f"expected a non-empty list of numbers, got {value!r}")
-    return [_want_number(v, f"{path}[{i}]", minimum) for i, v in enumerate(value)]
-
-
-def _want_str_list(value, path):
-    if not isinstance(value, list) or not value:
-        _fail(path, f"expected a non-empty list of strings, got {value!r}")
-    for i, v in enumerate(value):
-        if not isinstance(v, str):
-            _fail(f"{path}[{i}]", f"expected a string, got {v!r}")
-    return value
+def value_at(tree, path: str):
+    """The value at a dotted path; None below a null section."""
+    for key in path.split("."):
+        tree = None if tree is None else tree[key]
+    return tree
 
 
 def _merge_section(base: dict, updates: dict, path: str) -> dict:
+    """`base` overlaid with `updates`; sections merge key by key."""
     merged = copy.deepcopy(base)
     for key, value in updates.items():
+        where = _join(path, key)
         if key not in base:
-            _fail(f"{path}.{key}" if path else key, "unknown key")
-        if isinstance(base[key], dict) and base[key] and not key == "data":
-            if not isinstance(value, dict):
-                _fail(f"{path}.{key}" if path else key, "expected an object")
-            merged[key] = _merge_section(base[key], value, f"{path}.{key}" if path else key)
-        elif key == "data":
-            if not isinstance(value, dict):
-                _fail("data", "expected an object")
-            for sub, subval in value.items():
-                if sub == "path":
-                    merged["data"]["path"] = subval
-                elif sub == "phantom":
-                    if subval is None:
-                        merged["data"]["phantom"] = None
-                    else:
-                        merged["data"]["phantom"] = _merge_section(
-                            DEFAULT_CONFIG["data"]["phantom"], subval, "data.phantom"
-                        )
-                else:
-                    _fail(f"data.{sub}", "unknown key")
-            # Choosing a bundle path implicitly drops the default phantom.
-            if value.get("path") is not None and "phantom" not in value:
-                merged["data"]["phantom"] = None
-        else:
+            _fail(where, "unknown key")
+        default = value_at(DEFAULT_CONFIG, where)
+        if not isinstance(default, dict):
             merged[key] = value
+        elif value is None and where == _OPTIONAL_SECTION:
+            merged[key] = None
+        elif not isinstance(value, dict):
+            _fail(where, "expected an object")
+        else:
+            merged[key] = _merge_section(base[key] or default, value, where)
+    # Choosing a bundle path implicitly drops the phantom.
+    if path == "data" and updates.get("path") is not None and "phantom" not in updates:
+        merged["phantom"] = None
     return merged
+
+
+def _check_types(value, default, path: str) -> None:
+    """Check every leaf's JSON type against the type of its default."""
+    if isinstance(default, dict):
+        if value is not None:  # only the optional section gets here as null
+            for key, sub in default.items():
+                _check_types(value[key], sub, _join(path, key))
+    elif default is None:
+        if value is not None and not isinstance(value, str):
+            _fail(path, f"expected a string path, got {value!r}")
+    elif isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            _fail(path, f"expected a non-empty list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_types(item, default[0], f"{path}[{i}]")
+    else:
+        kind = (int, float) if type(default) is float else type(default)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            _fail(path, f"expected {_KINDS[type(default)]}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            _fail(path, "must be finite")
+
+
+def _check_rule(value, rule, path: str) -> None:
+    if isinstance(rule, tuple):
+        if value not in rule:
+            _fail(path, f"must be one of {'/'.join(rule)}, got {value!r}")
+    elif value < rule:
+        _fail(path, f"must be >= {rule}, got {value}")
 
 
 def validate_config(config: dict) -> dict:
     """Type- and range-check a fully merged config tree."""
+    _check_types(config, DEFAULT_CONFIG, "")
     data = config["data"]
-    path_set = data.get("path") is not None
-    phantom_set = data.get("phantom") is not None
-    if path_set == phantom_set:
+    if (data["path"] is None) == (data["phantom"] is None):
         _fail("data", "exactly one of data.path and data.phantom must be set")
-    if path_set and not isinstance(data["path"], str):
-        _fail("data.path", f"expected a string path, got {data['path']!r}")
-    if phantom_set:
-        ph = data["phantom"]
-        _want_int(ph["patients"], "data.phantom.patients", 1)
-        _want_int(ph["seed"], "data.phantom.seed", 0)
-        for key in ("depth", "height", "width"):
-            _want_int(ph[key], f"data.phantom.{key}", 1)
-        _want_int(ph["blobs_min"], "data.phantom.blobs_min", 0)
-        _want_int(ph["blobs_max"], "data.phantom.blobs_max", 0)
-        _want_number(ph["radius_min"], "data.phantom.radius_min", 0)
-        _want_number(ph["radius_max"], "data.phantom.radius_max", 0)
-        _want_int(ph["margin"], "data.phantom.margin", 0)
-        _want_number(ph["background_mean"], "data.phantom.background_mean")
-        _want_number(ph["foreground_offset"], "data.phantom.foreground_offset")
-        _want_number(ph["noise_std"], "data.phantom.noise_std", 0)
-        _want_str_list(ph["modalities"], "data.phantom.modalities")
-
-    folds = config["folds"]
-    _want_int(folds["n_folds"], "folds.n_folds", 1)
-    for key in ("train", "val", "test"):
-        _want_int(folds[key], f"folds.{key}", 0)
-    _want_int(folds["seed"], "folds.seed", 0)
-    _want_int(folds["fold_index"], "folds.fold_index", 0)
-    if folds["fold_index"] >= folds["n_folds"]:
-        _fail("folds.fold_index", f"must be < n_folds ({folds['n_folds']})")
-
-    noise = config["noise"]
-    if noise["mode"] not in tuple(m.value for m in NoiseMode):
-        _fail("noise.mode", f"must be one of dilate/erode/random, got {noise['mode']!r}")
-    _want_number(noise["sigma2"], "noise.sigma2", 0)
-    _want_int(noise["seed"], "noise.seed", 0)
-
-    sweep = config["sweep"]
-    modes = _want_str_list(sweep["modes"], "sweep.modes")
-    for i, mode in enumerate(modes):
-        if mode not in tuple(m.value for m in NoiseMode):
-            _fail(f"sweep.modes[{i}]", f"unknown mode {mode!r}")
-    _want_number_list(sweep["sigma2_values"], "sweep.sigma2_values", 0)
-    _want_int(sweep["repetitions"], "sweep.repetitions", 1)
-    _want_int(sweep["seed"], "sweep.seed", 0)
-
-    train = config["train"]
-    _want_number(train["learning_rate"], "train.learning_rate", 0)
-    _want_int(train["epochs"], "train.epochs", 1)
-    _want_number(train["beta"], "train.beta", 0)
-    _want_int(train["seed"], "train.seed", 0)
-    _want_number(train["init_scale"], "train.init_scale", 0)
-
-    grid = config["grid"]
-    _want_number_list(grid["betas"], "grid.betas", 0)
-    _want_number_list(grid["sigma2_values"], "grid.sigma2_values", 0)
-    _want_int(grid["seeds"], "grid.seeds", 1)
-
-    gradcheck = config["gradcheck"]
-    _want_int(gradcheck["height"], "gradcheck.height", 2)
-    _want_int(gradcheck["width"], "gradcheck.width", 2)
-    _want_int(gradcheck["trials"], "gradcheck.trials", 1)
-    _want_number(gradcheck["eps"], "gradcheck.eps")
-    if gradcheck["eps"] <= 0:
+    for path, rule in _RULES.items():
+        value = value_at(config, path)
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                _check_rule(item, rule, f"{path}[{i}]")
+        elif value is not None:
+            _check_rule(value, rule, path)
+    if config["folds"]["fold_index"] >= config["folds"]["n_folds"]:
+        _fail("folds.fold_index", f"must be < n_folds ({config['folds']['n_folds']})")
+    if config["gradcheck"]["eps"] <= 0:
         _fail("gradcheck.eps", "must be > 0")
-    _want_number_list(gradcheck["betas"], "gradcheck.betas", 0)
-    _want_number(gradcheck["tolerance"], "gradcheck.tolerance")
-    _want_int(gradcheck["seed"], "gradcheck.seed", 0)
-
-    _want_number(config["score"]["threshold"], "score.threshold")
     if not 0.0 < config["score"]["threshold"] < 1.0:
         _fail("score.threshold", "must lie in (0, 1)")
-
-    if config["output_dir"] is not None and not isinstance(config["output_dir"], str):
-        _fail("output_dir", f"expected a string path, got {config['output_dir']!r}")
+    for path, cls in _DATACLASSES.items():
+        if value_at(config, path) is not None:
+            _build(cls, config, path)
     return config
 
 
@@ -234,39 +182,44 @@ def default_config_json() -> str:
     return json.dumps(DEFAULT_CONFIG, indent=2, sort_keys=True) + "\n"
 
 
-def load_config(path: str | Path | None) -> dict:
-    """Defaults, overlaid with the JSON file when given, validated."""
-    if path is None:
-        return validate_config(default_config())
-    file_path = Path(path)
-    if not file_path.is_file():
-        raise FileNotFoundError(f"config file not found: {file_path}")
+def load_config(path: str | Path | None, overrides: dict | None = None) -> dict:
+    """Defaults, overlaid with the JSON file when given, then with
+    `overrides` (a partial tree, as from CLI flags); validated once."""
+    config = DEFAULT_CONFIG
+    if path is not None:
+        file_path = Path(path)
+        if not file_path.is_file():
+            raise FileNotFoundError(f"config file not found: {file_path}")
+        try:
+            user = json.loads(file_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {file_path}: invalid JSON ({exc})") from exc
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {file_path}: top level must be an object")
+        config = _merge_section(config, user, "")
+    return validate_config(_merge_section(config, overrides or {}, ""))
+
+
+def _build(cls, config: dict, path: str):
+    """`cls` from the section at `path`. Its ValueError messages start
+    with the field name, so the ConfigError names the leaf."""
+    section, defaults = value_at(config, path), value_at(DEFAULT_CONFIG, path)
+    kwargs = {}
+    for field in fields(cls):
+        value, default = section[field.name], defaults[field.name]
+        if isinstance(default, float):
+            value = float(value)
+        elif isinstance(default, list):
+            value = tuple(value)
+        kwargs[field.name] = value
     try:
-        user = json.loads(file_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {file_path}: invalid JSON ({exc})") from exc
-    if not isinstance(user, dict):
-        raise ConfigError(f"config {file_path}: top level must be an object")
-    merged = _merge_section(DEFAULT_CONFIG, user, "")
-    return validate_config(merged)
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"config {path}.{exc}") from exc
 
 
 def phantom_spec_from(config: dict) -> PhantomSpec:
-    ph = config["data"]["phantom"]
-    return PhantomSpec(
-        depth=ph["depth"],
-        height=ph["height"],
-        width=ph["width"],
-        blobs_min=ph["blobs_min"],
-        blobs_max=ph["blobs_max"],
-        radius_min=float(ph["radius_min"]),
-        radius_max=float(ph["radius_max"]),
-        margin=ph["margin"],
-        background_mean=float(ph["background_mean"]),
-        foreground_offset=float(ph["foreground_offset"]),
-        noise_std=float(ph["noise_std"]),
-        modalities=tuple(ph["modalities"]),
-    )
+    return _build(PhantomSpec, config, "data.phantom")
 
 
 def records_from(config: dict) -> list[PatientRecord]:
@@ -291,26 +244,12 @@ def foldplan_from(config: dict, ids) -> FoldPlan:
 
 
 def noise_spec_from(config: dict) -> NoiseSpec:
-    noise = config["noise"]
-    return NoiseSpec(mode=NoiseMode(noise["mode"]), sigma2=float(noise["sigma2"]), seed=noise["seed"])
+    return _build(NoiseSpec, config, "noise")
 
 
 def sweep_config_from(config: dict) -> SweepConfig:
-    sweep = config["sweep"]
-    return SweepConfig(
-        modes=tuple(NoiseMode(m) for m in sweep["modes"]),
-        sigma2_values=tuple(float(s) for s in sweep["sigma2_values"]),
-        repetitions=sweep["repetitions"],
-        seed=sweep["seed"],
-    )
+    return _build(SweepConfig, config, "sweep")
 
 
 def train_config_from(config: dict) -> TrainConfig:
-    train = config["train"]
-    return TrainConfig(
-        learning_rate=float(train["learning_rate"]),
-        epochs=train["epochs"],
-        beta=float(train["beta"]),
-        seed=train["seed"],
-        init_scale=float(train["init_scale"]),
-    )
+    return _build(TrainConfig, config, "train")

@@ -30,7 +30,7 @@ class SweepConfig:
     modes: tuple[NoiseMode, ...] = (NoiseMode.DILATE, NoiseMode.ERODE, NoiseMode.RANDOM)
     sigma2_values: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
     repetitions: int = 20
-    seed: int = 0
+    seed: int = 123
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(NoiseMode(m) for m in self.modes))
@@ -38,7 +38,9 @@ class SweepConfig:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if any(s < 0 for s in self.sigma2_values):
-            raise ValueError("sigma2 values must be >= 0")
+            raise ValueError(f"sigma2_values must all be >= 0, got {self.sigma2_values}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         check_beta(self.beta)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not math.isfinite(self.init_scale) or self.init_scale < 0:
             raise ValueError("init_scale must be finite and >= 0")
 

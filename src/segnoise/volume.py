@@ -10,12 +10,26 @@ zero outside the brain).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 VALID_LABELS = (0, 1, 2, 4)
 TUMOR_LABELS = (1, 2, 4)
+
+# Patient ids and modality names become file and directory names.
+_SAFE_NAME = re.compile(r"[A-Za-z0-9._-]+")
+
+
+def check_name(name, what: str) -> str:
+    """`name` if it is safe as a single path component, else ValueError."""
+    if not isinstance(name, str) or not _SAFE_NAME.fullmatch(name) or name in (".", ".."):
+        raise ValueError(
+            f"{what} {name!r} is not a safe file name: use letters, digits, '.', '_' "
+            "and '-', and not '.' or '..'"
+        )
+    return name
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -56,11 +70,13 @@ class MultiModalVolume:
     modalities: dict[str, np.ndarray]
 
     def __post_init__(self):
+        check_name(self.patient_id, "patient id")
         if not self.modalities:
             raise ValueError("volume needs at least one modality")
         shapes = set()
         converted = {}
         for name, grid in self.modalities.items():
+            check_name(name, "modality name")
             arr = np.asarray(grid, dtype=np.float32)
             if arr.ndim != 3:
                 raise ValueError(f"modality {name!r} must be 3-D, got shape {arr.shape}")

@@ -45,6 +45,18 @@ def write_nifti(path, data, datatype, endian="<"):
     path.write_bytes(bytes(header) + b"\x00" * 4 + payload.tobytes())
 
 
+def edit_meta(bundle, **changes):
+    """Rewrite a bundle's meta.json with `changes`; a None value deletes the key."""
+    meta = json.loads((bundle / "meta.json").read_text())
+    meta.update(changes)
+    meta = {key: value for key, value in meta.items() if value is not None}
+    (bundle / "meta.json").write_text(json.dumps(meta))
+
+
+def tree(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+
 class TestBundleRoundtrip:
     def test_write_then_load_preserves_everything(self, tmp_path):
         rec = sample_record()
@@ -143,6 +155,52 @@ class TestBundleErrors:
         records = load_dataset(tmp_path)
         assert [r.patient_id for r in records] == ["alpha", "zeta"]
 
+    def test_load_dataset_rejects_duplicate_ids(self, tmp_path):
+        for pid in ("a", "b"):
+            edit_meta(write_bundle(sample_record(pid=pid), tmp_path), patient_id="p")
+        with pytest.raises(ValueError, match=r"'p'.*[/\\]a\b.*[/\\]b\b"):
+            load_dataset(tmp_path)
+
+    def test_load_patient_rejects_unsafe_patient_id(self, tmp_path):
+        bundle = write_bundle(sample_record(), tmp_path)
+        edit_meta(bundle, patient_id="../escaped")
+        with pytest.raises(ValueError, match="not a safe file name"):
+            load_patient(bundle)
+
+    def test_load_patient_rejects_unsafe_modality_name(self, tmp_path):
+        bundle = write_bundle(sample_record(), tmp_path / "root")
+        (tmp_path / "escaped.raw").write_bytes((bundle / "t2.raw").read_bytes())
+        edit_meta(bundle, modalities=["t1", "../../escaped"])
+        with pytest.raises(ValueError, match="not a safe file name"):
+            load_patient(bundle)
+
+
+class TestUnsafeNames:
+    def test_write_bundle_rejects_unsafe_patient_id(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ValueError, match="not a safe file name"):
+            write_bundle(sample_record(pid="../escaped_pid"), out)
+        assert tree(tmp_path) == ["out"]
+
+    def test_write_prediction_rejects_unsafe_patient_id(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ValueError, match="not a safe file name"):
+            write_prediction("../escaped", np.zeros((1, 2, 2)), out)
+        assert tree(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("pid, modality", [("../escaped", "t1"), ("ok", "../escaped")])
+    def test_import_nifti_rejects_unsafe_names(self, tmp_path, pid, modality):
+        shape = (2, 4, 4)
+        write_nifti(tmp_path / "t1.nii", np.ones(shape, dtype=np.float32), "f4")
+        write_nifti(tmp_path / "mask.nii", np.zeros(shape, dtype=np.uint8), "u1")
+        (tmp_path / "out").mkdir()
+        before = tree(tmp_path)
+        with pytest.raises(ValueError, match="not a safe file name"):
+            import_nifti(pid, {modality: tmp_path / "t1.nii"}, tmp_path / "out", mask=tmp_path / "mask.nii")
+        assert tree(tmp_path) == before
+
 
 class TestPredictions:
     def test_roundtrip(self, tmp_path):
@@ -156,6 +214,20 @@ class TestPredictions:
     def test_rejects_out_of_range(self, tmp_path):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             write_prediction("bad", np.full((1, 2, 2), 1.5), tmp_path)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"shape": None}, "missing key 'shape'"),
+        ({"patient_id": None}, "missing key 'patient_id'"),
+        ({"byte_order": "big"}, "byte order"),
+        ({"shape": [8, 4]}, "three positive ints"),
+        ({"shape": [2, 4, 0]}, "three positive ints"),
+        ({"patient_id": "../escaped"}, "not a safe file name"),
+    ])
+    def test_meta_checked_like_patient_bundles(self, tmp_path, changes, message):
+        bundle = write_prediction("case-9", np.zeros((2, 4, 4)), tmp_path)
+        edit_meta(bundle, **changes)
+        with pytest.raises(ValueError, match=message):
+            load_prediction(bundle)
 
 
 class TestNifti:

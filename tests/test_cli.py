@@ -51,7 +51,9 @@ class TestTopLevel:
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
-        assert "Subcommands" in capsys.readouterr().out or True
+        out = capsys.readouterr().out
+        for command in ("phantom", "corrupt", "oracle", "gridsearch", "gradcheck", "score"):
+            assert command in out
 
     def test_error_paths_return_one(self, tmp_path, capsys):
         rc = main(["oracle", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)])
@@ -111,6 +113,24 @@ class TestPhantomCmd:
         )
         assert rc == 1
         assert "too large" in capsys.readouterr().err
+
+    def test_flags_merge_over_phantom_values_from_the_file(self, tmp_path):
+        config = small_phantom_config(tmp_path)
+        out = tmp_path / "corpus"
+        assert main(["phantom", "--config", str(config), "--out", str(out), "--patients", "2"]) == 0
+        records = load_dataset(out)
+        assert [r.shape for r in records] == [(3, 48, 48)] * 2
+
+    def test_unsafe_modality_name_writes_nothing_outside_out(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"data": {"phantom": {"patients": 2, "depth": 2, "modalities": ["m0", "../../escaped_mod"]}}}
+        ))
+        out = tmp_path / "X" / "a"
+        assert main(["phantom", "--config", str(config), "--out", str(out)]) == 1
+        assert "not a safe file name" in capsys.readouterr().err
+        assert [p.relative_to(tmp_path / "X").as_posix() for p in (tmp_path / "X").rglob("*")] == ["a"]
+        assert not any(out.iterdir())
 
     def test_output_dir_from_env(self, tmp_path, monkeypatch, capsys):
         config = small_phantom_config(tmp_path)

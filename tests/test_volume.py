@@ -101,6 +101,13 @@ class TestVolumeTypes:
         with pytest.raises(ValueError, match="non-finite"):
             MultiModalVolume(patient_id="p", modalities={"m": grid})
 
+    @pytest.mark.parametrize("name", ["../escaped", "..", ".", "a/b", "", "x y", 7])
+    def test_unsafe_names_rejected(self, name):
+        with pytest.raises(ValueError, match="not a safe file name"):
+            make_volume(pid=name)
+        with pytest.raises(ValueError, match="not a safe file name"):
+            make_volume(names=("t1", name))
+
     def test_record_shape_consistency(self):
         vol = make_volume(shape=(2, 4, 4))
         with pytest.raises(ValueError, match="mask shape"):
