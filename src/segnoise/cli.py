@@ -249,6 +249,13 @@ def _config_overrides(args) -> dict:
     return tree
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segnoise",
@@ -273,9 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("phantom", cmd_phantom, "generate a synthetic bundle corpus")
     add("corrupt", cmd_corrupt, "corrupt train/val masks of one fold")
-    add("oracle", cmd_oracle, "noise-robust oracle sweep").add_argument("--jobs", type=int, default=1)
+    add("oracle", cmd_oracle, "noise-robust oracle sweep").add_argument(
+        "--jobs", type=_jobs, default=1, help="worker processes (>= 1)")
     add("gridsearch", cmd_gridsearch, "beta x sigma2 bias-cancellation grid").add_argument(
-        "--jobs", type=int, default=1)
+        "--jobs", type=_jobs, default=1, help="worker processes (>= 1), one (sigma2, seed) cell at a time")
     add("gradcheck", cmd_gradcheck, "verify analytic gradients numerically", out=False)
     p = add("score", cmd_score, "score prediction bundles against masks")
     p.add_argument("--pred", required=True, help="directory of prediction bundles")

@@ -14,8 +14,9 @@ soft_recall = (tp + 1) / (sum_t + 1) as beta -> inf.
 These formulas exist once, in a kernel over (..., pixels) arrays:
 `confusion_sums`, `f_beta_terms` (N, D) and `f_beta_loss_grad`
 (d(1 - N/D)/dp). The scores, the finite-difference reference and the
-toy trainer's descent (`trainer._descend`, one frame per row) all run
-through it, so `gradcheck` verifies the gradient that training follows.
+toy trainer's descent (`trainer._descend`, one frame per row, which
+takes its own sums without a p * t temporary) all run through it, so
+`gradcheck` verifies the gradient that training follows.
 Scores sum over the whole input, so the same functions score 2-D frames
 and 3-D volumes.
 """
@@ -49,10 +50,13 @@ def f_beta_terms(tp, sum_p, sum_t, b2: float):
 def f_beta_loss_grad(t: np.ndarray, numer, denom, b2: float) -> np.ndarray:
     """d(1 - N/D)/dp for targets (..., pixels) and N, D of shape (...).
 
-    The partial w.r.t. p_i is (N - (1+b2)*t_i*D) / D^2.
+    The partial w.r.t. p_i is (N - (1+b2)*t_i*D) / D^2, computed as
+    N/D^2 - (1+b2)*t_i/D so that the result is the only full-size array.
     """
     numer, denom = np.expand_dims(numer, -1), np.expand_dims(denom, -1)
-    return (numer - (1.0 + b2) * t * denom) / (denom * denom)
+    grad = t * (-(1.0 + b2) / denom)
+    grad += numer / (denom * denom)
+    return grad
 
 
 def _check_pair(p, t) -> tuple[np.ndarray, np.ndarray]:

@@ -184,6 +184,8 @@ def run_sweep(
     Cell RNG streams are keyed, so the result is identical for any job
     count; samples are assembled in canonical cell order.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     tasks = []
     for mode_index, mode in enumerate(config.modes):
         for sigma_index, sigma2 in enumerate(config.sigma2_values):

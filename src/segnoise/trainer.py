@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .folds import DatasetSplit
-from .metrics import ScoreTriple, check_beta, confusion_sums, f_beta_loss_grad, f_beta_terms, hard_metrics
+from .metrics import ScoreTriple, check_beta, f_beta_loss_grad, f_beta_terms, hard_metrics
 from .noise import NoiseMode, corrupt_mask_volume
 from .svgplot import heatmap, write_svg
 from .volume import PatientRecord, zscore_normalize
@@ -94,12 +96,13 @@ def _box_std(arr: np.ndarray, radius: int) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
+    """Logistic 1 / (1 + exp(-z)) as 0.5 * (1 + tanh(z / 2)), which cannot
+    overflow; overwrites the float64 array z and returns it."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+    return z
 
 
 def extract_features(frame) -> np.ndarray:
@@ -113,6 +116,20 @@ def extract_features(frame) -> np.ndarray:
         [arr, _box_mean(arr, 1), _box_std(arr, 1), _box_mean(arr, 3), np.ones_like(arr)],
         axis=-1,
     )
+
+
+def _feature_stack(frames, n_frames: int, frame_shape: tuple[int, ...]) -> np.ndarray:
+    """(n_frames, pixels, N_FEATURES) features of `frames`, filled into one array.
+
+    The array is a view of feature-major memory: each feature is one
+    contiguous plane, which roughly halves the cost of the descent's two
+    products with the weight vector against pixel-major rows.
+    """
+    planes = np.empty((N_FEATURES, n_frames, math.prod(frame_shape)))
+    stack = planes.transpose(1, 2, 0)
+    for row, frame in zip(stack, frames, strict=True):
+        row[...] = extract_features(frame).reshape(-1, N_FEATURES)
+    return stack
 
 
 def predict(model: LinearSegmenter, features: np.ndarray) -> np.ndarray:
@@ -138,21 +155,31 @@ def _descend(
     """Full-batch gradient descent on the mean per-frame f-beta loss.
 
     features: (frames, pixels, N_FEATURES); targets: (frames, pixels).
-    Loss and d loss / d p come from the metrics kernel, one frame per row.
+    Loss and d loss / d p come from the metrics kernel, one frame per row;
+    tp is an einsum, so no p * t product is materialized. Each epoch
+    holds two (frames, pixels) arrays: p, reused across epochs, and the
+    gradient.
     """
     w = _initial_weights(config)
     b2 = float(config.beta) ** 2
     n_frames, n_pixels = targets.shape
-    flat_features = np.ascontiguousarray(features).reshape(-1, N_FEATURES)
+    flat_features = np.reshape(features, (-1, N_FEATURES))
+    sum_t = targets.sum(axis=-1)
+    p = np.empty((n_frames, n_pixels))
     history = []
     for epoch in range(config.epochs):
-        p = _sigmoid((flat_features @ w).reshape(n_frames, n_pixels))
-        numer, denom = f_beta_terms(*confusion_sums(p, targets), b2)
+        np.matmul(flat_features, w, out=p.reshape(-1))
+        _sigmoid(p)
+        tp = np.einsum("fp,fp->f", p, targets)
+        numer, denom = f_beta_terms(tp, p.sum(axis=-1), sum_t, b2)
         mean_loss = float((1.0 - numer / denom).mean())
         if not np.isfinite(mean_loss):
             raise TrainingDiverged(epoch)
         history.append(mean_loss)
-        grad_z = f_beta_loss_grad(targets, numer, denom, b2) * p * (1.0 - p)
+        # dL/dz = dL/dp * p * (1 - p), with 1 - p written over p.
+        grad_z = f_beta_loss_grad(targets, numer, denom, b2)
+        grad_z *= p
+        grad_z *= np.subtract(1.0, p, out=p)
         grad_w = grad_z.reshape(-1) @ flat_features / n_frames
         w = w - config.learning_rate * grad_w
     return LinearSegmenter(weights=w), history
@@ -165,7 +192,7 @@ def train(samples, config: TrainConfig) -> tuple[LinearSegmenter, list[float]]:
     shapes = {np.asarray(img).shape for img, _ in samples}
     if len(shapes) != 1:
         raise ValueError(f"all frames must share one shape, got {sorted(shapes)}")
-    feats = np.stack([extract_features(img).reshape(-1, N_FEATURES) for img, _ in samples])
+    feats = _feature_stack((img for img, _ in samples), len(samples), shapes.pop())
     targets = np.stack([np.asarray(mask, dtype=np.float64).reshape(-1) for _, mask in samples])
     if not ((targets == 0.0) | (targets == 1.0)).all():
         raise ValueError("mask values must be exactly 0 or 1")
@@ -239,12 +266,15 @@ class _GridContext:
     """Precomputed per-corpus data shared by all grid cells."""
 
     train_pids: tuple[str, ...]
-    train_features: np.ndarray  # (total frames, pixels, N_FEATURES)
+    # (N_FEATURES, total frames, pixels): C-contiguous, so pickling to a
+    # worker keeps the feature-major layout `_feature_stack` builds.
+    train_planes: np.ndarray
     train_masks: dict[str, np.ndarray]
     test_pids: tuple[str, ...]
     test_features: dict[str, np.ndarray]  # (frames, pixels, N_FEATURES)
     test_masks: dict[str, np.ndarray]
     frame_shape: tuple[int, int]
+    betas: tuple[float, ...]
     mode: NoiseMode
     base_config: TrainConfig
     threshold: float
@@ -253,7 +283,7 @@ class _GridContext:
 _GRID_CTX: _GridContext | None = None
 
 
-def _grid_init(ctx: _GridContext) -> None:
+def _grid_init(ctx: _GridContext | None) -> None:
     global _GRID_CTX
     _GRID_CTX = ctx
 
@@ -261,6 +291,7 @@ def _grid_init(ctx: _GridContext) -> None:
 def _build_grid_context(
     records: list[PatientRecord],
     split: DatasetSplit,
+    betas: tuple[float, ...],
     mode: NoiseMode,
     base_config: TrainConfig,
     threshold: float,
@@ -271,51 +302,91 @@ def _build_grid_context(
         raise KeyError(f"split references unknown patient ids: {missing}")
     if not split.train_ids or not split.test_ids:
         raise ValueError("split needs non-empty train and test subsets")
-
-    def features_for(pid: str) -> np.ndarray:
-        image = zscore_normalize(by_id[pid].volume).first_modality()
-        return np.stack(
-            [extract_features(frame).reshape(-1, N_FEATURES) for frame in image]
-        )
-
-    train_blocks = [features_for(pid) for pid in split.train_ids]
     frame_shape = by_id[split.train_ids[0]].shape[1:]
+
+    def features_for(pids) -> np.ndarray:
+        frames = (
+            frame for pid in pids for frame in zscore_normalize(by_id[pid].volume).first_modality()
+        )
+        return _feature_stack(frames, sum(by_id[pid].shape[0] for pid in pids), frame_shape)
+
     return _GridContext(
         train_pids=split.train_ids,
-        train_features=np.concatenate(train_blocks, axis=0),
+        train_planes=features_for(split.train_ids).transpose(2, 0, 1),
         train_masks={pid: by_id[pid].mask for pid in split.train_ids},
         test_pids=split.test_ids,
-        test_features={pid: features_for(pid) for pid in split.test_ids},
+        test_features={pid: features_for([pid]) for pid in split.test_ids},
         test_masks={pid: by_id[pid].mask for pid in split.test_ids},
         frame_shape=frame_shape,
+        betas=betas,
         mode=mode,
         base_config=base_config,
         threshold=threshold,
     )
 
 
-def _grid_cell(args) -> GridCell:
-    sigma2, seed, beta = args
+def _grid_cell(args) -> list[GridCell]:
+    """Corrupt the train masks once for one (sigma2, seed) cell, then
+    train and score each beta on those same targets (paired comparison)."""
+    sigma2, seed = args
     ctx = _GRID_CTX
-    targets = []
+    features = ctx.train_planes.transpose(1, 2, 0)  # (frames, pixels, N_FEATURES)
+    targets = np.empty(features.shape[:2])
+    row = 0
     for pid in ctx.train_pids:
         corrupted, _ = corrupt_mask_volume(ctx.train_masks[pid], ctx.mode, sigma2, seed, pid)
-        targets.append(corrupted.reshape(corrupted.shape[0], -1).astype(np.float64))
-    target_mat = np.concatenate(targets, axis=0)
-    config = replace(ctx.base_config, beta=beta)
-    model, _ = _descend(ctx.train_features, target_mat, config)
+        depth = corrupted.shape[0]
+        targets[row:row + depth] = corrupted.reshape(depth, -1)
+        row += depth
 
-    triples = []
-    for pid in ctx.test_pids:
-        pred = predict(model, ctx.test_features[pid])  # (frames, pixels)
-        depth = pred.shape[0]
-        pred_vol = pred.reshape(depth, *ctx.frame_shape)
-        triples.append(hard_metrics(pred_vol, ctx.test_masks[pid], ctx.threshold))
-    mean = np.array(triples, dtype=np.float64).mean(axis=0)
-    return GridCell(
-        beta=float(beta), sigma2=float(sigma2), seed=int(seed),
-        dice=float(mean[0]), precision=float(mean[1]), recall=float(mean[2]),
-    )
+    cells = []
+    for beta in ctx.betas:
+        model, _ = _descend(features, targets, replace(ctx.base_config, beta=beta))
+        triples = []
+        for pid in ctx.test_pids:
+            pred = predict(model, ctx.test_features[pid])  # (frames, pixels)
+            pred_vol = pred.reshape(pred.shape[0], *ctx.frame_shape)
+            triples.append(hard_metrics(pred_vol, ctx.test_masks[pid], ctx.threshold))
+        mean = np.array(triples, dtype=np.float64).mean(axis=0)
+        cells.append(GridCell(
+            beta=beta, sigma2=float(sigma2), seed=int(seed),
+            dice=float(mean[0]), precision=float(mean[1]), recall=float(mean[2]),
+        ))
+    return cells
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _map_cells(function, tasks: list, ctx: _GridContext | None, jobs: int) -> list:
+    """`function` over `tasks` with `ctx` installed, in canonical order.
+
+    Runs in-process when only one worker would have work. Otherwise the
+    workers are spawned with each BLAS thread-count variable set to 1,
+    so that their BLAS libraries, which read it once at load, do not
+    oversubscribe the cores; the parent's environment is restored after.
+    """
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        _grid_init(ctx)
+        try:
+            return [function(t) for t in tasks]
+        finally:
+            _grid_init(None)
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
+            initializer=_grid_init, initargs=(ctx,),
+        ) as pool:
+            return list(pool.map(function, tasks))
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def beta_gridsearch(
@@ -331,28 +402,25 @@ def beta_gridsearch(
 ) -> GridResult:
     """Corrupt train masks, train per beta, score on clean test masks.
 
-    Corruption streams are keyed by (seed, patient, frame), so every
-    beta within a (sigma2, seed) cell sees the identical corrupted
-    dataset (paired comparison) and results are independent of the job
-    count. Validation masks are never consumed by the toy trainer, so
-    their corruption (keyed the same way) is not materialized here.
+    The (sigma2, seed) cell is the unit of work and of parallelism: it
+    corrupts the train masks once and trains every beta on those same
+    targets (paired comparison). Corruption streams are keyed by
+    (seed, patient, frame), so results are independent of the job count.
+    With more than one cell and `jobs > 1`, cells run in `min(jobs,
+    cells)` spawned workers whose BLAS is pinned to one thread; a
+    one-cell grid runs in-process. Validation masks are never consumed by
+    the toy trainer, so their corruption (keyed the same way) is not
+    materialized here.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     betas = tuple(float(b) for b in betas)
     sigma2_values = tuple(float(s) for s in sigma2_values)
     seeds = tuple(int(s) for s in seeds)
     if not betas or not sigma2_values or not seeds:
         raise ValueError("betas, sigma2_values and seeds must be non-empty")
     base = base_config if base_config is not None else TrainConfig()
-    ctx = _build_grid_context(records, split, NoiseMode(mode), base, threshold)
-
-    tasks = [(s2, seed, beta) for s2 in sigma2_values for seed in seeds for beta in betas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_grid_init, initargs=(ctx,)) as pool:
-            cells = list(pool.map(_grid_cell, tasks))
-    else:
-        _grid_init(ctx)
-        try:
-            cells = [_grid_cell(t) for t in tasks]
-        finally:
-            _grid_init(None)
+    ctx = _build_grid_context(records, split, betas, NoiseMode(mode), base, threshold)
+    tasks = [(s2, seed) for s2 in sigma2_values for seed in seeds]
+    cells = [cell for chunk in _map_cells(_grid_cell, tasks, ctx, jobs) for cell in chunk]
     return GridResult(betas=betas, sigma2_values=sigma2_values, seeds=seeds, cells=tuple(cells))

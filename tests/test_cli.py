@@ -55,6 +55,15 @@ class TestTopLevel:
         for command in ("phantom", "corrupt", "oracle", "gridsearch", "gradcheck", "score"):
             assert command in out
 
+    @pytest.mark.parametrize("command", ["oracle", "gridsearch"])
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, command, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path / "out"), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_error_paths_return_one(self, tmp_path, capsys):
         rc = main(["oracle", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)])
         assert rc == 1

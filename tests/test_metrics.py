@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 from segnoise.metrics import (
     ScoreTriple,
     aggregate_framewise,
+    confusion_sums,
     f_beta,
+    f_beta_loss_grad,
+    f_beta_terms,
     grad_loss,
     hard_metrics,
     loss,
@@ -185,6 +188,23 @@ class TestGradLoss:
         denom = np.maximum(np.abs(numeric), 1e-12)
         rel = np.abs(analytic - numeric) / denom
         assert rel.max() < 1e-4
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("foreground", [0.05, 0.5, 0.95])
+    def test_kernel_matches_single_fraction_form(self, beta, foreground):
+        # f_beta_loss_grad computes N/D^2 - (1+b2)*t/D; the reference is
+        # the single fraction (N - (1+b2)*t*D) / D^2. Both round at the
+        # scale of the larger term, which is where the tolerance sits.
+        rng = np.random.default_rng(9)
+        p = rng.random((7, 300))
+        t = (rng.random((7, 300)) < foreground).astype(np.float64)
+        b2 = beta * beta
+        numer, denom = f_beta_terms(*confusion_sums(p, t), b2)
+        grad = f_beta_loss_grad(t, numer, denom, b2)
+        n, d = numer[:, None], denom[:, None]
+        reference = (n - (1.0 + b2) * t * d) / (d * d)
+        scale = np.maximum(np.abs(reference), n / (d * d))
+        assert np.all(np.abs(grad - reference) <= 1e-15 * scale)
 
     def test_gradient_nonnegative_for_empty_target_beta_zero(self):
         rng = np.random.default_rng(6)

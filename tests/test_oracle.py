@@ -99,6 +99,12 @@ class TestRunSweep:
         parallel = run_sweep(corpus, plan, config, jobs=4)
         assert serial.samples == parallel.samples
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, corpus, plan, jobs):
+        config = SweepConfig(modes=(NoiseMode.ERODE,), sigma2_values=(1.0,), repetitions=1, seed=0)
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep(corpus, plan, config, jobs=jobs)
+
     def test_score_csv_schema(self, corpus, plan):
         config = SweepConfig(modes=(NoiseMode.ERODE,), sigma2_values=(1.0,), repetitions=2, seed=0)
         result = run_sweep(corpus, plan, config)

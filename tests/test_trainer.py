@@ -1,8 +1,12 @@
+import os
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from segnoise import trainer
 from segnoise.folds import make_folds
 from segnoise.metrics import hard_metrics, loss, soft_dice
 from segnoise.noise import NoiseMode, NoiseSpec, corrupt_dataset
@@ -10,6 +14,9 @@ from segnoise.phantom import PhantomSpec, generate_corpus
 from segnoise.trainer import (
     LinearSegmenter,
     TrainConfig,
+    _descend,
+    _map_cells,
+    _sigmoid,
     beta_gridsearch,
     extract_features,
     predict,
@@ -88,6 +95,36 @@ class TestFeatures:
         frame[0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             extract_features(frame)
+
+
+def two_branch_sigmoid(z):
+    """The overflow-safe logistic the tanh form replaced, kept as reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    expz = np.exp(z[~pos])
+    out[~pos] = expz / (1.0 + expz)
+    return out
+
+
+class TestSigmoid:
+    def test_tanh_form_matches_two_branch_form(self):
+        z = np.concatenate([
+            np.linspace(-1e6, 1e6, 200_001),
+            np.linspace(-50.0, 50.0, 100_001),
+            [-745.0, 745.0, -746.0, 746.0, -709.8, 709.8, 0.0, -0.0, 1e-300, -1e-300],
+        ])
+        reference = two_branch_sigmoid(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = _sigmoid(z.copy())
+        assert np.max(np.abs(p - reference)) <= 4.5e-16
+        assert p.min() >= 0.0 and p.max() <= 1.0
+
+    def test_overwrites_and_returns_its_argument(self):
+        z = np.array([-2.0, 0.0, 3.0])
+        assert _sigmoid(z) is z
+        assert z[1] == 0.5
 
 
 class TestPredict:
@@ -262,11 +299,66 @@ class TestGridsearch:
         svg = grid.heatmap_svg()
         assert svg.startswith("<svg")
 
+    @pytest.mark.parametrize("sigma2_values,seeds,jobs", [([1.0, 3.0], [0, 1], 1), ([2.0], [0], 4)])
+    def test_each_cell_corrupts_train_masks_once(self, grid_setup, monkeypatch, sigma2_values, seeds, jobs):
+        # Every beta of a (sigma2, seed) cell trains on the same corrupted
+        # targets, so corruption runs once per cell and train patient,
+        # with no betas factor. The one-cell grid at jobs=4 must run
+        # in-process: calls in a worker would not reach this counter.
+        corpus, split = grid_setup
+        calls = []
+        original = trainer.corrupt_mask_volume
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(trainer, "corrupt_mask_volume", counting)
+        beta_gridsearch(
+            corpus, split, betas=[0.3, 1.0, 2.0], mode=NoiseMode.DILATE,
+            sigma2_values=sigma2_values, seeds=seeds, base_config=TrainConfig(epochs=2), jobs=jobs,
+        )
+        assert len(calls) == len(sigma2_values) * len(seeds) * len(split.train_ids)
+
+    def test_pool_workers_get_one_blas_thread_and_parent_env_is_restored(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        seen = _map_cells(os.getenv, names, None, jobs=2)
+        assert seen == ["1", "1", "1"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        assert "OMP_NUM_THREADS" not in os.environ
+        assert "MKL_NUM_THREADS" not in os.environ
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, grid_setup, jobs):
+        corpus, split = grid_setup
+        with pytest.raises(ValueError, match="jobs"):
+            beta_gridsearch(corpus, split, betas=[1.0], mode=NoiseMode.DILATE,
+                            sigma2_values=[1.0], seeds=[0], jobs=jobs)
+
     def test_empty_axes_rejected(self, grid_setup):
         corpus, split = grid_setup
         with pytest.raises(ValueError, match="non-empty"):
             beta_gridsearch(corpus, split, betas=[], mode=NoiseMode.DILATE,
                             sigma2_values=[1.0], seeds=[0])
+
+
+def test_descend_peak_memory_stays_within_four_frame_arrays():
+    # p and the gradient are the only (frames, pixels) arrays an epoch
+    # holds; the bound leaves room for two more.
+    rng = np.random.default_rng(8)
+    frames, pixels = 48, 4096
+    features = rng.normal(size=(frames, pixels, 5))
+    targets = (rng.random((frames, pixels)) < 0.3).astype(np.float64)
+    tracemalloc.start()
+    try:
+        _descend(features, targets, TrainConfig(epochs=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * frames * pixels * 8
 
 
 class TestTrainConfigValidation:
