@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text
 from .volume import (
     MultiModalVolume,
     PatientRecord,
@@ -53,7 +54,7 @@ def _meta_for(record: PatientRecord) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_bundle(record: PatientRecord, out_root: str | Path) -> Path:

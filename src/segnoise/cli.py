@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
+from .atomic import write_text
 from .bundleio import load_dataset, load_prediction, write_bundle
 from .folds import DatasetSplit
 from .metrics import (
@@ -187,7 +188,7 @@ def cmd_score(args, config) -> int:
     writer.writerow(["patient_id", "metric", "value"])
     for pid, name, value in rows:
         writer.writerow([pid, name, format(value, ".10g")])
-    (out / "scores.csv").write_text(buf.getvalue())
+    write_text(out / "scores.csv", buf.getvalue())
     print(f"scored {len(pred_dirs)} patients (volume-wise); wrote {out / 'scores.csv'}")
     return 0
 

@@ -18,7 +18,10 @@ toy trainer's descent (`trainer._descend`, one frame per row, which
 takes its own sums without a p * t temporary) all run through it, so
 `gradcheck` verifies the gradient that training follows.
 Scores sum over the whole input, so the same functions score 2-D frames
-and 3-D volumes.
+and 3-D volumes. When both inputs are bool or integer typed (binary
+masks, thresholded predictions), tp, sum_p and sum_t are exact integer
+counts (`count_nonzero`) with no float copy of either array; sums of
+0/1 values are exact in float64 too, so both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .volume import is_binary
 
 SMOOTHING = 1.0
 
@@ -59,18 +64,27 @@ def f_beta_loss_grad(t: np.ndarray, numer, denom, b2: float) -> np.ndarray:
     return grad
 
 
+def _is_count(arr: np.ndarray) -> bool:
+    return arr.dtype.kind in "biu"
+
+
+def _as_scored(x) -> np.ndarray:
+    """Bool and integer arrays as they are; anything else as float64."""
+    arr = np.asarray(x)
+    return arr if _is_count(arr) else arr.astype(np.float64, copy=False)
+
+
 def _check_pair(p, t) -> tuple[np.ndarray, np.ndarray]:
-    p_arr = np.asarray(p, dtype=np.float64)
-    t_arr = np.asarray(t, dtype=np.float64)
+    p_arr, t_arr = _as_scored(p), _as_scored(t)
     if p_arr.shape != t_arr.shape:
         raise ValueError(f"prediction/target shapes differ: {p_arr.shape} vs {t_arr.shape}")
     if p_arr.size == 0:
         raise ValueError("prediction/target must be non-empty")
-    if not np.isfinite(p_arr).all():
+    if not _is_count(p_arr) and not np.isfinite(p_arr).all():
         raise ValueError("prediction contains non-finite values")
-    if p_arr.min() < 0.0 or p_arr.max() > 1.0:
+    if p_arr.min() < 0 or p_arr.max() > 1:
         raise ValueError("prediction values must lie in [0, 1]")
-    if not ((t_arr == 0.0) | (t_arr == 1.0)).all():
+    if not is_binary(t_arr):
         raise ValueError("target values must be exactly 0 or 1")
     return p_arr, t_arr
 
@@ -83,6 +97,8 @@ def check_beta(beta) -> float:
 
 
 def _whole_sums(p_arr: np.ndarray, t_arr: np.ndarray):
+    if _is_count(p_arr) and _is_count(t_arr):
+        return np.count_nonzero(p_arr & t_arr), np.count_nonzero(p_arr), np.count_nonzero(t_arr)
     return confusion_sums(p_arr.reshape(-1), t_arr.reshape(-1))
 
 
@@ -138,7 +154,7 @@ def hard_metrics(p, t, threshold: float = 0.5) -> ScoreTriple:
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     p_arr, t_arr = _check_pair(p, t)
-    return _triple((p_arr > threshold).astype(np.float64), t_arr)
+    return _triple(p_arr > threshold, t_arr)
 
 
 def soft_metrics(p, t) -> ScoreTriple:
@@ -153,7 +169,7 @@ def finite_difference_grad_loss(p, t, beta=1.0, eps: float = 1e-4) -> np.ndarray
     Perturbed probes may step slightly outside [0,1], so they skip the
     range checks.
     """
-    p_arr, t_arr = _check_pair(p, t)
+    p_arr, t_arr = _check_pair(np.asarray(p, dtype=np.float64), t)
     b = check_beta(beta)
     b2 = b * b
     flat_p, flat_t = p_arr.reshape(-1), t_arr.reshape(-1)

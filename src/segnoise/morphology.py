@@ -4,6 +4,13 @@ All operations use the fixed 3x3 all-ones structuring element
 (8-connectivity) with a zero-padded border. Iterated application runs
 k passes of the radius-1 element, which is equivalent to a single pass
 with a Chebyshev ball of radius k.
+
+One pass (`radius1_pass`) works on the last two axes of a bool
+(..., H, W) array, so a single frame and a stack of frames run the same
+code. The 3x3 square is separable: the pass reduces each pixel with its
+neighbours along H, then along W, by slicing, without a padded copy.
+Erosion then zeroes the frame edges, whose windows reach outside the
+frame.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .volume import is_binary
 
 # Fixed 3x3 all-ones footprint, origin at the center.
 STRUCTURING_ELEMENT = np.ones((3, 3), dtype=np.uint8)
@@ -24,23 +33,38 @@ def as_mask_frame(frame) -> np.ndarray:
         raise ValueError(f"mask frame must be 2-D, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("mask frame must be non-empty")
-    if not ((arr == 0) | (arr == 1)).all():
+    if not is_binary(arr):
         raise ValueError("mask frame values must be exactly 0 or 1")
     return arr.astype(np.uint8, copy=False)
 
 
-def _shift_reduce(mask: np.ndarray, op) -> np.ndarray:
-    # One radius-1 pass: reduce the 9 shifted copies of the zero-padded
-    # frame with `op` (logical_or -> dilation, logical_and -> erosion).
-    h, w = mask.shape
-    padded = np.pad(mask, 1, constant_values=False)
-    out = padded[1 : 1 + h, 1 : 1 + w].copy()
-    for dy in range(3):
-        for dx in range(3):
-            if dy == 1 and dx == 1:
-                continue
-            op(out, padded[dy : dy + h, dx : dx + w], out=out)
+def radius1_pass(stack: np.ndarray, erosion: bool) -> np.ndarray:
+    """One pass of the 3x3 square over the last two axes of a bool
+    (..., H, W) array: OR of each window for dilation, AND for erosion.
+    Returns a new array; `stack` is not modified.
+    """
+    op = np.logical_and if erosion else np.logical_or
+    rows = stack.copy()  # each pixel reduced with its neighbours along H
+    op(rows[..., 1:, :], stack[..., :-1, :], out=rows[..., 1:, :])
+    op(rows[..., :-1, :], stack[..., 1:, :], out=rows[..., :-1, :])
+    out = rows.copy()  # ... then along W
+    op(out[..., 1:], rows[..., :-1], out=out[..., 1:])
+    op(out[..., :-1], rows[..., 1:], out=out[..., :-1])
+    if erosion:
+        out[..., 0, :] = False
+        out[..., -1, :] = False
+        out[..., 0] = False
+        out[..., -1] = False
     return out
+
+
+def _iterate(frame, iterations: int, erosion: bool) -> np.ndarray:
+    out = as_mask_frame(frame).astype(bool)
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    for _ in range(int(iterations)):
+        out = radius1_pass(out, erosion)
+    return out.astype(np.uint8)
 
 
 def dilate(frame, iterations: int = 1) -> np.ndarray:
@@ -48,13 +72,7 @@ def dilate(frame, iterations: int = 1) -> np.ndarray:
     Chebyshev distance `iterations` is 1 (outside the frame counts as 0).
     `iterations=0` returns the frame unchanged.
     """
-    mask = as_mask_frame(frame)
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    out = mask.astype(bool)
-    for _ in range(int(iterations)):
-        out = _shift_reduce(out, np.logical_or)
-    return out.astype(np.uint8)
+    return _iterate(frame, iterations, erosion=False)
 
 
 def erode(frame, iterations: int = 1) -> np.ndarray:
@@ -62,13 +80,7 @@ def erode(frame, iterations: int = 1) -> np.ndarray:
     distance `iterations` is 1, with out-of-frame pixels counted as 0.
     `iterations=0` returns the frame unchanged.
     """
-    mask = as_mask_frame(frame)
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    out = mask.astype(bool)
-    for _ in range(int(iterations)):
-        out = _shift_reduce(out, np.logical_and)
-    return out.astype(np.uint8)
+    return _iterate(frame, iterations, erosion=True)
 
 
 def mask_area(frame) -> int:

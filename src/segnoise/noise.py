@@ -7,6 +7,11 @@ a fair coin per frame). k = 0 leaves the frame untouched. Every frame
 draws from its own RNG stream keyed by (seed, patient id, frame index),
 so results never depend on iteration order or parallelism, and the
 corruption is fixed once per experiment rather than resampled.
+
+`corrupt_mask_volume` validates a volume once, draws every frame's op
+and k from that frame's stream, then runs each radius-1 pass once per
+op over the stack of frames that still need it. `corrupt_frame` is the
+per-frame reference it must match.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text
 from .folds import DatasetSplit
-from .morphology import SizeChange, dilate, erode, size_change
+from .morphology import SizeChange, dilate, erode, radius1_pass, size_change
 from .volume import PatientRecord, validate_mask_volume
 
 
@@ -87,7 +93,7 @@ class CorruptionReport:
         return buf.getvalue()
 
     def to_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv_string())
+        write_text(path, self.to_csv_string())
 
     def mean_delta_s(self) -> float | None:
         """Mean relative size change over frames where it is defined."""
@@ -116,6 +122,15 @@ def sample_scale(rng: np.random.Generator, sigma2: float) -> int:
     return int(math.floor(abs(x)))
 
 
+def _draw(rng: np.random.Generator, mode: NoiseMode, sigma2: float) -> tuple[NoiseMode, int]:
+    """One frame's (operation, k): random mode flips its fair coin first."""
+    if mode is NoiseMode.RANDOM:
+        op_mode = NoiseMode.DILATE if rng.random() < 0.5 else NoiseMode.ERODE
+    else:
+        op_mode = mode
+    return op_mode, sample_scale(rng, sigma2)
+
+
 def corrupt_frame(
     frame, mode: NoiseMode, sigma2: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, FrameCorruption]:
@@ -124,12 +139,7 @@ def corrupt_frame(
     Random mode flips a fair coin for the operation first, then draws
     its own scale.
     """
-    mode = NoiseMode(mode)
-    if mode is NoiseMode.RANDOM:
-        op_mode = NoiseMode.DILATE if rng.random() < 0.5 else NoiseMode.ERODE
-    else:
-        op_mode = mode
-    k = sample_scale(rng, sigma2)
+    op_mode, k = _draw(rng, NoiseMode(mode), sigma2)
     if k == 0:
         out = np.asarray(frame, dtype=np.uint8).copy()
         return out, FrameCorruption(op="none", k=0, change=size_change(frame, out))
@@ -140,16 +150,36 @@ def corrupt_frame(
 def corrupt_mask_volume(
     mask_volume, mode: NoiseMode, sigma2: float, seed: int, patient_id: str
 ) -> tuple[np.ndarray, list[FrameCorruption]]:
-    """Corrupt every frame of one mask volume with keyed RNG streams."""
+    """Corrupt every frame of one mask volume with keyed RNG streams.
+
+    Equal to `corrupt_frame` on each frame with `frame_rng(seed,
+    patient_id, index)`, but each radius-1 pass runs once per op over
+    the frames whose k it has not reached yet.
+    """
     mask = validate_mask_volume(mask_volume)
-    frames = []
-    outcomes = []
-    for index in range(mask.shape[0]):
-        rng = frame_rng(seed, patient_id, index)
-        corrupted, outcome = corrupt_frame(mask[index], mode, sigma2, rng)
-        frames.append(corrupted)
-        outcomes.append(outcome)
-    return np.stack(frames), outcomes
+    mode = NoiseMode(mode)
+    draws = [_draw(frame_rng(seed, patient_id, i), mode, sigma2) for i in range(mask.shape[0])]
+    out = mask.astype(bool)
+    for op_mode in (NoiseMode.DILATE, NoiseMode.ERODE):
+        # Deepest first, so the frames still active at pass j are a prefix.
+        order = sorted((i for i, (op, k) in enumerate(draws) if op is op_mode and k > 0),
+                       key=lambda i: -draws[i][1])
+        if not order:
+            continue
+        ks = [draws[i][1] for i in order]
+        stack = out[order]
+        for j in range(1, ks[0] + 1):
+            active = sum(k >= j for k in ks)
+            stack[:active] = radius1_pass(stack[:active], op_mode is NoiseMode.ERODE)
+        out[order] = stack
+    # Per-frame counts: count_nonzero over whole frames takes its fast
+    # path, which its axis form (a bool sum) does not.
+    outcomes = [
+        FrameCorruption(op=op.value if k else "none", k=k,
+                        change=SizeChange(np.count_nonzero(before), np.count_nonzero(after)))
+        for (op, k), before, after in zip(draws, mask, out)
+    ]
+    return out.view(np.uint8), outcomes
 
 
 def corrupt_dataset(

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from . import pool
+from .atomic import write_text
 from .folds import DatasetSplit, FoldPlan
 from .metrics import ScoreTriple, score_volumewise
 from .noise import NoiseMode, corrupt_mask_volume
@@ -60,6 +62,14 @@ def cell_seed(base_seed: int, mode_index: int, sigma_index: int, fold_index: int
     return (int(state[0]) << 32) | int(state[1])
 
 
+def _check_test_ids(known, split: DatasetSplit) -> None:
+    missing = [pid for pid in split.test_ids if pid not in known]
+    if missing:
+        raise KeyError(f"split references unknown patient ids: {missing}")
+    if not split.test_ids:
+        raise ValueError("split has an empty test subset")
+
+
 def simulate_noise_robust(
     records: list[PatientRecord],
     split: DatasetSplit,
@@ -69,24 +79,23 @@ def simulate_noise_robust(
 ) -> ScoreTriple:
     """Corrupt the test masks, score against the originals, average."""
     by_id = {r.patient_id: r for r in records}
-    missing = [pid for pid in split.test_ids if pid not in by_id]
-    if missing:
-        raise KeyError(f"split references unknown patient ids: {missing}")
-    if not split.test_ids:
-        raise ValueError("split has an empty test subset")
+    _check_test_ids(by_id, split)
     triples = []
     for pid in split.test_ids:
         original = by_id[pid].mask
         corrupted, _ = corrupt_mask_volume(original, mode, sigma2, seed, pid)
-        triples.append(score_volumewise(corrupted.astype(np.float64), original))
+        triples.append(score_volumewise(corrupted, original))
     stacked = np.array(triples, dtype=np.float64)
     mean = stacked.mean(axis=0)
     return ScoreTriple(dice=float(mean[0]), precision=float(mean[1]), recall=float(mean[2]))
 
 
-def _run_cell(args) -> CellScore:
-    records, fold, mode, sigma2, seed, fold_index, rep = args
-    triple = simulate_noise_robust(records, fold, mode, sigma2, seed)
+def _sweep_cell(task) -> CellScore:
+    """One (fold, mode, sigma2, seed, rep) cell against the installed
+    (records, folds) context."""
+    fold_index, mode, sigma2, seed, rep = task
+    records, folds = pool.context()
+    triple = simulate_noise_robust(records, folds.folds[fold_index], mode, sigma2, seed)
     return CellScore(mode=mode, sigma2=sigma2, fold=fold_index, rep=rep, triple=triple)
 
 
@@ -95,8 +104,15 @@ class SweepResult:
     config: SweepConfig
     samples: tuple[CellScore, ...]
 
+    @cached_property
+    def _by_cell(self) -> dict[tuple[NoiseMode, float], list[CellScore]]:
+        index: dict[tuple[NoiseMode, float], list[CellScore]] = {}
+        for s in self.samples:
+            index.setdefault((s.mode, s.sigma2), []).append(s)
+        return index
+
     def cells(self, mode: NoiseMode, sigma2: float) -> list[CellScore]:
-        return [s for s in self.samples if s.mode is NoiseMode(mode) and s.sigma2 == sigma2]
+        return list(self._by_cell.get((NoiseMode(mode), sigma2), ()))
 
     def curve(self, mode: NoiseMode, metric: str) -> tuple[list[float], list[float]]:
         """(means, stds) of one metric across sigma2 values."""
@@ -160,12 +176,8 @@ class SweepResult:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         written = []
-        scores = out / "oracle_scores.csv"
-        scores.write_text(self.to_score_csv_string())
-        written.append(scores)
-        summary = out / "oracle_summary.csv"
-        summary.write_text(self.to_summary_csv_string())
-        written.append(summary)
+        written.append(write_text(out / "oracle_scores.csv", self.to_score_csv_string()))
+        written.append(write_text(out / "oracle_summary.csv", self.to_summary_csv_string()))
         for metric in ScoreTriple._fields:
             svg = out / f"oracle_{metric}.svg"
             write_svg(svg, self.metric_svg(metric))
@@ -182,20 +194,24 @@ def run_sweep(
     """Full modes x sigma2 x folds x repetitions cross product.
 
     Cell RNG streams are keyed, so the result is identical for any job
-    count; samples are assembled in canonical cell order.
+    count; samples are assembled in canonical cell order. Every fold's
+    test ids are checked here, before any worker starts. With `jobs > 1`
+    the cells run in `min(jobs, cells)` workers started the platform's
+    default way (fork on Linux: the cells run no BLAS, and a forked
+    worker starts without re-importing the package), each given
+    (records, folds) once.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    known = {r.patient_id for r in records}
+    for split in folds.folds:
+        _check_test_ids(known, split)
     tasks = []
     for mode_index, mode in enumerate(config.modes):
         for sigma_index, sigma2 in enumerate(config.sigma2_values):
-            for fold_index, fold in enumerate(folds.folds):
+            for fold_index in range(len(folds.folds)):
                 for rep in range(config.repetitions):
                     seed = cell_seed(config.seed, mode_index, sigma_index, fold_index, rep)
-                    tasks.append((records, fold, mode, sigma2, seed, fold_index, rep))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            samples = list(pool.map(_run_cell, tasks, chunksize=8))
-    else:
-        samples = [_run_cell(t) for t in tasks]
+                    tasks.append((fold_index, mode, sigma2, seed, rep))
+    samples = pool.map_cells(_sweep_cell, tasks, (records, folds), jobs)
     return SweepResult(config=config, samples=tuple(samples))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .atomic import write_text
+
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 _W, _H = 640, 420
@@ -171,4 +173,4 @@ def heatmap(
 
 
 def write_svg(path: str | Path, content: str) -> None:
-    Path(path).write_text(content)
+    write_text(path, content)

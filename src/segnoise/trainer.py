@@ -13,19 +13,18 @@ from __future__ import annotations
 import csv
 import io
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import pool
+from .atomic import write_text
 from .folds import DatasetSplit
 from .metrics import ScoreTriple, check_beta, f_beta_loss_grad, f_beta_terms, hard_metrics
 from .noise import NoiseMode, corrupt_mask_volume
 from .svgplot import heatmap, write_svg
-from .volume import PatientRecord, zscore_normalize
+from .volume import PatientRecord, is_binary, zscore_normalize
 
 N_FEATURES = 5
 
@@ -194,7 +193,7 @@ def train(samples, config: TrainConfig) -> tuple[LinearSegmenter, list[float]]:
         raise ValueError(f"all frames must share one shape, got {sorted(shapes)}")
     feats = _feature_stack((img for img, _ in samples), len(samples), shapes.pop())
     targets = np.stack([np.asarray(mask, dtype=np.float64).reshape(-1) for _, mask in samples])
-    if not ((targets == 0.0) | (targets == 1.0)).all():
+    if not is_binary(targets):
         raise ValueError("mask values must be exactly 0 or 1")
     return _descend(feats, targets, config)
 
@@ -255,7 +254,7 @@ class GridResult:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / "grid_scores.csv"
-        csv_path.write_text(self.to_csv_string())
+        write_text(csv_path, self.to_csv_string())
         svg_path = out / "grid_dice_heatmap.svg"
         write_svg(svg_path, self.heatmap_svg())
         return [csv_path, svg_path]
@@ -278,14 +277,6 @@ class _GridContext:
     mode: NoiseMode
     base_config: TrainConfig
     threshold: float
-
-
-_GRID_CTX: _GridContext | None = None
-
-
-def _grid_init(ctx: _GridContext | None) -> None:
-    global _GRID_CTX
-    _GRID_CTX = ctx
 
 
 def _build_grid_context(
@@ -329,7 +320,7 @@ def _grid_cell(args) -> list[GridCell]:
     """Corrupt the train masks once for one (sigma2, seed) cell, then
     train and score each beta on those same targets (paired comparison)."""
     sigma2, seed = args
-    ctx = _GRID_CTX
+    ctx: _GridContext = pool.context()
     features = ctx.train_planes.transpose(1, 2, 0)  # (frames, pixels, N_FEATURES)
     targets = np.empty(features.shape[:2])
     row = 0
@@ -353,40 +344,6 @@ def _grid_cell(args) -> list[GridCell]:
             dice=float(mean[0]), precision=float(mean[1]), recall=float(mean[2]),
         ))
     return cells
-
-
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _map_cells(function, tasks: list, ctx: _GridContext | None, jobs: int) -> list:
-    """`function` over `tasks` with `ctx` installed, in canonical order.
-
-    Runs in-process when only one worker would have work. Otherwise the
-    workers are spawned with each BLAS thread-count variable set to 1,
-    so that their BLAS libraries, which read it once at load, do not
-    oversubscribe the cores; the parent's environment is restored after.
-    """
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        _grid_init(ctx)
-        try:
-            return [function(t) for t in tasks]
-        finally:
-            _grid_init(None)
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
-            initializer=_grid_init, initargs=(ctx,),
-        ) as pool:
-            return list(pool.map(function, tasks))
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 def beta_gridsearch(
@@ -422,5 +379,6 @@ def beta_gridsearch(
     base = base_config if base_config is not None else TrainConfig()
     ctx = _build_grid_context(records, split, betas, NoiseMode(mode), base, threshold)
     tasks = [(s2, seed) for s2 in sigma2_values for seed in seeds]
-    cells = [cell for chunk in _map_cells(_grid_cell, tasks, ctx, jobs) for cell in chunk]
+    per_cell = pool.map_cells(_grid_cell, tasks, ctx, jobs, "spawn")
+    cells = [cell for betas_cells in per_cell for cell in betas_cells]
     return GridResult(betas=betas, sigma2_values=sigma2_values, seeds=seeds, cells=tuple(cells))

@@ -47,11 +47,21 @@ def validate_labels(labels) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
+def is_binary(arr: np.ndarray) -> bool:
+    """Whether every value is exactly 0 or 1; bool and integer arrays
+    need only a min/max scan."""
+    if arr.dtype.kind == "b" or arr.size == 0:
+        return True
+    if arr.dtype.kind in "iu":
+        return bool(arr.min() >= 0 and arr.max() <= 1)
+    return bool(((arr == 0) | (arr == 1)).all())
+
+
 def validate_mask_volume(mask) -> np.ndarray:
     arr = np.asarray(mask)
     if arr.ndim != 3:
         raise ValueError(f"mask volume must be 3-D, got shape {arr.shape}")
-    if not ((arr == 0) | (arr == 1)).all():
+    if not is_binary(arr):
         raise ValueError("mask volume values must be exactly 0 or 1")
     return arr.astype(np.uint8, copy=False)
 

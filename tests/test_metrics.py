@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from segnoise.metrics import (
     f_beta,
     f_beta_loss_grad,
     f_beta_terms,
+    finite_difference_grad_loss,
     grad_loss,
     hard_metrics,
     loss,
@@ -301,6 +304,81 @@ class TestVolumewise:
     def test_requires_3d(self):
         with pytest.raises(ValueError, match="3-D"):
             score_volumewise(np.zeros((4, 4)), np.zeros((4, 4)))
+
+
+def binary_volumes():
+    rng = np.random.default_rng(12)
+    shape = (5, 9, 7)
+    random = [(rng.random(shape) < q).astype(np.uint8) for q in (0.1, 0.5, 0.9)]
+    empty, full = np.zeros(shape, dtype=np.uint8), np.ones(shape, dtype=np.uint8)
+    return [(random[0], random[1]), (random[2], random[1]), (empty, empty), (full, full),
+            (empty, full), (full, empty), (random[1], empty), (full, random[0])]
+
+
+def bits(triple):
+    return tuple(float(v).hex() for v in triple)
+
+
+class TestCountPath:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64])
+    def test_volumewise_counts_equal_float_scores_bitwise(self, dtype):
+        for p, t in binary_volumes():
+            counted = score_volumewise(p.astype(dtype), t.astype(dtype))
+            floats = score_volumewise(p.astype(np.float64), t.astype(np.float64))
+            assert bits(counted) == bits(floats)
+
+    def test_f_beta_counts_equal_float_scores_bitwise(self):
+        for p, t in binary_volumes():
+            for beta in (0.0, 0.5, 1.0, 3.0):
+                assert f_beta(p, t, beta).hex() == f_beta(p.astype(float), t.astype(float), beta).hex()
+
+    def test_hard_metrics_against_integer_mask_equal_float_mask_bitwise(self):
+        rng = np.random.default_rng(13)
+        for _, t in binary_volumes():
+            p = rng.random(t.shape)
+            for q in (p, np.zeros(t.shape), np.ones(t.shape)):
+                counted = hard_metrics(q, t)
+                reference = soft_metrics((q > 0.5).astype(np.float64), t.astype(np.float64))
+                assert bits(counted) == bits(reference)
+                assert bits(hard_metrics(q, t.astype(np.float64))) == bits(reference)
+
+    def test_soft_scores_against_integer_mask_equal_float_mask_bitwise(self):
+        rng = np.random.default_rng(14)
+        for _, t in binary_volumes():
+            p = rng.random(t.shape).astype(np.float32)
+            assert bits(soft_metrics(p, t)) == bits(soft_metrics(p, t.astype(np.float64)))
+
+    def test_gradients_of_integer_inputs_equal_float_gradients(self):
+        p, t = binary_volumes()[0]
+        for beta in (0.0, 1.0, 2.0):
+            expected = grad_loss(p.astype(np.float64), t.astype(np.float64), beta)
+            assert np.array_equal(grad_loss(p, t, beta), expected)
+            numeric = finite_difference_grad_loss(p[:1, :3], t[:1, :3], beta)
+            assert np.allclose(numeric, grad_loss(p[:1, :3].astype(np.float64), t[:1, :3], beta), atol=1e-6)
+
+    def test_counting_makes_no_float_copy(self):
+        t = np.zeros((16, 64, 64), dtype=np.uint8)
+        t[:, 10:40, 10:40] = 1
+        p = np.roll(t, 3, axis=2)
+        tracemalloc.start()
+        try:
+            score_volumewise(p, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * t.size
+
+    @pytest.mark.parametrize("bad,match", [
+        ((np.full((2, 2), 2, dtype=np.int64), np.zeros((2, 2), dtype=np.uint8)), r"\[0, 1\]"),
+        ((np.full((2, 2), -1, dtype=np.int8), np.zeros((2, 2), dtype=np.uint8)), r"\[0, 1\]"),
+        ((np.zeros((2, 2), dtype=np.uint8), np.full((2, 2), 2, dtype=np.uint8)), "0 or 1"),
+        ((np.zeros((2, 2), dtype=np.bool_), np.full((2, 2), -1, dtype=np.int16)), "0 or 1"),
+        ((np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8)), "shapes differ"),
+        ((np.zeros((0,), dtype=np.uint8), np.zeros((0,), dtype=np.uint8)), "non-empty"),
+    ])
+    def test_integer_inputs_checked_like_floats(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            soft_metrics(*bad)
 
 
 class TestValidation:

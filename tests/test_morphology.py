@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from segnoise.morphology import STRUCTURING_ELEMENT, dilate, erode, mask_area, size_change
+from segnoise.morphology import STRUCTURING_ELEMENT, dilate, erode, mask_area, radius1_pass, size_change
 
 
 def brute_force_morph(frame: np.ndarray, k: int, require_all: bool) -> np.ndarray:
@@ -95,6 +95,61 @@ class TestOracleEquivalence:
         for frame in random_frames(12, seed=100 + k):
             assert np.array_equal(dilate(frame, k), brute_force_morph(frame, k, require_all=False))
             assert np.array_equal(erode(frame, k), brute_force_morph(frame, k, require_all=True))
+
+
+def structuring_element_pass(frame: np.ndarray, require_all: bool) -> np.ndarray:
+    """One pass straight from the STRUCTURING_ELEMENT footprint, with
+    out-of-frame pixels read as 0."""
+    h, w = frame.shape
+    padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = frame
+    hits = [padded[dy : dy + h, dx : dx + w] for dy, dx in zip(*np.nonzero(STRUCTURING_ELEMENT))]
+    reduce = np.logical_and.reduce if require_all else np.logical_or.reduce
+    return reduce(hits).astype(np.uint8)
+
+
+def edge_frames():
+    """All-ones frames and frames whose foreground touches the border."""
+    frames = [np.ones(shape, dtype=np.uint8) for shape in ((1, 1), (1, 5), (5, 1), (2, 2), (3, 3), (6, 9))]
+    for shape in ((2, 7), (7, 2), (8, 8), (9, 6)):
+        h, w = shape
+        for rows, cols in ((slice(0, 3), slice(None)), (slice(None), slice(w - 2, w)),
+                           (slice(h - 1, h), slice(0, 2)), (slice(None), slice(0, 1))):
+            frame = np.zeros(shape, dtype=np.uint8)
+            frame[rows, cols] = 1
+            frames.append(frame)
+    rng = np.random.default_rng(31)
+    frames += [(rng.random((7, 5)) < 0.8).astype(np.uint8) for _ in range(5)]
+    return frames
+
+
+class TestEdgesAgainstStructuringElement:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_border_and_all_ones_frames(self, k):
+        for frame in edge_frames():
+            dil, ero = frame, frame
+            for _ in range(k):
+                dil = structuring_element_pass(dil, require_all=False)
+                ero = structuring_element_pass(ero, require_all=True)
+            assert np.array_equal(dilate(frame, k), dil), frame
+            assert np.array_equal(erode(frame, k), ero), frame
+
+    def test_all_ones_frame(self):
+        frame = np.ones((6, 9), dtype=np.uint8)
+        assert np.array_equal(dilate(frame, 2), frame)
+        expected = np.zeros_like(frame)
+        expected[2:-2, 2:-2] = 1
+        assert np.array_equal(erode(frame, 2), expected)
+
+    @pytest.mark.parametrize("erosion", [False, True])
+    def test_stack_pass_equals_each_frame_and_leaves_input_alone(self, erosion):
+        frames = [f for f in edge_frames() if f.shape == (8, 8)] + random_frames(4, shape=(8, 8), seed=5)
+        stack = np.array(frames, dtype=bool)
+        before = stack.copy()
+        out = radius1_pass(stack, erosion)
+        assert np.array_equal(stack, before)
+        for frame, got in zip(frames, out):
+            assert np.array_equal(got, structuring_element_pass(frame, require_all=erosion))
 
 
 class TestMaskArea:

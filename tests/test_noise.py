@@ -120,16 +120,25 @@ class TestCorruptMaskVolume:
         c, _ = corrupt_mask_volume(mask, NoiseMode.DILATE, 3.0, seed=9, patient_id="y")
         assert not np.array_equal(a, c)
 
-    def test_frame_streams_independent_of_order(self):
-        # The per-frame RNG is keyed, so frame i's output must equal a
-        # standalone corruption of that frame with the same key.
-        corpus = small_corpus(count=1)
-        mask = corpus[0].mask
-        out, _ = corrupt_mask_volume(mask, NoiseMode.RANDOM, 2.0, seed=5, patient_id="p")
-        for i in (0, mask.shape[0] - 1):
-            rng = frame_rng(5, "p", i)
-            frame, _ = corrupt_frame(mask[i], NoiseMode.RANDOM, 2.0, rng)
-            assert np.array_equal(out[i], frame)
+    @pytest.mark.parametrize("sigma2", [2.0, 9.0])
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_frame_streams_independent_of_order(self, mode, sigma2):
+        # The per-frame RNG is keyed, so every frame of the stacked
+        # volume corruption, and its outcome, must equal a standalone
+        # corruption of that frame with the same key.
+        corpus = small_corpus(count=2, depth=8)
+        for record in corpus:
+            mask = record.mask
+            out, outcomes = corrupt_mask_volume(mask, mode, sigma2, seed=5, patient_id="p")
+            assert out.dtype == np.uint8 and out.shape == mask.shape
+            assert len(outcomes) == mask.shape[0]
+            for i, outcome in enumerate(outcomes):
+                frame, expected = corrupt_frame(mask[i], mode, sigma2, frame_rng(5, "p", i))
+                assert np.array_equal(out[i], frame)
+                assert (outcome.op, outcome.k) == (expected.op, expected.k)
+                assert outcome.change.s_original == expected.change.s_original
+                assert outcome.change.s_modified == expected.change.s_modified
+            assert any(o.k > 1 for o in outcomes)
 
 
 class TestCorruptDataset:

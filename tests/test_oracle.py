@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from segnoise.folds import make_folds
+from segnoise import oracle
+from segnoise.folds import DatasetSplit, FoldPlan, make_folds
 from segnoise.noise import NoiseMode
 from segnoise.oracle import SweepConfig, cell_seed, run_sweep, simulate_noise_robust
 from segnoise.phantom import PhantomSpec, generate_corpus
@@ -104,6 +105,29 @@ class TestRunSweep:
         config = SweepConfig(modes=(NoiseMode.ERODE,), sigma2_values=(1.0,), repetitions=1, seed=0)
         with pytest.raises(ValueError, match="jobs"):
             run_sweep(corpus, plan, config, jobs=jobs)
+
+    @pytest.mark.parametrize("test_ids,error", [(("phantom-000", "nope"), KeyError), ((), ValueError)])
+    def test_bad_test_subset_rejected_before_any_worker_starts(self, corpus, plan, monkeypatch,
+                                                               test_ids, error):
+        # The bad split is the second fold, so only a check of every
+        # fold in the parent catches it before the pool starts.
+        bad = FoldPlan(folds=(plan.folds[0], DatasetSplit(train_ids=(), val_ids=(), test_ids=test_ids)), seed=0)
+        started = []
+        monkeypatch.setattr(oracle.pool, "map_cells", lambda *args: started.append(args))
+        config = SweepConfig(modes=(NoiseMode.ERODE,), sigma2_values=(1.0,), repetitions=1, seed=0)
+        with pytest.raises(error, match="nope" if error is KeyError else "empty test subset"):
+            run_sweep(corpus, bad, config, jobs=2)
+        assert started == []
+
+    def test_cells_index_matches_a_scan(self, corpus, plan):
+        config = SweepConfig(sigma2_values=(0.0, 2.0, 4.0), repetitions=3, seed=8)
+        result = run_sweep(corpus, plan, config)
+        for mode in config.modes:
+            for sigma2 in (*config.sigma2_values, 1.0):
+                scan = [s for s in result.samples if s.mode is mode and s.sigma2 == sigma2]
+                assert result.cells(mode.value, sigma2) == scan
+        result.cells(NoiseMode.DILATE, 0.0).clear()
+        assert len(result.cells(NoiseMode.DILATE, 0.0)) == len(plan.folds) * 3
 
     def test_score_csv_schema(self, corpus, plan):
         config = SweepConfig(modes=(NoiseMode.ERODE,), sigma2_values=(1.0,), repetitions=2, seed=0)

@@ -1,4 +1,3 @@
-import os
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -15,7 +14,6 @@ from segnoise.trainer import (
     LinearSegmenter,
     TrainConfig,
     _descend,
-    _map_cells,
     _sigmoid,
     beta_gridsearch,
     extract_features,
@@ -320,16 +318,16 @@ class TestGridsearch:
         )
         assert len(calls) == len(sigma2_values) * len(seeds) * len(split.train_ids)
 
-    def test_pool_workers_get_one_blas_thread_and_parent_env_is_restored(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
-        seen = _map_cells(os.getenv, names, None, jobs=2)
-        assert seen == ["1", "1", "1"]
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-        assert "OMP_NUM_THREADS" not in os.environ
-        assert "MKL_NUM_THREADS" not in os.environ
+    def test_cells_run_in_spawned_workers(self, grid_setup, monkeypatch):
+        # Spawned workers load BLAS after the thread-count variables are
+        # pinned; forked ones would inherit the parent's threaded BLAS.
+        corpus, split = grid_setup
+        seen = []
+        monkeypatch.setattr(trainer.pool, "map_cells",
+                            lambda function, tasks, ctx, jobs, start_method=None: seen.append(start_method) or [])
+        beta_gridsearch(corpus, split, betas=[1.0], mode=NoiseMode.DILATE,
+                        sigma2_values=[1.0], seeds=[0, 1], jobs=2)
+        assert seen == ["spawn"]
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, grid_setup, jobs):
