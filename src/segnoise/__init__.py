@@ -1,7 +1,7 @@
 """Biased annotator-noise simulation and f-beta loss experiments for
 binary segmentation masks."""
 
-from .bundleio import import_nifti, load_dataset, load_patient, read_nifti, write_bundle
+from .bundleio import import_nifti, load_dataset, load_masks, load_patient, read_nifti, write_bundle
 from .folds import DatasetSplit, FoldPlan, make_folds
 from .metrics import (
     ScoreTriple,
@@ -10,6 +10,7 @@ from .metrics import (
     grad_loss,
     hard_metrics,
     loss,
+    score_frames,
     score_volumewise,
     soft_dice,
     soft_metrics,
@@ -82,6 +83,7 @@ __all__ = [
     "hard_metrics",
     "import_nifti",
     "load_dataset",
+    "load_masks",
     "load_patient",
     "loss",
     "make_folds",
@@ -91,6 +93,7 @@ __all__ = [
     "read_nifti",
     "run_sweep",
     "sample_scale",
+    "score_frames",
     "score_volumewise",
     "simulate_noise_robust",
     "size_change",

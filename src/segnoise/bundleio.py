@@ -24,10 +24,11 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .atomic import write_text
+from .atomic import write_bytes, write_text
 from .volume import (
     MultiModalVolume,
     PatientRecord,
@@ -57,20 +58,31 @@ def _write_json(path: Path, payload: dict) -> None:
     write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_bundle(record: PatientRecord, out_root: str | Path) -> Path:
-    """Write one patient bundle under `out_root`; returns its directory."""
-    bundle = Path(out_root) / record.patient_id
+def _write_payloads(bundle: Path, meta: dict, payloads: dict[str, np.ndarray]) -> Path:
+    """Write each payload atomically, then meta.json, which is what makes
+    a directory a bundle: an interrupted write leaves no bundle that a
+    loader lists, and a rewrite first unlists the old one."""
     bundle.mkdir(parents=True, exist_ok=True)
-    _write_json(bundle / META_NAME, _meta_for(record))
-    for name, grid in record.volume.modalities.items():
-        np.ascontiguousarray(grid, dtype="<f4").tofile(bundle / f"{name}.raw")
-    if record.labels is not None:
-        np.ascontiguousarray(record.labels, dtype=np.uint8).tofile(bundle / "labels.raw")
-    np.ascontiguousarray(record.mask, dtype=np.uint8).tofile(bundle / "mask.raw")
+    (bundle / META_NAME).unlink(missing_ok=True)
+    for name, payload in payloads.items():
+        write_bytes(bundle / f"{name}.raw", payload)
+    _write_json(bundle / META_NAME, meta)
     return bundle
 
 
-def _read_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> np.ndarray:
+def write_bundle(record: PatientRecord, out_root: str | Path) -> Path:
+    """Write one patient bundle under `out_root`; returns its directory."""
+    payloads = {
+        name: np.ascontiguousarray(grid, dtype="<f4")
+        for name, grid in record.volume.modalities.items()
+    }
+    if record.labels is not None:
+        payloads["labels"] = np.ascontiguousarray(record.labels, dtype=np.uint8)
+    payloads["mask"] = np.ascontiguousarray(record.mask, dtype=np.uint8)
+    return _write_payloads(Path(out_root) / record.patient_id, _meta_for(record), payloads)
+
+
+def _check_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> None:
     if not path.is_file():
         raise FileNotFoundError(f"missing raw file: {path}")
     expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
@@ -80,7 +92,29 @@ def _read_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> np.ndarray
             f"shape mismatch for {path.name}: {actual} bytes on disk, "
             f"expected {expected} for shape {shape}"
         )
-    return np.fromfile(path, dtype=dtype).reshape(shape)
+
+
+def _read_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> np.ndarray:
+    """The payload as a read-only array that owns its data, so that a
+    record adopts it without a copy."""
+    _check_raw(path, shape, dtype)
+    arr = np.empty(shape, dtype=dtype)
+    with open(path, "rb") as fh:
+        if fh.readinto(arr) != arr.nbytes:
+            raise ValueError(f"{path} shrank while it was read")
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_finite_raw(path: Path, shape: tuple[int, int, int]) -> None:
+    """Check a float32 payload for non-finite values through a read-only
+    map, a block of frames (about 4 MB) at a time, keeping nothing."""
+    _check_raw(path, shape, "<f4")
+    grid = np.memmap(path, dtype="<f4", mode="r", shape=shape)
+    step = max(1, (1 << 20) // (shape[1] * shape[2]))
+    for start in range(0, shape[0], step):
+        if not np.isfinite(grid[start:start + step]).all():
+            raise ValueError(f"{path} contains non-finite intensities")
 
 
 def _read_meta(bundle: Path, *keys: str) -> tuple[dict, tuple[int, int, int]]:
@@ -103,16 +137,18 @@ def _read_meta(bundle: Path, *keys: str) -> tuple[dict, tuple[int, int, int]]:
     return meta, tuple(shape)
 
 
-def load_patient(path: str | Path) -> PatientRecord:
-    """Load a patient bundle; validates shapes, labels and intensities."""
-    bundle = Path(path)
+def _read_patient(bundle: Path, read_modality: Callable) -> tuple:
+    """A patient bundle's (id, modalities, mask, labels), each modality
+    as `read_modality(path, shape)` returns it. Every check but the
+    intensities' is made here; labels may be None."""
     meta, shape = _read_meta(bundle, "modalities")
-    grids = {}
-    for name in meta["modalities"]:
-        grid = _read_raw(bundle / f"{check_name(name, 'modality name')}.raw", shape, "<f4")
-        if not np.isfinite(grid).all():
-            raise ValueError(f"modality {name!r} in {bundle} contains non-finite intensities")
-        grids[name] = grid
+    names = meta["modalities"]
+    if not isinstance(names, list) or not names:
+        raise ValueError(f"{bundle / META_NAME}: modalities must be a non-empty list")
+    grids = {
+        name: read_modality(bundle / f"{check_name(name, 'modality name')}.raw", shape)
+        for name in names
+    }
 
     labels_path = bundle / "labels.raw"
     mask_path = bundle / "mask.raw"
@@ -125,29 +161,55 @@ def load_patient(path: str | Path) -> PatientRecord:
         mask = binarize_labels(labels)
     else:
         raise FileNotFoundError(f"bundle {bundle} has neither mask.raw nor labels.raw")
+    return str(meta["patient_id"]), grids, mask, labels
 
-    volume = MultiModalVolume(patient_id=str(meta["patient_id"]), modalities=grids)
+
+def load_patient(path: str | Path) -> PatientRecord:
+    """Load a patient bundle; validates shapes, labels and intensities."""
+    pid, grids, mask, labels = _read_patient(
+        Path(path), lambda raw, shape: _read_raw(raw, shape, "<f4"))
+    volume = MultiModalVolume(patient_id=pid, modalities=grids)
     return PatientRecord(volume=volume, mask=mask, labels=labels)
+
+
+def _load_each(root: str | Path, load: Callable, what: str) -> Iterator[tuple[str, object]]:
+    """The (patient id, item) pair `load(bundle)` returns for each bundle
+    directly under `root`, in directory order, one at a time; two
+    bundles of one id are an error."""
+    root = Path(root)
+    if not root.is_dir():
+        raise FileNotFoundError(f"{what} directory not found: {root}")
+    bundles = sorted(p for p in root.iterdir() if (p / META_NAME).is_file())
+    if not bundles:
+        raise FileNotFoundError(f"no {what} bundles under {root}")
+    seen = {}
+    for bundle in bundles:
+        pid, item = load(bundle)
+        if pid in seen:
+            raise ValueError(f"patient id {pid!r} is used by both {seen[pid]} and {bundle}")
+        seen[pid] = bundle
+        yield pid, item
+
+
+def _load_record(bundle: Path) -> tuple[str, PatientRecord]:
+    record = load_patient(bundle)
+    return record.patient_id, record
 
 
 def load_dataset(root: str | Path) -> list[PatientRecord]:
     """Load every patient bundle directly under `root`, sorted by id."""
-    root = Path(root)
-    if not root.is_dir():
-        raise FileNotFoundError(f"dataset directory not found: {root}")
-    bundles = sorted(p for p in root.iterdir() if (p / META_NAME).is_file())
-    if not bundles:
-        raise FileNotFoundError(f"no patient bundles under {root}")
-    records, seen = [], {}
-    for bundle in bundles:
-        record = load_patient(bundle)
-        if record.patient_id in seen:
-            raise ValueError(
-                f"patient id {record.patient_id!r} is used by both {seen[record.patient_id]} and {bundle}"
-            )
-        seen[record.patient_id] = bundle
-        records.append(record)
-    return records
+    return [record for _, record in _load_each(root, _load_record, "patient")]
+
+
+def _load_mask(bundle: Path) -> tuple[str, np.ndarray]:
+    pid, _, mask, _ = _read_patient(bundle, _check_finite_raw)
+    return pid, mask
+
+
+def load_masks(root: str | Path) -> dict[str, np.ndarray]:
+    """Every patient's mask under `root`, by id. The bundles pass every
+    check that `load_dataset` makes, but no intensities are kept."""
+    return dict(_load_each(root, _load_mask, "patient"))
 
 
 def write_prediction(patient_id: str, pred: np.ndarray, out_root: str | Path) -> Path:
@@ -158,23 +220,25 @@ def write_prediction(patient_id: str, pred: np.ndarray, out_root: str | Path) ->
     if not np.isfinite(arr).all() or arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError("prediction values must be finite and in [0, 1]")
     bundle = Path(out_root) / check_name(patient_id, "patient id")
-    bundle.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        bundle / META_NAME,
-        {"patient_id": patient_id, "shape": list(arr.shape), "byte_order": "little"},
-    )
-    np.ascontiguousarray(arr, dtype="<f4").tofile(bundle / "pred.raw")
-    return bundle
+    meta = {"patient_id": patient_id, "shape": list(arr.shape), "byte_order": "little"}
+    return _write_payloads(bundle, meta, {"pred": np.ascontiguousarray(arr, dtype="<f4")})
 
 
 def load_prediction(path: str | Path) -> tuple[str, np.ndarray]:
-    """Load a prediction bundle; returns (patient_id, volume)."""
+    """Load a prediction bundle; returns (patient_id, volume), the volume
+    as the read-only float32 array it holds."""
     bundle = Path(path)
     meta, shape = _read_meta(bundle)
-    pred = _read_raw(bundle / "pred.raw", shape, "<f4").astype(np.float64)
+    pred = _read_raw(bundle / "pred.raw", shape, "<f4")
     if not np.isfinite(pred).all() or pred.min() < 0.0 or pred.max() > 1.0:
         raise ValueError(f"prediction in {bundle} must be finite and in [0, 1]")
     return str(meta["patient_id"]), pred
+
+
+def load_predictions(root: str | Path) -> Iterator[tuple[str, np.ndarray]]:
+    """(patient_id, volume) for each prediction bundle under `root`, one
+    at a time, in directory order; two bundles of one id are an error."""
+    return _load_each(root, load_prediction, "prediction")
 
 
 def read_nifti(path: str | Path) -> np.ndarray:

@@ -27,16 +27,9 @@ import numpy as np
 
 from . import config as cfgmod
 from .atomic import write_text
-from .bundleio import load_dataset, load_prediction, write_bundle
+from .bundleio import load_masks, load_predictions, write_bundle
 from .folds import DatasetSplit
-from .metrics import (
-    ScoreTriple,
-    aggregate_framewise,
-    finite_difference_grad_loss,
-    grad_loss,
-    hard_metrics,
-    soft_metrics,
-)
+from .metrics import ScoreTriple, finite_difference_grad_loss, grad_loss, score_frames
 from .noise import NoiseMode, corrupt_dataset
 from .oracle import run_sweep
 from .trainer import beta_gridsearch
@@ -154,29 +147,18 @@ def cmd_gradcheck(args, config) -> int:
 def cmd_score(args, config) -> int:
     out = _resolve_out(args.out, config)
     threshold = config["score"]["threshold"]
-    records = {r.patient_id: r for r in load_dataset(args.data)}
-
-    pred_root = Path(args.pred)
-    pred_dirs = sorted(p for p in pred_root.iterdir() if (p / "meta.json").is_file())
-    if not pred_dirs:
-        raise FileNotFoundError(f"no prediction bundles under {pred_root}")
+    masks = load_masks(args.data)
 
     rows = []
     collected: dict[str, list[float]] = {}
-    for pred_dir in pred_dirs:
-        pid, pred = load_prediction(pred_dir)
-        if pid not in records:
+    for pid, pred in load_predictions(args.pred):
+        if pid not in masks:
             raise KeyError(f"prediction {pid!r} has no matching patient bundle")
-        mask = records[pid].mask
-        soft = soft_metrics(pred, mask)
-        hard = hard_metrics(pred, mask, threshold)
-        framewise = aggregate_framewise(
-            [soft_metrics(pred[f], mask[f]).dice for f in range(pred.shape[0])]
-        )
+        scores = score_frames(pred, masks[pid], threshold)
         for name, value in (
-            *((f"soft_{m}", getattr(soft, m)) for m in ScoreTriple._fields),
-            *((f"hard_{m}", getattr(hard, m)) for m in ScoreTriple._fields),
-            ("framewise_soft_dice", framewise),
+            *((f"soft_{m}", v) for m, v in zip(ScoreTriple._fields, scores.soft)),
+            *((f"hard_{m}", v) for m, v in zip(ScoreTriple._fields, scores.hard)),
+            ("framewise_soft_dice", scores.framewise_dice),
         ):
             rows.append((pid, name, value))
             collected.setdefault(name, []).append(value)
@@ -189,7 +171,8 @@ def cmd_score(args, config) -> int:
     for pid, name, value in rows:
         writer.writerow([pid, name, format(value, ".10g")])
     write_text(out / "scores.csv", buf.getvalue())
-    print(f"scored {len(pred_dirs)} patients (volume-wise); wrote {out / 'scores.csv'}")
+    patients = len(collected["framewise_soft_dice"])
+    print(f"scored {patients} patients (volume-wise); wrote {out / 'scores.csv'}")
     return 0
 
 

@@ -75,7 +75,10 @@ def _as_scored(x) -> np.ndarray:
 
 
 def _check_pair(p, t) -> tuple[np.ndarray, np.ndarray]:
-    p_arr, t_arr = _as_scored(p), _as_scored(t)
+    return _check_arrays(_as_scored(p), _as_scored(t))
+
+
+def _check_arrays(p_arr: np.ndarray, t_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if p_arr.shape != t_arr.shape:
         raise ValueError(f"prediction/target shapes differ: {p_arr.shape} vs {t_arr.shape}")
     if p_arr.size == 0:
@@ -107,8 +110,7 @@ def _score(sums, b2: float) -> float:
     return float(numer / denom)
 
 
-def _triple(p_arr: np.ndarray, t_arr: np.ndarray) -> ScoreTriple:
-    sums = _whole_sums(p_arr, t_arr)
+def _triple(sums) -> ScoreTriple:
     tp, _, sum_t = sums
     return ScoreTriple(
         dice=_score(sums, 1.0),
@@ -149,17 +151,21 @@ def grad_loss(p, t, beta=1.0) -> np.ndarray:
     return f_beta_loss_grad(t_arr.reshape(-1), numer, denom, b2).reshape(p_arr.shape)
 
 
-def hard_metrics(p, t, threshold: float = 0.5) -> ScoreTriple:
-    """Binarize p at `threshold` (strictly greater), then score."""
+def _check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
+
+
+def hard_metrics(p, t, threshold: float = 0.5) -> ScoreTriple:
+    """Binarize p at `threshold` (strictly greater), then score."""
+    _check_threshold(threshold)
     p_arr, t_arr = _check_pair(p, t)
-    return _triple(p_arr > threshold, t_arr)
+    return _triple(_whole_sums(p_arr > threshold, t_arr))
 
 
 def soft_metrics(p, t) -> ScoreTriple:
     """Soft dice/precision/recall from one pass over the sums."""
-    return _triple(*_check_pair(p, t))
+    return _triple(_whole_sums(*_check_pair(p, t)))
 
 
 def finite_difference_grad_loss(p, t, beta=1.0, eps: float = 1e-4) -> np.ndarray:
@@ -198,3 +204,45 @@ def score_volumewise(p_vol, t_vol) -> ScoreTriple:
     if p_arr.ndim != 3 or t_arr.ndim != 3:
         raise ValueError("volume-wise scoring expects 3-D arrays")
     return soft_metrics(p_arr, t_arr)
+
+
+class VolumeScores(NamedTuple):
+    soft: ScoreTriple
+    hard: ScoreTriple
+    framewise_dice: float
+
+
+def score_frames(pred, mask, threshold: float = 0.5) -> VolumeScores:
+    """A (frames, H, W) prediction's soft and hard scores against `mask`
+    and its mean per-frame soft dice, from one walk over the frames.
+
+    The inputs are checked once. Each frame is widened to float64 on
+    its own, so a float32 prediction is never copied whole. The frame's
+    soft sums are those `soft_metrics` takes of that frame, and its hard
+    counts compare the float64 values with `threshold`, as
+    `hard_metrics` does, so hard scores and the framewise dice are
+    exact. The volume's soft sums add up the frames' sums, so they may
+    differ from `soft_metrics` of the whole volume in the last bit.
+    """
+    _check_threshold(threshold)
+    p_arr = np.asarray(pred)
+    if p_arr.dtype.kind != "f":
+        p_arr = _as_scored(p_arr)
+    p_arr, t_arr = _check_arrays(p_arr, _as_scored(mask))
+    if p_arr.ndim != 3:
+        raise ValueError("frame-wise scoring expects 3-D arrays")
+    frame_sums = np.empty((3, p_arr.shape[0]))  # soft tp, sum_p, sum_t per frame
+    counts = np.zeros(3, dtype=np.int64)  # hard tp, sum_p, sum_t of the volume
+    for index in range(p_arr.shape[0]):
+        p = p_arr[index].reshape(-1).astype(np.float64)
+        t = t_arr[index].reshape(-1) != 0
+        frame_sums[:, index] = confusion_sums(p, t)
+        above = p > threshold
+        counts += (np.count_nonzero(above & t), np.count_nonzero(above), np.count_nonzero(t))
+    numer, denom = f_beta_terms(*frame_sums, 1.0)
+    tp, sum_p, _ = frame_sums.sum(axis=1)
+    return VolumeScores(
+        soft=_triple((tp, sum_p, int(counts[2]))),
+        hard=_triple(tuple(int(c) for c in counts)),
+        framewise_dice=aggregate_framewise(numer / denom),
+    )

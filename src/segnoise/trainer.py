@@ -363,6 +363,8 @@ def beta_gridsearch(
     corrupts the train masks once and trains every beta on those same
     targets (paired comparison). Corruption streams are keyed by
     (seed, patient, frame), so results are independent of the job count.
+    At sigma2 = 0 every frame's k is 0 whatever the seed, so the first
+    seed's cell runs once and its results are reported under each seed.
     With more than one cell and `jobs > 1`, cells run in `min(jobs,
     cells)` spawned workers whose BLAS is pinned to one thread; a
     one-cell grid runs in-process. Validation masks are never consumed by
@@ -379,6 +381,8 @@ def beta_gridsearch(
     base = base_config if base_config is not None else TrainConfig()
     ctx = _build_grid_context(records, split, betas, NoiseMode(mode), base, threshold)
     tasks = [(s2, seed) for s2 in sigma2_values for seed in seeds]
-    per_cell = pool.map_cells(_grid_cell, tasks, ctx, jobs, "spawn")
-    cells = [cell for betas_cells in per_cell for cell in betas_cells]
+    key = {task: (task[0], task[1] if task[0] > 0 else seeds[0]) for task in tasks}
+    distinct = list(dict.fromkeys(key.values()))
+    results = dict(zip(distinct, pool.map_cells(_grid_cell, distinct, ctx, jobs, "spawn")))
+    cells = [replace(cell, seed=seed) for s2, seed in tasks for cell in results[key[s2, seed]]]
     return GridResult(betas=betas, sigma2_values=sigma2_values, seeds=seeds, cells=tuple(cells))

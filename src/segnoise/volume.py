@@ -32,8 +32,13 @@ def check_name(name, what: str) -> str:
     return name
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
+def _adopt(arr: np.ndarray) -> np.ndarray:
+    """`arr` itself if it is read-only and owns its data, such as a
+    freshly loaded payload; a read-only copy of anything else, so that
+    no caller's array or view can change a record afterwards."""
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
     return arr
 
 
@@ -93,7 +98,7 @@ class MultiModalVolume:
             if not np.isfinite(arr).all():
                 raise ValueError(f"modality {name!r} contains non-finite intensities")
             shapes.add(arr.shape)
-            converted[name] = _freeze(arr.copy())
+            converted[name] = _adopt(arr)
         if len(shapes) > 1:
             raise ValueError(f"modalities disagree on shape: {sorted(shapes)}")
         object.__setattr__(self, "modalities", converted)
@@ -119,14 +124,14 @@ class PatientRecord:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        mask = _freeze(validate_mask_volume(self.mask).copy())
+        mask = _adopt(validate_mask_volume(self.mask))
         object.__setattr__(self, "mask", mask)
         if mask.shape != self.volume.shape:
             raise ValueError(
                 f"mask shape {mask.shape} != volume shape {self.volume.shape}"
             )
         if self.labels is not None:
-            labels = _freeze(validate_labels(self.labels).copy())
+            labels = _adopt(validate_labels(self.labels))
             object.__setattr__(self, "labels", labels)
             if labels.shape != self.volume.shape:
                 raise ValueError(

@@ -1,9 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 
 from segnoise import atomic
-from segnoise.atomic import write_text
+from segnoise.atomic import write_bytes, write_text
 
 
 def test_writes_the_text_and_replaces_an_old_file(tmp_path):
@@ -58,3 +59,19 @@ def test_failed_rename_removes_the_temp_file(tmp_path, monkeypatch):
     with pytest.raises(PermissionError):
         write_text(tmp_path / "oracle_dice.svg", "<svg/>\n")
     assert os.listdir(tmp_path) == []
+
+
+def test_bytes_write_an_array_and_keep_the_old_file_on_failure(tmp_path, monkeypatch):
+    target = tmp_path / "mask.raw"
+    grid = np.arange(24, dtype="<f4").reshape(2, 3, 4)
+    assert write_bytes(target, grid) == target
+    assert target.read_bytes() == grid.tobytes()
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(atomic.os, "replace", refuse)
+    with pytest.raises(OSError, match="No space"):
+        write_bytes(target, np.zeros(6, dtype=np.uint8))
+    assert target.read_bytes() == grid.tobytes()
+    assert os.listdir(tmp_path) == ["mask.raw"]

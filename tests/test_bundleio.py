@@ -4,15 +4,18 @@ import struct
 import numpy as np
 import pytest
 
+from segnoise import atomic, bundleio
 from segnoise.bundleio import (
     import_nifti,
     load_dataset,
+    load_masks,
     load_patient,
     load_prediction,
     read_nifti,
     write_bundle,
     write_prediction,
 )
+from segnoise.cli import main
 from segnoise.phantom import PhantomSpec, generate_phantom
 from segnoise.volume import MultiModalVolume, PatientRecord
 
@@ -98,6 +101,165 @@ class TestBundleRoundtrip:
         rec = generate_phantom(PhantomSpec(depth=3), seed=11)
         loaded = load_patient(write_bundle(rec, tmp_path))
         assert np.array_equal(loaded.mask, rec.mask)
+
+
+class TestNoSecondCopy:
+    def test_loaded_arrays_are_read_only_and_own_their_data(self, tmp_path):
+        loaded = load_patient(write_bundle(sample_record(), tmp_path))
+        for arr in (*loaded.volume.modalities.values(), loaded.mask, loaded.labels):
+            assert arr.flags.owndata and not arr.flags.writeable
+
+    def test_prediction_loads_as_the_float32_it_holds(self, tmp_path):
+        pred = np.full((2, 4, 4), 0.3)
+        _, loaded = load_prediction(write_prediction("case-9", pred, tmp_path))
+        assert loaded.dtype == np.float32
+        assert np.array_equal(loaded, pred.astype(np.float32))
+
+
+class TestLoadMasks:
+    def test_masks_equal_the_dataset_masks(self, tmp_path):
+        for pid in ("zeta", "alpha"):
+            write_bundle(sample_record(pid=pid), tmp_path)
+        (tmp_path / "zeta" / "mask.raw").unlink()  # derived from labels.raw
+        masks = load_masks(tmp_path)
+        records = load_dataset(tmp_path)
+        assert list(masks) == [r.patient_id for r in records] == ["alpha", "zeta"]
+        for record in records:
+            assert np.array_equal(masks[record.patient_id], record.mask)
+
+    def test_never_reads_intensities_whole(self, tmp_path, monkeypatch):
+        write_bundle(sample_record(), tmp_path)
+        real_read = bundleio._read_raw
+
+        def read(path, shape, dtype):
+            assert dtype == "u1", f"{path.name} read whole"
+            return real_read(path, shape, dtype)
+
+        monkeypatch.setattr(bundleio, "_read_raw", read)
+        assert list(load_masks(tmp_path)) == ["case-1"]
+
+
+def _raw_edit(name, index, value, dtype):
+    def edit(bundle):
+        arr = np.fromfile(bundle / name, dtype=dtype)
+        arr[index] = value
+        arr.tofile(bundle / name)
+    return edit
+
+
+def _truncate(bundle):
+    raw = (bundle / "t2.raw").read_bytes()
+    (bundle / "t2.raw").write_bytes(raw[:-4])
+
+
+SCORE_FAULTS = {
+    "nan-intensity": (_raw_edit("t1.raw", 5, np.nan, "<f4"), ValueError),
+    "short-raw": (_truncate, ValueError),
+    "missing-modality-file": (lambda b: (b / "t2.raw").unlink(), FileNotFoundError),
+    "empty-modality-list": (lambda b: edit_meta(b, modalities=[]), ValueError),
+    "unsafe-modality-name": (lambda b: edit_meta(b, modalities=["t1", "../t2"]), ValueError),
+    "unsafe-patient-id": (lambda b: edit_meta(b, patient_id="../b"), ValueError),
+    "non-binary-mask": (_raw_edit("mask.raw", 0, 2, "u1"), ValueError),
+    "illegal-labels": (_raw_edit("labels.raw", 0, 3, "u1"), ValueError),
+    "duplicate-ids": (lambda b: edit_meta(b, patient_id="a"), ValueError),
+}
+
+
+class TestScoreRejectsWhatLoadDatasetRejects:
+    @staticmethod
+    def corpus(tmp_path):
+        data, preds = tmp_path / "data", tmp_path / "preds"
+        for pid in ("a", "b"):
+            write_bundle(sample_record(pid=pid), data)
+            write_prediction(pid, np.full((2, 4, 4), 0.25), preds)
+        return data, preds
+
+    @pytest.mark.parametrize("fault", list(SCORE_FAULTS))
+    def test_fault_rejected(self, tmp_path, fault, capsys):
+        data, preds = self.corpus(tmp_path)
+        edit, error = SCORE_FAULTS[fault]
+        edit(data / "b")
+        with pytest.raises(error) as from_dataset:
+            load_dataset(data)
+        with pytest.raises(error) as from_masks:
+            load_masks(data)
+        assert type(from_masks.value) is type(from_dataset.value)
+        argv = ["score", "--pred", str(preds), "--data", str(data), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "scores.csv").exists()
+
+    def test_score_never_loads_intensities(self, tmp_path, monkeypatch):
+        data, preds = self.corpus(tmp_path)
+
+        def refuse(root):
+            raise AssertionError("score loaded the whole dataset")
+
+        monkeypatch.setattr(bundleio, "load_dataset", refuse)
+        argv = ["score", "--pred", str(preds), "--data", str(data), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert (tmp_path / "out" / "scores.csv").is_file()
+
+    def test_duplicate_prediction_ids_rejected(self, tmp_path, capsys):
+        data, preds = self.corpus(tmp_path)
+        edit_meta(preds / "b", patient_id="a")
+        argv = ["score", "--pred", str(preds), "--data", str(data), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "'a' is used by both" in capsys.readouterr().err
+
+
+def _dies_on_open(monkeypatch, n):
+    """Make the n-th file that `segnoise.atomic` opens fail after half
+    of its data is on disk, as a full disk or a killed process would."""
+    real_open, opened = open, []
+
+    class HalfWritten:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, data):
+            payload = memoryview(data).cast("B")
+            self.fh.write(payload[: payload.nbytes // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    def failing_open(*args, **kwargs):
+        opened.append(args[0])
+        fh = real_open(*args, **kwargs)
+        return HalfWritten(fh) if len(opened) == n else fh
+
+    monkeypatch.setattr(atomic, "open", failing_open, raising=False)
+
+
+class TestInterruptedWrites:
+    @pytest.mark.parametrize("writer", ["bundle", "prediction"])
+    @pytest.mark.parametrize("rewrite", [False, True], ids=["fresh", "rewrite"])
+    def test_half_written_bundle_is_not_listed(self, tmp_path, monkeypatch, writer, rewrite):
+        def write(pid):
+            if writer == "bundle":
+                return write_bundle(sample_record(pid=pid), tmp_path)
+            return write_prediction(pid, np.full((2, 4, 4), 0.5), tmp_path)
+
+        write("a")
+        if rewrite:
+            write("b")
+        # A payload dies: t2.raw after t1.raw, or the prediction's pred.raw.
+        _dies_on_open(monkeypatch, 2 if writer == "bundle" else 1)
+        with pytest.raises(OSError, match="No space"):
+            write("b")
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.name.endswith(".tmp")) == []
+        assert not (tmp_path / "b" / "meta.json").exists()
+        if writer == "bundle":
+            assert [r.patient_id for r in load_dataset(tmp_path)] == ["a"]
+        else:
+            assert [pid for pid, _ in bundleio.load_predictions(tmp_path)] == ["a"]
 
 
 class TestBundleErrors:

@@ -16,6 +16,7 @@ from segnoise.metrics import (
     grad_loss,
     hard_metrics,
     loss,
+    score_frames,
     score_volumewise,
     soft_dice,
     soft_metrics,
@@ -379,6 +380,60 @@ class TestCountPath:
     def test_integer_inputs_checked_like_floats(self, bad, match):
         with pytest.raises(ValueError, match=match):
             soft_metrics(*bad)
+
+
+def float32_prediction(shape=(6, 12, 10), seed=15):
+    """A float32 prediction with some voxels exactly np.float32(0.3),
+    which lies above 0.3 in float64 but not in float32, and a mask."""
+    rng = np.random.default_rng(seed)
+    pred = rng.random(shape, dtype=np.float32)
+    pred[rng.random(shape) < 0.2] = np.float32(0.3)
+    mask = (rng.random(shape) < 0.4).astype(np.uint8)
+    return pred, mask
+
+
+class TestScoreFrames:
+    def test_hard_counts_compare_in_float64(self):
+        pred, mask = float32_prediction()
+        assert np.count_nonzero(pred > 0.3) != np.count_nonzero(pred.astype(np.float64) > 0.3)
+        scores = score_frames(pred, mask, 0.3)
+        assert bits(scores.hard) == bits(hard_metrics(pred.astype(np.float64), mask, 0.3))
+
+    def test_soft_and_framewise_scores_match_the_whole_volume_functions(self):
+        pred, mask = float32_prediction()
+        scores = score_frames(pred, mask, 0.5)
+        framewise = aggregate_framewise([soft_metrics(p, t).dice for p, t in zip(pred, mask)])
+        assert scores.soft == pytest.approx(soft_metrics(pred, mask), rel=1e-12)
+        assert scores.framewise_dice == pytest.approx(framewise, rel=1e-12)
+        assert bits(scores.hard) == bits(hard_metrics(pred, mask, 0.5))
+
+    def test_binary_inputs_score_like_floats(self):
+        for p, t in binary_volumes():
+            scores = score_frames(p.astype(bool), t, 0.5)
+            assert bits(scores.soft) == bits(soft_metrics(p.astype(np.float64), t))
+            assert bits(scores.hard) == bits(scores.soft)
+
+    def test_makes_no_whole_volume_float_copy(self):
+        pred, mask = float32_prediction(shape=(16, 64, 64))
+        tracemalloc.start()
+        try:
+            score_frames(pred, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pred.nbytes
+
+    @pytest.mark.parametrize("pred,mask,threshold,match", [
+        (np.full((2, 3, 3), np.nan, dtype=np.float32), np.zeros((2, 3, 3), dtype=np.uint8), 0.5, "non-finite"),
+        (np.full((2, 3, 3), 1.5, dtype=np.float32), np.zeros((2, 3, 3), dtype=np.uint8), 0.5, r"\[0, 1\]"),
+        (np.zeros((2, 3, 3), dtype=np.float32), np.full((2, 3, 3), 2, dtype=np.uint8), 0.5, "0 or 1"),
+        (np.zeros((2, 3, 3), dtype=np.float32), np.zeros((2, 3, 4), dtype=np.uint8), 0.5, "shapes differ"),
+        (np.zeros((3, 3), dtype=np.float32), np.zeros((3, 3), dtype=np.uint8), 0.5, "3-D"),
+        (np.zeros((2, 3, 3), dtype=np.float32), np.zeros((2, 3, 3), dtype=np.uint8), 1.0, "threshold"),
+    ])
+    def test_inputs_checked(self, pred, mask, threshold, match):
+        with pytest.raises(ValueError, match=match):
+            score_frames(pred, mask, threshold)
 
 
 class TestValidation:

@@ -318,13 +318,40 @@ class TestGridsearch:
         )
         assert len(calls) == len(sigma2_values) * len(seeds) * len(split.train_ids)
 
+    def test_sigma2_zero_cell_runs_once_and_is_reported_per_seed(self, grid_setup, monkeypatch, tmp_path):
+        # Each seed run alone computes its own sigma2 = 0 cell; the joint
+        # grid computes it once for the first seed and copies it.
+        corpus, split = grid_setup
+        kwargs = dict(betas=[0.5, 1.0], mode=NoiseMode.RANDOM, sigma2_values=[0.0, 4.0],
+                      base_config=TrainConfig(epochs=15))
+        alone = [beta_gridsearch(corpus, split, seeds=[seed], **kwargs) for seed in (5, 6, 7)]
+        calls = []
+        original = trainer.corrupt_mask_volume
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(trainer, "corrupt_mask_volume", counting)
+        joint = beta_gridsearch(corpus, split, seeds=[5, 6, 7], **kwargs)
+        assert len(calls) == (1 + 3) * len(split.train_ids)
+        assert {args[3] for args in calls if args[2] == 0.0} == {5}
+
+        cells = [c for s2 in (0.0, 4.0) for grid in alone for c in grid.cells if c.sigma2 == s2]
+        reference = replace(joint, cells=tuple(cells))
+        joint.write_outputs(tmp_path / "joint")
+        reference.write_outputs(tmp_path / "reference")
+        for name in ("grid_scores.csv", "grid_dice_heatmap.svg"):
+            assert (tmp_path / "joint" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+
     def test_cells_run_in_spawned_workers(self, grid_setup, monkeypatch):
         # Spawned workers load BLAS after the thread-count variables are
         # pinned; forked ones would inherit the parent's threaded BLAS.
         corpus, split = grid_setup
         seen = []
         monkeypatch.setattr(trainer.pool, "map_cells",
-                            lambda function, tasks, ctx, jobs, start_method=None: seen.append(start_method) or [])
+                            lambda function, tasks, ctx, jobs, start_method=None:
+                            seen.append(start_method) or [[] for _ in tasks])
         beta_gridsearch(corpus, split, betas=[1.0], mode=NoiseMode.DILATE,
                         sigma2_values=[1.0], seeds=[0, 1], jobs=2)
         assert seen == ["spawn"]

@@ -119,6 +119,29 @@ class TestVolumeTypes:
         with pytest.raises(ValueError):
             rec.mask[0, 0, 0] = 1
 
+    @pytest.mark.parametrize("source", ["writable", "read-only view"])
+    def test_caller_arrays_are_copied(self, source):
+        base = np.zeros((2, 4, 4), dtype=np.float32)
+        grid = base
+        if source == "read-only view":
+            grid = base[:]
+            grid.setflags(write=False)
+        mask = base.astype(np.uint8)
+        rec = PatientRecord(volume=MultiModalVolume(patient_id="p", modalities={"m": grid}), mask=mask)
+        base[0, 0, 0] = 5.0
+        mask[0, 0, 0] = 1
+        assert rec.volume.modalities["m"][0, 0, 0] == 0.0
+        assert rec.mask[0, 0, 0] == 0
+
+    def test_read_only_owned_arrays_are_adopted(self):
+        grid = np.zeros((2, 4, 4), dtype=np.float32)
+        mask = np.zeros((2, 4, 4), dtype=np.uint8)
+        for arr in (grid, mask):
+            arr.setflags(write=False)
+        rec = PatientRecord(volume=MultiModalVolume(patient_id="p", modalities={"m": grid}), mask=mask)
+        assert rec.volume.modalities["m"] is grid
+        assert rec.mask is mask
+
     def test_normalize_record_keeps_mask(self):
         rng = np.random.default_rng(3)
         grid = rng.normal(2.0, 1.0, size=(2, 4, 4)).astype(np.float32)
