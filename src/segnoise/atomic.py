@@ -4,28 +4,33 @@ new one, never a partial write."""
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 
-def _write_replacing(path: str | Path, mode: str, data, **open_kwargs) -> Path:
-    """Write `data` to a temporary file beside `path`, then rename it
-    over `path`; on any failure the temporary file is removed."""
+@contextmanager
+def replacing(path: str | Path, mode: str = "xb", **open_kwargs):
+    """A file open for writing beside `path`, renamed over `path` when
+    the block ends; on any failure the temporary file is removed."""
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         with open(temp, mode, **open_kwargs) as fh:
-            fh.write(data)
+            yield fh
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
-    return path
 
 
 def write_text(path: str | Path, text: str) -> Path:
-    return _write_replacing(path, "x", text, encoding="utf-8")
+    with replacing(path, "x", encoding="utf-8") as fh:
+        fh.write(text)
+    return Path(path)
 
 
 def write_bytes(path: str | Path, data) -> Path:
     """`data` is any bytes-like object, such as a C-contiguous array."""
-    return _write_replacing(path, "xb", data)
+    with replacing(path) as fh:
+        fh.write(data)
+    return Path(path)

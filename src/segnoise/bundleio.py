@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .atomic import write_bytes, write_text
+from .atomic import replacing, write_bytes, write_text
 from .volume import (
     MultiModalVolume,
     PatientRecord,
@@ -40,15 +40,18 @@ from .volume import (
 
 META_NAME = "meta.json"
 
+# The block reader's buffer: about 4 MB of float32 frames.
+BLOCK_BYTES = 1 << 22
+
 _NIFTI_DTYPES = {2: "u1", 4: "i2", 16: "f4"}
 _NIFTI_BITPIX = {2: 8, 4: 16, 16: 32}
 
 
-def _meta_for(record: PatientRecord) -> dict:
+def _meta(patient_id: str, shape, modality_names) -> dict:
     return {
-        "patient_id": record.patient_id,
-        "shape": list(record.shape),
-        "modalities": list(record.volume.modality_names),
+        "patient_id": patient_id,
+        "shape": list(shape),
+        "modalities": list(modality_names),
         "voxel_size_mm": [1.0, 1.0, 1.0],
         "byte_order": "little",
     }
@@ -58,31 +61,56 @@ def _write_json(path: Path, payload: dict) -> None:
     write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_payloads(bundle: Path, meta: dict, payloads: dict[str, np.ndarray]) -> Path:
+def _write_payloads(bundle: Path, meta: dict, payloads: dict[str, np.ndarray | Path]) -> Path:
     """Write each payload atomically, then meta.json, which is what makes
     a directory a bundle: an interrupted write leaves no bundle that a
-    loader lists, and a rewrite first unlists the old one."""
+    loader lists, and a rewrite first unlists the old one. A Path
+    payload is another bundle's intensity payload, copied through the
+    checked block reader."""
     bundle.mkdir(parents=True, exist_ok=True)
     (bundle / META_NAME).unlink(missing_ok=True)
     for name, payload in payloads.items():
-        write_bytes(bundle / f"{name}.raw", payload)
+        if isinstance(payload, Path):
+            with replacing(bundle / f"{name}.raw") as sink:
+                _scan_intensities(payload, tuple(meta["shape"]), sink)
+        else:
+            write_bytes(bundle / f"{name}.raw", payload)
     _write_json(bundle / META_NAME, meta)
     return bundle
 
 
+def write_patient(
+    patient_id: str,
+    modalities: dict[str, np.ndarray | Path],
+    mask: np.ndarray,
+    out_root: str | Path,
+    labels: np.ndarray | None = None,
+) -> Path:
+    """Write one patient bundle under `out_root`; returns its directory.
+
+    Each modality is an intensity array or the Path of a bundle's
+    payload of the mask's shape (as `open_patient` gives them), which is
+    copied a block at a time and must hold finite values only.
+    """
+    payloads = {
+        check_name(name, "modality name"):
+            grid if isinstance(grid, Path) else np.ascontiguousarray(grid, dtype="<f4")
+        for name, grid in modalities.items()
+    }
+    if labels is not None:
+        payloads["labels"] = np.ascontiguousarray(labels, dtype=np.uint8)
+    payloads["mask"] = np.ascontiguousarray(mask, dtype=np.uint8)
+    bundle = Path(out_root) / check_name(patient_id, "patient id")
+    return _write_payloads(bundle, _meta(patient_id, mask.shape, modalities), payloads)
+
+
 def write_bundle(record: PatientRecord, out_root: str | Path) -> Path:
     """Write one patient bundle under `out_root`; returns its directory."""
-    payloads = {
-        name: np.ascontiguousarray(grid, dtype="<f4")
-        for name, grid in record.volume.modalities.items()
-    }
-    if record.labels is not None:
-        payloads["labels"] = np.ascontiguousarray(record.labels, dtype=np.uint8)
-    payloads["mask"] = np.ascontiguousarray(record.mask, dtype=np.uint8)
-    return _write_payloads(Path(out_root) / record.patient_id, _meta_for(record), payloads)
+    return write_patient(record.patient_id, record.volume.modalities, record.mask,
+                         out_root, record.labels)
 
 
-def _check_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> None:
+def _check_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> Path:
     if not path.is_file():
         raise FileNotFoundError(f"missing raw file: {path}")
     expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
@@ -92,6 +120,7 @@ def _check_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> None:
             f"shape mismatch for {path.name}: {actual} bytes on disk, "
             f"expected {expected} for shape {shape}"
         )
+    return path
 
 
 def _read_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> np.ndarray:
@@ -106,15 +135,25 @@ def _read_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> np.ndarray
     return arr
 
 
-def _check_finite_raw(path: Path, shape: tuple[int, int, int]) -> None:
-    """Check a float32 payload for non-finite values through a read-only
-    map, a block of frames (about 4 MB) at a time, keeping nothing."""
+def _scan_intensities(path: Path, shape: tuple[int, int, int], sink=None) -> None:
+    """Read a float32 payload a block of frames (about BLOCK_BYTES) at a
+    time into one reused buffer and reject non-finite values; with a
+    `sink` (a binary file), write each checked block to it. Nothing of
+    the payload is kept."""
     _check_raw(path, shape, "<f4")
-    grid = np.memmap(path, dtype="<f4", mode="r", shape=shape)
-    step = max(1, (1 << 20) // (shape[1] * shape[2]))
-    for start in range(0, shape[0], step):
-        if not np.isfinite(grid[start:start + step]).all():
-            raise ValueError(f"{path} contains non-finite intensities")
+    depth, frame = shape[0], shape[1] * shape[2]
+    step = max(1, BLOCK_BYTES // (4 * frame))
+    buf = np.empty((min(step, depth), frame), dtype="<f4")
+    finite = np.empty(buf.shape, dtype=bool)
+    with open(path, "rb") as fh:
+        for start in range(0, depth, step):
+            block = buf[:min(step, depth - start)]
+            if fh.readinto(block) != block.nbytes:
+                raise ValueError(f"{path} shrank while it was read")
+            if not np.isfinite(block, out=finite[:len(block)]).all():
+                raise ValueError(f"{path} contains non-finite intensities")
+            if sink is not None:
+                sink.write(block)
 
 
 def _read_meta(bundle: Path, *keys: str) -> tuple[dict, tuple[int, int, int]]:
@@ -172,23 +211,48 @@ def load_patient(path: str | Path) -> PatientRecord:
     return PatientRecord(volume=volume, mask=mask, labels=labels)
 
 
-def _load_each(root: str | Path, load: Callable, what: str) -> Iterator[tuple[str, object]]:
-    """The (patient id, item) pair `load(bundle)` returns for each bundle
-    directly under `root`, in directory order, one at a time; two
-    bundles of one id are an error."""
+def open_patient(path: str | Path) -> tuple[str, dict[str, Path], np.ndarray]:
+    """A patient bundle's (id, modality payload paths, mask), reading
+    nothing of the intensities: every check that `load_patient` makes
+    is made except the intensities' finiteness, which `write_patient`
+    checks as it copies them."""
+    pid, paths, mask, _ = _read_patient(
+        Path(path), lambda raw, shape: _check_raw(raw, shape, "<f4"))
+    return pid, paths, mask
+
+
+def load_mask(path: str | Path) -> tuple[str, np.ndarray]:
+    """A patient bundle's (id, mask) after every check that
+    `load_patient` makes; no intensities are kept."""
+    pid, _, mask, _ = _read_patient(Path(path), _scan_intensities)
+    return pid, mask
+
+
+def index_bundles(root: str | Path, what: str = "patient") -> dict[str, Path]:
+    """Each bundle directly under `root` by patient id, in directory
+    order, from its checked meta.json alone; two bundles of one id are
+    an error."""
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"{what} directory not found: {root}")
     bundles = sorted(p for p in root.iterdir() if (p / META_NAME).is_file())
     if not bundles:
         raise FileNotFoundError(f"no {what} bundles under {root}")
-    seen = {}
+    index: dict[str, Path] = {}
     for bundle in bundles:
-        pid, item = load(bundle)
-        if pid in seen:
-            raise ValueError(f"patient id {pid!r} is used by both {seen[pid]} and {bundle}")
-        seen[pid] = bundle
-        yield pid, item
+        pid = str(_read_meta(bundle)[0]["patient_id"])
+        if pid in index:
+            raise ValueError(f"patient id {pid!r} is used by both {index[pid]} and {bundle}")
+        index[pid] = bundle
+    return index
+
+
+def _load_each(root: str | Path, load: Callable, what: str) -> Iterator[tuple[str, object]]:
+    """The (patient id, item) pair `load(bundle)` returns for each bundle
+    of `index_bundles(root)`, one at a time: the generator keeps no
+    reference to an item it has yielded."""
+    for bundle in index_bundles(root, what).values():
+        yield load(bundle)
 
 
 def _load_record(bundle: Path) -> tuple[str, PatientRecord]:
@@ -201,15 +265,10 @@ def load_dataset(root: str | Path) -> list[PatientRecord]:
     return [record for _, record in _load_each(root, _load_record, "patient")]
 
 
-def _load_mask(bundle: Path) -> tuple[str, np.ndarray]:
-    pid, _, mask, _ = _read_patient(bundle, _check_finite_raw)
-    return pid, mask
-
-
 def load_masks(root: str | Path) -> dict[str, np.ndarray]:
     """Every patient's mask under `root`, by id. The bundles pass every
     check that `load_dataset` makes, but no intensities are kept."""
-    return dict(_load_each(root, _load_mask, "patient"))
+    return dict(_load_each(root, load_mask, "patient"))
 
 
 def write_prediction(patient_id: str, pred: np.ndarray, out_root: str | Path) -> Path:

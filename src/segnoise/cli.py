@@ -27,13 +27,20 @@ import numpy as np
 
 from . import config as cfgmod
 from .atomic import write_text
-from .bundleio import load_masks, load_predictions, write_bundle
+from .bundleio import (
+    index_bundles,
+    load_mask,
+    load_masks,
+    load_predictions,
+    open_patient,
+    write_bundle,
+    write_patient,
+)
 from .folds import DatasetSplit
 from .metrics import ScoreTriple, finite_difference_grad_loss, grad_loss, score_frames
-from .noise import NoiseMode, corrupt_dataset
+from .noise import CorruptionReport, NoiseMode, corrupt_patient
 from .oracle import run_sweep
 from .trainer import beta_gridsearch
-from .volume import PatientRecord
 
 
 def _resolve_out(args_out, config) -> Path:
@@ -60,19 +67,41 @@ def cmd_phantom(args, config) -> int:
 
 
 def cmd_corrupt(args, config) -> int:
+    """Corrupt one fold's train/val masks and write every split patient
+    under corrupted/, one patient at a time. A bundle corpus is streamed:
+    only one patient's mask is held, and each modality is copied through
+    the checked block reader."""
     out = _resolve_out(args.out, config)
-    records = cfgmod.records_from(config)
-    plan = cfgmod.foldplan_from(config, [r.patient_id for r in records])
+    bundle_dir = out / "corrupted"
+    root = config["data"]["path"]
+    if root is None:
+        corpus = {r.patient_id: r for r in cfgmod.records_from(config)}
+
+        def read(record):
+            return record.volume.modalities, record.mask
+    else:
+        corpus = index_bundles(root)
+        if bundle_dir.resolve() == Path(root).resolve():
+            raise ValueError(f"corrupt would overwrite its input bundles in {root}")
+
+        def read(bundle):
+            return open_patient(bundle)[1:]
+    plan = cfgmod.foldplan_from(config, list(corpus))
     split = plan.folds[config["folds"]["fold_index"]]
     spec = cfgmod.noise_spec_from(config)
-    masks, report = corrupt_dataset(records, split, spec)
+    if root is not None:
+        # Bundles outside the split are not written, but checked all the same.
+        for pid in sorted(corpus.keys() - set(split.all_ids)):
+            load_mask(corpus[pid])
 
-    bundle_dir = out / "corrupted"
-    by_id = {r.patient_id: r for r in records}
-    for pid in sorted(masks):
-        original = by_id[pid]
-        corrupted = PatientRecord(volume=original.volume, mask=masks[pid])
-        write_bundle(corrupted, bundle_dir)
+    rows = []
+    for pid in sorted(split.all_ids):
+        modalities, mask = read(corpus[pid])
+        mask, patient_rows = corrupt_patient(mask, pid, split, spec)
+        write_patient(pid, modalities, mask, bundle_dir)
+        rows += patient_rows
+        del modalities, mask  # before the next patient is read
+    report = CorruptionReport(records=tuple(rows))
     report.to_csv(out / "corruption_report.csv")
     mean_delta = report.mean_delta_s()
     delta_text = "undefined" if mean_delta is None else format(mean_delta, ".4f")
@@ -162,6 +191,7 @@ def cmd_score(args, config) -> int:
         ):
             rows.append((pid, name, value))
             collected.setdefault(name, []).append(value)
+        del pred  # so that only one prediction is held while the next loads
     for name in sorted(collected):
         rows.append(("ALL", name, float(np.mean(collected[name]))))
 

@@ -182,6 +182,31 @@ def corrupt_mask_volume(
     return out.view(np.uint8), outcomes
 
 
+def corrupt_patient(
+    mask, patient_id: str, split: DatasetSplit, spec: NoiseSpec
+) -> tuple[np.ndarray, list[CorruptionRecord]]:
+    """One patient's step of `corrupt_dataset`: a train or validation
+    mask comes back corrupted, with one report row per frame; any other
+    mask comes back as a copy, with no rows."""
+    if patient_id not in split.train_ids + split.val_ids:
+        return np.array(mask, dtype=np.uint8), []
+    new_mask, outcomes = corrupt_mask_volume(mask, spec.mode, spec.sigma2, spec.seed, patient_id)
+    rows = [
+        CorruptionRecord(
+            patient_id=patient_id,
+            frame=frame_index,
+            mode=spec.mode.value,
+            op=out.op,
+            k=out.k,
+            s_original=out.change.s_original,
+            s_modified=out.change.s_modified,
+            delta_s=out.change.delta_s,
+        )
+        for frame_index, out in enumerate(outcomes)
+    ]
+    return new_mask, rows
+
+
 def corrupt_dataset(
     records: list[PatientRecord], split: DatasetSplit, spec: NoiseSpec
 ) -> tuple[dict[str, np.ndarray], CorruptionReport]:
@@ -195,27 +220,7 @@ def corrupt_dataset(
 
     masks: dict[str, np.ndarray] = {}
     rows: list[CorruptionRecord] = []
-    corrupted_ids = set(split.train_ids) | set(split.val_ids)
     for pid in sorted(split.all_ids):
-        record = by_id[pid]
-        if pid in corrupted_ids:
-            new_mask, outcomes = corrupt_mask_volume(
-                record.mask, spec.mode, spec.sigma2, spec.seed, pid
-            )
-            masks[pid] = new_mask
-            for frame_index, out in enumerate(outcomes):
-                rows.append(
-                    CorruptionRecord(
-                        patient_id=pid,
-                        frame=frame_index,
-                        mode=spec.mode.value,
-                        op=out.op,
-                        k=out.k,
-                        s_original=out.change.s_original,
-                        s_modified=out.change.s_modified,
-                        delta_s=out.change.delta_s,
-                    )
-                )
-        else:
-            masks[pid] = record.mask.copy()
+        masks[pid], patient_rows = corrupt_patient(by_id[pid].mask, pid, split, spec)
+        rows += patient_rows
     return masks, CorruptionReport(records=tuple(rows))

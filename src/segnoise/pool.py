@@ -9,9 +9,15 @@ most once per worker (not at all under fork), never once per task.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -28,10 +34,48 @@ def _install(ctx) -> None:
     _CONTEXT = ctx
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    bundles in `numpy.libs/`, or None where there is no such library or
+    it lacks them."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, then
+    restore its thread count; a no-op where the library is not found."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    saved = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(saved)
+
+
 def map_cells(function, tasks: list, ctx, jobs: int, start_method: str | None = None) -> list:
     """`function` over `tasks` with `ctx` installed, in canonical order.
 
-    Runs in-process when only one worker would have work. Otherwise
+    Runs in-process, with numpy's bundled OpenBLAS on one thread, when
+    only one worker would have work: a cell's matrix-vector products are
+    too small for a second thread to gain wall time. Otherwise
     `min(jobs, tasks)` workers start with `start_method` (None: the
     platform default) and each BLAS thread-count variable set to 1, so
     that spawned workers' BLAS libraries, which read it once at load, do
@@ -44,7 +88,8 @@ def map_cells(function, tasks: list, ctx, jobs: int, start_method: str | None = 
     if workers <= 1:
         _install(ctx)
         try:
-            return [function(t) for t in tasks]
+            with _one_blas_thread():
+                return [function(t) for t in tasks]
         finally:
             _install(None)
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}

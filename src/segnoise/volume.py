@@ -42,11 +42,19 @@ def _adopt(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _valid_labels(arr: np.ndarray) -> bool:
+    """Whether every value is in VALID_LABELS. Integer volumes need a
+    min/max scan and one comparison; `np.isin` would make an int64 copy."""
+    if arr.dtype.kind in "iu":
+        return bool(arr.size == 0 or (arr.min() >= 0 and arr.max() <= 4 and not (arr == 3).any()))
+    return bool(np.isin(arr, VALID_LABELS).all())
+
+
 def validate_labels(labels) -> np.ndarray:
     arr = np.asarray(labels)
     if arr.ndim != 3:
         raise ValueError(f"label volume must be 3-D, got shape {arr.shape}")
-    if not np.isin(arr, VALID_LABELS).all():
+    if not _valid_labels(arr):
         bad = sorted(set(np.unique(arr)) - set(VALID_LABELS))
         raise ValueError(f"illegal label values {bad}; allowed: {list(VALID_LABELS)}")
     return arr.astype(np.uint8, copy=False)

@@ -1,21 +1,25 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from segnoise import atomic, bundleio
+from segnoise import config as cfgmod
 from segnoise.bundleio import (
     import_nifti,
     load_dataset,
     load_masks,
     load_patient,
     load_prediction,
+    open_patient,
     read_nifti,
     write_bundle,
+    write_patient,
     write_prediction,
 )
-from segnoise.cli import main
+from segnoise.cli import _config_overrides, build_parser, main
 from segnoise.phantom import PhantomSpec, generate_phantom
 from segnoise.volume import MultiModalVolume, PatientRecord
 
@@ -139,6 +143,62 @@ class TestLoadMasks:
         assert list(load_masks(tmp_path)) == ["case-1"]
 
 
+class TestBlockReader:
+    @staticmethod
+    def payload(tmp_path, values):
+        path = tmp_path / "t1.raw"
+        np.asarray(values, dtype="<f4").tofile(path)
+        return path
+
+    def test_copies_a_payload_a_block_at_a_time(self, tmp_path, monkeypatch):
+        grid = np.arange(5 * 2 * 4, dtype="<f4").reshape(5, 2, 4)
+        path = self.payload(tmp_path, grid)
+        monkeypatch.setattr(bundleio, "BLOCK_BYTES", 2 * grid[0].nbytes)
+        blocks = []
+
+        class Sink:
+            def write(self, block):
+                blocks.append(np.array(block))
+
+        bundleio._scan_intensities(path, grid.shape, Sink())
+        assert [len(b) for b in blocks] == [2, 2, 1]
+        assert np.concatenate(blocks).tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_in_the_last_block_rejected(self, tmp_path, monkeypatch, bad):
+        grid = np.zeros((5, 2, 4), dtype="<f4")
+        grid[-1, 1, 3] = bad
+        path = self.payload(tmp_path, grid)
+        monkeypatch.setattr(bundleio, "BLOCK_BYTES", 2 * grid[0].nbytes)
+        with pytest.raises(ValueError, match="t1.raw contains non-finite"):
+            bundleio._scan_intensities(path, grid.shape)
+
+    def test_short_payload_rejected_before_reading(self, tmp_path):
+        path = self.payload(tmp_path, np.zeros(39))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            bundleio._scan_intensities(path, (5, 2, 4))
+
+    def test_streamed_copy_equals_a_bundle_write(self, tmp_path):
+        record = sample_record()
+        source = write_bundle(record, tmp_path / "src")
+        pid, paths, mask = open_patient(source)
+        assert paths == {"t1": source / "t1.raw", "t2": source / "t2.raw"}
+        streamed = write_patient(pid, paths, mask, tmp_path / "streamed")
+        written = write_bundle(PatientRecord(volume=record.volume, mask=record.mask), tmp_path / "written")
+        assert tree(streamed) == tree(written) == ["mask.raw", "meta.json", "t1.raw", "t2.raw"]
+        for name in tree(written):
+            assert (streamed / name).read_bytes() == (written / name).read_bytes()
+
+    def test_failed_copy_leaves_no_listed_bundle_and_no_temp_file(self, tmp_path):
+        write_bundle(sample_record(pid="a"), tmp_path / "out")
+        source = write_bundle(sample_record(pid="a"), tmp_path / "src")
+        _raw_edit("t2.raw", 3, np.nan, "<f4")(source)
+        pid, paths, mask = open_patient(source)
+        with pytest.raises(ValueError, match="t2.raw contains non-finite"):
+            write_patient(pid, paths, mask, tmp_path / "out")
+        assert tree(tmp_path / "out") == ["a", "a/labels.raw", "a/mask.raw", "a/t1.raw", "a/t2.raw"]
+
+
 def _raw_edit(name, index, value, dtype):
     def edit(bundle):
         arr = np.fromfile(bundle / name, dtype=dtype)
@@ -206,6 +266,52 @@ class TestScoreRejectsWhatLoadDatasetRejects:
         argv = ["score", "--pred", str(preds), "--data", str(data), "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert "'a' is used by both" in capsys.readouterr().err
+
+
+class TestCorruptRejectsWhatLoadDatasetRejects:
+    FOLD_FLAGS = ["--folds", "1", "--train-size", "1", "--val-size", "1", "--test-size", "0"]
+
+    @pytest.mark.parametrize("fault", list(SCORE_FAULTS))
+    def test_fault_rejected(self, tmp_path, fault):
+        data, _ = TestScoreRejectsWhatLoadDatasetRejects.corpus(tmp_path)
+        edit, error = SCORE_FAULTS[fault]
+        edit(data / "b")
+        before = tree(tmp_path)
+        out = tmp_path / "run" / "out"
+        args = build_parser().parse_args(
+            ["corrupt", "--data", str(data), "--out", str(out), *self.FOLD_FLAGS])
+        with pytest.raises(error) as from_corrupt:
+            args.func(args, cfgmod.load_config(None, _config_overrides(args)))
+        with pytest.raises(error) as from_dataset:
+            load_dataset(data)
+        assert type(from_corrupt.value) is type(from_dataset.value)
+        assert not (out / "corruption_report.csv").exists()
+        assert not (out / "corrupted" / "b" / "meta.json").exists()
+        assert [p for p in tree(tmp_path) if not p.startswith("run/out")] == sorted(before + ["run"])
+
+
+class TestScoreMemory:
+    def test_one_prediction_held_at_a_time(self, tmp_path, monkeypatch):
+        data, preds = tmp_path / "data", tmp_path / "preds"
+        shape = (32, 64, 64)
+        for pid in ("a", "b", "c", "d"):
+            write_bundle(sample_record(pid=pid, shape=shape), data)
+            write_prediction(pid, np.full(shape, 0.25), preds)
+        masks = 4 * np.prod(shape)  # uint8 masks
+        pred = 4 * np.prod(shape)  # one float32 prediction
+        # A block of 8 frames, so that checking the intensities does not
+        # set the peak.
+        monkeypatch.setattr(bundleio, "BLOCK_BYTES", pred // 4)
+        argv = ["score", "--pred", str(preds), "--data", str(data), "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The masks, one prediction, its finiteness flags (a quarter of
+        # it) and a frame's temporaries; a second prediction would not fit.
+        assert peak - masks < 1.75 * pred
 
 
 def _dies_on_open(monkeypatch, n):

@@ -1,12 +1,15 @@
 import argparse
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from segnoise.bundleio import load_dataset, write_prediction
+from segnoise import bundleio
+from segnoise.bundleio import index_bundles, load_dataset, write_bundle, write_prediction
 from segnoise.cli import build_parser, main
+from segnoise.phantom import PhantomSpec, generate_corpus
 
 
 def tree_bytes(root: Path) -> dict:
@@ -200,6 +203,102 @@ class TestCorruptCmd:
              "--out", str(tmp_path / "out"), "--mode", "dilate", "--sigma2", "5"]
         ) == 0
         assert tree_bytes(src) == before
+
+
+def _nan_at(raw: Path, index: int) -> None:
+    values = np.fromfile(raw, dtype="<f4")
+    values[index] = np.nan
+    values.tofile(raw)
+
+
+class TestStreamedCorrupt:
+    """`corrupt --data` reads, corrupts and writes one patient at a time."""
+
+    @staticmethod
+    def corpus(tmp_path):
+        config = small_phantom_config(tmp_path)
+        src = tmp_path / "src"
+        assert main(["phantom", "--config", str(config), "--out", str(src)]) == 0
+        return config, src
+
+    @staticmethod
+    def corrupt(config, out, *extra):
+        return main(["corrupt", "--config", str(config), "--out", str(out),
+                     "--mode", "random", "--sigma2", "4", *extra])
+
+    def test_bundle_corpus_writes_what_the_phantom_source_writes(self, tmp_path):
+        config, src = self.corpus(tmp_path)
+        assert self.corrupt(config, tmp_path / "phantom") == 0
+        assert self.corrupt(config, tmp_path / "streamed", "--data", str(src)) == 0
+        assert tree_bytes(tmp_path / "streamed") == tree_bytes(tmp_path / "phantom")
+        assert len(index_bundles(tmp_path / "streamed" / "corrupted")) == 6
+
+    def test_nan_in_the_last_patient_fails_with_the_file_named(self, tmp_path, capsys):
+        config, src = self.corpus(tmp_path)
+        last = sorted(index_bundles(src).items())[-1][1]
+        _nan_at(last / "m1.raw", -1)
+        out = tmp_path / "out"
+        assert self.corrupt(config, out, "--data", str(src)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{last / 'm1.raw'} contains non-finite" in err
+        assert not (out / "corruption_report.csv").exists()
+        listed = index_bundles(out / "corrupted")
+        assert last.name not in listed and len(listed) == 5
+        assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+
+    def test_duplicate_ids_fail_before_anything_is_written(self, tmp_path, capsys):
+        config, src = self.corpus(tmp_path)
+        first, second = sorted(index_bundles(src).values())[:2]
+        meta = json.loads((second / "meta.json").read_text())
+        meta["patient_id"] = first.name
+        (second / "meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        assert self.corrupt(config, out, "--data", str(src)) == 1
+        assert "is used by both" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_bad_bundle_outside_the_split_is_rejected(self, tmp_path, capsys):
+        config, src = self.corpus(tmp_path)
+        flags = ["--train-size", "1", "--val-size", "1", "--test-size", "1"]
+        assert self.corrupt(config, tmp_path / "ok", "--data", str(src), *flags) == 0
+        written = set(index_bundles(tmp_path / "ok" / "corrupted"))
+        outside = sorted(set(index_bundles(src)) - written)
+        assert len(outside) == 3
+        _nan_at(src / outside[0] / "m0.raw", 0)
+        out = tmp_path / "out"
+        assert self.corrupt(config, out, "--data", str(src), *flags) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_refuses_to_overwrite_its_input(self, tmp_path, capsys):
+        config, src = self.corpus(tmp_path)
+        before = tree_bytes(src)
+        assert self.corrupt(config, tmp_path / "run", "--data", str(src)) == 0
+        inputs = tmp_path / "run" / "corrupted"
+        again = tree_bytes(inputs)
+        assert self.corrupt(config, tmp_path / "run", "--data", str(inputs)) == 1
+        assert "overwrite its input" in capsys.readouterr().err
+        assert tree_bytes(inputs) == again and tree_bytes(src) == before
+
+    def test_holds_one_patient_at_a_time(self, tmp_path):
+        spec = PhantomSpec(depth=16, height=128, width=128, modalities=("t1", "t1ce", "t2", "flair"))
+        src = tmp_path / "src"
+        for record in generate_corpus(spec, count=4, seed=3):
+            write_bundle(record, src)
+        mask = 16 * 128 * 128  # one uint8 mask
+        buffer = min(bundleio.BLOCK_BYTES, 4 * mask)  # float32 frames
+        argv = ["corrupt", "--data", str(src), "--out", str(tmp_path / "out"), "--folds", "1",
+                "--train-size", "3", "--val-size", "1", "--test-size", "0",
+                "--mode", "random", "--sigma2", "4"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Twice one mask, plus the block buffer and its finiteness flags
+        # (a quarter of it); the whole corpus is 4 x 4.25 MiB.
+        assert peak <= 2 * mask + buffer + buffer // 4
 
 
 class TestOracleCmd:

@@ -6,7 +6,8 @@ The run goes through `segnoise.cli.main` in process: `phantom`, then
 `gradcheck` report and the `--emit-default-config` tree are compared
 with the files under `tests/golden/`: counts and labels exactly, floats
 within 1e-9 relative. The default config tree must also match byte for
-byte.
+byte, and so must the sha256 of every file that `corrupt` writes under
+`corrupted/`.
 
 When an output change is intended, regenerate the files with
 
@@ -16,6 +17,7 @@ When an output change is intended, regenerate the files with
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import math
 import re
@@ -31,6 +33,7 @@ from segnoise.cli import main as cli_main
 GOLDEN = Path(__file__).parent / "golden"
 GRADCHECK_REPORT = "gradcheck.txt"
 DEFAULT_CONFIG = "default_config.json"
+CORRUPTED_DIGESTS = "corrupt/corrupted.sha256"
 
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
@@ -53,6 +56,14 @@ def _write_predictions(data: Path, preds: Path) -> None:
         write_prediction(record.patient_id, np.where(shifted == 1, 0.6 + jitter, jitter), preds)
 
 
+def _digests(root: Path) -> str:
+    """One `sha256  relative/path` line per file under `root`, by path."""
+    return "".join(
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(root).as_posix()}\n"
+        for p in sorted(root.rglob("*")) if p.is_file()
+    )
+
+
 def run_golden(work: Path) -> dict[str, str]:
     """Run the golden config under `work`; map each output's name to its text."""
     data = work / "phantoms"
@@ -65,6 +76,7 @@ def run_golden(work: Path) -> dict[str, str]:
     _cli("gridsearch", "--data", data, "--epochs", 40, "--seeds", 1,
          "--sigma2-values", 0, 4, "--out", work / "gridsearch")
     outputs = {p.relative_to(work).as_posix(): p.read_text() for p in sorted(work.rglob("*.csv"))}
+    outputs[CORRUPTED_DIGESTS] = _digests(work / "corrupt" / "corrupted")
     outputs[GRADCHECK_REPORT] = _cli("gradcheck", "--trials", 5)
     outputs[DEFAULT_CONFIG] = _cli("--emit-default-config")
     return outputs
@@ -99,7 +111,10 @@ def test_golden_outputs(tmp_path):
     golden = {p.relative_to(GOLDEN).as_posix(): p.read_text()
               for p in sorted(GOLDEN.rglob("*")) if p.is_file()}
     assert sorted(outputs) == sorted(golden)
-    problems = [p for name in sorted(golden) for p in compare_text(name, outputs[name], golden[name])]
+    problems = [p for name in sorted(golden) if name != CORRUPTED_DIGESTS
+                for p in compare_text(name, outputs[name], golden[name])]
+    if outputs[CORRUPTED_DIGESTS] != golden[CORRUPTED_DIGESTS]:
+        problems.append(f"{CORRUPTED_DIGESTS}: the corrupted bundles' bytes changed")
     assert not problems, "\n".join(problems[:20])
 
 

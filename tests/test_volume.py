@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from segnoise.phantom import PhantomSpec, generate_corpus, generate_phantom
 from segnoise.volume import (
     MultiModalVolume,
     PatientRecord,
+    VALID_LABELS,
     binarize_labels,
     normalize_record,
+    validate_labels,
     zscore_normalize,
 )
 
@@ -40,6 +44,31 @@ class TestBinarizeLabels:
         labels = rng.choice([0, 1, 2, 4], size=(3, 5, 5)).astype(np.uint8)
         mask = binarize_labels(labels)
         assert np.array_equal(binarize_labels(mask), mask)
+
+
+class TestValidateLabels:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.float32])
+    def test_accepts_exactly_what_isin_accepts(self, dtype):
+        values = np.arange(-3, 256) if dtype != np.uint8 else np.arange(256)
+        if dtype == np.float32:
+            values = np.concatenate([values, [0.5, 3.9, np.nan]])
+        for value in values.astype(dtype):
+            labels = np.array([0, 1, 2, 4, value], dtype=dtype).reshape(1, 1, 5)
+            if np.isin(value, VALID_LABELS):
+                assert validate_labels(labels).dtype == np.uint8
+            else:
+                with pytest.raises(ValueError, match="illegal label"):
+                    validate_labels(labels)
+
+    def test_uint8_volume_checked_without_a_wide_copy(self):
+        labels = np.random.default_rng(0).choice([0, 1, 2, 4], size=(16, 64, 64)).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            validate_labels(labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * labels.nbytes
 
 
 class TestZScore:
