@@ -114,11 +114,17 @@ def cmd_corrupt(args, config) -> int:
 
 
 def cmd_oracle(args, config) -> int:
+    """The oracle sweep on masks alone: a bundle corpus is read through
+    `load_masks`, which checks every bundle but keeps no intensities."""
     out = _resolve_out(args.out, config)
-    records = cfgmod.records_from(config)
-    plan = cfgmod.foldplan_from(config, [r.patient_id for r in records])
+    root = config["data"]["path"]
+    if root is None:
+        masks = {r.patient_id: r.mask for r in cfgmod.records_from(config)}
+    else:
+        masks = load_masks(root)
+    plan = cfgmod.foldplan_from(config, list(masks))
     sweep = cfgmod.sweep_config_from(config)
-    result = run_sweep(records, plan, sweep, jobs=args.jobs)
+    result = run_sweep(masks, plan, sweep, jobs=args.jobs)
     written = result.write_outputs(out)
     print(f"oracle sweep: {len(result.samples)} cells; wrote {len(written)} files to {out}")
     return 0

@@ -8,10 +8,14 @@ draws from its own RNG stream keyed by (seed, patient id, frame index),
 so results never depend on iteration order or parallelism, and the
 corruption is fixed once per experiment rather than resampled.
 
-`corrupt_mask_volume` validates a volume once, draws every frame's op
-and k from that frame's stream, then runs each radius-1 pass once per
-op over the stack of frames that still need it. `corrupt_frame` is the
-per-frame reference it must match.
+`frame_rng` builds one frame's stream; `frame_states` derives the same
+streams' starting states for many keys at once, by rebuilding
+`SeedSequence`'s mixing in vectorised uint32 arithmetic.
+`corrupt_repetitions` corrupts one mask volume once per seed: it draws
+every frame's op and k, stacks the frames that need passes, a group of
+repetitions at a time, and runs each radius-1 pass once per op over the
+stack. `corrupt_mask_volume` is its one-seed case, and `corrupt_frame`
+is the per-frame reference both must match.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -103,6 +108,24 @@ class CorruptionReport:
         return float(np.mean(defined))
 
 
+# numpy's SeedSequence (pool of four uint32 words, hashmix and mix
+# constants) and PCG64 seeding, which `frame_states` rebuilds exactly.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+# Repetitions are corrupted in groups whose frames hold at most this many
+# voxels (8 MiB of bool), and never fewer than one repetition.
+STACK_VOXELS = 1 << 23
+# A radius-1 pass reads at most this many voxels of a stack at a time,
+# which bounds its two temporaries.
+_PASS_VOXELS = 1 << 20
+
+
 def _patient_key(patient_id: str) -> int:
     digest = hashlib.blake2b(patient_id.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -112,6 +135,97 @@ def frame_rng(seed: int, patient_id: str, frame_index: int) -> np.random.Generat
     """The dedicated RNG stream of one (seed, patient, frame) cell."""
     seq = np.random.SeedSequence([int(seed), _patient_key(patient_id), int(frame_index)])
     return np.random.default_rng(seq)
+
+
+def _words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence takes it: uint32 words, least
+    significant first; 0 is one word."""
+    if value < 0:
+        raise ValueError(f"stream key values must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """`init` and the next `count` hash constants (each the last times
+    `mult`, mod 2^32), as a (count + 1, 1) column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of (m, n) words, row i with
+    the i-th pair of the m + 1 consecutive hash constants `consts`."""
+    out = values ^ consts[:-1]
+    out *= consts[1:]
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_MULT_L * x - _MIX_MULT_R * y
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence(row).generate_state(4, np.uint64)` for each row of
+    (n, L) uint32 entropy words, as a (4, n) uint64 array.
+
+    Entropy shorter than the pool is padded with zeros, which is what
+    numpy's mixing does; words beyond the pool take its extra loop.
+    """
+    n, length = entropy.shape
+    # One hashmix per pool word fills the pool, one per ordered pair of
+    # pool words mixes it, and one per pool word takes each extra word.
+    extra = max(0, length - _POOL_SIZE)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
+    pool = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
+    pool[:min(length, _POOL_SIZE)] = entropy[:, :_POOL_SIZE].T
+    pool = _hashmix(pool, consts[:_POOL_SIZE + 1])
+    used = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        mixed = _hashmix(np.broadcast_to(pool[src], (len(dst), n)), consts[used:used + len(dst) + 1])
+        pool[dst] = _mix(pool[dst], mixed)
+        used += len(dst)
+    for src in range(_POOL_SIZE, length):
+        mixed = _hashmix(np.broadcast_to(entropy[:, src], (_POOL_SIZE, n)),
+                         consts[used:used + _POOL_SIZE + 1])
+        pool = _mix(pool, mixed)
+        used += _POOL_SIZE
+    # generate_state(4, uint64) takes eight uint32 words, cycling the pool.
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8))
+    words = words.astype(np.uint64)
+    return words[0::2] | (words[1::2] << np.uint64(32))
+
+
+def frame_states(keys: Sequence[tuple[int, int, int]]) -> list[dict]:
+    """The PCG64 state that `np.random.default_rng(SeedSequence([seed,
+    key, frame]))` starts from, for each (seed, key, frame) triple of
+    non-negative ints (key is a patient key; `frame_rng` hashes the
+    patient id to one). Assigning a state to a Generator's bit generator
+    gives that frame's stream. The mixing runs once per entropy length
+    over all keys; PCG64's seeding of (state, inc) runs on Python ints.
+    """
+    words = {value: _words(int(value)) for value in {v for key in keys for v in key}}
+    rows = [words[seed] + words[key] + words[frame] for seed, key, frame in keys]
+    by_length: dict[int, list[int]] = {}
+    for index, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(index)
+    states: list = [None] * len(rows)
+    for indices in by_length.values():
+        seeded = _seed_state(np.array([rows[i] for i in indices], dtype=np.uint32))
+        for index, (s_hi, s_lo, i_hi, i_lo) in zip(indices, zip(*seeded.tolist())):
+            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+            state = ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+            states[index] = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+    return states
 
 
 def sample_scale(rng: np.random.Generator, sigma2: float) -> int:
@@ -147,31 +261,78 @@ def corrupt_frame(
     return out, FrameCorruption(op=op_mode.value, k=k, change=size_change(frame, out))
 
 
+def _run_passes(stack: np.ndarray, draws: list[tuple[NoiseMode, int]]) -> None:
+    """Corrupt a bool frame stack in place: its dilated frames, then its
+    eroded ones, each block sorted by descending k, so that the frames
+    still active at pass j of an op are a prefix of its block."""
+    chunk = max(1, _PASS_VOXELS // max(1, stack.shape[1] * stack.shape[2]))
+    start = 0
+    for op_mode in (NoiseMode.DILATE, NoiseMode.ERODE):
+        ks = [k for op, k in draws if op is op_mode]
+        block = stack[start:start + len(ks)]
+        for j in range(1, (ks[0] if ks else 0) + 1):
+            active = sum(k >= j for k in ks)
+            for lo in range(0, active, chunk):
+                hi = min(lo + chunk, active)
+                block[lo:hi] = radius1_pass(block[lo:hi], op_mode is NoiseMode.ERODE)
+        start += len(ks)
+
+
+def _corrupt_each(mask: np.ndarray, mode: NoiseMode, sigma2: float, seeds: Sequence[int],
+                  patient_id: str) -> Iterator[tuple[np.ndarray, list[tuple[NoiseMode, int]]]]:
+    """`corrupt_repetitions` on a validated uint8 mask volume."""
+    depth = mask.shape[0]
+    frames = mask.view(bool)
+    key = _patient_key(patient_id)
+    rng = np.random.Generator(np.random.PCG64(0))
+    draws = []
+    for state in frame_states([(seed, key, i) for seed in seeds for i in range(depth)]):
+        rng.bit_generator.state = state
+        draws.append(_draw(rng, mode, sigma2))
+    per_group = max(1, STACK_VOXELS // max(1, mask.size))
+    for first in range(0, len(seeds), per_group):
+        reps = min(per_group, len(seeds) - first)
+        rows = draws[first * depth:(first + reps) * depth]
+        order = sorted((i for i, (_, k) in enumerate(rows) if k),
+                       key=lambda i: (rows[i][0] is NoiseMode.ERODE, -rows[i][1]))
+        stack = frames[[i % depth for i in order]]
+        _run_passes(stack, [rows[i] for i in order])
+        placed: list[list[int]] = [[] for _ in range(reps)]
+        for position, i in enumerate(order):
+            placed[i // depth].append(position)
+        for rep, positions in enumerate(placed):
+            volume = frames.copy()
+            volume[[order[p] % depth for p in positions]] = stack[positions]
+            yield volume.view(np.uint8), rows[rep * depth:(rep + 1) * depth]
+        del stack  # before the next group's stack is built
+
+
+def corrupt_repetitions(
+    mask_volume, mode: NoiseMode, sigma2: float, seeds: Sequence[int], patient_id: str
+) -> Iterator[tuple[np.ndarray, list[tuple[NoiseMode, int]]]]:
+    """Yield, for each seed in order, the mask volume corrupted with the
+    keyed streams of (seed, patient_id, frame) and its frames' (op, k).
+
+    All seeds' streams are derived in one `frame_states` call. The
+    repetitions are corrupted in groups of at most STACK_VOXELS voxels:
+    a group's frames with k > 0 form one stack, dilated frames first,
+    each op's frames deepest first, and each radius-1 pass runs once per
+    op over the frames whose k it has not reached yet.
+    """
+    return _corrupt_each(validate_mask_volume(mask_volume), NoiseMode(mode), sigma2,
+                         seeds, patient_id)
+
+
 def corrupt_mask_volume(
     mask_volume, mode: NoiseMode, sigma2: float, seed: int, patient_id: str
 ) -> tuple[np.ndarray, list[FrameCorruption]]:
     """Corrupt every frame of one mask volume with keyed RNG streams.
 
-    Equal to `corrupt_frame` on each frame with `frame_rng(seed,
-    patient_id, index)`, but each radius-1 pass runs once per op over
-    the frames whose k it has not reached yet.
+    The one-seed case of `corrupt_repetitions`, equal to `corrupt_frame`
+    on each frame with `frame_rng(seed, patient_id, index)`.
     """
     mask = validate_mask_volume(mask_volume)
-    mode = NoiseMode(mode)
-    draws = [_draw(frame_rng(seed, patient_id, i), mode, sigma2) for i in range(mask.shape[0])]
-    out = mask.astype(bool)
-    for op_mode in (NoiseMode.DILATE, NoiseMode.ERODE):
-        # Deepest first, so the frames still active at pass j are a prefix.
-        order = sorted((i for i, (op, k) in enumerate(draws) if op is op_mode and k > 0),
-                       key=lambda i: -draws[i][1])
-        if not order:
-            continue
-        ks = [draws[i][1] for i in order]
-        stack = out[order]
-        for j in range(1, ks[0] + 1):
-            active = sum(k >= j for k in ks)
-            stack[:active] = radius1_pass(stack[:active], op_mode is NoiseMode.ERODE)
-        out[order] = stack
+    ((out, draws),) = _corrupt_each(mask, NoiseMode(mode), sigma2, [seed], patient_id)
     # Per-frame counts: count_nonzero over whole frames takes its fast
     # path, which its axis form (a bool sum) does not.
     outcomes = [
@@ -179,7 +340,7 @@ def corrupt_mask_volume(
                         change=SizeChange(np.count_nonzero(before), np.count_nonzero(after)))
         for (op, k), before, after in zip(draws, mask, out)
     ]
-    return out.view(np.uint8), outcomes
+    return out, outcomes
 
 
 def corrupt_patient(

@@ -6,12 +6,21 @@ them volume-wise against the originals, and sweep the result over
 corruption modes and noise scales. Dilation leaves recall pinned at 1
 and erosion leaves precision pinned at 1 (pure containment), so the
 curves isolate what the corruption alone does to each score.
+
+The sweep's unit of work is a (fold, mode, sigma2) point with all its
+repetitions: each test mask is corrupted once per repetition seed in one
+`corrupt_repetitions` call, which derives every repetition's frame
+streams at once and runs the radius-1 passes over all of them. A point
+returns one `CellScore` per repetition, in repetition order, and
+`simulate_noise_robust` is the one-seed case of the same code. The
+sweep needs only masks: its context is ({patient id: mask}, folds).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -22,7 +31,7 @@ from . import pool
 from .atomic import write_text
 from .folds import DatasetSplit, FoldPlan
 from .metrics import ScoreTriple, score_volumewise
-from .noise import NoiseMode, corrupt_mask_volume
+from .noise import NoiseMode, corrupt_repetitions
 from .svgplot import line_plot, write_svg
 from .volume import PatientRecord
 
@@ -70,6 +79,26 @@ def _check_test_ids(known, split: DatasetSplit) -> None:
         raise ValueError("split has an empty test subset")
 
 
+def _point_triples(
+    masks: Mapping[str, np.ndarray], split: DatasetSplit, mode: NoiseMode, sigma2: float,
+    seeds: Sequence[int],
+) -> list[ScoreTriple]:
+    """Per seed, in order: the test masks corrupted with that seed's
+    streams, each scored volume-wise against its original, averaged."""
+    _check_test_ids(masks, split)
+    triples: list[list[ScoreTriple]] = [[] for _ in seeds]
+    for pid in split.test_ids:
+        original = masks[pid]
+        repetitions = corrupt_repetitions(original, mode, sigma2, seeds, pid)
+        for per_seed, (corrupted, _) in zip(triples, repetitions):
+            per_seed.append(score_volumewise(corrupted, original))
+    means = []
+    for per_seed in triples:
+        mean = np.array(per_seed, dtype=np.float64).mean(axis=0)
+        means.append(ScoreTriple(dice=float(mean[0]), precision=float(mean[1]), recall=float(mean[2])))
+    return means
+
+
 def simulate_noise_robust(
     records: list[PatientRecord],
     split: DatasetSplit,
@@ -78,25 +107,18 @@ def simulate_noise_robust(
     seed: int,
 ) -> ScoreTriple:
     """Corrupt the test masks, score against the originals, average."""
-    by_id = {r.patient_id: r for r in records}
-    _check_test_ids(by_id, split)
-    triples = []
-    for pid in split.test_ids:
-        original = by_id[pid].mask
-        corrupted, _ = corrupt_mask_volume(original, mode, sigma2, seed, pid)
-        triples.append(score_volumewise(corrupted, original))
-    stacked = np.array(triples, dtype=np.float64)
-    mean = stacked.mean(axis=0)
-    return ScoreTriple(dice=float(mean[0]), precision=float(mean[1]), recall=float(mean[2]))
+    masks = {r.patient_id: r.mask for r in records}
+    return _point_triples(masks, split, mode, sigma2, [seed])[0]
 
 
-def _sweep_cell(task) -> CellScore:
-    """One (fold, mode, sigma2, seed, rep) cell against the installed
-    (records, folds) context."""
-    fold_index, mode, sigma2, seed, rep = task
-    records, folds = pool.context()
-    triple = simulate_noise_robust(records, folds.folds[fold_index], mode, sigma2, seed)
-    return CellScore(mode=mode, sigma2=sigma2, fold=fold_index, rep=rep, triple=triple)
+def _sweep_point(task) -> list[CellScore]:
+    """One (fold, mode, sigma2) point's cells, one per repetition seed in
+    order, against the installed ({patient id: mask}, folds) context."""
+    fold_index, mode, sigma2, seeds = task
+    masks, folds = pool.context()
+    triples = _point_triples(masks, folds.folds[fold_index], mode, sigma2, seeds)
+    return [CellScore(mode=mode, sigma2=sigma2, fold=fold_index, rep=rep, triple=triple)
+            for rep, triple in enumerate(triples)]
 
 
 @dataclass(frozen=True)
@@ -186,32 +208,34 @@ class SweepResult:
 
 
 def run_sweep(
-    records: list[PatientRecord],
+    corpus: list[PatientRecord] | Mapping[str, np.ndarray],
     folds: FoldPlan,
     config: SweepConfig,
     jobs: int = 1,
 ) -> SweepResult:
-    """Full modes x sigma2 x folds x repetitions cross product.
+    """Full modes x sigma2 x folds x repetitions cross product over a
+    list of records or a {patient id: mask} mapping.
 
     Cell RNG streams are keyed, so the result is identical for any job
     count; samples are assembled in canonical cell order. Every fold's
-    test ids are checked here, before any worker starts. With `jobs > 1`
-    the cells run in `min(jobs, cells)` workers started the platform's
-    default way (fork on Linux: the cells run no BLAS, and a forked
+    test ids are checked here, before any worker starts. Each task is a
+    (fold, mode, sigma2) point with all its repetitions. With `jobs > 1`
+    the points run in `min(jobs, points)` workers started the platform's
+    default way (fork on Linux: the points run no BLAS, and a forked
     worker starts without re-importing the package), each given
-    (records, folds) once.
+    ({patient id: mask}, folds) once.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    known = {r.patient_id for r in records}
+    masks = corpus if isinstance(corpus, Mapping) else {r.patient_id: r.mask for r in corpus}
     for split in folds.folds:
-        _check_test_ids(known, split)
+        _check_test_ids(masks, split)
     tasks = []
     for mode_index, mode in enumerate(config.modes):
         for sigma_index, sigma2 in enumerate(config.sigma2_values):
             for fold_index in range(len(folds.folds)):
-                for rep in range(config.repetitions):
-                    seed = cell_seed(config.seed, mode_index, sigma_index, fold_index, rep)
-                    tasks.append((fold_index, mode, sigma2, seed, rep))
-    samples = pool.map_cells(_sweep_cell, tasks, (records, folds), jobs)
-    return SweepResult(config=config, samples=tuple(samples))
+                seeds = tuple(cell_seed(config.seed, mode_index, sigma_index, fold_index, rep)
+                              for rep in range(config.repetitions))
+                tasks.append((fold_index, mode, sigma2, seeds))
+    points = pool.map_cells(_sweep_point, tasks, (masks, folds), jobs)
+    return SweepResult(config=config, samples=tuple(cell for point in points for cell in point))

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from segnoise import bundleio
+from segnoise import config as cfgmod
 from segnoise.bundleio import index_bundles, load_dataset, write_bundle, write_prediction
-from segnoise.cli import build_parser, main
+from segnoise.cli import _config_overrides, build_parser, main
 from segnoise.phantom import PhantomSpec, generate_corpus
 
 
@@ -328,6 +329,41 @@ class TestOracleCmd:
         assert main(["oracle", "--config", str(config), "--out", str(out)]) == 0
         for metric in ("dice", "precision", "recall"):
             assert (out / f"oracle_{metric}.svg").is_file()
+
+    def test_data_reads_masks_only(self, tmp_path, monkeypatch):
+        config, src = TestStreamedCorrupt.corpus(tmp_path)
+        assert main(["oracle", "--config", str(config), "--out", str(tmp_path / "phantom")]) == 0
+
+        def refuse(root):
+            raise AssertionError("oracle loaded the whole dataset")
+
+        monkeypatch.setattr(bundleio, "load_dataset", refuse)
+        out = tmp_path / "data"
+        assert main(["oracle", "--config", str(config), "--data", str(src), "--out", str(out)]) == 0
+        assert tree_bytes(out) == tree_bytes(tmp_path / "phantom")
+
+    @pytest.mark.parametrize("fault", ["nan-intensity", "short-raw", "duplicate-ids"])
+    def test_data_rejects_what_load_dataset_rejects(self, tmp_path, fault, capsys):
+        config, src = TestStreamedCorrupt.corpus(tmp_path)
+        first, second = sorted(index_bundles(src).values())[:2]
+        if fault == "nan-intensity":
+            _nan_at(second / "m0.raw", 3)
+        elif fault == "short-raw":
+            (second / "m1.raw").write_bytes((second / "m1.raw").read_bytes()[:-4])
+        else:
+            meta = json.loads((second / "meta.json").read_text())
+            meta["patient_id"] = first.name
+            (second / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(Exception) as from_dataset:
+            load_dataset(src)
+        argv = ["oracle", "--config", str(config), "--data", str(src), "--out", str(tmp_path / "out")]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(Exception) as from_oracle:
+            args.func(args, cfgmod.load_config(args.config, _config_overrides(args)))
+        assert type(from_oracle.value) is type(from_dataset.value)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestGridsearchCmd:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from segnoise.noise import (
     corrupt_frame,
     corrupt_mask_volume,
     frame_rng,
+    frame_states,
     sample_scale,
 )
+from segnoise.noise import _patient_key
 from segnoise.phantom import PhantomSpec, generate_corpus
 
 
@@ -110,6 +113,57 @@ class TestCorruptFrame:
         assert abs(ops["dilate"] - ops["erode"]) < 0.02 * applied
 
 
+def stream_keys(count: int) -> list[tuple[int, int, int]]:
+    """(seed, patient key, frame) triples: every pairing of edge seeds
+    (0, one and two 32-bit words, beyond 2^64) with edge patient keys
+    (below 2^32 and near 2^64) at frame 0, then random keys."""
+    rng = random.Random(20191008)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**96 + 3]
+    patient_keys = [0, 7, 2**32 - 1, 2**32, 2**64 - 2, 2**64 - 1]
+    keys = [(seed, key, 0) for seed in seeds for key in patient_keys]
+    while len(keys) < count:
+        seed = rng.choice((rng.getrandbits(16), rng.getrandbits(32), rng.getrandbits(64)))
+        key = rng.choice((rng.getrandbits(32), rng.getrandbits(64), 2**64 - 1 - rng.getrandbits(24)))
+        keys.append((seed, key, rng.choice((0, rng.randrange(1, 400)))))
+    return keys
+
+
+class TestFrameStates:
+    """`frame_states` rebuilds numpy's SeedSequence mixing and PCG64
+    seeding; if a numpy release changes either, these fail instead of
+    the corruption streams drifting silently."""
+
+    def test_states_equal_seed_sequence_pcg64(self):
+        keys = stream_keys(10_000)
+        states = frame_states(keys)
+        assert len(states) == len(keys)
+        for key, state in zip(keys, states):
+            assert state == np.random.PCG64(np.random.SeedSequence(list(key))).state, key
+
+    def test_first_draws_equal(self):
+        keys = stream_keys(2_000)
+        rng = np.random.Generator(np.random.PCG64(0))
+        for key, state in zip(keys, frame_states(keys)):
+            reference = np.random.default_rng(np.random.SeedSequence(list(key)))
+            rng.bit_generator.state = state
+            assert rng.random() == reference.random()
+            assert rng.normal() == reference.normal()
+            reference = np.random.default_rng(np.random.SeedSequence(list(key)))
+            rng.bit_generator.state = state
+            assert rng.normal(0.0, 2.0) == reference.normal(0.0, 2.0)
+
+    def test_patient_ids_key_the_same_streams_as_frame_rng(self):
+        keys = [(seed, pid, frame) for seed in (0, 5, 2**40) for pid in ("p", "case-017")
+                for frame in range(3)]
+        states = frame_states([(seed, _patient_key(pid), frame) for seed, pid, frame in keys])
+        for (seed, pid, frame), state in zip(keys, states):
+            assert state == frame_rng(seed, pid, frame).bit_generator.state
+
+    def test_negative_key_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            frame_states([(0, 1, 2), (-1, 1, 2)])
+
+
 class TestCorruptMaskVolume:
     def test_deterministic_per_key(self):
         corpus = small_corpus()
@@ -119,6 +173,12 @@ class TestCorruptMaskVolume:
         assert np.array_equal(a, b)
         c, _ = corrupt_mask_volume(mask, NoiseMode.DILATE, 3.0, seed=9, patient_id="y")
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("shape", [(0, 5, 5), (3, 0, 5)])
+    def test_empty_volume_corrupts_to_itself(self, shape):
+        mask = np.zeros(shape, dtype=np.uint8)
+        out, outcomes = corrupt_mask_volume(mask, NoiseMode.DILATE, 4.0, seed=2, patient_id="p")
+        assert out.shape == shape and len(outcomes) == shape[0]
 
     @pytest.mark.parametrize("sigma2", [2.0, 9.0])
     @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from segnoise import oracle
+from segnoise import noise, oracle, pool
 from segnoise.folds import DatasetSplit, FoldPlan, make_folds
-from segnoise.noise import NoiseMode
+from segnoise.metrics import score_volumewise
+from segnoise.noise import NoiseMode, corrupt_frame, frame_rng
 from segnoise.oracle import SweepConfig, cell_seed, run_sweep, simulate_noise_robust
 from segnoise.phantom import PhantomSpec, generate_corpus
 
@@ -146,6 +149,70 @@ class TestRunSweep:
         assert svg.startswith("<svg")
         for mode in config.modes:
             assert mode.value in svg
+
+
+def frame_by_frame_triple(corpus, split, mode, sigma2, seed):
+    """The oracle triple from `corrupt_frame` on every frame with its
+    own `frame_rng`: a reference that shares no code with the stacks."""
+    by_id = {r.patient_id: r.mask for r in corpus}
+    triples = []
+    for pid in split.test_ids:
+        mask = by_id[pid]
+        corrupted = np.stack([corrupt_frame(frame, mode, sigma2, frame_rng(seed, pid, i))[0]
+                              for i, frame in enumerate(mask)])
+        triples.append(score_volumewise(corrupted, mask))
+    return tuple(float(v) for v in np.array(triples, dtype=np.float64).mean(axis=0))
+
+
+def sweep_point(masks, plan, task):
+    (cells,) = pool.map_cells(oracle._sweep_point, [task], (masks, plan), 1)
+    return cells
+
+
+class TestSweepPoint:
+    @pytest.mark.parametrize("sigma2", [0.0, 2.0, 5.0])
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_point_equals_its_cells(self, corpus, plan, mode, sigma2):
+        seeds = tuple(cell_seed(17, 2, 1, 1, rep) for rep in range(5))
+        masks = {r.patient_id: r.mask for r in corpus}
+        cells = sweep_point(masks, plan, (1, mode, sigma2, seeds))
+        assert [(c.mode, c.sigma2, c.fold, c.rep) for c in cells] == [
+            (mode, sigma2, 1, rep) for rep in range(len(seeds))]
+        for cell, seed in zip(cells, seeds):
+            assert cell.triple == simulate_noise_robust(corpus, plan.folds[1], mode, sigma2, seed)
+            assert cell.triple == frame_by_frame_triple(corpus, plan.folds[1], mode, sigma2, seed)
+
+    def test_sigma_zero_is_corrupted_and_scored(self, corpus, plan, monkeypatch):
+        # Criterion 6's exact 1.0 at sigma2 = 0 must come from drawn
+        # streams and real scores, not from a shortcut.
+        keys, scored = [], []
+        states = noise.frame_states
+        monkeypatch.setattr(noise, "frame_states", lambda k: keys.extend(k) or states(k))
+        monkeypatch.setattr(oracle, "score_volumewise",
+                            lambda p, t: scored.append(p.shape) or score_volumewise(p, t))
+        masks = {r.patient_id: r.mask for r in corpus}
+        cells = sweep_point(masks, plan, (0, NoiseMode.RANDOM, 0.0, (3, 4, 5)))
+        assert [c.triple for c in cells] == [(1.0, 1.0, 1.0)] * 3
+        test_ids = plan.folds[0].test_ids
+        assert len(scored) == 3 * len(test_ids)
+        assert len(keys) == 3 * sum(masks[pid].shape[0] for pid in test_ids)
+
+    def test_point_memory_bounded_by_the_stack_budget(self):
+        spec = PhantomSpec(depth=40, height=128, width=128, radius_min=12, radius_max=30, margin=16)
+        record = generate_corpus(spec, count=1, seed=4)[0]
+        split = DatasetSplit(train_ids=(), val_ids=(), test_ids=(record.patient_id,))
+        masks = {record.patient_id: record.mask}
+        # At sigma2 = 50 nine frames in ten need passes, so each group's
+        # stack (12 of the 20 repetitions) nearly fills the budget.
+        tracemalloc.start()
+        try:
+            cells = sweep_point(masks, FoldPlan(folds=(split,), seed=0),
+                                (0, NoiseMode.DILATE, 50.0, tuple(range(20))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 20
+        assert peak < noise.STACK_VOXELS + 4 * record.mask.nbytes
 
 
 class TestCellSeed:
