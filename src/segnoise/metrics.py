@@ -16,7 +16,9 @@ These formulas exist once, in a kernel over (..., pixels) arrays:
 (d(1 - N/D)/dp). The scores, the finite-difference reference and the
 toy trainer's descent (`trainer._descend`, one frame per row, which
 takes its own sums without a p * t temporary) all run through it, so
-`gradcheck` verifies the gradient that training follows.
+`gradcheck` verifies the gradient that training follows. Every score
+triple comes from `score_triples`, which takes sums of any shape, so
+the oracle scores all its repetitions' integer counts in one call.
 Scores sum over the whole input, so the same functions score 2-D frames
 and 3-D volumes. When both inputs are bool or integer typed (binary
 masks, thresholded predictions), tp, sum_p and sum_t are exact integer
@@ -110,13 +112,17 @@ def _score(sums, b2: float) -> float:
     return float(numer / denom)
 
 
+def score_triples(tp, sum_p, sum_t) -> np.ndarray:
+    """Dice, precision and recall of broadcastable sums, stacked along a
+    new last axis: f_1, f_0 and the smoothed recall."""
+    dice = np.divide(*f_beta_terms(tp, sum_p, sum_t, 1.0))
+    precision = np.divide(*f_beta_terms(tp, sum_p, sum_t, 0.0))
+    recall = np.divide(tp + SMOOTHING, sum_t + SMOOTHING)
+    return np.stack(np.broadcast_arrays(dice, precision, recall), axis=-1)
+
+
 def _triple(sums) -> ScoreTriple:
-    tp, _, sum_t = sums
-    return ScoreTriple(
-        dice=_score(sums, 1.0),
-        precision=_score(sums, 0.0),
-        recall=float((tp + SMOOTHING) / (sum_t + SMOOTHING)),
-    )
+    return ScoreTriple(*score_triples(*sums).tolist())
 
 
 def soft_dice(p, t) -> float:

@@ -8,9 +8,15 @@ with a Chebyshev ball of radius k.
 One pass (`radius1_pass`) works on the last two axes of a bool
 (..., H, W) array, so a single frame and a stack of frames run the same
 code. The 3x3 square is separable: the pass reduces each pixel with its
-neighbours along H, then along W, by slicing, without a padded copy.
-Erosion then zeroes the frame edges, whose windows reach outside the
-frame.
+neighbours along W as +-1 shifts of the whole flat buffer, then along H
+as +-W shifts within each frame, so every step is one long run over
+memory rather than one short run per row. The W step also pairs each
+row's first and last pixels with the neighbouring rows' ends; dilation
+recomputes those two columns, and erosion zeroes all frame edges, whose
+windows reach outside the frame.
+
+Beyond max(H, W) passes neither operation changes a frame any more, so
+no more passes than that are run (`capped_passes`), however large k is.
 """
 
 from __future__ import annotations
@@ -44,12 +50,28 @@ def radius1_pass(stack: np.ndarray, erosion: bool) -> np.ndarray:
     Returns a new array; `stack` is not modified.
     """
     op = np.logical_and if erosion else np.logical_or
-    rows = stack.copy()  # each pixel reduced with its neighbours along H
-    op(rows[..., 1:, :], stack[..., :-1, :], out=rows[..., 1:, :])
-    op(rows[..., :-1, :], stack[..., 1:, :], out=rows[..., :-1, :])
-    out = rows.copy()  # ... then along W
-    op(out[..., 1:], rows[..., :-1], out=out[..., 1:])
-    op(out[..., :-1], rows[..., 1:], out=out[..., :-1])
+    src = np.ascontiguousarray(stack)
+    if src.size == 0:
+        return src.copy()
+    width = src.shape[-1]
+    flat = src.reshape(-1)
+    # Along W as +-1 shifts of the whole buffer, which also reduces the
+    # first and last pixel of each row with the neighbouring rows' ends.
+    rows = np.empty_like(flat)
+    rows[0] = flat[0]
+    op(flat[1:], flat[:-1], out=rows[1:])
+    op(rows[:-1], flat[1:], out=rows[:-1])
+    rows = rows.reshape(src.shape)
+    if not erosion:  # erosion zeroes those columns below
+        rows[..., 0] = src[..., 0] | src[..., min(1, width - 1)]
+        rows[..., -1] = src[..., -1] | src[..., max(0, width - 2)]
+    # ... then along H as +-W shifts within each frame.
+    rows = rows.reshape(-1, src.shape[-2] * width)
+    out = np.empty_like(rows)
+    out[:, :width] = rows[:, :width]
+    op(rows[:, width:], rows[:, :-width], out=out[:, width:])
+    op(out[:, :-width], rows[:, width:], out=out[:, :-width])
+    out = out.reshape(src.shape)
     if erosion:
         out[..., 0, :] = False
         out[..., -1, :] = False
@@ -58,11 +80,21 @@ def radius1_pass(stack: np.ndarray, erosion: bool) -> np.ndarray:
     return out
 
 
+def capped_passes(k: int, frame_shape) -> int:
+    """How many of k passes change an (H, W) frame: at most max(H, W).
+
+    By then a dilation window covers the whole frame from any pixel and
+    an erosion window reaches past the border from every pixel, so both
+    operations have reached their fixed point.
+    """
+    return min(int(k), max(frame_shape[-2:]))
+
+
 def _iterate(frame, iterations: int, erosion: bool) -> np.ndarray:
     out = as_mask_frame(frame).astype(bool)
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    for _ in range(int(iterations)):
+    for _ in range(capped_passes(iterations, out.shape)):
         out = radius1_pass(out, erosion)
     return out.astype(np.uint8)
 

@@ -11,11 +11,16 @@ corruption is fixed once per experiment rather than resampled.
 `frame_rng` builds one frame's stream; `frame_states` derives the same
 streams' starting states for many keys at once, by rebuilding
 `SeedSequence`'s mixing in vectorised uint32 arithmetic.
-`corrupt_repetitions` corrupts one mask volume once per seed: it draws
-every frame's op and k, stacks the frames that need passes, a group of
-repetitions at a time, and runs each radius-1 pass once per op over the
-stack. `corrupt_mask_volume` is its one-seed case, and `corrupt_frame`
-is the per-frame reference both must match.
+One mask volume is corrupted once per seed a group of repetitions at a
+time: every frame's op and k are drawn, the frames that need passes are
+stacked, and each radius-1 pass runs once per op over the stack (never
+more than `capped_passes` per frame; the reported k is the drawn one).
+Two consumers read the groups: `corrupt_repetitions` yields each
+repetition's volume, and `count_repetitions` returns each repetition's
+(tp, sum_p) against the mask from the stack's rows and the clean
+frames' counts, without building a volume. `corrupt_mask_volume` is the
+one-seed case of `corrupt_repetitions`, and `corrupt_frame` is the
+per-frame reference all must match.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .atomic import write_text
 from .folds import DatasetSplit
-from .morphology import SizeChange, dilate, erode, radius1_pass, size_change
+from .morphology import SizeChange, capped_passes, dilate, erode, radius1_pass, size_change
 from .volume import PatientRecord, validate_mask_volume
 
 
@@ -261,14 +266,20 @@ def corrupt_frame(
     return out, FrameCorruption(op=op_mode.value, k=k, change=size_change(frame, out))
 
 
+def _chunk_frames(stack: np.ndarray) -> int:
+    """How many frames of a stack hold at most _PASS_VOXELS voxels (at least one)."""
+    return max(1, _PASS_VOXELS // max(1, stack.shape[1] * stack.shape[2]))
+
+
 def _run_passes(stack: np.ndarray, draws: list[tuple[NoiseMode, int]]) -> None:
     """Corrupt a bool frame stack in place: its dilated frames, then its
     eroded ones, each block sorted by descending k, so that the frames
-    still active at pass j of an op are a prefix of its block."""
-    chunk = max(1, _PASS_VOXELS // max(1, stack.shape[1] * stack.shape[2]))
+    still active at pass j of an op are a prefix of its block. No frame
+    takes more passes than `capped_passes` allows; its k is unchanged."""
+    chunk = _chunk_frames(stack)
     start = 0
     for op_mode in (NoiseMode.DILATE, NoiseMode.ERODE):
-        ks = [k for op, k in draws if op is op_mode]
+        ks = [capped_passes(k, stack.shape[1:]) for op, k in draws if op is op_mode]
         block = stack[start:start + len(ks)]
         for j in range(1, (ks[0] if ks else 0) + 1):
             active = sum(k >= j for k in ks)
@@ -278,9 +289,15 @@ def _run_passes(stack: np.ndarray, draws: list[tuple[NoiseMode, int]]) -> None:
         start += len(ks)
 
 
-def _corrupt_each(mask: np.ndarray, mode: NoiseMode, sigma2: float, seeds: Sequence[int],
-                  patient_id: str) -> Iterator[tuple[np.ndarray, list[tuple[NoiseMode, int]]]]:
-    """`corrupt_repetitions` on a validated uint8 mask volume."""
+def _corrupted_groups(
+    mask: np.ndarray, mode: NoiseMode, sigma2: float, seeds: Sequence[int], patient_id: str
+) -> Iterator[tuple[list[list[tuple[NoiseMode, int]]], np.ndarray, np.ndarray, np.ndarray]]:
+    """Corrupt a validated uint8 mask volume once per seed, a group of
+    repetitions at a time. Yield per group, in seed order: each of its
+    repetitions' frame draws (op, k), the bool stack of its corrupted
+    frames (those with k > 0), and each stack row's repetition within
+    the group and frame index. A consumer drops the stack before asking
+    for the next group, so that only one group's stack is alive."""
     depth = mask.shape[0]
     frames = mask.view(bool)
     key = _patient_key(patient_id)
@@ -295,16 +312,25 @@ def _corrupt_each(mask: np.ndarray, mode: NoiseMode, sigma2: float, seeds: Seque
         rows = draws[first * depth:(first + reps) * depth]
         order = sorted((i for i, (_, k) in enumerate(rows) if k),
                        key=lambda i: (rows[i][0] is NoiseMode.ERODE, -rows[i][1]))
-        stack = frames[[i % depth for i in order]]
+        rep_index, frame_index = np.divmod(np.array(order, dtype=np.intp), max(1, depth))
+        stack = frames[frame_index]
         _run_passes(stack, [rows[i] for i in order])
-        placed: list[list[int]] = [[] for _ in range(reps)]
-        for position, i in enumerate(order):
-            placed[i // depth].append(position)
-        for rep, positions in enumerate(placed):
-            volume = frames.copy()
-            volume[[order[p] % depth for p in positions]] = stack[positions]
-            yield volume.view(np.uint8), rows[rep * depth:(rep + 1) * depth]
+        yield [rows[r * depth:(r + 1) * depth] for r in range(reps)], stack, rep_index, frame_index
         del stack  # before the next group's stack is built
+
+
+def _corrupt_each(mask: np.ndarray, mode: NoiseMode, sigma2: float, seeds: Sequence[int],
+                  patient_id: str) -> Iterator[tuple[np.ndarray, list[tuple[NoiseMode, int]]]]:
+    """`corrupt_repetitions` on a validated uint8 mask volume."""
+    frames = mask.view(bool)
+    for group, stack, rep_index, frame_index in _corrupted_groups(mask, mode, sigma2, seeds,
+                                                                    patient_id):
+        for rep, draws in enumerate(group):
+            positions = np.flatnonzero(rep_index == rep)
+            volume = frames.copy()
+            volume[frame_index[positions]] = stack[positions]
+            yield volume.view(np.uint8), draws
+        del stack
 
 
 def corrupt_repetitions(
@@ -323,6 +349,53 @@ def corrupt_repetitions(
                          seeds, patient_id)
 
 
+def _frame_counts(frames: np.ndarray) -> np.ndarray:
+    """count_nonzero of each frame, one whole frame at a time: its fast
+    path, which the axis form (a bool sum) does not take."""
+    return np.array([np.count_nonzero(frame) for frame in frames], dtype=np.int64)
+
+
+def _stack_counts(frames: np.ndarray, stack: np.ndarray,
+                  frame_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each stack row's voxel count within its clean frame and overall,
+    reading at most _PASS_VOXELS voxels of the stack at a time."""
+    chunk = _chunk_frames(stack)
+    tp, sum_p = np.empty((2, len(stack)), dtype=np.int64)
+    for lo in range(0, len(stack), chunk):
+        kept = frames[frame_index[lo:lo + chunk]]
+        kept &= stack[lo:lo + chunk]
+        tp[lo:lo + chunk] = _frame_counts(kept)
+        sum_p[lo:lo + chunk] = _frame_counts(stack[lo:lo + chunk])
+    return tp, sum_p
+
+
+def count_repetitions(
+    mask_volume, mode: NoiseMode, sigma2: float, seeds: Sequence[int], patient_id: str
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(tp, sum_p, sum_t) of each seed's corrupted volume against the
+    mask: tp and sum_p as int64 arrays in seed order, sum_t the mask's
+    voxel count. They equal `count_nonzero` of `corrupted & mask` and of
+    `corrupted` for the volumes `corrupt_repetitions` yields, but no
+    volume is built: each corrupted frame's counts replace its clean
+    frame's in the mask's totals.
+    """
+    mask = validate_mask_volume(mask_volume)
+    frames = mask.view(bool)
+    clean = _frame_counts(frames)
+    sum_t = int(clean.sum())
+    tp = np.full(len(seeds), sum_t, dtype=np.int64)
+    sum_p = tp.copy()
+    first = 0
+    for group, stack, rep_index, frame_index in _corrupted_groups(mask, NoiseMode(mode), sigma2,
+                                                                    seeds, patient_id):
+        kept, total = _stack_counts(frames, stack, frame_index)
+        del stack
+        np.add.at(tp, first + rep_index, kept - clean[frame_index])
+        np.add.at(sum_p, first + rep_index, total - clean[frame_index])
+        first += len(group)
+    return tp, sum_p, sum_t
+
+
 def corrupt_mask_volume(
     mask_volume, mode: NoiseMode, sigma2: float, seed: int, patient_id: str
 ) -> tuple[np.ndarray, list[FrameCorruption]]:
@@ -333,12 +406,9 @@ def corrupt_mask_volume(
     """
     mask = validate_mask_volume(mask_volume)
     ((out, draws),) = _corrupt_each(mask, NoiseMode(mode), sigma2, [seed], patient_id)
-    # Per-frame counts: count_nonzero over whole frames takes its fast
-    # path, which its axis form (a bool sum) does not.
     outcomes = [
-        FrameCorruption(op=op.value if k else "none", k=k,
-                        change=SizeChange(np.count_nonzero(before), np.count_nonzero(after)))
-        for (op, k), before, after in zip(draws, mask, out)
+        FrameCorruption(op=op.value if k else "none", k=k, change=SizeChange(int(before), int(after)))
+        for (op, k), before, after in zip(draws, _frame_counts(mask), _frame_counts(out))
     ]
     return out, outcomes
 

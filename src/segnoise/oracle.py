@@ -9,11 +9,16 @@ curves isolate what the corruption alone does to each score.
 
 The sweep's unit of work is a (fold, mode, sigma2) point with all its
 repetitions: each test mask is corrupted once per repetition seed in one
-`corrupt_repetitions` call, which derives every repetition's frame
-streams at once and runs the radius-1 passes over all of them. A point
-returns one `CellScore` per repetition, in repetition order, and
-`simulate_noise_robust` is the one-seed case of the same code. The
-sweep needs only masks: its context is ({patient id: mask}, folds).
+`count_repetitions` call, which derives every repetition's frame
+streams at once, runs the radius-1 passes over all of them and returns
+each repetition's integer (tp, sum_p) and the mask's sum_t; no
+corrupted volume is built. `metrics.score_triples` turns the counts of
+all test masks and repetitions into scores in one step. A point returns
+one `CellScore` per repetition, in repetition order, each triple the
+mean over test masks of the volume-wise scores, bit for bit what
+`score_volumewise` gives on the corrupted volumes. `simulate_noise_robust`
+is the one-seed case of the same code. The sweep needs only masks: its
+context is ({patient id: mask}, folds).
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ import numpy as np
 from . import pool
 from .atomic import write_text
 from .folds import DatasetSplit, FoldPlan
-from .metrics import ScoreTriple, score_volumewise
-from .noise import NoiseMode, corrupt_repetitions
+from .metrics import ScoreTriple, score_triples
+from .noise import NoiseMode, count_repetitions
 from .svgplot import line_plot, write_svg
 from .volume import PatientRecord
 
@@ -86,17 +91,10 @@ def _point_triples(
     """Per seed, in order: the test masks corrupted with that seed's
     streams, each scored volume-wise against its original, averaged."""
     _check_test_ids(masks, split)
-    triples: list[list[ScoreTriple]] = [[] for _ in seeds]
-    for pid in split.test_ids:
-        original = masks[pid]
-        repetitions = corrupt_repetitions(original, mode, sigma2, seeds, pid)
-        for per_seed, (corrupted, _) in zip(triples, repetitions):
-            per_seed.append(score_volumewise(corrupted, original))
-    means = []
-    for per_seed in triples:
-        mean = np.array(per_seed, dtype=np.float64).mean(axis=0)
-        means.append(ScoreTriple(dice=float(mean[0]), precision=float(mean[1]), recall=float(mean[2])))
-    return means
+    counts = [count_repetitions(masks[pid], mode, sigma2, seeds, pid) for pid in split.test_ids]
+    tp, sum_p, sum_t = (np.array(column) for column in zip(*counts))
+    means = score_triples(tp, sum_p, sum_t[:, None]).mean(axis=0)
+    return [ScoreTriple(*mean) for mean in means.tolist()]
 
 
 def simulate_noise_robust(

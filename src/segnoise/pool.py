@@ -81,7 +81,7 @@ def map_cells(function, tasks: list, ctx, jobs: int, start_method: str | None = 
     that spawned workers' BLAS libraries, which read it once at load, do
     not oversubscribe the cores; the parent's environment is restored
     after. Tasks go out in about eight chunks per worker, so that short
-    tasks (a point of the default oracle sweep takes about 10 ms) do not
+    tasks (a point of the default oracle sweep takes about 7 ms) do not
     each pay a round trip to the pool.
     """
     workers = min(jobs, len(tasks))

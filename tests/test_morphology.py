@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,59 @@ class TestEdgesAgainstStructuringElement:
         assert np.array_equal(stack, before)
         for frame, got in zip(frames, out):
             assert np.array_equal(got, structuring_element_pass(frame, require_all=erosion))
+
+
+def assert_pass_matches_each_frame(stack: np.ndarray, erosion: bool) -> None:
+    before = stack.copy()
+    out = radius1_pass(stack, erosion)
+    assert np.array_equal(stack, before)
+    assert out.shape == stack.shape and out.dtype == bool
+    for index in np.ndindex(stack.shape[:-2]):
+        assert np.array_equal(out[index], structuring_element_pass(stack[index], require_all=erosion))
+
+
+class TestFlatPassEdgeShapes:
+    # The pass shifts the flat buffer by 1 and by W, so frames one pixel
+    # wide or high, frames with no pixels and strided inputs each reach
+    # a different corner of it.
+    @pytest.mark.parametrize("erosion", [False, True])
+    @pytest.mark.parametrize("shape", [(4, 1, 7), (4, 7, 1), (5, 1, 1), (4, 2, 2), (1, 6),
+                                       (6, 1), (0, 4, 4), (3, 0, 4), (3, 4, 0)])
+    def test_shapes(self, shape, erosion):
+        for p in (0.5, 1.0):
+            stack = np.random.default_rng(len(shape) + sum(shape)).random(shape) < p
+            assert_pass_matches_each_frame(stack, erosion)
+
+    @pytest.mark.parametrize("erosion", [False, True])
+    def test_non_contiguous_views(self, erosion):
+        base = np.random.default_rng(8).random((6, 13, 11)) < 0.6
+        for view in (base[::2], base[:, ::2, 1:], base.transpose(0, 2, 1), base[..., 3:4],
+                     base[:, :1], base[1, ::-1]):
+            assert_pass_matches_each_frame(view, erosion)
+
+
+def structuring_element_fixed_point(frame: np.ndarray, erosion: bool) -> np.ndarray:
+    """The structuring element pass repeated until nothing changes."""
+    while True:
+        step = structuring_element_pass(frame, require_all=erosion)
+        if np.array_equal(step, frame):
+            return step
+        frame = step
+
+
+class TestPassCap:
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 17), (12, 2), (1, 1)])
+    def test_huge_k_equals_max_side_and_is_a_fixed_point(self, shape):
+        frame = (np.random.default_rng(2).random(shape) < 0.5).astype(np.uint8)
+        frame.flat[0] = 1
+        for op, erosion in ((dilate, False), (erode, True)):
+            t0 = time.perf_counter()
+            huge = op(frame, 10**9)
+            assert time.perf_counter() - t0 < 1.0
+            capped = op(frame, max(shape))
+            assert np.array_equal(huge, capped)
+            assert np.array_equal(radius1_pass(capped.astype(bool), erosion), capped)
+            assert np.array_equal(huge, structuring_element_fixed_point(frame, erosion))
 
 
 class TestMaskArea:

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from segnoise import noise
 from segnoise.folds import DatasetSplit
 from segnoise.morphology import dilate, erode
 from segnoise.noise import (
@@ -13,6 +14,8 @@ from segnoise.noise import (
     corrupt_dataset,
     corrupt_frame,
     corrupt_mask_volume,
+    corrupt_repetitions,
+    count_repetitions,
     frame_rng,
     frame_states,
     sample_scale,
@@ -199,6 +202,61 @@ class TestCorruptMaskVolume:
                 assert outcome.change.s_original == expected.change.s_original
                 assert outcome.change.s_modified == expected.change.s_modified
             assert any(o.k > 1 for o in outcomes)
+
+
+def volume_counts(mask, mode, sigma2, seeds, pid):
+    """(tp, sum_p, sum_t) from the volumes `corrupt_repetitions` yields."""
+    tp, sum_p = [], []
+    for volume, _ in corrupt_repetitions(mask, mode, sigma2, seeds, pid):
+        tp.append(np.count_nonzero(volume & mask))
+        sum_p.append(np.count_nonzero(volume))
+    return tp, sum_p, np.count_nonzero(mask)
+
+
+class TestCountRepetitions:
+    @pytest.mark.parametrize("sigma2", [0.0, 2.0, 50.0])
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_counts_equal_the_volumes(self, mode, sigma2):
+        seeds = [3, 1, 4, 1, 5]
+        for record in small_corpus(count=3, depth=6, seed=2):
+            tp, sum_p, sum_t = count_repetitions(record.mask, mode, sigma2, seeds, record.patient_id)
+            assert tp.dtype == sum_p.dtype == np.int64 and isinstance(sum_t, int)
+            expected = volume_counts(record.mask, mode, sigma2, seeds, record.patient_id)
+            assert (tp.tolist(), sum_p.tolist(), sum_t) == expected
+
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_several_groups_and_pass_chunks(self, mode, monkeypatch):
+        mask = small_corpus(count=1, depth=8, seed=6)[0].mask
+        # Two repetitions per group (three groups for five seeds) and
+        # three frames per counting chunk.
+        monkeypatch.setattr(noise, "STACK_VOXELS", 2 * mask.size)
+        monkeypatch.setattr(noise, "_PASS_VOXELS", 3 * mask[0].size)
+        seeds = list(range(5))
+        tp, sum_p, sum_t = count_repetitions(mask, mode, 20.0, seeds, "p")
+        assert (tp.tolist(), sum_p.tolist(), sum_t) == volume_counts(mask, mode, 20.0, seeds, "p")
+        assert len(set(sum_p.tolist())) > 1
+
+    @pytest.mark.parametrize("mask", [np.zeros((4, 16, 16), np.uint8), np.ones((4, 16, 16), np.uint8),
+                                      np.zeros((0, 16, 16), np.uint8), np.zeros((3, 0, 5), np.uint8)],
+                             ids=["empty", "full", "zero-depth", "zero-size-frames"])
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_empty_full_and_zero_size_masks(self, mask, mode):
+        tp, sum_p, sum_t = count_repetitions(mask, mode, 9.0, [7, 8, 9], "p")
+        assert (tp.tolist(), sum_p.tolist(), sum_t) == volume_counts(mask, mode, 9.0, [7, 8, 9], "p")
+
+
+class TestHugeSigma2:
+    def test_passes_are_capped_and_report_keeps_the_drawn_k(self):
+        mask = small_corpus(count=1, depth=5, seed=3)[0].mask
+        for mode in NoiseMode:
+            out, outcomes = corrupt_mask_volume(mask, mode, 1e16, seed=4, patient_id="p")
+            for i, outcome in enumerate(outcomes):
+                rng = frame_rng(4, "p", i)
+                if mode is NoiseMode.RANDOM:
+                    rng.random()
+                assert outcome.k == sample_scale(rng, 1e16) > max(mask.shape[1:])
+                op = dilate if outcome.op == "dilate" else erode
+                assert np.array_equal(out[i], op(mask[i], max(mask.shape[1:])))
 
 
 class TestCorruptDataset:

@@ -6,7 +6,7 @@ import pytest
 from segnoise import noise, oracle, pool
 from segnoise.folds import DatasetSplit, FoldPlan, make_folds
 from segnoise.metrics import score_volumewise
-from segnoise.noise import NoiseMode, corrupt_frame, frame_rng
+from segnoise.noise import NoiseMode, corrupt_frame, count_repetitions, frame_rng
 from segnoise.oracle import SweepConfig, cell_seed, run_sweep, simulate_noise_robust
 from segnoise.phantom import PhantomSpec, generate_corpus
 
@@ -187,9 +187,14 @@ class TestSweepPoint:
         # streams and real scores, not from a shortcut.
         keys, scored = [], []
         states = noise.frame_states
+
+        def count(mask, mode, sigma2, seeds, pid):
+            counts = count_repetitions(mask, mode, sigma2, seeds, pid)
+            scored.extend([pid] * len(counts[0]))
+            return counts
+
         monkeypatch.setattr(noise, "frame_states", lambda k: keys.extend(k) or states(k))
-        monkeypatch.setattr(oracle, "score_volumewise",
-                            lambda p, t: scored.append(p.shape) or score_volumewise(p, t))
+        monkeypatch.setattr(oracle, "count_repetitions", count)
         masks = {r.patient_id: r.mask for r in corpus}
         cells = sweep_point(masks, plan, (0, NoiseMode.RANDOM, 0.0, (3, 4, 5)))
         assert [c.triple for c in cells] == [(1.0, 1.0, 1.0)] * 3
