@@ -303,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("oracle", cmd_oracle, "noise-robust oracle sweep").add_argument(
         "--jobs", type=_jobs, default=1, help="worker processes (>= 1)")
     add("gridsearch", cmd_gridsearch, "beta x sigma2 bias-cancellation grid").add_argument(
-        "--jobs", type=_jobs, default=1, help="worker processes (>= 1), one (sigma2, seed) cell at a time")
+        "--jobs", type=_jobs, default=1,
+        help="worker processes (>= 1), one beta of one (sigma2, seed) cell at a time")
     add("gradcheck", cmd_gradcheck, "verify analytic gradients numerically", out=False)
     p = add("score", cmd_score, "score prediction bundles against masks")
     p.add_argument("--pred", required=True, help="directory of prediction bundles")

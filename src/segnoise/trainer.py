@@ -11,8 +11,11 @@ it measurable in seconds. Training is deterministic per config.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -262,18 +265,17 @@ class GridResult:
 
 @dataclass(frozen=True)
 class _GridContext:
-    """Precomputed per-corpus data shared by all grid cells."""
+    """Precomputed per-corpus data shared by all grid tasks."""
 
     train_pids: tuple[str, ...]
     # (N_FEATURES, total frames, pixels): C-contiguous, so pickling to a
-    # worker keeps the feature-major layout `_feature_stack` builds.
+    # spawned worker keeps the feature-major layout `_feature_stack` builds.
     train_planes: np.ndarray
     train_masks: dict[str, np.ndarray]
     test_pids: tuple[str, ...]
     test_features: dict[str, np.ndarray]  # (frames, pixels, N_FEATURES)
     test_masks: dict[str, np.ndarray]
     frame_shape: tuple[int, int]
-    betas: tuple[float, ...]
     mode: NoiseMode
     base_config: TrainConfig
     threshold: float
@@ -282,7 +284,6 @@ class _GridContext:
 def _build_grid_context(
     records: list[PatientRecord],
     split: DatasetSplit,
-    betas: tuple[float, ...],
     mode: NoiseMode,
     base_config: TrainConfig,
     threshold: float,
@@ -293,7 +294,14 @@ def _build_grid_context(
         raise KeyError(f"split references unknown patient ids: {missing}")
     if not split.train_ids or not split.test_ids:
         raise ValueError("split needs non-empty train and test subsets")
-    frame_shape = by_id[split.train_ids[0]].shape[1:]
+    first = split.train_ids[0]
+    frame_shape = by_id[first].shape[1:]
+    for pid in split.all_ids:
+        if by_id[pid].shape[1:] != frame_shape:
+            raise ValueError(
+                f"patient {pid!r} has frames of shape {by_id[pid].shape[1:]}, but the "
+                f"first train patient {first!r} has {frame_shape}; a split needs one frame shape"
+            )
 
     def features_for(pids) -> np.ndarray:
         frames = (
@@ -309,41 +317,86 @@ def _build_grid_context(
         test_features={pid: features_for([pid]) for pid in split.test_ids},
         test_masks={pid: by_id[pid].mask for pid in split.test_ids},
         frame_shape=frame_shape,
-        betas=betas,
         mode=mode,
         base_config=base_config,
         threshold=threshold,
     )
 
 
-def _grid_cell(args) -> list[GridCell]:
-    """Corrupt the train masks once for one (sigma2, seed) cell, then
-    train and score each beta on those same targets (paired comparison)."""
-    sigma2, seed = args
-    ctx: _GridContext = pool.context()
-    features = ctx.train_planes.transpose(1, 2, 0)  # (frames, pixels, N_FEATURES)
-    targets = np.empty(features.shape[:2])
-    row = 0
-    for pid in ctx.train_pids:
-        corrupted, _ = corrupt_mask_volume(ctx.train_masks[pid], ctx.mode, sigma2, seed, pid)
-        depth = corrupted.shape[0]
-        targets[row:row + depth] = corrupted.reshape(depth, -1)
-        row += depth
+def _corrupted_targets(ctx: _GridContext, sigma2: float, seed: int) -> np.ndarray:
+    """The train masks corrupted once for one (sigma2, seed) key: a bool
+    (frames, pixels) array, one row per train frame in `train_pids` order."""
+    return np.concatenate([
+        corrupt_mask_volume(ctx.train_masks[pid], ctx.mode, sigma2, seed, pid)[0]
+        .reshape(len(ctx.train_masks[pid]), -1)
+        for pid in ctx.train_pids
+    ]).astype(bool)
 
-    cells = []
-    for beta in ctx.betas:
-        model, _ = _descend(features, targets, replace(ctx.base_config, beta=beta))
-        triples = []
-        for pid in ctx.test_pids:
-            pred = predict(model, ctx.test_features[pid])  # (frames, pixels)
-            pred_vol = pred.reshape(pred.shape[0], *ctx.frame_shape)
-            triples.append(hard_metrics(pred_vol, ctx.test_masks[pid], ctx.threshold))
-        mean = np.array(triples, dtype=np.float64).mean(axis=0)
-        cells.append(GridCell(
-            beta=beta, sigma2=float(sigma2), seed=int(seed),
-            dice=float(mean[0]), precision=float(mean[1]), recall=float(mean[2]),
-        ))
-    return cells
+
+def _grid_task(args) -> GridCell:
+    """Train one beta on one key's corrupted targets, then score the model
+    on the clean test masks."""
+    (sigma2, seed), beta = args
+    ctx, targets = pool.context()
+    features = ctx.train_planes.transpose(1, 2, 0)  # (frames, pixels, N_FEATURES)
+    model, _ = _descend(
+        features, targets[sigma2, seed].astype(np.float64), replace(ctx.base_config, beta=beta)
+    )
+    triples = []
+    for pid in ctx.test_pids:
+        pred = predict(model, ctx.test_features[pid])  # (frames, pixels)
+        pred_vol = pred.reshape(pred.shape[0], *ctx.frame_shape)
+        triples.append(hard_metrics(pred_vol, ctx.test_masks[pid], ctx.threshold))
+    mean = np.array(triples, dtype=np.float64).mean(axis=0)
+    return GridCell(
+        beta=beta, sigma2=float(sigma2), seed=int(seed),
+        dice=float(mean[0]), precision=float(mean[1]), recall=float(mean[2]),
+    )
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    bundles in `numpy.libs/`, or None where there is no such library or
+    it lacks them."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, then
+    restore its thread count; a no-op where the library is not found.
+
+    A descent's matrix-vector products gain no wall time from a second
+    thread, only CPU time. Enter it in the parent before a pool forks:
+    forked workers inherit the count of one. Never call the setter in a
+    forked worker: after a fork, any setter call restarts OpenBLAS's
+    server thread, which spins. On a 2-core host, a forked child that
+    called `set_threads(1)` and then slept 0.2 s used 0.12-0.13 s of
+    CPU; one that only slept used none.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    saved = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(saved)
 
 
 def beta_gridsearch(
@@ -359,16 +412,18 @@ def beta_gridsearch(
 ) -> GridResult:
     """Corrupt train masks, train per beta, score on clean test masks.
 
-    The (sigma2, seed) cell is the unit of work and of parallelism: it
-    corrupts the train masks once and trains every beta on those same
-    targets (paired comparison). Corruption streams are keyed by
-    (seed, patient, frame), so results are independent of the job count.
-    At sigma2 = 0 every frame's k is 0 whatever the seed, so the first
-    seed's cell runs once and its results are reported under each seed.
-    With more than one cell and `jobs > 1`, cells run in `min(jobs,
-    cells)` spawned workers whose BLAS is pinned to one thread; a
-    one-cell grid runs in-process. Validation masks are never consumed by
-    the toy trainer, so their corruption (keyed the same way) is not
+    Each (sigma2, seed) cell corrupts the train masks once, in this
+    process, and every beta trains on those same targets (paired
+    comparison). Corruption streams are keyed by (seed, patient, frame),
+    so results are independent of the job count. At sigma2 = 0 every
+    frame's k is 0 whatever the seed, so the first seed's cell is
+    computed once and reported under each seed. The unit of work and of
+    parallelism is one beta of one distinct cell: `min(jobs, tasks)`
+    workers, forked where that is the platform default, inherit the
+    features and the bool targets of every cell, and the parent pins
+    numpy's bundled OpenBLAS to one thread before they start. A one-task
+    grid runs in-process. Validation masks are never consumed by the toy
+    trainer, so their corruption (keyed the same way) is not
     materialized here.
     """
     if jobs < 1:
@@ -379,10 +434,15 @@ def beta_gridsearch(
     if not betas or not sigma2_values or not seeds:
         raise ValueError("betas, sigma2_values and seeds must be non-empty")
     base = base_config if base_config is not None else TrainConfig()
-    ctx = _build_grid_context(records, split, betas, NoiseMode(mode), base, threshold)
-    tasks = [(s2, seed) for s2 in sigma2_values for seed in seeds]
-    key = {task: (task[0], task[1] if task[0] > 0 else seeds[0]) for task in tasks}
-    distinct = list(dict.fromkeys(key.values()))
-    results = dict(zip(distinct, pool.map_cells(_grid_cell, distinct, ctx, jobs, "spawn")))
-    cells = [replace(cell, seed=seed) for s2, seed in tasks for cell in results[key[s2, seed]]]
+    ctx = _build_grid_context(records, split, NoiseMode(mode), base, threshold)
+    grid_cells = [(s2, seed) for s2 in sigma2_values for seed in seeds]
+    key = {cell: (cell[0], cell[1] if cell[0] > 0 else seeds[0]) for cell in grid_cells}
+    targets = {k: _corrupted_targets(ctx, *k) for k in dict.fromkeys(key.values())}
+    tasks = [(k, beta) for k in targets for beta in betas]
+    with _one_blas_thread():
+        # A task is one descent (about 0.6 s at the default 200 epochs).
+        results = dict(zip(tasks, pool.map_cells(_grid_task, tasks, (ctx, targets), jobs, chunksize=1)))
+    cells = [
+        replace(results[key[s2, seed], beta], seed=seed) for s2, seed in grid_cells for beta in betas
+    ]
     return GridResult(betas=betas, sigma2_values=sigma2_values, seeds=seeds, cells=tuple(cells))

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -234,6 +236,22 @@ class TestTrain:
             train([], TrainConfig())
 
 
+needs_fork = pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                                reason="the platform's default start method is not fork")
+needs_openblas = pytest.mark.skipif(trainer._openblas_threads() is None,
+                                    reason="numpy's bundled OpenBLAS not found")
+
+
+def _append(path, line):
+    """Append one line to `path`; workers and the parent share the file."""
+    with open(path, "a") as f:
+        f.write(line + "\n")
+
+
+def _fail(*args):
+    raise RuntimeError("cell failed")
+
+
 @pytest.fixture(scope="module")
 def grid_setup(corpus):
     plan = make_folds([r.patient_id for r in corpus], 1, (4, 1, 3), seed=3)
@@ -301,8 +319,8 @@ class TestGridsearch:
     def test_each_cell_corrupts_train_masks_once(self, grid_setup, monkeypatch, sigma2_values, seeds, jobs):
         # Every beta of a (sigma2, seed) cell trains on the same corrupted
         # targets, so corruption runs once per cell and train patient,
-        # with no betas factor. The one-cell grid at jobs=4 must run
-        # in-process: calls in a worker would not reach this counter.
+        # with no betas factor. Corruption runs in the parent, so the
+        # counter sees it at jobs=4 too, where the betas train in workers.
         corpus, split = grid_setup
         calls = []
         original = trainer.corrupt_mask_volume
@@ -344,17 +362,113 @@ class TestGridsearch:
         for name in ("grid_scores.csv", "grid_dice_heatmap.svg"):
             assert (tmp_path / "joint" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
 
-    def test_cells_run_in_spawned_workers(self, grid_setup, monkeypatch):
-        # Spawned workers load BLAS after the thread-count variables are
-        # pinned; forked ones would inherit the parent's threaded BLAS.
+    @needs_fork
+    def test_forked_workers_inherit_one_blas_thread_and_never_call_the_setter(
+        self, grid_setup, monkeypatch, tmp_path
+    ):
+        # The parent pins BLAS before the pool forks. A setter call in a
+        # forked worker would restart OpenBLAS's spinning server thread.
         corpus, split = grid_setup
-        seen = []
-        monkeypatch.setattr(trainer.pool, "map_cells",
-                            lambda function, tasks, ctx, jobs, start_method=None:
-                            seen.append(start_method) or [[] for _ in tasks])
-        beta_gridsearch(corpus, split, betas=[1.0], mode=NoiseMode.DILATE,
-                        sigma2_values=[1.0], seeds=[0, 1], jobs=2)
-        assert seen == ["spawn"]
+        log = tmp_path / "calls"
+        threads = [4]
+
+        def set_threads(count):
+            _append(log, f"set {os.getpid()} {count}")
+            threads[0] = count
+
+        original = trainer._descend
+
+        def descend(*args):
+            _append(log, f"descend {os.getpid()} {threads[0]}")
+            return original(*args)
+
+        monkeypatch.setattr(trainer, "_openblas_threads", lambda: (lambda: threads[0], set_threads))
+        monkeypatch.setattr(trainer, "_descend", descend)
+        beta_gridsearch(corpus, split, betas=[0.5, 1.0], mode=NoiseMode.DILATE,
+                        sigma2_values=[1.0], seeds=[0, 1], base_config=TrainConfig(epochs=2), jobs=2)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        parent = str(os.getpid())
+        assert [c for c in calls if c[0] == "set"] == [["set", parent, "1"], ["set", parent, "4"]]
+        descents = [c for c in calls if c[0] == "descend"]
+        assert len(descents) == 4
+        assert all(pid != parent and count == "1" for _, pid, count in descents)
+        assert threads == [4]
+
+    @needs_fork
+    @needs_openblas
+    def test_forked_workers_report_one_openblas_thread(self, grid_setup, monkeypatch, tmp_path):
+        corpus, split = grid_setup
+        get_threads, set_threads = trainer._openblas_threads()
+        log = tmp_path / "threads"
+        original = trainer._descend
+
+        def descend(*args):
+            _append(log, str(get_threads()))
+            return original(*args)
+
+        monkeypatch.setattr(trainer, "_descend", descend)
+        saved = get_threads()
+        set_threads(2)
+        try:
+            beta_gridsearch(corpus, split, betas=[0.5, 1.0], mode=NoiseMode.DILATE,
+                            sigma2_values=[1.0], seeds=[0], base_config=TrainConfig(epochs=2), jobs=2)
+            assert get_threads() == 2
+        finally:
+            set_threads(saved)
+        assert log.read_text().split() == ["1", "1"]
+
+    @needs_fork
+    def test_one_cell_trains_its_betas_in_two_workers(self, grid_setup, monkeypatch, tmp_path):
+        corpus, split = grid_setup
+        kwargs = dict(betas=[0.5, 1.0], mode=NoiseMode.DILATE, sigma2_values=[2.0], seeds=[0],
+                      base_config=TrainConfig(epochs=5))
+        serial = beta_gridsearch(corpus, split, jobs=1, **kwargs)
+
+        # Each descent waits for the other: one worker holding both betas
+        # would break the barrier instead of training them in turn.
+        log = tmp_path / "pids"
+        barrier = multiprocessing.get_context("fork").Barrier(2)
+        contexts = []
+        original_descend, original_map = trainer._descend, trainer.pool.map_cells
+
+        def descend(*args):
+            _append(log, str(os.getpid()))
+            barrier.wait(timeout=60)
+            return original_descend(*args)
+
+        def map_cells(function, tasks, ctx, jobs, **kwargs):
+            contexts.append((ctx, kwargs))
+            return original_map(function, tasks, ctx, jobs, **kwargs)
+
+        monkeypatch.setattr(trainer, "_descend", descend)
+        monkeypatch.setattr(trainer.pool, "map_cells", map_cells)
+        parallel = beta_gridsearch(corpus, split, jobs=2, **kwargs)
+        pids = log.read_text().split()
+        assert len(set(pids)) == len(pids) == 2
+        assert str(os.getpid()) not in pids
+        ((_, targets), kwargs), = contexts
+        assert [t.dtype for t in targets.values()] == [np.dtype(bool)]
+        assert kwargs == {"chunksize": 1}  # a task is a whole descent
+
+        serial.write_outputs(tmp_path / "serial")
+        parallel.write_outputs(tmp_path / "parallel")
+        for name in ("grid_scores.csv", "grid_dice_heatmap.svg"):
+            assert (tmp_path / "parallel" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    def test_mixed_frame_shapes_rejected_before_any_feature(self, grid_setup, monkeypatch):
+        corpus, split = grid_setup
+        odd_id = split.test_ids[-1]
+        small = {r.patient_id: r for r in generate_corpus(
+            PhantomSpec(depth=4, height=48, width=48), count=len(corpus), seed=7)}
+        records = [small[r.patient_id] if r.patient_id == odd_id else r for r in corpus]
+
+        def no_features(*args):
+            raise AssertionError("features built before the shape check")
+
+        monkeypatch.setattr(trainer, "_feature_stack", no_features)
+        with pytest.raises(ValueError, match=rf"{odd_id}.*\(48, 48\).*{split.train_ids[0]}.*\(64, 64\)"):
+            beta_gridsearch(records, split, betas=[1.0], mode=NoiseMode.DILATE,
+                            sigma2_values=[1.0], seeds=[0])
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, grid_setup, jobs):
@@ -368,6 +482,48 @@ class TestGridsearch:
         with pytest.raises(ValueError, match="non-empty"):
             beta_gridsearch(corpus, split, betas=[], mode=NoiseMode.DILATE,
                             sigma2_values=[1.0], seeds=[0])
+
+
+@needs_openblas
+def test_in_process_cells_run_on_one_blas_thread_and_the_count_is_restored(grid_setup, monkeypatch):
+    corpus, split = grid_setup
+    kwargs = dict(betas=[1.0], mode=NoiseMode.DILATE, sigma2_values=[1.0], seeds=[0],
+                  base_config=TrainConfig(epochs=2), jobs=1)
+    get_threads, set_threads = trainer._openblas_threads()
+    seen = []
+    original = trainer._descend
+    monkeypatch.setattr(trainer, "_descend", lambda *args: seen.append(get_threads()) or original(*args))
+    saved = get_threads()
+    set_threads(2)
+    try:
+        before = get_threads()
+        beta_gridsearch(corpus, split, **kwargs)
+        assert seen == [1]
+        assert get_threads() == before
+        monkeypatch.setattr(trainer, "_descend", _fail)
+        with pytest.raises(RuntimeError):
+            beta_gridsearch(corpus, split, **kwargs)
+        assert get_threads() == before
+    finally:
+        set_threads(saved)
+
+
+def test_no_blas_pin_without_the_symbol(grid_setup, monkeypatch):
+    class NoSymbols:
+        pass
+
+    corpus, split = grid_setup
+    kwargs = dict(betas=[1.0], mode=NoiseMode.DILATE, sigma2_values=[1.0], seeds=[0],
+                  base_config=TrainConfig(epochs=2), jobs=1)
+    reference = beta_gridsearch(corpus, split, **kwargs)
+    trainer._openblas_threads.cache_clear()
+    monkeypatch.setattr(trainer.ctypes, "CDLL", lambda path: NoSymbols())
+    try:
+        assert trainer._openblas_threads() is None
+        assert beta_gridsearch(corpus, split, **kwargs).cells == reference.cells
+    finally:
+        monkeypatch.undo()
+        trainer._openblas_threads.cache_clear()
 
 
 def test_descend_peak_memory_stays_within_four_frame_arrays():
