@@ -13,6 +13,13 @@ Bundle layout (one directory per patient)::
 Prediction bundles mirror the layout with a single ``pred.raw`` holding
 float32 per-voxel probabilities.
 
+Float32 payloads are read through one checked block reader: a block of
+frames (about BLOCK_BYTES) at a time into one reused buffer, rejecting
+non-finite values. `load_mask` scans a bundle's intensities through it
+and keeps none, `write_patient` copies them through it, and
+`open_prediction` streams a prediction through it, each block also
+checked against [0, 1].
+
 The NIfTI importer covers exactly the subset needed to convert external
 volumes into bundles: single-file uncompressed NIfTI-1 (magic ``n+1``),
 3-D, datatypes uint8 / int16 / float32, either endianness. Anything
@@ -22,6 +29,7 @@ else is rejected.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Callable, Iterator
@@ -135,11 +143,11 @@ def _read_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> np.ndarray
     return arr
 
 
-def _scan_intensities(path: Path, shape: tuple[int, int, int], sink=None) -> None:
-    """Read a float32 payload a block of frames (about BLOCK_BYTES) at a
-    time into one reused buffer and reject non-finite values; with a
-    `sink` (a binary file), write each checked block to it. Nothing of
-    the payload is kept."""
+def _checked_blocks(path: Path, shape: tuple[int, int, int], message: str) -> Iterator[np.ndarray]:
+    """A float32 payload's frames, a block (about BLOCK_BYTES) at a time,
+    as (frames, H*W) views of one reused buffer. A block holding a
+    non-finite value raises ValueError(message) before it is yielded.
+    A consumer is done with a block when it asks for the next."""
     _check_raw(path, shape, "<f4")
     depth, frame = shape[0], shape[1] * shape[2]
     step = max(1, BLOCK_BYTES // (4 * frame))
@@ -151,9 +159,17 @@ def _scan_intensities(path: Path, shape: tuple[int, int, int], sink=None) -> Non
             if fh.readinto(block) != block.nbytes:
                 raise ValueError(f"{path} shrank while it was read")
             if not np.isfinite(block, out=finite[:len(block)]).all():
-                raise ValueError(f"{path} contains non-finite intensities")
-            if sink is not None:
-                sink.write(block)
+                raise ValueError(message)
+            yield block
+
+
+def _scan_intensities(path: Path, shape: tuple[int, int, int], sink=None) -> None:
+    """Check an intensity payload through the block reader; with a `sink`
+    (a binary file), write each checked block to it. Nothing of the
+    payload is kept."""
+    for block in _checked_blocks(path, shape, f"{path} contains non-finite intensities"):
+        if sink is not None:
+            sink.write(block)
 
 
 def _read_meta(bundle: Path, *keys: str) -> tuple[dict, tuple[int, int, int]]:
@@ -283,21 +299,35 @@ def write_prediction(patient_id: str, pred: np.ndarray, out_root: str | Path) ->
     return _write_payloads(bundle, meta, {"pred": np.ascontiguousarray(arr, dtype="<f4")})
 
 
-def load_prediction(path: str | Path) -> tuple[str, np.ndarray]:
-    """Load a prediction bundle; returns (patient_id, volume), the volume
-    as the read-only float32 array it holds."""
+def open_prediction(path: str | Path) -> tuple[str, tuple[int, int, int], Iterator[np.ndarray]]:
+    """A prediction bundle's (patient_id, shape, blocks): its checked
+    meta.json, and its frames as `_checked_blocks` yields them, each
+    block also checked against [0, 1]. The payload is read only as the
+    blocks are."""
     bundle = Path(path)
     meta, shape = _read_meta(bundle)
-    pred = _read_raw(bundle / "pred.raw", shape, "<f4")
-    if not np.isfinite(pred).all() or pred.min() < 0.0 or pred.max() > 1.0:
-        raise ValueError(f"prediction in {bundle} must be finite and in [0, 1]")
-    return str(meta["patient_id"]), pred
+    message = f"prediction in {bundle} must be finite and in [0, 1]"
+
+    def blocks():
+        for block in _checked_blocks(bundle / "pred.raw", shape, message):
+            if block.min() < 0.0 or block.max() > 1.0:
+                raise ValueError(message)
+            yield block
+    return str(meta["patient_id"]), shape, blocks()
 
 
-def load_predictions(root: str | Path) -> Iterator[tuple[str, np.ndarray]]:
-    """(patient_id, volume) for each prediction bundle under `root`, one
-    at a time, in directory order; two bundles of one id are an error."""
-    return _load_each(root, load_prediction, "prediction")
+def load_prediction(path: str | Path) -> tuple[str, np.ndarray]:
+    """Load a prediction bundle; returns (patient_id, volume), the volume
+    as the read-only float32 array it holds, checked as
+    `open_prediction` checks it."""
+    pid, shape, blocks = open_prediction(path)
+    pred = np.empty(shape, dtype="<f4")
+    frames, start = pred.reshape(shape[0], -1), 0
+    for block in blocks:
+        frames[start:start + len(block)] = block
+        start += len(block)
+    pred.setflags(write=False)
+    return pid, pred
 
 
 def read_nifti(path: str | Path) -> np.ndarray:
@@ -346,6 +376,8 @@ def read_nifti(path: str | Path) -> np.ndarray:
         raise ValueError(f"{path}: bitpix {bitpix} inconsistent with datatype {datatype}")
 
     (vox_offset,) = struct.unpack_from(endian + "f", blob, 108)
+    if not math.isfinite(vox_offset):
+        raise ValueError(f"{path}: vox_offset {vox_offset} is not finite")
     offset = int(vox_offset)
     if offset < 348:
         raise ValueError(f"{path}: vox_offset {vox_offset} below header size")

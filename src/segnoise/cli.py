@@ -11,7 +11,8 @@ Subcommands:
 Every command reads an optional JSON config (--config); flags override
 file values. `segnoise --emit-default-config` prints the full default
 tree. Outputs are byte-reproducible from config + seeds, and --jobs N
-never changes results, only wall time.
+never changes results, only wall time. Each command imports the
+modules it runs when it starts, so none pays for the others' imports.
 """
 
 from __future__ import annotations
@@ -27,20 +28,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .atomic import write_text
-from .bundleio import (
-    index_bundles,
-    load_mask,
-    load_masks,
-    load_predictions,
-    open_patient,
-    write_bundle,
-    write_patient,
-)
-from .folds import DatasetSplit
-from .metrics import ScoreTriple, finite_difference_grad_loss, grad_loss, score_frames
-from .noise import CorruptionReport, NoiseMode, corrupt_patient
-from .oracle import run_sweep
-from .trainer import beta_gridsearch
+from .specs import NoiseMode
 
 
 def _resolve_out(args_out, config) -> Path:
@@ -56,6 +44,8 @@ def _resolve_out(args_out, config) -> Path:
 
 
 def cmd_phantom(args, config) -> int:
+    from .bundleio import write_bundle
+
     if config["data"]["phantom"] is None:
         raise cfgmod.ConfigError("phantom generation needs data.phantom in the config")
     out = _resolve_out(args.out, config)
@@ -71,6 +61,9 @@ def cmd_corrupt(args, config) -> int:
     under corrupted/, one patient at a time. A bundle corpus is streamed:
     only one patient's mask is held, and each modality is copied through
     the checked block reader."""
+    from .bundleio import index_bundles, load_mask, open_patient, write_patient
+    from .noise import CorruptionReport, corrupt_patient
+
     out = _resolve_out(args.out, config)
     bundle_dir = out / "corrupted"
     root = config["data"]["path"]
@@ -116,6 +109,9 @@ def cmd_corrupt(args, config) -> int:
 def cmd_oracle(args, config) -> int:
     """The oracle sweep on masks alone: a bundle corpus is read through
     `load_masks`, which checks every bundle but keeps no intensities."""
+    from .bundleio import load_masks
+    from .oracle import run_sweep
+
     out = _resolve_out(args.out, config)
     root = config["data"]["path"]
     if root is None:
@@ -131,6 +127,8 @@ def cmd_oracle(args, config) -> int:
 
 
 def cmd_gridsearch(args, config) -> int:
+    from .trainer import beta_gridsearch
+
     out = _resolve_out(args.out, config)
     records = cfgmod.records_from(config)
     plan = cfgmod.foldplan_from(config, [r.patient_id for r in records])
@@ -152,6 +150,8 @@ def cmd_gridsearch(args, config) -> int:
 
 
 def cmd_gradcheck(args, config) -> int:
+    from .metrics import finite_difference_grad_loss, grad_loss
+
     gc = config["gradcheck"]
     if gc["eps"] < 1e-8:
         print(
@@ -180,16 +180,30 @@ def cmd_gradcheck(args, config) -> int:
 
 
 def cmd_score(args, config) -> int:
+    """Score each prediction bundle, in directory order, against its
+    patient's mask. One mask and one block of prediction frames are held
+    at a time, and each prediction value is checked once, as it is read.
+    Every ground-truth bundle gets the checks that `load_dataset` makes,
+    also those with no prediction, which are checked last."""
+    from .bundleio import index_bundles, load_mask, open_prediction
+    from .metrics import ScoreTriple, score_blocks
+
     out = _resolve_out(args.out, config)
     threshold = config["score"]["threshold"]
-    masks = load_masks(args.data)
+    patients = index_bundles(args.data)
+    predictions = index_bundles(args.pred, "prediction")
+    for pid in predictions:
+        if pid not in patients:
+            raise KeyError(f"prediction {pid!r} has no matching patient bundle")
 
     rows = []
     collected: dict[str, list[float]] = {}
-    for pid, pred in load_predictions(args.pred):
-        if pid not in masks:
-            raise KeyError(f"prediction {pid!r} has no matching patient bundle")
-        scores = score_frames(pred, masks[pid], threshold)
+    for pid, bundle in predictions.items():
+        mask = load_mask(patients[pid])[1]
+        shape, blocks = open_prediction(bundle)[1:]
+        if shape != mask.shape:
+            raise ValueError(f"prediction {pid!r} has shape {shape}, its mask {mask.shape}")
+        scores = score_blocks(blocks, mask, threshold)
         for name, value in (
             *((f"soft_{m}", v) for m, v in zip(ScoreTriple._fields, scores.soft)),
             *((f"hard_{m}", v) for m, v in zip(ScoreTriple._fields, scores.hard)),
@@ -197,7 +211,10 @@ def cmd_score(args, config) -> int:
         ):
             rows.append((pid, name, value))
             collected.setdefault(name, []).append(value)
-        del pred  # so that only one prediction is held while the next loads
+        del mask  # so that only one mask is held while the next loads
+    for pid, bundle in patients.items():
+        if pid not in predictions:
+            load_mask(bundle)
     for name in sorted(collected):
         rows.append(("ALL", name, float(np.mean(collected[name]))))
 

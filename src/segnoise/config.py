@@ -3,8 +3,10 @@
 One config tree drives every CLI command. The file is plain JSON; CLI
 flags override file values, and file values override the defaults
 below. The phantom, sweep and train defaults are those of `PhantomSpec`,
-`SweepConfig` and `TrainConfig`, and those dataclasses also range-check
-their sections. Validation is strict: unknown keys and wrong types are
+`SweepConfig` and `TrainConfig` (in `specs`, which imports only the
+standard library), and those dataclasses also range-check their
+sections. The modules that build data are imported by the builders
+that use them. Validation is strict: unknown keys and wrong types are
 errors, and exactly one data source (a bundle directory or a phantom
 spec) must be active.
 """
@@ -16,13 +18,13 @@ import json
 import math
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .folds import FoldPlan, make_folds
-from .noise import NoiseMode, NoiseSpec
-from .oracle import SweepConfig
-from .phantom import PhantomSpec, generate_corpus
-from .trainer import TrainConfig
-from .volume import PatientRecord
+from .specs import NoiseMode, NoiseSpec, PhantomSpec, SweepConfig, TrainConfig
+
+if TYPE_CHECKING:
+    from .folds import FoldPlan
+    from .volume import PatientRecord
 
 OUTPUT_DIR_ENV = "SEGNOISE_OUTDIR"
 
@@ -225,6 +227,7 @@ def phantom_spec_from(config: dict) -> PhantomSpec:
 def records_from(config: dict) -> list[PatientRecord]:
     """Materialize the configured data source."""
     from .bundleio import load_dataset
+    from .phantom import generate_corpus
 
     data = config["data"]
     if data["path"] is not None:
@@ -234,6 +237,8 @@ def records_from(config: dict) -> list[PatientRecord]:
 
 
 def foldplan_from(config: dict, ids) -> FoldPlan:
+    from .folds import make_folds
+
     folds = config["folds"]
     return make_folds(
         ids,

@@ -20,7 +20,10 @@ takes its own sums without a p * t temporary) all run through it, so
 triple comes from `score_triples`, which takes sums of any shape, so
 the oracle scores all its repetitions' integer counts in one call.
 Scores sum over the whole input, so the same functions score 2-D frames
-and 3-D volumes. When both inputs are bool or integer typed (binary
+and 3-D volumes. A volume's per-frame scores come from one loop,
+`score_blocks`, which reads the prediction a block of frames at a time:
+`score_frames` feeds it a checked array as one block, and `segnoise
+score` the blocks that `bundleio.open_prediction` streams. When both inputs are bool or integer typed (binary
 masks, thresholded predictions), tp, sum_p and sum_t are exact integer
 counts (`count_nonzero`) with no float copy of either array; sums of
 0/1 values are exact in float64 too, so both paths give the same bits.
@@ -28,11 +31,11 @@ counts (`count_nonzero`) with no float copy of either array; sums of
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .specs import check_beta
 from .volume import is_binary
 
 SMOOTHING = 1.0
@@ -92,13 +95,6 @@ def _check_arrays(p_arr: np.ndarray, t_arr: np.ndarray) -> tuple[np.ndarray, np.
     if not is_binary(t_arr):
         raise ValueError("target values must be exactly 0 or 1")
     return p_arr, t_arr
-
-
-def check_beta(beta) -> float:
-    b = float(beta)
-    if not math.isfinite(b) or b < 0.0:
-        raise ValueError("beta must be finite and >= 0")
-    return b
 
 
 def _whole_sums(p_arr: np.ndarray, t_arr: np.ndarray):
@@ -220,31 +216,46 @@ class VolumeScores(NamedTuple):
 
 def score_frames(pred, mask, threshold: float = 0.5) -> VolumeScores:
     """A (frames, H, W) prediction's soft and hard scores against `mask`
-    and its mean per-frame soft dice, from one walk over the frames.
-
-    The inputs are checked once. Each frame is widened to float64 on
-    its own, so a float32 prediction is never copied whole. The frame's
-    soft sums are those `soft_metrics` takes of that frame, and its hard
-    counts compare the float64 values with `threshold`, as
-    `hard_metrics` does, so hard scores and the framewise dice are
-    exact. The volume's soft sums add up the frames' sums, so they may
-    differ from `soft_metrics` of the whole volume in the last bit.
-    """
-    _check_threshold(threshold)
+    and its mean per-frame soft dice: `score_blocks` of the checked
+    inputs, the whole prediction as one block."""
     p_arr = np.asarray(pred)
     if p_arr.dtype.kind != "f":
         p_arr = _as_scored(p_arr)
     p_arr, t_arr = _check_arrays(p_arr, _as_scored(mask))
     if p_arr.ndim != 3:
         raise ValueError("frame-wise scoring expects 3-D arrays")
-    frame_sums = np.empty((3, p_arr.shape[0]))  # soft tp, sum_p, sum_t per frame
+    return score_blocks((p_arr,), t_arr, threshold)
+
+
+def score_blocks(blocks: Iterable[np.ndarray], mask: np.ndarray,
+                 threshold: float = 0.5) -> VolumeScores:
+    """`score_frames` of a prediction read as consecutive blocks of
+    frames, from one walk over the frames. Each block is a (frames, H,
+    W) or (frames, H*W) array whose values lie in [0, 1]; together the
+    blocks cover the frames of `mask`, a binary volume of the
+    prediction's shape. The caller checks all that; a block is read
+    once, before the next is asked for, so it may be a reused buffer.
+
+    Each frame is widened to float64 on its own, so a float32
+    prediction is never copied whole. The frame's soft sums are those
+    `soft_metrics` takes of that frame, and its hard counts compare the
+    float64 values with `threshold`, as `hard_metrics` does, so hard
+    scores and the framewise dice are exact. The volume's soft sums add
+    up the frames' sums, so they may differ from `soft_metrics` of the
+    whole volume in the last bit.
+    """
+    _check_threshold(threshold)
+    frame_sums = np.empty((3, mask.shape[0]))  # soft tp, sum_p, sum_t per frame
     counts = np.zeros(3, dtype=np.int64)  # hard tp, sum_p, sum_t of the volume
-    for index in range(p_arr.shape[0]):
-        p = p_arr[index].reshape(-1).astype(np.float64)
-        t = t_arr[index].reshape(-1) != 0
-        frame_sums[:, index] = confusion_sums(p, t)
-        above = p > threshold
-        counts += (np.count_nonzero(above & t), np.count_nonzero(above), np.count_nonzero(t))
+    index = 0
+    for block in blocks:
+        for frame in block:
+            p = frame.reshape(-1).astype(np.float64)
+            t = mask[index].reshape(-1) != 0
+            frame_sums[:, index] = confusion_sums(p, t)
+            above = p > threshold
+            counts += (np.count_nonzero(above & t), np.count_nonzero(above), np.count_nonzero(t))
+            index += 1
     numer, denom = f_beta_terms(*frame_sums, 1.0)
     tp, sum_p, _ = frame_sums.sum(axis=1)
     return VolumeScores(

@@ -30,7 +30,6 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -39,31 +38,8 @@ import numpy as np
 from .atomic import write_text
 from .folds import DatasetSplit
 from .morphology import SizeChange, capped_passes, dilate, erode, radius1_pass, size_change
+from .specs import NoiseMode, NoiseSpec
 from .volume import PatientRecord, validate_mask_volume
-
-
-class NoiseMode(str, Enum):
-    DILATE = "dilate"
-    ERODE = "erode"
-    RANDOM = "random"
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Corruption parameters; sampling is fixed once per (seed, frame)."""
-
-    mode: NoiseMode
-    sigma2: float
-    seed: int
-
-    RESAMPLE_POLICY = "fixed-once"
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode", NoiseMode(self.mode))
-        if not math.isfinite(self.sigma2) or self.sigma2 < 0:
-            raise ValueError("sigma2 must be finite and >= 0")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -233,21 +209,30 @@ def frame_states(keys: Sequence[tuple[int, int, int]]) -> list[dict]:
     return states
 
 
-def sample_scale(rng: np.random.Generator, sigma2: float) -> int:
-    """Contamination scale k = floor(|x|), x ~ N(0, sigma2)."""
+def _std(sigma2: float) -> float:
+    """The standard deviation of N(0, sigma2), once sigma2 is checked."""
     if not math.isfinite(sigma2) or sigma2 < 0:
         raise ValueError("sigma2 must be finite and >= 0")
-    x = rng.normal(0.0, math.sqrt(sigma2))
-    return int(math.floor(abs(x)))
+    return math.sqrt(sigma2)
 
 
-def _draw(rng: np.random.Generator, mode: NoiseMode, sigma2: float) -> tuple[NoiseMode, int]:
-    """One frame's (operation, k): random mode flips its fair coin first."""
+def _scale(rng: np.random.Generator, std: float) -> int:
+    return int(math.floor(abs(rng.normal(0.0, std))))
+
+
+def sample_scale(rng: np.random.Generator, sigma2: float) -> int:
+    """Contamination scale k = floor(|x|), x ~ N(0, sigma2)."""
+    return _scale(rng, _std(sigma2))
+
+
+def _draw(rng: np.random.Generator, mode: NoiseMode, std: float) -> tuple[NoiseMode, int]:
+    """One frame's (operation, k) with x ~ N(0, std**2): random mode
+    flips its fair coin first."""
     if mode is NoiseMode.RANDOM:
         op_mode = NoiseMode.DILATE if rng.random() < 0.5 else NoiseMode.ERODE
     else:
         op_mode = mode
-    return op_mode, sample_scale(rng, sigma2)
+    return op_mode, _scale(rng, std)
 
 
 def corrupt_frame(
@@ -258,7 +243,7 @@ def corrupt_frame(
     Random mode flips a fair coin for the operation first, then draws
     its own scale.
     """
-    op_mode, k = _draw(rng, NoiseMode(mode), sigma2)
+    op_mode, k = _draw(rng, NoiseMode(mode), _std(sigma2))
     if k == 0:
         out = np.asarray(frame, dtype=np.uint8).copy()
         return out, FrameCorruption(op="none", k=0, change=size_change(frame, out))
@@ -301,11 +286,12 @@ def _corrupted_groups(
     depth = mask.shape[0]
     frames = mask.view(bool)
     key = _patient_key(patient_id)
+    std = _std(sigma2)
     rng = np.random.Generator(np.random.PCG64(0))
     draws = []
     for state in frame_states([(seed, key, i) for seed in seeds for i in range(depth)]):
         rng.bit_generator.state = state
-        draws.append(_draw(rng, mode, sigma2))
+        draws.append(_draw(rng, mode, std))
     per_group = max(1, STACK_VOXELS // max(1, mask.size))
     for first in range(0, len(seeds), per_group):
         reps = min(per_group, len(seeds) - first)

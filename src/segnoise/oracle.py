@@ -36,27 +36,10 @@ from . import pool
 from .atomic import write_text
 from .folds import DatasetSplit, FoldPlan
 from .metrics import ScoreTriple, score_triples
-from .noise import NoiseMode, count_repetitions
+from .noise import count_repetitions
+from .specs import NoiseMode, SweepConfig
 from .svgplot import line_plot, write_svg
 from .volume import PatientRecord
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    modes: tuple[NoiseMode, ...] = (NoiseMode.DILATE, NoiseMode.ERODE, NoiseMode.RANDOM)
-    sigma2_values: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
-    repetitions: int = 20
-    seed: int = 123
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(NoiseMode(m) for m in self.modes))
-        object.__setattr__(self, "sigma2_values", tuple(float(s) for s in self.sigma2_values))
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if any(s < 0 for s in self.sigma2_values):
-            raise ValueError(f"sigma2_values must all be >= 0, got {self.sigma2_values}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -9,54 +9,10 @@ intensity noise. Everything is deterministic per seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .specs import PhantomSpec
 from .volume import MultiModalVolume, PatientRecord
-
-
-@dataclass(frozen=True)
-class PhantomSpec:
-    """Phantom geometry and intensities; its defaults are the config's."""
-
-    depth: int = 6
-    height: int = 64
-    width: int = 64
-    blobs_min: int = 1
-    blobs_max: int = 3
-    radius_min: float = 5.0
-    radius_max: float = 10.0
-    margin: int = 8
-    background_mean: float = 0.0
-    foreground_offset: float = 1.5
-    noise_std: float = 1.0
-    modalities: tuple[str, ...] = ("m0", "m1")
-
-    def __post_init__(self):
-        for name in ("depth", "height", "width"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.blobs_min < 0:
-            raise ValueError(f"blobs_min must be >= 0, got {self.blobs_min}")
-        if self.blobs_max < self.blobs_min:
-            raise ValueError(f"blobs_max must be >= blobs_min ({self.blobs_min}), got {self.blobs_max}")
-        if self.radius_min <= 0:
-            raise ValueError(f"radius_min must be > 0, got {self.radius_min}")
-        if self.radius_max < self.radius_min:
-            raise ValueError(f"radius_max must be >= radius_min ({self.radius_min}), got {self.radius_max}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        if not self.modalities:
-            raise ValueError("modalities must name at least one modality")
-        limit = min(self.height, self.width) - 1
-        if 2 * (self.margin + self.radius_max) > limit:
-            raise ValueError(
-                f"radius_max {self.radius_max} too large for a "
-                f"{self.height}x{self.width} frame with margin {self.margin}"
-            )
 
 
 def _frame_mask(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:

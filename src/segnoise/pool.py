@@ -5,13 +5,13 @@ over a list of small task tuples; the bulky, read-only data every cell
 needs (corpus, folds, features) is the context. It is installed in each
 worker by the pool initializer, so it crosses the process boundary at
 most once per worker (not at all under fork), never once per task.
+The process machinery is imported only when a pool starts, so that a
+command that runs in-process does not load it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -55,6 +55,9 @@ def map_cells(
             return [function(t) for t in tasks]
         finally:
             _install(None)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:

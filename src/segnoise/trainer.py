@@ -25,7 +25,8 @@ from . import pool
 from .atomic import write_text
 from .folds import DatasetSplit
 from .metrics import ScoreTriple, check_beta, f_beta_loss_grad, f_beta_terms, hard_metrics
-from .noise import NoiseMode, corrupt_mask_volume
+from .noise import corrupt_mask_volume
+from .specs import NoiseMode, TrainConfig
 from .svgplot import heatmap, write_svg
 from .volume import PatientRecord, is_binary, zscore_normalize
 
@@ -38,27 +39,6 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int):
         super().__init__(f"training diverged: non-finite loss at epoch {epoch}")
         self.epoch = epoch
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 4.0
-    epochs: int = 200
-    beta: float = 1.0
-    seed: int = 0
-    init_scale: float = 0.0
-
-    def __post_init__(self):
-        # learning_rate 0 is allowed so a no-op descent stays expressible.
-        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValueError("learning_rate must be finite and >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        check_beta(self.beta)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not math.isfinite(self.init_scale) or self.init_scale < 0:
-            raise ValueError("init_scale must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 
@@ -365,7 +366,7 @@ class TestInterruptedWrites:
         if writer == "bundle":
             assert [r.patient_id for r in load_dataset(tmp_path)] == ["a"]
         else:
-            assert [pid for pid, _ in bundleio.load_predictions(tmp_path)] == ["a"]
+            assert list(bundleio.index_bundles(tmp_path, "prediction")) == ["a"]
 
 
 class TestBundleErrors:
@@ -498,6 +499,30 @@ class TestPredictions:
             load_prediction(bundle)
 
 
+class TestPredictionStream:
+    def test_blocks_are_the_payload_in_order(self, tmp_path, monkeypatch):
+        pred = np.random.default_rng(4).random((5, 2, 4))
+        bundle = write_prediction("case-9", pred, tmp_path)
+        monkeypatch.setattr(bundleio, "BLOCK_BYTES", 2 * 4 * 8)
+        pid, shape, blocks = bundleio.open_prediction(bundle)
+        copies = [np.array(block) for block in blocks]
+        assert (pid, shape) == ("case-9", (5, 2, 4))
+        assert [len(b) for b in copies] == [2, 2, 1]
+        assert np.concatenate(copies).tobytes() == pred.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5, 1.5])
+    def test_bad_value_in_the_last_block_rejected(self, tmp_path, monkeypatch, bad):
+        bundle = write_prediction("case-9", np.full((5, 2, 4), 0.5), tmp_path)
+        _raw_edit("pred.raw", -1, bad, "<f4")(bundle)
+        monkeypatch.setattr(bundleio, "BLOCK_BYTES", 2 * 4 * 8)
+        blocks = bundleio.open_prediction(bundle)[2]
+        assert len(next(blocks)) == 2 and len(next(blocks)) == 2
+        with pytest.raises(ValueError, match=rf"prediction in {re.escape(str(bundle))} must be finite"):
+            next(blocks)
+        with pytest.raises(ValueError, match=r"must be finite and in \[0, 1\]"):
+            load_prediction(bundle)
+
+
 class TestNifti:
     @pytest.mark.parametrize("datatype,asdtype", [("u1", np.uint8), ("i2", np.int16), ("f4", np.float32)])
     def test_roundtrip_dtypes(self, tmp_path, datatype, asdtype):
@@ -514,6 +539,17 @@ class TestNifti:
         path = tmp_path / "be.nii"
         write_nifti(path, data, "i2", endian=">")
         assert np.array_equal(read_nifti(path), data)
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    @pytest.mark.parametrize("vox_offset", [np.inf, -np.inf, np.nan, 1e30])
+    def test_non_finite_or_huge_vox_offset_rejected(self, tmp_path, vox_offset, endian):
+        path = tmp_path / "vol.nii"
+        write_nifti(path, np.zeros((2, 2, 2), dtype=np.float32), "f4", endian=endian)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(endian + "f", blob, 108, vox_offset)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="not finite|truncated"):
+            read_nifti(path)
 
     def test_gzip_rejected(self, tmp_path):
         path = tmp_path / "vol.nii.gz"

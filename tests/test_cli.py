@@ -1,16 +1,22 @@
 import argparse
 import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segnoise
 from segnoise import bundleio
 from segnoise import config as cfgmod
 from segnoise.bundleio import index_bundles, load_dataset, write_bundle, write_prediction
 from segnoise.cli import _config_overrides, build_parser, main
 from segnoise.phantom import PhantomSpec, generate_corpus
+from segnoise.volume import MultiModalVolume, PatientRecord
 
 
 def tree_bytes(root: Path) -> dict:
@@ -100,6 +106,28 @@ def test_option_strings_pinned():
     for name, sub in found.items():
         options = sorted(s for action in sub._actions for s in action.option_strings)
         assert options == sorted(OPTION_STRINGS[name]), name
+
+
+def test_importing_the_cli_loads_no_command_modules():
+    src = str(Path(segnoise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, segnoise.cli; "
+            "print(sorted(set(sys.argv[1:]) & set(sys.modules)))")
+    heavy = ["segnoise.trainer", "segnoise.oracle", "multiprocessing"]
+    run = subprocess.run([sys.executable, "-c", code, *heavy], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
+def test_package_names_load_on_first_use():
+    from segnoise import noise, specs
+
+    assert set(segnoise.__all__) <= set(dir(segnoise))
+    assert segnoise.NoiseMode is noise.NoiseMode is specs.NoiseMode
+    for name in segnoise.__all__:
+        assert getattr(segnoise, name) is not None
+    with pytest.raises(AttributeError, match="no_such_name"):
+        segnoise.no_such_name
 
 
 class TestPhantomCmd:
@@ -432,3 +460,80 @@ class TestScoreCmd:
         rc = main(["score", "--pred", str(pred_dir), "--data", str(src), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "stranger" in capsys.readouterr().err
+
+
+class TestStreamedScore:
+    """`score` holds one mask and one block of prediction frames at a time."""
+
+    SHAPE = (128, 64, 64)
+
+    @classmethod
+    def corpus(cls, tmp_path, predicted=("a", "b", "c", "d")):
+        data, preds = tmp_path / "data", tmp_path / "preds"
+        rng = np.random.default_rng(0)
+        for pid in ("a", "b", "c", "d"):
+            mask = (rng.random(cls.SHAPE) < 0.3).astype(np.uint8)
+            grids = {"t1": rng.normal(size=cls.SHAPE).astype(np.float32)}
+            write_bundle(PatientRecord(volume=MultiModalVolume(patient_id=pid, modalities=grids),
+                                       mask=mask), data)
+        for pid in predicted:
+            write_prediction(pid, rng.random(cls.SHAPE), preds)
+        return data, preds
+
+    @staticmethod
+    def score(data, preds, out):
+        args = build_parser().parse_args(
+            ["score", "--pred", str(preds), "--data", str(data), "--out", str(out)])
+        return args.func(args, cfgmod.load_config(None, _config_overrides(args)))
+
+    def test_holds_one_mask_and_one_block(self, tmp_path, monkeypatch):
+        data, preds = self.corpus(tmp_path)
+        frame = self.SHAPE[1] * self.SHAPE[2]
+        block = 2 * 4 * frame  # two float32 frames
+        monkeypatch.setattr(bundleio, "BLOCK_BYTES", block)
+        mask = int(np.prod(self.SHAPE))  # one uint8 mask
+        tracemalloc.start()
+        try:
+            assert self.score(data, preds, tmp_path / "out") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One mask, one block and its finiteness flags (a quarter of it),
+        # a frame's temporaries (the float64 frame, p * t and bool frames:
+        # under four float64 frames), numpy's reduction buffer of
+        # getbufsize() float64s, and as much again for the parser, config
+        # and rows. A second mask would not fit.
+        reduction = 8 * np.getbufsize()
+        assert peak <= mask + block + block // 4 + 4 * 8 * frame + 2 * reduction
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5])
+    def test_bad_value_in_the_last_block_names_the_bundle(self, tmp_path, monkeypatch, bad):
+        data, preds = self.corpus(tmp_path)
+        last = preds / "d"
+        values = np.fromfile(last / "pred.raw", dtype="<f4")
+        values[-1] = bad
+        values.tofile(last / "pred.raw")
+        monkeypatch.setattr(bundleio, "BLOCK_BYTES", 8 * 4 * self.SHAPE[1] * self.SHAPE[2])
+        with pytest.raises(ValueError, match=f"prediction in {re.escape(str(last))} must be finite"):
+            self.score(data, preds, tmp_path / "out")
+        assert not (tmp_path / "out" / "scores.csv").exists()
+
+    @pytest.mark.parametrize("raw, index, value, dtype", [("mask.raw", 5, 2, "u1"),
+                                                          ("t1.raw", -1, np.nan, "<f4")],
+                             ids=["non-binary-mask", "nan-intensity"])
+    def test_bundle_without_a_prediction_is_still_checked(self, tmp_path, raw, index, value, dtype):
+        data, preds = self.corpus(tmp_path, predicted=("a", "c"))
+        values = np.fromfile(data / "b" / raw, dtype=dtype)
+        values[index] = value
+        values.tofile(data / "b" / raw)
+        with pytest.raises(ValueError, match="mask volume values|non-finite"):
+            self.score(data, preds, tmp_path / "out")
+        assert not (tmp_path / "out" / "scores.csv").exists()
+
+    def test_prediction_of_another_shape_rejected(self, tmp_path):
+        data, preds = self.corpus(tmp_path, predicted=("a",))
+        # As many voxels as the mask, in frames of another shape.
+        write_prediction("b", np.full((128, 32, 128), 0.5), preds)
+        with pytest.raises(ValueError, match=r"'b' has shape \(128, 32, 128\), its mask \(128, 64, 64\)"):
+            self.score(data, preds, tmp_path / "out")
+        assert not (tmp_path / "out" / "scores.csv").exists()

@@ -245,6 +245,26 @@ class TestCountRepetitions:
         assert (tp.tolist(), sum_p.tolist(), sum_t) == volume_counts(mask, mode, 9.0, [7, 8, 9], "p")
 
 
+class TestDrawsCheckSigma2Once:
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_one_check_and_root_per_call(self, mode, monkeypatch):
+        mask = small_corpus(count=1, depth=6, seed=2)[0].mask
+        expected = count_repetitions(mask, mode, 3.0, [1, 2, 3], "p")
+        calls = []
+        real_std = noise._std
+        monkeypatch.setattr(noise, "_std", lambda sigma2: calls.append(sigma2) or real_std(sigma2))
+        got = count_repetitions(mask, mode, 3.0, [1, 2, 3], "p")
+        assert calls == [3.0]
+        assert [a.tolist() for a in got[:2]] + [got[2]] == [a.tolist() for a in expected[:2]] + [expected[2]]
+
+    @pytest.mark.parametrize("sigma2", [-1.0, math.inf, math.nan])
+    def test_bad_sigma2_rejected_before_any_draw(self, sigma2, monkeypatch):
+        mask = small_corpus(count=1, depth=3, seed=2)[0].mask
+        monkeypatch.setattr(noise, "frame_states", lambda keys: pytest.fail("drew frames"))
+        with pytest.raises(ValueError, match="sigma2 must be finite"):
+            count_repetitions(mask, NoiseMode.DILATE, sigma2, [1], "p")
+
+
 class TestHugeSigma2:
     def test_passes_are_capped_and_report_keeps_the_drawn_k(self):
         mask = small_corpus(count=1, depth=5, seed=3)[0].mask
