@@ -121,7 +121,7 @@ def write_bundle(record: PatientRecord, out_root: str | Path) -> Path:
 def _check_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> Path:
     if not path.is_file():
         raise FileNotFoundError(f"missing raw file: {path}")
-    expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
     actual = path.stat().st_size
     if actual != expected:
         raise ValueError(
@@ -302,14 +302,15 @@ def write_prediction(patient_id: str, pred: np.ndarray, out_root: str | Path) ->
 def open_prediction(path: str | Path) -> tuple[str, tuple[int, int, int], Iterator[np.ndarray]]:
     """A prediction bundle's (patient_id, shape, blocks): its checked
     meta.json, and its frames as `_checked_blocks` yields them, each
-    block also checked against [0, 1]. The payload is read only as the
-    blocks are."""
+    block also checked against [0, 1]. The payload's size is checked
+    here; its values are read only as the blocks are."""
     bundle = Path(path)
     meta, shape = _read_meta(bundle)
+    raw = _check_raw(bundle / "pred.raw", shape, "<f4")
     message = f"prediction in {bundle} must be finite and in [0, 1]"
 
     def blocks():
-        for block in _checked_blocks(bundle / "pred.raw", shape, message):
+        for block in _checked_blocks(raw, shape, message):
             if block.min() < 0.0 or block.max() > 1.0:
                 raise ValueError(message)
             yield block

@@ -12,7 +12,9 @@ Every command reads an optional JSON config (--config); flags override
 file values. `segnoise --emit-default-config` prints the full default
 tree. Outputs are byte-reproducible from config + seeds, and --jobs N
 never changes results, only wall time. Each command imports the
-modules it runs when it starts, so none pays for the others' imports.
+modules it runs when it starts, so none pays for the others' imports;
+importing this module loads no numpy. No command uses a second BLAS
+thread, so `main` has numpy's OpenBLAS start with one.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
+from . import pool
 from .atomic import write_text
 from .specs import NoiseMode
 
@@ -150,6 +151,8 @@ def cmd_gridsearch(args, config) -> int:
 
 
 def cmd_gradcheck(args, config) -> int:
+    import numpy as np
+
     from .metrics import finite_difference_grad_loss, grad_loss
 
     gc = config["gradcheck"]
@@ -185,6 +188,8 @@ def cmd_score(args, config) -> int:
     at a time, and each prediction value is checked once, as it is read.
     Every ground-truth bundle gets the checks that `load_dataset` makes,
     also those with no prediction, which are checked last."""
+    import numpy as np
+
     from .bundleio import index_bundles, load_mask, open_prediction
     from .metrics import ScoreTriple, score_blocks
 
@@ -330,6 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # OpenBLAS reads these once, as numpy loads; each the user left
+        # unset becomes 1, so that no idle BLAS thread starts.
+        for name in pool._BLAS_THREAD_VARS:
+            os.environ.setdefault(name, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.emit_default_config:

@@ -57,14 +57,19 @@ def f_beta_terms(tp, sum_p, sum_t, b2: float):
     return (1.0 + b2) * tp + SMOOTHING, b2 * sum_t + sum_p + SMOOTHING
 
 
-def f_beta_loss_grad(t: np.ndarray, numer, denom, b2: float) -> np.ndarray:
+def f_beta_loss_grad(
+    t: np.ndarray, numer, denom, b2: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """d(1 - N/D)/dp for targets (..., pixels) and N, D of shape (...).
 
     The partial w.r.t. p_i is (N - (1+b2)*t_i*D) / D^2, computed as
     N/D^2 - (1+b2)*t_i/D so that the result is the only full-size array.
+    Targets may be bool or 0/1 floats. With `out` (a float64 array of
+    t's shape) the result is written there and `out` returned, so a
+    caller that loops allocates nothing full-size.
     """
     numer, denom = np.expand_dims(numer, -1), np.expand_dims(denom, -1)
-    grad = t * (-(1.0 + b2) / denom)
+    grad = np.multiply(t, -(1.0 + b2) / denom, out=out)
     grad += numer / (denom * denom)
     return grad
 

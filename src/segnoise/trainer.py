@@ -81,10 +81,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic 1 / (1 + exp(-z)) as 0.5 * (1 + tanh(z / 2)), which cannot
     overflow; overwrites the float64 array z and returns it."""
     z *= 0.5
-    np.tanh(z, out=z)
-    z += 1.0
-    z *= 0.5
-    return z
+    return _sigmoid_from_half(z)
+
+
+def _sigmoid_from_half(h: np.ndarray) -> np.ndarray:
+    """The logistic of 2h, 0.5 * (1 + tanh(h)), over the float64 array h
+    in place: `_sigmoid` after its halving step."""
+    np.tanh(h, out=h)
+    h += 1.0
+    h *= 0.5
+    return h
 
 
 def extract_features(frame) -> np.ndarray:
@@ -136,11 +142,13 @@ def _descend(
 ) -> tuple[LinearSegmenter, list[float]]:
     """Full-batch gradient descent on the mean per-frame f-beta loss.
 
-    features: (frames, pixels, N_FEATURES); targets: (frames, pixels).
-    Loss and d loss / d p come from the metrics kernel, one frame per row;
-    tp is an einsum, so no p * t product is materialized. Each epoch
-    holds two (frames, pixels) arrays: p, reused across epochs, and the
-    gradient.
+    features: (frames, pixels, N_FEATURES); targets: (frames, pixels),
+    bool or 0/1 floats, read as they are. Loss and d loss / d p come from
+    the metrics kernel, one frame per row; tp is an einsum, so no p * t
+    product is materialized. The descent holds two (frames, pixels)
+    float64 arrays, p and the gradient, both allocated once and
+    overwritten each epoch. `_sigmoid`'s halving is folded into the
+    weights, which is exact: halving commutes with rounding.
     """
     w = _initial_weights(config)
     b2 = float(config.beta) ** 2
@@ -148,10 +156,11 @@ def _descend(
     flat_features = np.reshape(features, (-1, N_FEATURES))
     sum_t = targets.sum(axis=-1)
     p = np.empty((n_frames, n_pixels))
+    grad_z = np.empty_like(p)
     history = []
     for epoch in range(config.epochs):
-        np.matmul(flat_features, w, out=p.reshape(-1))
-        _sigmoid(p)
+        np.matmul(flat_features, 0.5 * w, out=p.reshape(-1))
+        _sigmoid_from_half(p)
         tp = np.einsum("fp,fp->f", p, targets)
         numer, denom = f_beta_terms(tp, p.sum(axis=-1), sum_t, b2)
         mean_loss = float((1.0 - numer / denom).mean())
@@ -159,7 +168,7 @@ def _descend(
             raise TrainingDiverged(epoch)
         history.append(mean_loss)
         # dL/dz = dL/dp * p * (1 - p), with 1 - p written over p.
-        grad_z = f_beta_loss_grad(targets, numer, denom, b2)
+        f_beta_loss_grad(targets, numer, denom, b2, out=grad_z)
         grad_z *= p
         grad_z *= np.subtract(1.0, p, out=p)
         grad_w = grad_z.reshape(-1) @ flat_features / n_frames
@@ -175,10 +184,10 @@ def train(samples, config: TrainConfig) -> tuple[LinearSegmenter, list[float]]:
     if len(shapes) != 1:
         raise ValueError(f"all frames must share one shape, got {sorted(shapes)}")
     feats = _feature_stack((img for img, _ in samples), len(samples), shapes.pop())
-    targets = np.stack([np.asarray(mask, dtype=np.float64).reshape(-1) for _, mask in samples])
+    targets = np.stack([np.asarray(mask).reshape(-1) for _, mask in samples])
     if not is_binary(targets):
         raise ValueError("mask values must be exactly 0 or 1")
-    return _descend(feats, targets, config)
+    return _descend(feats, targets.astype(bool, copy=False), config)
 
 
 @dataclass(frozen=True)
@@ -319,9 +328,7 @@ def _grid_task(args) -> GridCell:
     (sigma2, seed), beta = args
     ctx, targets = pool.context()
     features = ctx.train_planes.transpose(1, 2, 0)  # (frames, pixels, N_FEATURES)
-    model, _ = _descend(
-        features, targets[sigma2, seed].astype(np.float64), replace(ctx.base_config, beta=beta)
-    )
+    model, _ = _descend(features, targets[sigma2, seed], replace(ctx.base_config, beta=beta))
     triples = []
     for pid in ctx.test_pids:
         pred = predict(model, ctx.test_features[pid])  # (frames, pixels)
@@ -359,8 +366,12 @@ def _one_blas_thread():
     restore its thread count; a no-op where the library is not found.
 
     A descent's matrix-vector products gain no wall time from a second
-    thread, only CPU time. Enter it in the parent before a pool forks:
-    forked workers inherit the count of one. Never call the setter in a
+    thread, only CPU time. A CLI run has loaded OpenBLAS on one thread
+    already (`cli.main` sets the thread variables the user left unset
+    before numpy loads), so there the pin changes no count; it serves
+    library callers, whose numpy loaded with its default thread pool.
+    Enter it in the parent before a pool forks: forked workers inherit
+    the count of one. Never call the setter in a
     forked worker: after a fork, any setter call restarts OpenBLAS's
     server thread, which spins. On a 2-core host, a forked child that
     called `set_threads(1)` and then slept 0.2 s used 0.12-0.13 s of

@@ -444,6 +444,37 @@ class TestBundleErrors:
             load_patient(bundle)
 
 
+@pytest.mark.parametrize("shape", [[2**32, 2**32, 1], [2**62, 4, 1]])
+def test_huge_shape_with_empty_payloads_fails_the_size_check_first(tmp_path, shape):
+    # The expected byte count is an exact integer: an int64 product wraps
+    # both shapes to 0 bytes, which empty payloads would match.
+    corpus, preds = tmp_path / "corpus", tmp_path / "preds"
+    bundle = write_bundle(sample_record(), corpus)
+    pred = write_prediction("case-1", np.zeros((2, 4, 4)), preds)
+    for raw in [*bundle.glob("*.raw"), *pred.glob("*.raw")]:
+        raw.write_bytes(b"")
+    edit_meta(bundle, shape=shape)
+    edit_meta(pred, shape=shape)
+    readers = {
+        "load_patient": lambda: load_patient(bundle),
+        "open_patient": lambda: open_patient(bundle),
+        "load_mask": lambda: bundleio.load_mask(bundle),
+        "load_dataset": lambda: load_dataset(corpus),
+        "load_masks": lambda: load_masks(corpus),
+        "open_prediction": lambda: bundleio.open_prediction(pred),
+        "load_prediction": lambda: load_prediction(pred),
+    }
+    for name, read in readers.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="shape mismatch.*0 bytes on disk"):
+                read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, name
+
+
 class TestUnsafeNames:
     def test_write_bundle_rejects_unsafe_patient_id(self, tmp_path):
         out = tmp_path / "out"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import segnoise
-from segnoise import bundleio
+from segnoise import bundleio, pool, trainer
 from segnoise import config as cfgmod
 from segnoise.bundleio import index_bundles, load_dataset, write_bundle, write_prediction
 from segnoise.cli import _config_overrides, build_parser, main
@@ -108,15 +108,59 @@ def test_option_strings_pinned():
         assert options == sorted(OPTION_STRINGS[name]), name
 
 
-def test_importing_the_cli_loads_no_command_modules():
+def _fresh_interpreter_env(**extra) -> dict:
+    """This environment without the BLAS thread variables, plus `extra`,
+    with this checkout's segnoise first on PYTHONPATH."""
     src = str(Path(segnoise.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = {k: v for k, v in os.environ.items() if k not in pool._BLAS_THREAD_VARS}
+    return {**env, **extra,
+            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def test_importing_the_cli_loads_no_command_modules():
+    env = _fresh_interpreter_env()
     code = ("import sys, segnoise.cli; "
             "print(sorted(set(sys.argv[1:]) & set(sys.modules)))")
-    heavy = ["segnoise.trainer", "segnoise.oracle", "multiprocessing"]
+    heavy = ["segnoise.trainer", "segnoise.oracle", "multiprocessing", "numpy"]
     run = subprocess.run([sys.executable, "-c", code, *heavy], env=env, capture_output=True,
                          text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+needs_openblas = pytest.mark.skipif(trainer._openblas_threads() is None,
+                                    reason="numpy's bundled OpenBLAS not found")
+TINY_GRADCHECK = ["gradcheck", "--trials", "1", "--height", "4", "--width", "4"]
+
+
+def _cli_then_blas_threads(**thread_env) -> int:
+    """OpenBLAS's thread count in a fresh interpreter after `cli.main`
+    ran a tiny gradcheck, with only `thread_env` of the BLAS thread
+    variables set."""
+    env = _fresh_interpreter_env(**thread_env)
+    code = ("import sys; from segnoise import cli; assert cli.main(sys.argv[1:]) == 0; "
+            "from segnoise import trainer; print('threads', trainer._openblas_threads()[0]())")
+    run = subprocess.run([sys.executable, "-c", code, *TINY_GRADCHECK], env=env,
+                         capture_output=True, text=True, check=True)
+    return int(run.stdout.split()[-1])
+
+
+@needs_openblas
+def test_cli_starts_openblas_on_one_thread():
+    assert _cli_then_blas_threads() == 1
+
+
+@needs_openblas
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the core count")
+def test_cli_keeps_the_users_blas_thread_count():
+    assert _cli_then_blas_threads(OPENBLAS_NUM_THREADS="2") == 2
+
+
+def test_cli_leaves_the_environment_alone_once_numpy_is_loaded(monkeypatch, capsys):
+    for name in pool._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    assert main(TINY_GRADCHECK) == 0
+    assert dict(os.environ) == before
 
 
 def test_package_names_load_on_first_use():

@@ -210,6 +210,17 @@ class TestGradLoss:
         scale = np.maximum(np.abs(reference), n / (d * d))
         assert np.all(np.abs(grad - reference) <= 1e-15 * scale)
 
+    @pytest.mark.parametrize("dtype", [bool, np.float64])
+    def test_kernel_writes_into_out_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(9)
+        p = rng.random((7, 300))
+        t = (rng.random((7, 300)) < 0.4).astype(dtype)
+        numer, denom = f_beta_terms(*confusion_sums(p, t), 0.36)
+        buf = np.full(t.shape, np.nan)
+        assert f_beta_loss_grad(t, numer, denom, 0.36, out=buf) is buf
+        assert buf.tobytes() == f_beta_loss_grad(t, numer, denom, 0.36).tobytes()
+        assert buf.tobytes() == f_beta_loss_grad(t.astype(np.float64), numer, denom, 0.36).tobytes()
+
     def test_gradient_nonnegative_for_empty_target_beta_zero(self):
         rng = np.random.default_rng(6)
         p = rng.uniform(0.05, 0.95, size=(8, 8))

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from segnoise import config as cfgmod
 from segnoise import trainer
 from segnoise.folds import make_folds
 from segnoise.metrics import hard_metrics, loss, soft_dice
@@ -540,6 +541,43 @@ def test_descend_peak_memory_stays_within_four_frame_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * frames * pixels * 8
+
+
+def test_descend_peak_memory_on_bool_targets_stays_within_three_frame_arrays():
+    # p and the gradient are allocated once, and bool targets are read as
+    # they are: no float64 copy of the targets, no gradient per epoch.
+    rng = np.random.default_rng(8)
+    frames, pixels = 48, 4096
+    features = rng.normal(size=(frames, pixels, 5))
+    targets = rng.random((frames, pixels)) < 0.3
+    tracemalloc.start()
+    try:
+        _descend(features, targets, TrainConfig(epochs=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * frames * pixels * 8
+
+
+@pytest.fixture(scope="module")
+def default_grid_inputs():
+    """The default grid's train features and its sigma2 = 4, seed 2 targets."""
+    config = cfgmod.DEFAULT_CONFIG
+    records = cfgmod.records_from(config)
+    split = cfgmod.foldplan_from(config, [r.patient_id for r in records]).folds[0]
+    ctx = trainer._build_grid_context(records, split, NoiseMode.DILATE, TrainConfig(), 0.5)
+    return ctx.train_planes.transpose(1, 2, 0), trainer._corrupted_targets(ctx, 4.0, 2)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.4, 1.0, 2.0])
+def test_descend_on_bool_targets_is_bit_identical_to_float_targets(default_grid_inputs, beta):
+    features, targets = default_grid_inputs
+    train_config = TrainConfig(beta=beta, epochs=25)
+    on_bool = _descend(features, targets, train_config)
+    on_float = _descend(features, targets.astype(np.float64), train_config)
+    assert targets.dtype == bool
+    assert on_bool[0].weights.tobytes() == on_float[0].weights.tobytes()
+    assert on_bool[1] == on_float[1]
 
 
 class TestTrainConfigValidation:
