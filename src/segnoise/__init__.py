@@ -13,8 +13,8 @@ _MODULES = {
                  "write_bundle"),
     "folds": ("DatasetSplit", "FoldPlan", "make_folds"),
     "metrics": ("ScoreTriple", "aggregate_framewise", "f_beta", "grad_loss", "hard_metrics",
-                "loss", "score_frames", "score_volumewise", "soft_dice", "soft_metrics",
-                "soft_precision", "soft_recall"),
+                "loss", "score_volumewise", "soft_dice", "soft_metrics", "soft_precision",
+                "soft_recall"),
     "morphology": ("STRUCTURING_ELEMENT", "SizeChange", "dilate", "erode", "mask_area",
                    "size_change"),
     "noise": ("CorruptionReport", "corrupt_dataset", "corrupt_frame", "corrupt_mask_volume",

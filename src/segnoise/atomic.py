@@ -1,8 +1,10 @@
 """Atomic file outputs: a reader finds either the old file or the whole
-new one, never a partial write."""
+new one, never a partial write. `csv_text` is the one CSV writer."""
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,6 +29,17 @@ def write_text(path: str | Path, text: str) -> Path:
     with replacing(path, "x", encoding="utf-8") as fh:
         fh.write(text)
     return Path(path)
+
+
+def csv_text(header, rows) -> str:
+    """CSV text with Unix line ends: a float cell as format(value,
+    ".10g"), None as an empty cell, any other cell as csv writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(v, ".10g") if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
 
 
 def write_bytes(path: str | Path, data) -> Path:

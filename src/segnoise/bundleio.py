@@ -178,7 +178,10 @@ def _read_meta(bundle: Path, *keys: str) -> tuple[dict, tuple[int, int, int]]:
     meta_path = bundle / META_NAME
     if not meta_path.is_file():
         raise FileNotFoundError(f"missing {META_NAME} in {bundle}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except RecursionError:
+        raise ValueError(f"{meta_path}: JSON nested too deeply") from None
     for key in ("patient_id", "shape", "byte_order", *keys):
         if not isinstance(meta, dict) or key not in meta:
             raise ValueError(f"{meta_path}: missing key {key!r}")
@@ -263,28 +266,15 @@ def index_bundles(root: str | Path, what: str = "patient") -> dict[str, Path]:
     return index
 
 
-def _load_each(root: str | Path, load: Callable, what: str) -> Iterator[tuple[str, object]]:
-    """The (patient id, item) pair `load(bundle)` returns for each bundle
-    of `index_bundles(root)`, one at a time: the generator keeps no
-    reference to an item it has yielded."""
-    for bundle in index_bundles(root, what).values():
-        yield load(bundle)
-
-
-def _load_record(bundle: Path) -> tuple[str, PatientRecord]:
-    record = load_patient(bundle)
-    return record.patient_id, record
-
-
 def load_dataset(root: str | Path) -> list[PatientRecord]:
     """Load every patient bundle directly under `root`, sorted by id."""
-    return [record for _, record in _load_each(root, _load_record, "patient")]
+    return [load_patient(bundle) for bundle in index_bundles(root).values()]
 
 
 def load_masks(root: str | Path) -> dict[str, np.ndarray]:
     """Every patient's mask under `root`, by id. The bundles pass every
     check that `load_dataset` makes, but no intensities are kept."""
-    return dict(_load_each(root, load_mask, "patient"))
+    return dict(load_mask(bundle) for bundle in index_bundles(root).values())
 
 
 def write_prediction(patient_id: str, pred: np.ndarray, out_root: str | Path) -> Path:

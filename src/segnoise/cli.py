@@ -14,21 +14,19 @@ tree. Outputs are byte-reproducible from config + seeds, and --jobs N
 never changes results, only wall time. Each command imports the
 modules it runs when it starts, so none pays for the others' imports;
 importing this module loads no numpy. No command uses a second BLAS
-thread, so `main` has numpy's OpenBLAS start with one.
+thread, so `main` has numpy's OpenBLAS start with one (see `pool`).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from pathlib import Path
 
 from . import config as cfgmod
 from . import pool
-from .atomic import write_text
+from .atomic import csv_text, write_text
 from .specs import NoiseMode
 
 
@@ -223,12 +221,7 @@ def cmd_score(args, config) -> int:
     for name in sorted(collected):
         rows.append(("ALL", name, float(np.mean(collected[name]))))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["patient_id", "metric", "value"])
-    for pid, name, value in rows:
-        writer.writerow([pid, name, format(value, ".10g")])
-    write_text(out / "scores.csv", buf.getvalue())
+    write_text(out / "scores.csv", csv_text(("patient_id", "metric", "value"), rows))
     patients = len(collected["framewise_soft_dice"])
     print(f"scored {patients} patients (volume-wise); wrote {out / 'scores.csv'}")
     return 0
@@ -335,11 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if "numpy" not in sys.modules:
-        # OpenBLAS reads these once, as numpy loads; each the user left
-        # unset becomes 1, so that no idle BLAS thread starts.
-        for name in pool._BLAS_THREAD_VARS:
-            os.environ.setdefault(name, "1")
+    pool.start_blas_on_one_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.emit_default_config:

@@ -186,20 +186,24 @@ def default_config_json() -> str:
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> dict:
     """Defaults, overlaid with the JSON file when given, then with
-    `overrides` (a partial tree, as from CLI flags); validated once."""
+    `overrides` (a partial tree, as from CLI flags); validated once.
+    A file nested too deeply to parse, copy or print is a ConfigError."""
     config = DEFAULT_CONFIG
-    if path is not None:
-        file_path = Path(path)
-        if not file_path.is_file():
-            raise FileNotFoundError(f"config file not found: {file_path}")
-        try:
-            user = json.loads(file_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {file_path}: invalid JSON ({exc})") from exc
-        if not isinstance(user, dict):
-            raise ConfigError(f"config {file_path}: top level must be an object")
-        config = _merge_section(config, user, "")
-    return validate_config(_merge_section(config, overrides or {}, ""))
+    try:
+        if path is not None:
+            file_path = Path(path)
+            if not file_path.is_file():
+                raise FileNotFoundError(f"config file not found: {file_path}")
+            try:
+                user = json.loads(file_path.read_text())
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config {file_path}: invalid JSON ({exc})") from exc
+            if not isinstance(user, dict):
+                raise ConfigError(f"config {file_path}: top level must be an object")
+            config = _merge_section(config, user, "")
+        return validate_config(_merge_section(config, overrides or {}, ""))
+    except RecursionError:
+        raise ConfigError(f"config {path}: JSON nested too deeply") from None
 
 
 def _build(cls, config: dict, path: str):

@@ -21,12 +21,12 @@ triple comes from `score_triples`, which takes sums of any shape, so
 the oracle scores all its repetitions' integer counts in one call.
 Scores sum over the whole input, so the same functions score 2-D frames
 and 3-D volumes. A volume's per-frame scores come from one loop,
-`score_blocks`, which reads the prediction a block of frames at a time:
-`score_frames` feeds it a checked array as one block, and `segnoise
-score` the blocks that `bundleio.open_prediction` streams. When both inputs are bool or integer typed (binary
-masks, thresholded predictions), tp, sum_p and sum_t are exact integer
-counts (`count_nonzero`) with no float copy of either array; sums of
-0/1 values are exact in float64 too, so both paths give the same bits.
+`score_blocks`, which reads the prediction a block of frames at a time,
+as `bundleio.open_prediction` streams them to `segnoise score`. When
+both inputs are bool or integer typed (binary masks, thresholded
+predictions), tp, sum_p and sum_t are exact integer counts
+(`count_nonzero`) with no float copy of either array; sums of 0/1
+values are exact in float64 too, so both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -85,10 +85,7 @@ def _as_scored(x) -> np.ndarray:
 
 
 def _check_pair(p, t) -> tuple[np.ndarray, np.ndarray]:
-    return _check_arrays(_as_scored(p), _as_scored(t))
-
-
-def _check_arrays(p_arr: np.ndarray, t_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    p_arr, t_arr = _as_scored(p), _as_scored(t)
     if p_arr.shape != t_arr.shape:
         raise ValueError(f"prediction/target shapes differ: {p_arr.shape} vs {t_arr.shape}")
     if p_arr.size == 0:
@@ -219,23 +216,11 @@ class VolumeScores(NamedTuple):
     framewise_dice: float
 
 
-def score_frames(pred, mask, threshold: float = 0.5) -> VolumeScores:
-    """A (frames, H, W) prediction's soft and hard scores against `mask`
-    and its mean per-frame soft dice: `score_blocks` of the checked
-    inputs, the whole prediction as one block."""
-    p_arr = np.asarray(pred)
-    if p_arr.dtype.kind != "f":
-        p_arr = _as_scored(p_arr)
-    p_arr, t_arr = _check_arrays(p_arr, _as_scored(mask))
-    if p_arr.ndim != 3:
-        raise ValueError("frame-wise scoring expects 3-D arrays")
-    return score_blocks((p_arr,), t_arr, threshold)
-
-
 def score_blocks(blocks: Iterable[np.ndarray], mask: np.ndarray,
                  threshold: float = 0.5) -> VolumeScores:
-    """`score_frames` of a prediction read as consecutive blocks of
-    frames, from one walk over the frames. Each block is a (frames, H,
+    """A (frames, H, W) prediction's soft and hard scores against `mask`
+    and its mean per-frame soft dice, from one walk over the prediction
+    read as consecutive blocks of frames. Each block is a (frames, H,
     W) or (frames, H*W) array whose values lie in [0, 1]; together the
     blocks cover the frames of `mask`, a binary volume of the
     prediction's shape. The caller checks all that; a block is read

@@ -15,27 +15,25 @@ One mask volume is corrupted once per seed a group of repetitions at a
 time: every frame's op and k are drawn, the frames that need passes are
 stacked, and each radius-1 pass runs once per op over the stack (never
 more than `capped_passes` per frame; the reported k is the drawn one).
-Two consumers read the groups: `corrupt_repetitions` yields each
-repetition's volume, and `count_repetitions` returns each repetition's
-(tp, sum_p) against the mask from the stack's rows and the clean
-frames' counts, without building a volume. `corrupt_mask_volume` is the
-one-seed case of `corrupt_repetitions`, and `corrupt_frame` is the
-per-frame reference all must match.
+Two consumers read the groups: `corrupt_mask_volume` builds the one
+volume of a single seed, and `count_repetitions` returns each of many
+repetitions' (tp, sum_p) against the mask from the stack's rows and the
+clean frames' counts, without building a volume. `corrupt_frame` is the
+per-frame reference both must match.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .atomic import write_text
+from .atomic import csv_text, write_text
 from .folds import DatasetSplit
 from .morphology import SizeChange, capped_passes, dilate, erode, radius1_pass, size_change
 from .specs import NoiseMode, NoiseSpec
@@ -70,13 +68,8 @@ class CorruptionReport:
     CSV_COLUMNS = ("patient_id", "frame", "mode", "op", "k", "s_original", "s_modified", "delta_s")
 
     def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_COLUMNS)
-        for r in self.records:
-            delta = "" if r.delta_s is None else format(r.delta_s, ".10g")
-            writer.writerow([r.patient_id, r.frame, r.mode, r.op, r.k, r.s_original, r.s_modified, delta])
-        return buf.getvalue()
+        # The columns are the fields; astuple would deep-copy each (27 us a row).
+        return csv_text(self.CSV_COLUMNS, map(attrgetter(*self.CSV_COLUMNS), self.records))
 
     def to_csv(self, path: str | Path) -> None:
         write_text(path, self.to_csv_string())
@@ -305,36 +298,6 @@ def _corrupted_groups(
         del stack  # before the next group's stack is built
 
 
-def _corrupt_each(mask: np.ndarray, mode: NoiseMode, sigma2: float, seeds: Sequence[int],
-                  patient_id: str) -> Iterator[tuple[np.ndarray, list[tuple[NoiseMode, int]]]]:
-    """`corrupt_repetitions` on a validated uint8 mask volume."""
-    frames = mask.view(bool)
-    for group, stack, rep_index, frame_index in _corrupted_groups(mask, mode, sigma2, seeds,
-                                                                    patient_id):
-        for rep, draws in enumerate(group):
-            positions = np.flatnonzero(rep_index == rep)
-            volume = frames.copy()
-            volume[frame_index[positions]] = stack[positions]
-            yield volume.view(np.uint8), draws
-        del stack
-
-
-def corrupt_repetitions(
-    mask_volume, mode: NoiseMode, sigma2: float, seeds: Sequence[int], patient_id: str
-) -> Iterator[tuple[np.ndarray, list[tuple[NoiseMode, int]]]]:
-    """Yield, for each seed in order, the mask volume corrupted with the
-    keyed streams of (seed, patient_id, frame) and its frames' (op, k).
-
-    All seeds' streams are derived in one `frame_states` call. The
-    repetitions are corrupted in groups of at most STACK_VOXELS voxels:
-    a group's frames with k > 0 form one stack, dilated frames first,
-    each op's frames deepest first, and each radius-1 pass runs once per
-    op over the frames whose k it has not reached yet.
-    """
-    return _corrupt_each(validate_mask_volume(mask_volume), NoiseMode(mode), sigma2,
-                         seeds, patient_id)
-
-
 def _frame_counts(frames: np.ndarray) -> np.ndarray:
     """count_nonzero of each frame, one whole frame at a time: its fast
     path, which the axis form (a bool sum) does not take."""
@@ -361,9 +324,9 @@ def count_repetitions(
     """(tp, sum_p, sum_t) of each seed's corrupted volume against the
     mask: tp and sum_p as int64 arrays in seed order, sum_t the mask's
     voxel count. They equal `count_nonzero` of `corrupted & mask` and of
-    `corrupted` for the volumes `corrupt_repetitions` yields, but no
-    volume is built: each corrupted frame's counts replace its clean
-    frame's in the mask's totals.
+    `corrupted` for the volumes `corrupt_mask_volume` builds, one seed
+    at a time, but no volume is built: each corrupted frame's counts
+    replace its clean frame's in the mask's totals.
     """
     mask = validate_mask_volume(mask_volume)
     frames = mask.view(bool)
@@ -387,11 +350,15 @@ def corrupt_mask_volume(
 ) -> tuple[np.ndarray, list[FrameCorruption]]:
     """Corrupt every frame of one mask volume with keyed RNG streams.
 
-    The one-seed case of `corrupt_repetitions`, equal to `corrupt_frame`
-    on each frame with `frame_rng(seed, patient_id, index)`.
+    Equal to `corrupt_frame` on each frame with `frame_rng(seed,
+    patient_id, index)`: the one group of `_corrupted_groups` for one
+    seed, its stack written over a copy of the mask.
     """
     mask = validate_mask_volume(mask_volume)
-    ((out, draws),) = _corrupt_each(mask, NoiseMode(mode), sigma2, [seed], patient_id)
+    (((draws,), stack, _, frame_index),) = _corrupted_groups(mask, NoiseMode(mode), sigma2,
+                                                             [seed], patient_id)
+    out = mask.copy()
+    out.view(bool)[frame_index] = stack
     outcomes = [
         FrameCorruption(op=op.value if k else "none", k=k, change=SizeChange(int(before), int(after)))
         for (op, k), before, after in zip(draws, _frame_counts(mask), _frame_counts(out))

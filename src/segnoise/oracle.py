@@ -23,8 +23,6 @@ context is ({patient id: mask}, folds).
 
 from __future__ import annotations
 
-import csv
-import io
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,12 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from . import pool
-from .atomic import write_text
+from .atomic import csv_text, write_text
 from .folds import DatasetSplit, FoldPlan
 from .metrics import ScoreTriple, score_triples
 from .noise import count_repetitions
 from .specs import NoiseMode, SweepConfig
-from .svgplot import line_plot, write_svg
+from .svgplot import line_plot
 from .volume import PatientRecord
 
 
@@ -128,9 +126,7 @@ class SweepResult:
 
     def to_score_csv_string(self) -> str:
         """ScoreTable rows: per-fold means over repetitions."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["mode", "sigma2", "beta", "fold", "subset", "metric", "value"])
+        rows = []
         fold_indices = sorted({s.fold for s in self.samples})
         for mode in self.config.modes:
             for sigma2 in self.config.sigma2_values:
@@ -139,26 +135,17 @@ class SweepResult:
                     fold_cells = [s for s in cells if s.fold == fold_index]
                     for metric in ScoreTriple._fields:
                         value = float(np.mean([getattr(s.triple, metric) for s in fold_cells]))
-                        writer.writerow(
-                            [mode.value, format(sigma2, ".10g"), "", fold_index, "test",
-                             metric, format(value, ".10g")]
-                        )
-        return buf.getvalue()
+                        rows.append((mode.value, sigma2, None, fold_index, "test", metric, value))
+        return csv_text(("mode", "sigma2", "beta", "fold", "subset", "metric", "value"), rows)
 
     def to_summary_csv_string(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["mode", "sigma2", "metric", "mean", "std", "samples"])
+        rows = []
         for mode in self.config.modes:
             for metric in ScoreTriple._fields:
                 means, stds = self.curve(mode, metric)
                 for sigma2, mean, std in zip(self.config.sigma2_values, means, stds):
-                    n = len(self.cells(mode, sigma2))
-                    writer.writerow(
-                        [mode.value, format(sigma2, ".10g"), metric,
-                         format(mean, ".10g"), format(std, ".10g"), n]
-                    )
-        return buf.getvalue()
+                    rows.append((mode.value, sigma2, metric, mean, std, len(self.cells(mode, sigma2))))
+        return csv_text(("mode", "sigma2", "metric", "mean", "std", "samples"), rows)
 
     def metric_svg(self, metric: str) -> str:
         series = {}
@@ -171,21 +158,17 @@ class SweepResult:
             title=f"Oracle {metric} vs noise scale",
             x_label="sigma2",
             y_label=metric,
-            dashed=True,
-            y_range=(0.0, 1.05),
         )
 
     def write_outputs(self, out_dir: str | Path) -> list[Path]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        written = []
-        written.append(write_text(out / "oracle_scores.csv", self.to_score_csv_string()))
-        written.append(write_text(out / "oracle_summary.csv", self.to_summary_csv_string()))
-        for metric in ScoreTriple._fields:
-            svg = out / f"oracle_{metric}.svg"
-            write_svg(svg, self.metric_svg(metric))
-            written.append(svg)
-        return written
+        return [
+            write_text(out / "oracle_scores.csv", self.to_score_csv_string()),
+            write_text(out / "oracle_summary.csv", self.to_summary_csv_string()),
+            *(write_text(out / f"oracle_{metric}.svg", self.metric_svg(metric))
+              for metric in ScoreTriple._fields),
+        ]
 
 
 def run_sweep(
@@ -202,9 +185,9 @@ def run_sweep(
     test ids are checked here, before any worker starts. Each task is a
     (fold, mode, sigma2) point with all its repetitions. With `jobs > 1`
     the points run in `min(jobs, points)` workers started the platform's
-    default way (fork on Linux: the points run no BLAS, and a forked
-    worker starts without re-importing the package), each given
-    ({patient id: mask}, folds) once.
+    default way (fork on Linux: a forked worker starts without
+    re-importing the package), each given ({patient id: mask}, folds)
+    once.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

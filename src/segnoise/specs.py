@@ -36,8 +36,6 @@ class NoiseSpec:
     sigma2: float
     seed: int
 
-    RESAMPLE_POLICY = "fixed-once"
-
     def __post_init__(self):
         object.__setattr__(self, "mode", NoiseMode(self.mode))
         if not math.isfinite(self.sigma2) or self.sigma2 < 0:

@@ -7,14 +7,13 @@ dependency or display.
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from .atomic import write_text
-
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 _W, _H = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 30, 40, 55
+# Line plots show scores: dashed lines over a fixed y range.
+_Y_LO, _Y_HI = 0.0, 1.05
+_DASH = ' stroke-dasharray="6,4"'
 
 
 def _fmt(value: float) -> str:
@@ -32,16 +31,10 @@ def line_plot(
     title: str,
     x_label: str,
     y_label: str,
-    dashed: bool = False,
-    y_range: tuple[float, float] | None = None,
 ) -> str:
-    """Multi-series line plot; series maps label -> y values over x_values."""
+    """Multi-series line plot of scores; series maps label -> y values
+    over x_values."""
     xs = [float(v) for v in x_values]
-    if y_range is None:
-        flat = [v for ys in series.values() for v in ys]
-        lo, hi = (min(flat), max(flat)) if flat else (0.0, 1.0)
-        pad = 0.05 * (hi - lo or 1.0)
-        y_range = (lo - pad, hi + pad)
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
 
     parts = [
@@ -65,8 +58,8 @@ def line_plot(
         parts.append(
             f'<text x="{_fmt(px)}" y="{plot_h[0] + 18}" text-anchor="middle">{_fmt(xv)}</text>'
         )
-    for yv in (y_range[0], (y_range[0] + y_range[1]) / 2, y_range[1]):
-        (py,) = _scale([yv], y_range[0], y_range[1], *plot_h)
+    for yv in (_Y_LO, (_Y_LO + _Y_HI) / 2, _Y_HI):
+        (py,) = _scale([yv], _Y_LO, _Y_HI, *plot_h)
         parts.append(
             f'<text x="{plot_w[0] - 8}" y="{_fmt(py + 4)}" text-anchor="end">{_fmt(yv)}</text>'
         )
@@ -78,21 +71,20 @@ def line_plot(
         f'transform="rotate(-90 18 {(plot_h[0] + plot_h[1]) / 2})">{y_label}</text>'
     )
 
-    dash = ' stroke-dasharray="6,4"' if dashed else ""
     for idx, (label, ys) in enumerate(series.items()):
         color = PALETTE[idx % len(PALETTE)]
         px = _scale(xs, x_lo, x_hi, *plot_w)
-        py = _scale([float(v) for v in ys], y_range[0], y_range[1], *plot_h)
+        py = _scale([float(v) for v in ys], _Y_LO, _Y_HI, *plot_h)
         points = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
         parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="{points}"/>'
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{_DASH} points="{points}"/>'
         )
         for a, b in zip(px, py):
             parts.append(f'<circle cx="{_fmt(a)}" cy="{_fmt(b)}" r="2.5" fill="{color}"/>')
         ly = _MARGIN_T + 14 * idx
         parts.append(
             f'<line x1="{plot_w[1] - 110}" y1="{ly}" x2="{plot_w[1] - 86}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="1.5"{dash}/>'
+            f'stroke="{color}" stroke-width="1.5"{_DASH}/>'
         )
         parts.append(f'<text x="{plot_w[1] - 80}" y="{ly + 4}">{label}</text>')
     parts.append("</svg>")
@@ -171,6 +163,3 @@ def heatmap(
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def write_svg(path: str | Path, content: str) -> None:
-    write_text(path, content)

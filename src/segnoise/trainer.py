@@ -10,24 +10,19 @@ it measurable in seconds. Training is deterministic per config.
 
 from __future__ import annotations
 
-import csv
-import ctypes
-import functools
-import io
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import pool
-from .atomic import write_text
+from .atomic import csv_text, write_text
 from .folds import DatasetSplit
 from .metrics import ScoreTriple, check_beta, f_beta_loss_grad, f_beta_terms, hard_metrics
 from .noise import corrupt_mask_volume
 from .specs import NoiseMode, TrainConfig
-from .svgplot import heatmap, write_svg
+from .svgplot import heatmap
 from .volume import PatientRecord, is_binary, zscore_normalize
 
 N_FEATURES = 5
@@ -77,16 +72,11 @@ def _box_std(arr: np.ndarray, radius: int) -> np.ndarray:
     return np.sqrt(np.clip(mean_sq - mean * mean, 0.0, None))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic 1 / (1 + exp(-z)) as 0.5 * (1 + tanh(z / 2)), which cannot
-    overflow; overwrites the float64 array z and returns it."""
-    z *= 0.5
-    return _sigmoid_from_half(z)
-
-
 def _sigmoid_from_half(h: np.ndarray) -> np.ndarray:
-    """The logistic of 2h, 0.5 * (1 + tanh(h)), over the float64 array h
-    in place: `_sigmoid` after its halving step."""
+    """The logistic of 2h, 1 / (1 + exp(-2h)), as 0.5 * (1 + tanh(h)),
+    which cannot overflow; overwrites the float64 array h and returns it.
+    Callers halve the weights instead of the logits, which is exact:
+    halving commutes with rounding."""
     np.tanh(h, out=h)
     h += 1.0
     h *= 0.5
@@ -127,7 +117,7 @@ def predict(model: LinearSegmenter, features: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature arity {feats.shape[-1]} != weight count {model.weights.shape[0]}"
         )
-    return _sigmoid(feats @ model.weights)
+    return _sigmoid_from_half(feats @ (0.5 * model.weights))
 
 
 def _initial_weights(config: TrainConfig) -> np.ndarray:
@@ -147,8 +137,7 @@ def _descend(
     the metrics kernel, one frame per row; tp is an einsum, so no p * t
     product is materialized. The descent holds two (frames, pixels)
     float64 arrays, p and the gradient, both allocated once and
-    overwritten each epoch. `_sigmoid`'s halving is folded into the
-    weights, which is exact: halving commutes with rounding.
+    overwritten each epoch.
     """
     w = _initial_weights(config)
     b2 = float(config.beta) ** 2
@@ -218,15 +207,7 @@ class GridResult:
         return float(np.mean(values))
 
     def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_COLUMNS)
-        for c in self.cells:
-            writer.writerow(
-                [format(c.beta, ".10g"), format(c.sigma2, ".10g"), c.seed,
-                 format(c.dice, ".10g"), format(c.precision, ".10g"), format(c.recall, ".10g")]
-            )
-        return buf.getvalue()
+        return csv_text(self.CSV_COLUMNS, map(astuple, self.cells))
 
     def heatmap_svg(self) -> str:
         grid = [
@@ -248,7 +229,7 @@ class GridResult:
         csv_path = out / "grid_scores.csv"
         write_text(csv_path, self.to_csv_string())
         svg_path = out / "grid_dice_heatmap.svg"
-        write_svg(svg_path, self.heatmap_svg())
+        write_text(svg_path, self.heatmap_svg())
         return [csv_path, svg_path]
 
 
@@ -341,55 +322,6 @@ def _grid_task(args) -> GridCell:
     )
 
 
-@functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy
-    bundles in `numpy.libs/`, or None where there is no such library or
-    it lacks them."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get_threads = lib.scipy_openblas_get_num_threads64_
-            set_threads = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        return get_threads, set_threads
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's bundled OpenBLAS on one thread, then
-    restore its thread count; a no-op where the library is not found.
-
-    A descent's matrix-vector products gain no wall time from a second
-    thread, only CPU time. A CLI run has loaded OpenBLAS on one thread
-    already (`cli.main` sets the thread variables the user left unset
-    before numpy loads), so there the pin changes no count; it serves
-    library callers, whose numpy loaded with its default thread pool.
-    Enter it in the parent before a pool forks: forked workers inherit
-    the count of one. Never call the setter in a
-    forked worker: after a fork, any setter call restarts OpenBLAS's
-    server thread, which spins. On a 2-core host, a forked child that
-    called `set_threads(1)` and then slept 0.2 s used 0.12-0.13 s of
-    CPU; one that only slept used none.
-    """
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get_threads, set_threads = blas
-    saved = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(saved)
-
-
 def beta_gridsearch(
     records: list[PatientRecord],
     split: DatasetSplit,
@@ -411,9 +343,8 @@ def beta_gridsearch(
     computed once and reported under each seed. The unit of work and of
     parallelism is one beta of one distinct cell: `min(jobs, tasks)`
     workers, forked where that is the platform default, inherit the
-    features and the bool targets of every cell, and the parent pins
-    numpy's bundled OpenBLAS to one thread before they start. A one-task
-    grid runs in-process. Validation masks are never consumed by the toy
+    features and the bool targets of every cell, on one BLAS thread
+    (`pool.map_cells`). A one-task grid runs in-process. Validation masks are never consumed by the toy
     trainer, so their corruption (keyed the same way) is not
     materialized here.
     """
@@ -430,9 +361,8 @@ def beta_gridsearch(
     key = {cell: (cell[0], cell[1] if cell[0] > 0 else seeds[0]) for cell in grid_cells}
     targets = {k: _corrupted_targets(ctx, *k) for k in dict.fromkeys(key.values())}
     tasks = [(k, beta) for k in targets for beta in betas]
-    with _one_blas_thread():
-        # A task is one descent (about 0.6 s at the default 200 epochs).
-        results = dict(zip(tasks, pool.map_cells(_grid_task, tasks, (ctx, targets), jobs, chunksize=1)))
+    # A task is one descent (about 0.6 s at the default 200 epochs).
+    results = dict(zip(tasks, pool.map_cells(_grid_task, tasks, (ctx, targets), jobs, chunksize=1)))
     cells = [
         replace(results[key[s2, seed], beta], seed=seed) for s2, seed in grid_cells for beta in betas
     ]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segnoise import atomic
-from segnoise.atomic import write_bytes, write_text
+from segnoise.atomic import csv_text, write_bytes, write_text
 
 
 def test_writes_the_text_and_replaces_an_old_file(tmp_path):
@@ -75,3 +75,14 @@ def test_bytes_write_an_array_and_keep_the_old_file_on_failure(tmp_path, monkeyp
         write_bytes(target, np.zeros(6, dtype=np.uint8))
     assert target.read_bytes() == grid.tobytes()
     assert os.listdir(tmp_path) == ["mask.raw"]
+
+
+def test_csv_text_formats_floats_and_none_and_keeps_the_rest():
+    rows = [(0.1 + 0.2, np.float64(1 / 3), None, 7, "a,b", True),
+            (1e-20, np.float64(2.0), "", np.int64(-3), "x", 0)]
+    assert csv_text(("f", "g", "none", "int", "str", "flag"), rows) == (
+        "f,g,none,int,str,flag\n"
+        '0.3,0.3333333333,,7,"a,b",True\n'
+        "1e-20,2,,-3,x,0\n"
+    )
+    assert csv_text(["only"], []) == "only\n"

@@ -65,6 +65,15 @@ def tree(root):
     return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
 
 
+def nested_meta_writer(bundle, key):
+    """A function of `depth` that rewrites the bundle's meta.json with
+    `key` set to empty lists nested `depth` deep."""
+    meta = json.loads((bundle / "meta.json").read_text())
+    text = json.dumps({**meta, key: "NESTED"})
+    return lambda depth: (bundle / "meta.json").write_text(
+        text.replace('"NESTED"', "[" * depth + "]" * depth))
+
+
 class TestBundleRoundtrip:
     def test_write_then_load_preserves_everything(self, tmp_path):
         rec = sample_record()
@@ -473,6 +482,27 @@ def test_huge_shape_with_empty_payloads_fails_the_size_check_first(tmp_path, sha
         finally:
             tracemalloc.stop()
         assert peak < 2**20, name
+
+
+@pytest.mark.parametrize("key", ["patient_id", "shape", "byte_order", "modalities"])
+def test_deeply_nested_meta_json_is_a_value_error(tmp_path, key):
+    # 100000 levels are too deep to parse; around the parser's depth limit
+    # a value either fails to parse or parses and then fails a check.
+    bundle = write_bundle(sample_record(), tmp_path / "data")
+    pred = write_prediction("case-1", np.zeros((2, 4, 4)), tmp_path / "preds")
+    readers = [lambda: bundleio.load_mask(bundle)]
+    if key != "modalities":  # only patient bundles need modalities
+        readers += [lambda: bundleio.index_bundles(tmp_path / "data"),
+                    lambda: bundleio.open_prediction(pred)]
+    writers = [nested_meta_writer(bundle, key), nested_meta_writer(pred, key)]
+    for depth in (100_000, *range(800, 1000, 10)):
+        for write in writers:
+            write(depth)
+        for read in readers:
+            with pytest.raises(ValueError) as exc:
+                read()
+            if depth == 100_000:
+                assert str(exc.value).endswith("meta.json: JSON nested too deeply")
 
 
 class TestUnsafeNames:

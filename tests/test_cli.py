@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import segnoise
-from segnoise import bundleio, pool, trainer
+from segnoise import bundleio, pool
 from segnoise import config as cfgmod
 from segnoise.bundleio import index_bundles, load_dataset, write_bundle, write_prediction
 from segnoise.cli import _config_overrides, build_parser, main
@@ -79,6 +79,24 @@ class TestTopLevel:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["config", "meta"])
+    def test_deeply_nested_json_is_one_error_line(self, tmp_path, capsys, where):
+        deep = "[" * 100_000 + "]" * 100_000
+        args = ["oracle", "--out", str(tmp_path / "out")]
+        if where == "config":
+            path = tmp_path / "deep.json"
+            path.write_text('{"noise": ' + deep + "}")
+            args += ["--config", str(path)]
+            expected = f"error: config {path}: JSON nested too deeply"
+        else:
+            record = generate_corpus(PhantomSpec(depth=2, height=32, width=32, radius_max=6), 1, 0)[0]
+            path = write_bundle(record, tmp_path / "data") / "meta.json"
+            path.write_text('{"patient_id": ' + deep + "}")
+            args += ["--data", str(tmp_path / "data")]
+            expected = f"error: {path}: JSON nested too deeply"
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [expected]
+
 
 FOLD_FLAGS = ["--fold-index", "--fold-seed", "--folds", "--test-size", "--train-size", "--val-size"]
 HELP = ["--help", "-h"]
@@ -127,7 +145,7 @@ def test_importing_the_cli_loads_no_command_modules():
     assert run.stdout.strip() == "[]"
 
 
-needs_openblas = pytest.mark.skipif(trainer._openblas_threads() is None,
+needs_openblas = pytest.mark.skipif(pool._openblas_threads() is None,
                                     reason="numpy's bundled OpenBLAS not found")
 TINY_GRADCHECK = ["gradcheck", "--trials", "1", "--height", "4", "--width", "4"]
 
@@ -138,7 +156,7 @@ def _cli_then_blas_threads(**thread_env) -> int:
     variables set."""
     env = _fresh_interpreter_env(**thread_env)
     code = ("import sys; from segnoise import cli; assert cli.main(sys.argv[1:]) == 0; "
-            "from segnoise import trainer; print('threads', trainer._openblas_threads()[0]())")
+            "from segnoise import pool; print('threads', pool._openblas_threads()[0]())")
     run = subprocess.run([sys.executable, "-c", code, *TINY_GRADCHECK], env=env,
                          capture_output=True, text=True, check=True)
     return int(run.stdout.split()[-1])

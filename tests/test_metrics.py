@@ -16,7 +16,7 @@ from segnoise.metrics import (
     grad_loss,
     hard_metrics,
     loss,
-    score_frames,
+    score_blocks,
     score_volumewise,
     soft_dice,
     soft_metrics,
@@ -407,12 +407,12 @@ class TestScoreFrames:
     def test_hard_counts_compare_in_float64(self):
         pred, mask = float32_prediction()
         assert np.count_nonzero(pred > 0.3) != np.count_nonzero(pred.astype(np.float64) > 0.3)
-        scores = score_frames(pred, mask, 0.3)
+        scores = score_blocks((pred,), mask, 0.3)
         assert bits(scores.hard) == bits(hard_metrics(pred.astype(np.float64), mask, 0.3))
 
     def test_soft_and_framewise_scores_match_the_whole_volume_functions(self):
         pred, mask = float32_prediction()
-        scores = score_frames(pred, mask, 0.5)
+        scores = score_blocks((pred,), mask, 0.5)
         framewise = aggregate_framewise([soft_metrics(p, t).dice for p, t in zip(pred, mask)])
         assert scores.soft == pytest.approx(soft_metrics(pred, mask), rel=1e-12)
         assert scores.framewise_dice == pytest.approx(framewise, rel=1e-12)
@@ -420,7 +420,7 @@ class TestScoreFrames:
 
     def test_binary_inputs_score_like_floats(self):
         for p, t in binary_volumes():
-            scores = score_frames(p.astype(bool), t, 0.5)
+            scores = score_blocks((p.astype(bool),), t, 0.5)
             assert bits(scores.soft) == bits(soft_metrics(p.astype(np.float64), t))
             assert bits(scores.hard) == bits(scores.soft)
 
@@ -428,7 +428,7 @@ class TestScoreFrames:
         pred, mask = float32_prediction(shape=(16, 64, 64))
         tracemalloc.start()
         try:
-            score_frames(pred, mask)
+            score_blocks((pred,), mask)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -443,8 +443,11 @@ class TestScoreFrames:
         (np.zeros((2, 3, 3), dtype=np.float32), np.zeros((2, 3, 3), dtype=np.uint8), 1.0, "threshold"),
     ])
     def test_inputs_checked(self, pred, mask, threshold, match):
+        # `score_blocks` leaves every check but the threshold's to its
+        # caller; the whole-volume functions make the others.
         with pytest.raises(ValueError, match=match):
-            score_frames(pred, mask, threshold)
+            score_volumewise(pred, mask)
+            score_blocks((pred,), mask, threshold)
 
 
 class TestValidation:

@@ -14,7 +14,6 @@ from segnoise.noise import (
     corrupt_dataset,
     corrupt_frame,
     corrupt_mask_volume,
-    corrupt_repetitions,
     count_repetitions,
     frame_rng,
     frame_states,
@@ -205,9 +204,11 @@ class TestCorruptMaskVolume:
 
 
 def volume_counts(mask, mode, sigma2, seeds, pid):
-    """(tp, sum_p, sum_t) from the volumes `corrupt_repetitions` yields."""
+    """(tp, sum_p, sum_t) from the volumes `corrupt_mask_volume` builds,
+    one seed at a time."""
     tp, sum_p = [], []
-    for volume, _ in corrupt_repetitions(mask, mode, sigma2, seeds, pid):
+    for seed in seeds:
+        volume = corrupt_mask_volume(mask, mode, sigma2, seed, pid)[0]
         tp.append(np.count_nonzero(volume & mask))
         sum_p.append(np.count_nonzero(volume))
     return tp, sum_p, np.count_nonzero(mask)
@@ -389,6 +390,3 @@ class TestNoiseSpecValidation:
     def test_negative_sigma2_rejected(self):
         with pytest.raises(ValueError, match="sigma2"):
             NoiseSpec(mode=NoiseMode.DILATE, sigma2=-1.0, seed=0)
-
-    def test_policy_is_fixed_once(self):
-        assert NoiseSpec.RESAMPLE_POLICY == "fixed-once"

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -218,6 +220,60 @@ class TestSweepPoint:
             tracemalloc.stop()
         assert len(cells) == 20
         assert peak < noise.STACK_VOXELS + 4 * record.mask.nbytes
+
+
+needs_fork = pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                                reason="the platform's default start method is not fork")
+needs_openblas = pytest.mark.skipif(pool._openblas_threads() is None,
+                                    reason="numpy's bundled OpenBLAS not found")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS set to two threads for the test, then restored."""
+    get_threads, set_threads = pool._openblas_threads()
+    saved = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(saved)
+
+
+@needs_fork
+@needs_openblas
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_points_run_on_one_blas_thread_and_the_count_is_restored(
+    corpus, plan, monkeypatch, tmp_path, two_blas_threads, jobs
+):
+    log = tmp_path / "threads"
+    original = oracle._point_triples
+
+    def point_triples(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{two_blas_threads()}\n")
+        return original(*args)
+
+    monkeypatch.setattr(oracle, "_point_triples", point_triples)
+    run_sweep(corpus, plan, SweepConfig(sigma2_values=(1.0,), repetitions=2), jobs=jobs)
+    assert log.read_text().split() == ["1"] * 6  # 3 modes x 2 folds
+    assert two_blas_threads() == 2
+
+
+@needs_openblas
+def test_a_sweep_that_raises_restores_the_thread_count_and_environment(
+    corpus, plan, monkeypatch, two_blas_threads
+):
+    for name in pool._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+
+    def fail(*args):
+        raise RuntimeError("point failed")
+
+    monkeypatch.setattr(oracle, "_point_triples", fail)
+    with pytest.raises(RuntimeError, match="point failed"):
+        run_sweep(corpus, plan, SweepConfig(sigma2_values=(1.0,), repetitions=2))
+    assert two_blas_threads() == 2
+    assert dict(os.environ) == before
 
 
 class TestCellSeed:

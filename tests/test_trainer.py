@@ -1,3 +1,4 @@
+import ctypes
 import multiprocessing
 import os
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from segnoise import config as cfgmod
-from segnoise import trainer
+from segnoise import pool, trainer
 from segnoise.folds import make_folds
 from segnoise.metrics import hard_metrics, loss, soft_dice
 from segnoise.noise import NoiseMode, NoiseSpec, corrupt_dataset
@@ -17,7 +18,7 @@ from segnoise.trainer import (
     LinearSegmenter,
     TrainConfig,
     _descend,
-    _sigmoid,
+    _sigmoid_from_half,
     beta_gridsearch,
     extract_features,
     predict,
@@ -118,14 +119,14 @@ class TestSigmoid:
         reference = two_branch_sigmoid(z)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p = _sigmoid(z.copy())
+            p = _sigmoid_from_half(z * 0.5)
         assert np.max(np.abs(p - reference)) <= 4.5e-16
         assert p.min() >= 0.0 and p.max() <= 1.0
 
     def test_overwrites_and_returns_its_argument(self):
-        z = np.array([-2.0, 0.0, 3.0])
-        assert _sigmoid(z) is z
-        assert z[1] == 0.5
+        h = np.array([-1.0, 0.0, 1.5])
+        assert _sigmoid_from_half(h) is h
+        assert h[1] == 0.5
 
 
 class TestPredict:
@@ -239,7 +240,7 @@ class TestTrain:
 
 needs_fork = pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
                                 reason="the platform's default start method is not fork")
-needs_openblas = pytest.mark.skipif(trainer._openblas_threads() is None,
+needs_openblas = pytest.mark.skipif(pool._openblas_threads() is None,
                                     reason="numpy's bundled OpenBLAS not found")
 
 
@@ -383,7 +384,7 @@ class TestGridsearch:
             _append(log, f"descend {os.getpid()} {threads[0]}")
             return original(*args)
 
-        monkeypatch.setattr(trainer, "_openblas_threads", lambda: (lambda: threads[0], set_threads))
+        monkeypatch.setattr(pool, "_openblas_threads", lambda: (lambda: threads[0], set_threads))
         monkeypatch.setattr(trainer, "_descend", descend)
         beta_gridsearch(corpus, split, betas=[0.5, 1.0], mode=NoiseMode.DILATE,
                         sigma2_values=[1.0], seeds=[0, 1], base_config=TrainConfig(epochs=2), jobs=2)
@@ -399,7 +400,7 @@ class TestGridsearch:
     @needs_openblas
     def test_forked_workers_report_one_openblas_thread(self, grid_setup, monkeypatch, tmp_path):
         corpus, split = grid_setup
-        get_threads, set_threads = trainer._openblas_threads()
+        get_threads, set_threads = pool._openblas_threads()
         log = tmp_path / "threads"
         original = trainer._descend
 
@@ -490,7 +491,7 @@ def test_in_process_cells_run_on_one_blas_thread_and_the_count_is_restored(grid_
     corpus, split = grid_setup
     kwargs = dict(betas=[1.0], mode=NoiseMode.DILATE, sigma2_values=[1.0], seeds=[0],
                   base_config=TrainConfig(epochs=2), jobs=1)
-    get_threads, set_threads = trainer._openblas_threads()
+    get_threads, set_threads = pool._openblas_threads()
     seen = []
     original = trainer._descend
     monkeypatch.setattr(trainer, "_descend", lambda *args: seen.append(get_threads()) or original(*args))
@@ -517,14 +518,14 @@ def test_no_blas_pin_without_the_symbol(grid_setup, monkeypatch):
     kwargs = dict(betas=[1.0], mode=NoiseMode.DILATE, sigma2_values=[1.0], seeds=[0],
                   base_config=TrainConfig(epochs=2), jobs=1)
     reference = beta_gridsearch(corpus, split, **kwargs)
-    trainer._openblas_threads.cache_clear()
-    monkeypatch.setattr(trainer.ctypes, "CDLL", lambda path: NoSymbols())
+    pool._openblas_threads.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: NoSymbols())
     try:
-        assert trainer._openblas_threads() is None
+        assert pool._openblas_threads() is None
         assert beta_gridsearch(corpus, split, **kwargs).cells == reference.cells
     finally:
         monkeypatch.undo()
-        trainer._openblas_threads.cache_clear()
+        pool._openblas_threads.cache_clear()
 
 
 def test_descend_peak_memory_stays_within_four_frame_arrays():
