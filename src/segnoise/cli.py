@@ -121,7 +121,7 @@ def cmd_oracle(args, config) -> int:
     sweep = cfgmod.sweep_config_from(config)
     result = run_sweep(masks, plan, sweep, jobs=args.jobs)
     written = result.write_outputs(out)
-    print(f"oracle sweep: {len(result.samples)} cells; wrote {len(written)} files to {out}")
+    print(f"oracle sweep: {result.scores[..., 0, :].size} cells; wrote {len(written)} files to {out}")
     return 0
 
 
@@ -144,7 +144,7 @@ def cmd_gridsearch(args, config) -> int:
         jobs=args.jobs,
     )
     written = grid.write_outputs(out)
-    print(f"gridsearch: {len(grid.cells)} cells; wrote {len(written)} files to {out}")
+    print(f"gridsearch: {grid.scores[:, :, 0].size} cells; wrote {len(written)} files to {out}")
     return 0
 
 

@@ -50,15 +50,14 @@ class FrameCorruption:
 
 
 @dataclass(frozen=True)
-class CorruptionRecord:
+class CorruptionRecord(SizeChange):
+    """One report row: what happened to one frame of one patient's mask."""
+
     patient_id: str
     frame: int
     mode: str
     op: str
     k: int
-    s_original: int
-    s_modified: int
-    delta_s: float | None
 
 
 @dataclass(frozen=True)
@@ -347,23 +346,26 @@ def count_repetitions(
 
 def corrupt_mask_volume(
     mask_volume, mode: NoiseMode, sigma2: float, seed: int, patient_id: str
-) -> tuple[np.ndarray, list[FrameCorruption]]:
-    """Corrupt every frame of one mask volume with keyed RNG streams.
+) -> tuple[np.ndarray, list[CorruptionRecord]]:
+    """Corrupt every frame of one mask volume with keyed RNG streams;
+    return the volume and its report rows, one per frame.
 
     Equal to `corrupt_frame` on each frame with `frame_rng(seed,
     patient_id, index)`: the one group of `_corrupted_groups` for one
     seed, its stack written over a copy of the mask.
     """
     mask = validate_mask_volume(mask_volume)
-    (((draws,), stack, _, frame_index),) = _corrupted_groups(mask, NoiseMode(mode), sigma2,
-                                                             [seed], patient_id)
+    mode = NoiseMode(mode)
+    (((draws,), stack, _, frame_index),) = _corrupted_groups(mask, mode, sigma2, [seed], patient_id)
     out = mask.copy()
     out.view(bool)[frame_index] = stack
-    outcomes = [
-        FrameCorruption(op=op.value if k else "none", k=k, change=SizeChange(int(before), int(after)))
-        for (op, k), before, after in zip(draws, _frame_counts(mask), _frame_counts(out))
+    rows = [
+        CorruptionRecord(s_original=int(before), s_modified=int(after), patient_id=patient_id,
+                         frame=index, mode=mode.value, op=op.value if k else "none", k=k)
+        for index, ((op, k), before, after) in enumerate(zip(draws, _frame_counts(mask),
+                                                             _frame_counts(out)))
     ]
-    return out, outcomes
+    return out, rows
 
 
 def corrupt_patient(
@@ -374,21 +376,7 @@ def corrupt_patient(
     mask comes back as a copy, with no rows."""
     if patient_id not in split.train_ids + split.val_ids:
         return np.array(mask, dtype=np.uint8), []
-    new_mask, outcomes = corrupt_mask_volume(mask, spec.mode, spec.sigma2, spec.seed, patient_id)
-    rows = [
-        CorruptionRecord(
-            patient_id=patient_id,
-            frame=frame_index,
-            mode=spec.mode.value,
-            op=out.op,
-            k=out.k,
-            s_original=out.change.s_original,
-            s_modified=out.change.s_modified,
-            delta_s=out.change.delta_s,
-        )
-        for frame_index, out in enumerate(outcomes)
-    ]
-    return new_mask, rows
+    return corrupt_mask_volume(mask, spec.mode, spec.sigma2, spec.seed, patient_id)
 
 
 def corrupt_dataset(

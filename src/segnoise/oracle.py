@@ -14,18 +14,19 @@ streams at once, runs the radius-1 passes over all of them and returns
 each repetition's integer (tp, sum_p) and the mask's sum_t; no
 corrupted volume is built. `metrics.score_triples` turns the counts of
 all test masks and repetitions into scores in one step. A point returns
-one `CellScore` per repetition, in repetition order, each triple the
-mean over test masks of the volume-wise scores, bit for bit what
+a (3, repetitions) array, each column the mean over test masks of the
+volume-wise (dice, precision, recall), bit for bit what
 `score_volumewise` gives on the corrupted volumes. `simulate_noise_robust`
 is the one-seed case of the same code. The sweep needs only masks: its
-context is ({patient id: mask}, folds).
+context is ({patient id: mask}, folds). `run_sweep` stacks the points
+into one array over the sweep's axes, and every CSV, curve and SVG is a
+reduction of that array (`SweepResult`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +39,6 @@ from .noise import count_repetitions
 from .specs import NoiseMode, SweepConfig
 from .svgplot import line_plot
 from .volume import PatientRecord
-
-
-@dataclass(frozen=True)
-class CellScore:
-    mode: NoiseMode
-    sigma2: float
-    fold: int
-    rep: int
-    triple: ScoreTriple
 
 
 def cell_seed(base_seed: int, mode_index: int, sigma_index: int, fold_index: int, rep: int) -> int:
@@ -68,14 +60,14 @@ def _check_test_ids(known, split: DatasetSplit) -> None:
 def _point_triples(
     masks: Mapping[str, np.ndarray], split: DatasetSplit, mode: NoiseMode, sigma2: float,
     seeds: Sequence[int],
-) -> list[ScoreTriple]:
-    """Per seed, in order: the test masks corrupted with that seed's
-    streams, each scored volume-wise against its original, averaged."""
+) -> np.ndarray:
+    """(3, seeds) scores, one column per seed in order: the test masks
+    corrupted with that seed's streams, each scored volume-wise against
+    its original, averaged."""
     _check_test_ids(masks, split)
     counts = [count_repetitions(masks[pid], mode, sigma2, seeds, pid) for pid in split.test_ids]
     tp, sum_p, sum_t = (np.array(column) for column in zip(*counts))
-    means = score_triples(tp, sum_p, sum_t[:, None]).mean(axis=0)
-    return [ScoreTriple(*mean) for mean in means.tolist()]
+    return score_triples(tp, sum_p, sum_t[:, None]).mean(axis=0).T
 
 
 def simulate_noise_robust(
@@ -87,74 +79,61 @@ def simulate_noise_robust(
 ) -> ScoreTriple:
     """Corrupt the test masks, score against the originals, average."""
     masks = {r.patient_id: r.mask for r in records}
-    return _point_triples(masks, split, mode, sigma2, [seed])[0]
+    return ScoreTriple(*_point_triples(masks, split, mode, sigma2, [seed])[:, 0].tolist())
 
 
-def _sweep_point(task) -> list[CellScore]:
-    """One (fold, mode, sigma2) point's cells, one per repetition seed in
-    order, against the installed ({patient id: mask}, folds) context."""
+def _sweep_point(task) -> np.ndarray:
+    """One (fold, mode, sigma2) point's (3, repetitions) scores against
+    the installed ({patient id: mask}, folds) context."""
     fold_index, mode, sigma2, seeds = task
     masks, folds = pool.context()
-    triples = _point_triples(masks, folds.folds[fold_index], mode, sigma2, seeds)
-    return [CellScore(mode=mode, sigma2=sigma2, fold=fold_index, rep=rep, triple=triple)
-            for rep, triple in enumerate(triples)]
+    return _point_triples(masks, folds.folds[fold_index], mode, sigma2, seeds)
 
 
 @dataclass(frozen=True)
 class SweepResult:
+    """`scores[mode, sigma2, fold, metric, repetition]`, in the order of
+    `config.modes`, `config.sigma2_values` and `ScoreTriple._fields`.
+    Outputs reduce only its contiguous last axis, which numpy sums as
+    `np.mean` of a list does, in eight partial sums (a middle axis it
+    sums one value at a time), so each is bit for bit the list's."""
+
     config: SweepConfig
-    samples: tuple[CellScore, ...]
-
-    @cached_property
-    def _by_cell(self) -> dict[tuple[NoiseMode, float], list[CellScore]]:
-        index: dict[tuple[NoiseMode, float], list[CellScore]] = {}
-        for s in self.samples:
-            index.setdefault((s.mode, s.sigma2), []).append(s)
-        return index
-
-    def cells(self, mode: NoiseMode, sigma2: float) -> list[CellScore]:
-        return list(self._by_cell.get((NoiseMode(mode), sigma2), ()))
+    scores: np.ndarray
 
     def curve(self, mode: NoiseMode, metric: str) -> tuple[list[float], list[float]]:
-        """(means, stds) of one metric across sigma2 values."""
-        means, stds = [], []
-        for sigma2 in self.config.sigma2_values:
-            values = [getattr(s.triple, metric) for s in self.cells(mode, sigma2)]
-            means.append(float(np.mean(values)))
-            stds.append(float(np.std(values)))
-        return means, stds
+        """(means, stds) of one metric across sigma2 values, each over
+        every fold and repetition."""
+        values = self.scores[self.config.modes.index(NoiseMode(mode)), :, :,
+                             ScoreTriple._fields.index(metric)]
+        values = values.reshape(len(values), -1)  # (sigma2, fold x repetition), C-ordered
+        return values.mean(axis=-1).tolist(), values.std(axis=-1).tolist()
 
     def to_score_csv_string(self) -> str:
         """ScoreTable rows: per-fold means over repetitions."""
-        rows = []
-        fold_indices = sorted({s.fold for s in self.samples})
-        for mode in self.config.modes:
-            for sigma2 in self.config.sigma2_values:
-                cells = self.cells(mode, sigma2)
-                for fold_index in fold_indices:
-                    fold_cells = [s for s in cells if s.fold == fold_index]
-                    for metric in ScoreTriple._fields:
-                        value = float(np.mean([getattr(s.triple, metric) for s in fold_cells]))
-                        rows.append((mode.value, sigma2, None, fold_index, "test", metric, value))
+        rows = (
+            (mode.value, sigma2, None, fold, "test", metric, value)
+            for mode, by_sigma2 in zip(self.config.modes, self.scores.mean(axis=-1).tolist())
+            for sigma2, by_fold in zip(self.config.sigma2_values, by_sigma2)
+            for fold, by_metric in enumerate(by_fold)
+            for metric, value in zip(ScoreTriple._fields, by_metric)
+        )
         return csv_text(("mode", "sigma2", "beta", "fold", "subset", "metric", "value"), rows)
 
     def to_summary_csv_string(self) -> str:
-        rows = []
-        for mode in self.config.modes:
-            for metric in ScoreTriple._fields:
-                means, stds = self.curve(mode, metric)
-                for sigma2, mean, std in zip(self.config.sigma2_values, means, stds):
-                    rows.append((mode.value, sigma2, metric, mean, std, len(self.cells(mode, sigma2))))
+        samples = self.scores.shape[2] * self.scores.shape[4]
+        rows = (
+            (mode.value, sigma2, metric, mean, std, samples)
+            for mode in self.config.modes
+            for metric in ScoreTriple._fields
+            for sigma2, mean, std in zip(self.config.sigma2_values, *self.curve(mode, metric))
+        )
         return csv_text(("mode", "sigma2", "metric", "mean", "std", "samples"), rows)
 
     def metric_svg(self, metric: str) -> str:
-        series = {}
-        for mode in self.config.modes:
-            means, _ = self.curve(mode, metric)
-            series[mode.value] = means
         return line_plot(
             self.config.sigma2_values,
-            series,
+            {mode.value: self.curve(mode, metric)[0] for mode in self.config.modes},
             title=f"Oracle {metric} vs noise scale",
             x_label="sigma2",
             y_label=metric,
@@ -181,13 +160,12 @@ def run_sweep(
     list of records or a {patient id: mask} mapping.
 
     Cell RNG streams are keyed, so the result is identical for any job
-    count; samples are assembled in canonical cell order. Every fold's
-    test ids are checked here, before any worker starts. Each task is a
-    (fold, mode, sigma2) point with all its repetitions. With `jobs > 1`
-    the points run in `min(jobs, points)` workers started the platform's
-    default way (fork on Linux: a forked worker starts without
-    re-importing the package), each given ({patient id: mask}, folds)
-    once.
+    count. Every fold's test ids are checked here, before any worker
+    starts. Each task is a (fold, mode, sigma2) point with all its
+    repetitions. With `jobs > 1` the points run in `min(jobs, points)`
+    workers started the platform's default way (fork on Linux: a forked
+    worker starts without re-importing the package), each given
+    ({patient id: mask}, folds) once.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -202,4 +180,5 @@ def run_sweep(
                               for rep in range(config.repetitions))
                 tasks.append((fold_index, mode, sigma2, seeds))
     points = pool.map_cells(_sweep_point, tasks, (masks, folds), jobs)
-    return SweepResult(config=config, samples=tuple(cell for point in points for cell in point))
+    shape = (len(config.modes), len(config.sigma2_values), len(folds.folds), 3, config.repetitions)
+    return SweepResult(config=config, scores=np.array(points).reshape(shape))

@@ -22,6 +22,14 @@ def check_beta(beta) -> float:
     return b
 
 
+def check_distinct(name: str, values: tuple) -> tuple:
+    """`values`, unless one repeats: a sweep axis that repeats a value
+    would pool the two points' results under one key."""
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must not repeat a value")
+    return values
+
+
 class NoiseMode(str, Enum):
     DILATE = "dilate"
     ERODE = "erode"
@@ -95,8 +103,10 @@ class SweepConfig:
     seed: int = 123
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(NoiseMode(m) for m in self.modes))
-        object.__setattr__(self, "sigma2_values", tuple(float(s) for s in self.sigma2_values))
+        modes = check_distinct("modes", tuple(NoiseMode(m) for m in self.modes))
+        object.__setattr__(self, "modes", modes)
+        sigma2_values = check_distinct("sigma2_values", tuple(float(s) for s in self.sigma2_values))
+        object.__setattr__(self, "sigma2_values", sigma2_values)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if any(s < 0 for s in self.sigma2_values):
@@ -109,7 +119,6 @@ class SweepConfig:
 class TrainConfig:
     learning_rate: float = 4.0
     epochs: int = 200
-    beta: float = 1.0
     seed: int = 0
     init_scale: float = 0.0
 
@@ -119,7 +128,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        check_beta(self.beta)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not math.isfinite(self.init_scale) or self.init_scale < 0:

@@ -11,7 +11,7 @@ it measurable in seconds. Training is deterministic per config.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .atomic import csv_text, write_text
 from .folds import DatasetSplit
 from .metrics import ScoreTriple, check_beta, f_beta_loss_grad, f_beta_terms, hard_metrics
 from .noise import corrupt_mask_volume
-from .specs import NoiseMode, TrainConfig
+from .specs import NoiseMode, TrainConfig, check_distinct
 from .svgplot import heatmap
 from .volume import PatientRecord, is_binary, zscore_normalize
 
@@ -128,7 +128,7 @@ def _initial_weights(config: TrainConfig) -> np.ndarray:
 
 
 def _descend(
-    features: np.ndarray, targets: np.ndarray, config: TrainConfig
+    features: np.ndarray, targets: np.ndarray, config: TrainConfig, beta: float
 ) -> tuple[LinearSegmenter, list[float]]:
     """Full-batch gradient descent on the mean per-frame f-beta loss.
 
@@ -140,7 +140,7 @@ def _descend(
     overwritten each epoch.
     """
     w = _initial_weights(config)
-    b2 = float(config.beta) ** 2
+    b2 = check_beta(beta) ** 2
     n_frames, n_pixels = targets.shape
     flat_features = np.reshape(features, (-1, N_FEATURES))
     sum_t = targets.sum(axis=-1)
@@ -165,8 +165,9 @@ def _descend(
     return LinearSegmenter(weights=w), history
 
 
-def train(samples, config: TrainConfig) -> tuple[LinearSegmenter, list[float]]:
-    """Train on (image frame, mask frame) pairs of one common shape."""
+def train(samples, config: TrainConfig, beta: float = 1.0) -> tuple[LinearSegmenter, list[float]]:
+    """Train on (image frame, mask frame) pairs of one common shape with
+    the f-beta loss."""
     if not samples:
         raise ValueError("need at least one training sample")
     shapes = {np.asarray(img).shape for img, _ in samples}
@@ -176,38 +177,39 @@ def train(samples, config: TrainConfig) -> tuple[LinearSegmenter, list[float]]:
     targets = np.stack([np.asarray(mask).reshape(-1) for _, mask in samples])
     if not is_binary(targets):
         raise ValueError("mask values must be exactly 0 or 1")
-    return _descend(feats, targets.astype(bool, copy=False), config)
-
-
-@dataclass(frozen=True)
-class GridCell:
-    beta: float
-    sigma2: float
-    seed: int
-    dice: float
-    precision: float
-    recall: float
+    return _descend(feats, targets.astype(bool, copy=False), config, beta)
 
 
 @dataclass(frozen=True)
 class GridResult:
+    """The grid's clean-test scores, `scores[sigma2, beta, metric, seed]`:
+    one float64 array whose axes follow `sigma2_values`, `betas`,
+    `ScoreTriple._fields` and `seeds`. A mean over seeds reduces the
+    contiguous last axis, bit for bit `np.mean` of the same values as a
+    list."""
+
     betas: tuple[float, ...]
     sigma2_values: tuple[float, ...]
     seeds: tuple[int, ...]
-    cells: tuple[GridCell, ...]
+    scores: np.ndarray
 
     CSV_COLUMNS = ("beta", "sigma2", "seed", "test_dice", "test_precision", "test_recall")
 
     def mean_metric(self, beta: float, sigma2: float, metric: str = "dice") -> float:
-        values = [
-            getattr(c, metric) for c in self.cells if c.beta == beta and c.sigma2 == sigma2
-        ]
-        if not values:
+        if beta not in self.betas or sigma2 not in self.sigma2_values:
             raise KeyError(f"no grid cell at beta={beta}, sigma2={sigma2}")
-        return float(np.mean(values))
+        index = self.sigma2_values.index(sigma2), self.betas.index(beta), ScoreTriple._fields.index(metric)
+        return float(self.scores[index].mean())
 
     def to_csv_string(self) -> str:
-        return csv_text(self.CSV_COLUMNS, map(astuple, self.cells))
+        """One row per (sigma2, seed, beta), in that order."""
+        rows = (
+            (beta, sigma2, seed, *triple)
+            for sigma2, by_seed in zip(self.sigma2_values, self.scores.transpose(0, 3, 1, 2).tolist())
+            for seed, by_beta in zip(self.seeds, by_seed)
+            for beta, triple in zip(self.betas, by_beta)
+        )
+        return csv_text(self.CSV_COLUMNS, rows)
 
     def heatmap_svg(self) -> str:
         grid = [
@@ -226,11 +228,10 @@ class GridResult:
     def write_outputs(self, out_dir: str | Path) -> list[Path]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "grid_scores.csv"
-        write_text(csv_path, self.to_csv_string())
-        svg_path = out / "grid_dice_heatmap.svg"
-        write_text(svg_path, self.heatmap_svg())
-        return [csv_path, svg_path]
+        return [
+            write_text(out / "grid_scores.csv", self.to_csv_string()),
+            write_text(out / "grid_dice_heatmap.svg", self.heatmap_svg()),
+        ]
 
 
 @dataclass(frozen=True)
@@ -303,23 +304,19 @@ def _corrupted_targets(ctx: _GridContext, sigma2: float, seed: int) -> np.ndarra
     ]).astype(bool)
 
 
-def _grid_task(args) -> GridCell:
+def _grid_task(args) -> np.ndarray:
     """Train one beta on one key's corrupted targets, then score the model
-    on the clean test masks."""
+    on the clean test masks: the mean (dice, precision, recall)."""
     (sigma2, seed), beta = args
     ctx, targets = pool.context()
     features = ctx.train_planes.transpose(1, 2, 0)  # (frames, pixels, N_FEATURES)
-    model, _ = _descend(features, targets[sigma2, seed], replace(ctx.base_config, beta=beta))
+    model, _ = _descend(features, targets[sigma2, seed], ctx.base_config, beta)
     triples = []
     for pid in ctx.test_pids:
         pred = predict(model, ctx.test_features[pid])  # (frames, pixels)
         pred_vol = pred.reshape(pred.shape[0], *ctx.frame_shape)
         triples.append(hard_metrics(pred_vol, ctx.test_masks[pid], ctx.threshold))
-    mean = np.array(triples, dtype=np.float64).mean(axis=0)
-    return GridCell(
-        beta=beta, sigma2=float(sigma2), seed=int(seed),
-        dice=float(mean[0]), precision=float(mean[1]), recall=float(mean[2]),
-    )
+    return np.array(triples, dtype=np.float64).mean(axis=0)
 
 
 def beta_gridsearch(
@@ -344,26 +341,25 @@ def beta_gridsearch(
     parallelism is one beta of one distinct cell: `min(jobs, tasks)`
     workers, forked where that is the platform default, inherit the
     features and the bool targets of every cell, on one BLAS thread
-    (`pool.map_cells`). A one-task grid runs in-process. Validation masks are never consumed by the toy
-    trainer, so their corruption (keyed the same way) is not
-    materialized here.
+    (`pool.map_cells`). A one-task grid runs in-process. Validation
+    masks are never consumed by the toy trainer, so their corruption
+    (keyed the same way) is not materialized here. Every beta is checked
+    before any work, and no beta or sigma2 may repeat.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    betas = tuple(float(b) for b in betas)
-    sigma2_values = tuple(float(s) for s in sigma2_values)
+    betas = check_distinct("betas", tuple(check_beta(b) for b in betas))
+    sigma2_values = check_distinct("sigma2_values", tuple(float(s) for s in sigma2_values))
     seeds = tuple(int(s) for s in seeds)
     if not betas or not sigma2_values or not seeds:
         raise ValueError("betas, sigma2_values and seeds must be non-empty")
     base = base_config if base_config is not None else TrainConfig()
     ctx = _build_grid_context(records, split, NoiseMode(mode), base, threshold)
-    grid_cells = [(s2, seed) for s2 in sigma2_values for seed in seeds]
-    key = {cell: (cell[0], cell[1] if cell[0] > 0 else seeds[0]) for cell in grid_cells}
+    key = {(s2, seed): (s2, seed if s2 > 0 else seeds[0]) for s2 in sigma2_values for seed in seeds}
     targets = {k: _corrupted_targets(ctx, *k) for k in dict.fromkeys(key.values())}
     tasks = [(k, beta) for k in targets for beta in betas]
     # A task is one descent (about 0.6 s at the default 200 epochs).
     results = dict(zip(tasks, pool.map_cells(_grid_task, tasks, (ctx, targets), jobs, chunksize=1)))
-    cells = [
-        replace(results[key[s2, seed], beta], seed=seed) for s2, seed in grid_cells for beta in betas
-    ]
-    return GridResult(betas=betas, sigma2_values=sigma2_values, seeds=seeds, cells=tuple(cells))
+    cells = [[[results[key[s2, seed], beta] for seed in seeds] for beta in betas] for s2 in sigma2_values]
+    scores = np.moveaxis(np.array(cells), -1, 2).copy()  # C-ordered (sigma2, beta, metric, seed)
+    return GridResult(betas=betas, sigma2_values=sigma2_values, seeds=seeds, scores=scores)

@@ -115,10 +115,6 @@ class MultiModalVolume:
     def shape(self) -> tuple[int, int, int]:
         return next(iter(self.modalities.values())).shape
 
-    @property
-    def modality_names(self) -> tuple[str, ...]:
-        return tuple(self.modalities)
-
     def first_modality(self) -> np.ndarray:
         return next(iter(self.modalities.values()))
 

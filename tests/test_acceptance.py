@@ -265,7 +265,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         "sweep": {"modes": ["dilate", "erode"], "sigma2_values": [0.0, 2.0, 4.0],
                    "repetitions": 3, "seed": 5},
         "grid": {"betas": [0.6, 1.0], "sigma2_values": [2.0], "seeds": 2},
-        "train": {"learning_rate": 3.0, "epochs": 10, "beta": 1.0, "seed": 0, "init_scale": 0.0},
+        "train": {"learning_rate": 3.0, "epochs": 10, "seed": 0, "init_scale": 0.0},
     }
     config = tmp_path / "config.json"
     config.write_text(json.dumps(config_payload))

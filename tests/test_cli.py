@@ -44,7 +44,7 @@ def small_phantom_config(tmp_path, **extra) -> Path:
         "folds": {"n_folds": 1, "train": 3, "val": 1, "test": 2, "seed": 11, "fold_index": 0},
         "sweep": {"modes": ["dilate"], "sigma2_values": [0.0, 2.0], "repetitions": 2, "seed": 5},
         "grid": {"betas": [0.6, 1.0], "sigma2_values": [2.0], "seeds": 2},
-        "train": {"learning_rate": 3.0, "epochs": 12, "beta": 1.0, "seed": 0, "init_scale": 0.0},
+        "train": {"learning_rate": 3.0, "epochs": 12, "seed": 0, "init_scale": 0.0},
     }
     payload.update(extra)
     path = tmp_path / "config.json"
@@ -179,17 +179,6 @@ def test_cli_leaves_the_environment_alone_once_numpy_is_loaded(monkeypatch, caps
     before = dict(os.environ)
     assert main(TINY_GRADCHECK) == 0
     assert dict(os.environ) == before
-
-
-def test_package_names_load_on_first_use():
-    from segnoise import noise, specs
-
-    assert set(segnoise.__all__) <= set(dir(segnoise))
-    assert segnoise.NoiseMode is noise.NoiseMode is specs.NoiseMode
-    for name in segnoise.__all__:
-        assert getattr(segnoise, name) is not None
-    with pytest.raises(AttributeError, match="no_such_name"):
-        segnoise.no_such_name
 
 
 class TestPhantomCmd:
@@ -413,6 +402,19 @@ class TestOracleCmd:
         assert tree_bytes(outs[0]) == tree_bytes(outs[1])
         assert tree_bytes(outs[0]) == tree_bytes(outs[2])
 
+    @pytest.mark.parametrize("sweep, leaf", [
+        ({"modes": ["dilate"], "sigma2_values": [0, 2, 2], "repetitions": 3}, "sweep.sigma2_values"),
+        ({"modes": ["erode", "dilate", "erode"]}, "sweep.modes"),
+    ])
+    def test_a_repeated_sweep_value_is_one_error(self, tmp_path, capsys, sweep, leaf):
+        # Two points under one (mode, sigma2) key would be pooled into
+        # one summary row.
+        out = tmp_path / "out"
+        config = small_phantom_config(tmp_path, sweep=sweep)
+        assert main(["oracle", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: config {leaf} must not repeat a value"]
+        assert not out.exists()
+
     def test_svg_files_written(self, tmp_path):
         config = small_phantom_config(tmp_path)
         out = tmp_path / "out"
@@ -468,6 +470,15 @@ class TestGridsearchCmd:
         lines = (out_a / "grid_scores.csv").read_text().splitlines()
         assert lines[0] == "beta,sigma2,seed,test_dice,test_precision,test_recall"
         assert len(lines) == 1 + 2 * 2  # betas x seeds
+
+    @pytest.mark.parametrize("flag, values, axis", [
+        ("--betas", ["0.6", "1", "0.6"], "betas"), ("--sigma2-values", ["2", "2.0"], "sigma2_values")])
+    def test_a_repeated_grid_value_is_one_error(self, tmp_path, capsys, flag, values, axis):
+        out = tmp_path / "out"
+        argv = ["gridsearch", "--config", str(small_phantom_config(tmp_path)), "--out", str(out)]
+        assert main([*argv, flag, *values]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {axis} must not repeat a value"]
+        assert not (out / "grid_scores.csv").exists()
 
 
 class TestGradcheckCmd:

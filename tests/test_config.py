@@ -121,7 +121,7 @@ class TestBuilders:
         sweep = sweep_config_from(config)
         assert sweep.repetitions == 20
         train = train_config_from(config)
-        assert train.beta == 1.0
+        assert train.epochs == 200
 
 
 # One out-of-range or wrong-type value for every leaf the validator checks.
@@ -161,12 +161,14 @@ BAD_LEAVES = [
     ("sweep.modes", ["explode"]),
     ("sweep.sigma2_values", [-1.0]),
     ("sweep.sigma2_values", "0 1"),
+    ("sweep.modes", ["dilate", "erode", "dilate"]),
+    ("sweep.sigma2_values", [0.0, 2.0, 2.0]),
     ("sweep.repetitions", 0),
     ("sweep.seed", -1),
     ("train.learning_rate", -1.0),
     ("train.epochs", 0),
     ("train.epochs", True),
-    ("train.beta", -1.0),
+    ("train.beta", -1.0),  # beta is the grid's axis, so this is an unknown key
     ("train.seed", -1),
     ("train.init_scale", -1.0),
     ("grid.betas", [-1.0]),

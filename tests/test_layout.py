@@ -1,12 +1,14 @@
 """Source layout guards for the segnoise package."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 import segnoise
 
 SRC = Path(segnoise.__file__).resolve().parent
+BENCH_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 
 def references(node) -> tuple[Counter, Counter]:
@@ -44,3 +46,30 @@ def test_every_private_module_level_name_is_used():
             if outside == 0:
                 unused.append(f"{module}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_segnoise_name_the_benchmark_reads_exists():
+    # The benchmark's traced replay wraps segnoise functions and methods
+    # by name. A refactor that drops or moves one fails here, and not
+    # only when the replay runs.
+    tree = ast.parse(BENCH_CHILD.read_text())
+    modules = {
+        alias.asname or alias.name: importlib.import_module(f"segnoise.{alias.name}")
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "segnoise"
+        for alias in node.names
+    }
+    read = [(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules]
+    assert len(read) > 10
+    assert [f"{name}.{attr}" for name, attr in read if not hasattr(modules[name], attr)] == []
+    # (module.Class, "method") pairs: each method is wrapped as `vars(cls)[method]`.
+    patched = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+            owner, method = node.elts
+            if (isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name)
+                    and owner.value.id in modules and isinstance(method, ast.Constant)):
+                patched[owner.attr] = getattr(modules[owner.value.id], owner.attr), method.value
+    assert set(patched) == {"GridResult", "SweepResult", "CorruptionReport"}
+    assert [name for name, (cls, method) in patched.items() if method not in vars(cls)] == []

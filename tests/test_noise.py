@@ -198,8 +198,10 @@ class TestCorruptMaskVolume:
                 frame, expected = corrupt_frame(mask[i], mode, sigma2, frame_rng(5, "p", i))
                 assert np.array_equal(out[i], frame)
                 assert (outcome.op, outcome.k) == (expected.op, expected.k)
-                assert outcome.change.s_original == expected.change.s_original
-                assert outcome.change.s_modified == expected.change.s_modified
+                assert outcome.s_original == expected.change.s_original
+                assert outcome.s_modified == expected.change.s_modified
+                assert outcome.delta_s == expected.change.delta_s
+                assert (outcome.patient_id, outcome.frame, outcome.mode) == ("p", i, mode.value)
             assert any(o.k > 1 for o in outcomes)
 
 

@@ -54,8 +54,8 @@ class TestRunSweep:
     def test_sigma_zero_only_gives_flat_ones(self, corpus, plan):
         config = SweepConfig(sigma2_values=(0.0,), repetitions=2, seed=9)
         result = run_sweep(corpus, plan, config)
-        for sample in result.samples:
-            assert sample.triple == (1.0, 1.0, 1.0)
+        assert result.scores.shape == (3, 1, len(plan.folds), 3, 2)
+        assert (result.scores == 1.0).all()
 
     def test_dice_decays_with_sigma2_for_pure_modes(self, corpus, plan):
         config = SweepConfig(
@@ -68,7 +68,7 @@ class TestRunSweep:
         for mode in config.modes:
             means, stds = result.curve(mode, "dice")
             assert means[0] == 1.0
-            n = len(result.cells(mode, config.sigma2_values[0]))
+            n = len(plan.folds) * config.repetitions
             for i in range(len(means) - 1):
                 slack = (stds[i] ** 2 + stds[i + 1] ** 2) ** 0.5 / max(n, 1) ** 0.5
                 assert means[i + 1] <= means[i] + slack
@@ -103,7 +103,7 @@ class TestRunSweep:
         )
         serial = run_sweep(corpus, plan, config, jobs=1)
         parallel = run_sweep(corpus, plan, config, jobs=4)
-        assert serial.samples == parallel.samples
+        assert serial.scores.tobytes() == parallel.scores.tobytes()
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, corpus, plan, jobs):
@@ -125,14 +125,19 @@ class TestRunSweep:
         assert started == []
 
     def test_cells_index_matches_a_scan(self, corpus, plan):
+        # scores[mode, sigma2, fold] is the point that the task for those
+        # axes computes on its own.
         config = SweepConfig(sigma2_values=(0.0, 2.0, 4.0), repetitions=3, seed=8)
         result = run_sweep(corpus, plan, config)
-        for mode in config.modes:
-            for sigma2 in (*config.sigma2_values, 1.0):
-                scan = [s for s in result.samples if s.mode is mode and s.sigma2 == sigma2]
-                assert result.cells(mode.value, sigma2) == scan
-        result.cells(NoiseMode.DILATE, 0.0).clear()
-        assert len(result.cells(NoiseMode.DILATE, 0.0)) == len(plan.folds) * 3
+        assert result.scores.shape == (3, 3, len(plan.folds), 3, 3)
+        assert result.scores.flags.c_contiguous
+        masks = {r.patient_id: r.mask for r in corpus}
+        for m, mode in enumerate(config.modes):
+            for s, sigma2 in enumerate(config.sigma2_values):
+                for f in range(len(plan.folds)):
+                    seeds = tuple(cell_seed(config.seed, m, s, f, rep) for rep in range(3))
+                    point = sweep_point(masks, plan, (f, mode, sigma2, seeds))
+                    assert result.scores[m, s, f].tobytes() == point.tobytes()
 
     def test_score_csv_schema(self, corpus, plan):
         config = SweepConfig(modes=(NoiseMode.ERODE,), sigma2_values=(1.0,), repetitions=2, seed=0)
@@ -153,6 +158,46 @@ class TestRunSweep:
             assert mode.value in svg
 
 
+class TestSweepResultReductions:
+    """Every output of a sweep is a reduction of its score array, and must
+    equal what `np.mean`/`np.std` give on the same values as a list. From
+    8 values on, numpy adds those in eight partial sums, and so does a
+    reduction over an array's contiguous last axis; one over a middle
+    axis adds them one by one, which differs in the last bit."""
+
+    @pytest.fixture
+    def result(self):
+        config = SweepConfig(sigma2_values=(0.0, 1.0, 2.5, 3.0, 4.0, 5.0), repetitions=20, seed=0)
+        rng = np.random.default_rng(12)
+        return oracle.SweepResult(config=config, scores=rng.random((3, 6, 2, 3, 20)))
+
+    @staticmethod
+    def rows_of(method, monkeypatch):
+        monkeypatch.setattr(oracle, "csv_text", lambda header, rows: list(rows))
+        return method()
+
+    def test_fold_means_are_list_means(self, result, monkeypatch):
+        expected = [
+            (mode.value, sigma2, None, fold, "test", metric,
+             float(np.mean([float(v) for v in result.scores[m, s, fold, k]])))
+            for m, mode in enumerate(result.config.modes)
+            for s, sigma2 in enumerate(result.config.sigma2_values)
+            for fold in range(2)
+            for k, metric in enumerate(("dice", "precision", "recall"))
+        ]
+        assert self.rows_of(result.to_score_csv_string, monkeypatch) == expected
+
+    def test_summary_means_and_stds_are_list_statistics(self, result, monkeypatch):
+        expected = []
+        for m, mode in enumerate(result.config.modes):
+            for k, metric in enumerate(("dice", "precision", "recall")):
+                for s, sigma2 in enumerate(result.config.sigma2_values):
+                    values = [float(v) for fold in range(2) for v in result.scores[m, s, fold, k]]
+                    expected.append((mode.value, sigma2, metric, float(np.mean(values)),
+                                     float(np.std(values)), 40))
+        assert self.rows_of(result.to_summary_csv_string, monkeypatch) == expected
+
+
 def frame_by_frame_triple(corpus, split, mode, sigma2, seed):
     """The oracle triple from `corrupt_frame` on every frame with its
     own `frame_rng`: a reference that shares no code with the stacks."""
@@ -167,8 +212,8 @@ def frame_by_frame_triple(corpus, split, mode, sigma2, seed):
 
 
 def sweep_point(masks, plan, task):
-    (cells,) = pool.map_cells(oracle._sweep_point, [task], (masks, plan), 1)
-    return cells
+    (scores,) = pool.map_cells(oracle._sweep_point, [task], (masks, plan), 1)
+    return scores
 
 
 class TestSweepPoint:
@@ -177,12 +222,11 @@ class TestSweepPoint:
     def test_point_equals_its_cells(self, corpus, plan, mode, sigma2):
         seeds = tuple(cell_seed(17, 2, 1, 1, rep) for rep in range(5))
         masks = {r.patient_id: r.mask for r in corpus}
-        cells = sweep_point(masks, plan, (1, mode, sigma2, seeds))
-        assert [(c.mode, c.sigma2, c.fold, c.rep) for c in cells] == [
-            (mode, sigma2, 1, rep) for rep in range(len(seeds))]
-        for cell, seed in zip(cells, seeds):
-            assert cell.triple == simulate_noise_robust(corpus, plan.folds[1], mode, sigma2, seed)
-            assert cell.triple == frame_by_frame_triple(corpus, plan.folds[1], mode, sigma2, seed)
+        scores = sweep_point(masks, plan, (1, mode, sigma2, seeds))
+        assert scores.shape == (3, len(seeds)) and scores.dtype == np.float64
+        for column, seed in zip(scores.T.tolist(), seeds):
+            assert tuple(column) == simulate_noise_robust(corpus, plan.folds[1], mode, sigma2, seed)
+            assert tuple(column) == frame_by_frame_triple(corpus, plan.folds[1], mode, sigma2, seed)
 
     def test_sigma_zero_is_corrupted_and_scored(self, corpus, plan, monkeypatch):
         # Criterion 6's exact 1.0 at sigma2 = 0 must come from drawn
@@ -198,8 +242,8 @@ class TestSweepPoint:
         monkeypatch.setattr(noise, "frame_states", lambda k: keys.extend(k) or states(k))
         monkeypatch.setattr(oracle, "count_repetitions", count)
         masks = {r.patient_id: r.mask for r in corpus}
-        cells = sweep_point(masks, plan, (0, NoiseMode.RANDOM, 0.0, (3, 4, 5)))
-        assert [c.triple for c in cells] == [(1.0, 1.0, 1.0)] * 3
+        scores = sweep_point(masks, plan, (0, NoiseMode.RANDOM, 0.0, (3, 4, 5)))
+        assert scores.tolist() == [[1.0] * 3] * 3
         test_ids = plan.folds[0].test_ids
         assert len(scored) == 3 * len(test_ids)
         assert len(keys) == 3 * sum(masks[pid].shape[0] for pid in test_ids)
@@ -213,12 +257,12 @@ class TestSweepPoint:
         # stack (12 of the 20 repetitions) nearly fills the budget.
         tracemalloc.start()
         try:
-            cells = sweep_point(masks, FoldPlan(folds=(split,), seed=0),
-                                (0, NoiseMode.DILATE, 50.0, tuple(range(20))))
+            scores = sweep_point(masks, FoldPlan(folds=(split,), seed=0),
+                                 (0, NoiseMode.DILATE, 50.0, tuple(range(20))))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(cells) == 20
+        assert scores.shape == (3, 20)
         assert peak < noise.STACK_VOXELS + 4 * record.mask.nbytes
 
 

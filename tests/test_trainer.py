@@ -191,7 +191,7 @@ class TestTrain:
         # The vectorized descent must agree with the canonical per-frame
         # loss at epoch 0 (weights all zero -> p = 0.5 everywhere).
         subset = samples[:5]
-        _, history = train(subset, TrainConfig(learning_rate=1.0, epochs=1, beta=0.7))
+        _, history = train(subset, TrainConfig(learning_rate=1.0, epochs=1), beta=0.7)
         expected = np.mean(
             [loss(np.full(mask.shape, 0.5), mask, 0.7) for _, mask in subset]
         )
@@ -207,15 +207,15 @@ class TestTrain:
             (rng.normal(size=(8, 8)), (rng.random((8, 8)) < 0.4).astype(np.float64))
             for _ in range(3)
         ]
-        config = TrainConfig(learning_rate=1.0, epochs=1, beta=0.6, seed=2, init_scale=0.3)
-        w0 = train(samples, replace(config, learning_rate=0.0))[0].weights
-        model, _ = train(samples, config)
+        config, beta = TrainConfig(learning_rate=1.0, epochs=1, seed=2, init_scale=0.3), 0.6
+        w0 = train(samples, replace(config, learning_rate=0.0), beta)[0].weights
+        model, _ = train(samples, config, beta)
         analytic = w0 - model.weights
         feats = [extract_features(img) for img, _ in samples]
 
         def objective(weights):
             return np.mean([
-                loss(1.0 / (1.0 + np.exp(-(f @ weights))), mask, config.beta)
+                loss(1.0 / (1.0 + np.exp(-(f @ weights))), mask, beta)
                 for f, (_, mask) in zip(feats, samples)
             ])
 
@@ -236,6 +236,11 @@ class TestTrain:
     def test_empty_sample_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             train([], TrainConfig())
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -0.5])
+    def test_bad_beta_rejected(self, samples, beta):
+        with pytest.raises(ValueError, match="beta"):
+            train(samples[:2], TrainConfig(epochs=1), beta=beta)
 
 
 needs_fork = pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
@@ -268,7 +273,8 @@ class TestGridsearch:
             corpus, split, betas=[1.0], mode=NoiseMode.DILATE,
             sigma2_values=[0.0], seeds=[0], base_config=cfg,
         )
-        cell = grid.cells[0]
+        assert grid.scores.shape == (1, 1, 3, 1)
+        cell = grid.scores[0, 0, :, 0]
 
         # Plain pipeline: sigma2=0 leaves masks clean.
         masks, _ = corrupt_dataset(
@@ -280,16 +286,14 @@ class TestGridsearch:
             image = zscore_normalize(by_id[pid].volume).first_modality()
             for f in range(image.shape[0]):
                 samples.append((image[f], masks[pid][f]))
-        model, _ = train(samples, cfg)
+        model, _ = train(samples, cfg, beta=1.0)
         triples = []
         for pid in split.test_ids:
             image = zscore_normalize(by_id[pid].volume).first_modality()
             pred = np.stack([predict(model, extract_features(fr)) for fr in image])
             triples.append(hard_metrics(pred, by_id[pid].mask))
         expected = np.array(triples).mean(axis=0)
-        assert cell.dice == pytest.approx(expected[0], abs=1e-12)
-        assert cell.precision == pytest.approx(expected[1], abs=1e-12)
-        assert cell.recall == pytest.approx(expected[2], abs=1e-12)
+        assert cell == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic_and_parallel_identical(self, grid_setup):
         corpus, split = grid_setup
@@ -300,7 +304,7 @@ class TestGridsearch:
         )
         serial = beta_gridsearch(corpus, split, jobs=1, **kwargs)
         parallel = beta_gridsearch(corpus, split, jobs=4, **kwargs)
-        assert serial.cells == parallel.cells
+        assert serial.scores.tobytes() == parallel.scores.tobytes()
 
     def test_csv_and_heatmap(self, grid_setup, tmp_path):
         corpus, split = grid_setup
@@ -357,8 +361,7 @@ class TestGridsearch:
         assert len(calls) == (1 + 3) * len(split.train_ids)
         assert {args[3] for args in calls if args[2] == 0.0} == {5}
 
-        cells = [c for s2 in (0.0, 4.0) for grid in alone for c in grid.cells if c.sigma2 == s2]
-        reference = replace(joint, cells=tuple(cells))
+        reference = replace(joint, scores=np.concatenate([grid.scores for grid in alone], axis=-1))
         joint.write_outputs(tmp_path / "joint")
         reference.write_outputs(tmp_path / "reference")
         for name in ("grid_scores.csv", "grid_dice_heatmap.svg"):
@@ -479,11 +482,48 @@ class TestGridsearch:
             beta_gridsearch(corpus, split, betas=[1.0], mode=NoiseMode.DILATE,
                             sigma2_values=[1.0], seeds=[0], jobs=jobs)
 
+    @pytest.mark.parametrize("axis, values", [("betas", [0.5, 1.0, 0.5]), ("sigma2_values", [2.0, 2])])
+    def test_repeated_axis_value_rejected_before_any_work(self, grid_setup, monkeypatch, axis, values):
+        corpus, split = grid_setup
+        kwargs = {"betas": [1.0], "mode": NoiseMode.DILATE, "sigma2_values": [1.0], "seeds": [0], axis: values}
+        monkeypatch.setattr(trainer, "_build_grid_context", _fail)
+        with pytest.raises(ValueError, match=f"{axis} must not repeat a value"):
+            beta_gridsearch(corpus, split, **kwargs)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -1.0])
+    def test_bad_beta_rejected_before_any_work(self, grid_setup, monkeypatch, beta):
+        corpus, split = grid_setup
+        monkeypatch.setattr(trainer, "_build_grid_context", _fail)
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+            beta_gridsearch(corpus, split, betas=[1.0, beta], mode=NoiseMode.DILATE,
+                            sigma2_values=[1.0], seeds=[0])
+
     def test_empty_axes_rejected(self, grid_setup):
         corpus, split = grid_setup
         with pytest.raises(ValueError, match="non-empty"):
             beta_gridsearch(corpus, split, betas=[], mode=NoiseMode.DILATE,
                             sigma2_values=[1.0], seeds=[0])
+
+
+def test_grid_result_outputs_read_the_score_array_exactly(monkeypatch):
+    # A mean over seeds must equal `np.mean` of the values as a list, bit
+    # for bit; see TestSweepResultReductions in test_oracle.py.
+    betas, sigma2_values, seeds = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0), (0.0, 3.0, 4.0, 5.0), tuple(range(10))
+    scores = np.random.default_rng(13).random((4, 6, 3, 10))
+    grid = trainer.GridResult(betas=betas, sigma2_values=sigma2_values, seeds=seeds, scores=scores)
+    for s, sigma2 in enumerate(sigma2_values):
+        for b, beta in enumerate(betas):
+            for k, metric in enumerate(("dice", "precision", "recall")):
+                expected = float(np.mean([float(v) for v in scores[s, b, k]]))
+                assert grid.mean_metric(beta, sigma2, metric) == expected
+    with pytest.raises(KeyError, match="beta=0.3"):
+        grid.mean_metric(0.3, 0.0)
+    monkeypatch.setattr(trainer, "csv_text", lambda header, rows: list(rows))
+    assert grid.to_csv_string() == [
+        (beta, sigma2, seed, *(float(v) for v in scores[s, b, :, n]))
+        for s, sigma2 in enumerate(sigma2_values) for n, seed in enumerate(seeds)
+        for b, beta in enumerate(betas)
+    ]
 
 
 @needs_openblas
@@ -522,7 +562,7 @@ def test_no_blas_pin_without_the_symbol(grid_setup, monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda path: NoSymbols())
     try:
         assert pool._openblas_threads() is None
-        assert beta_gridsearch(corpus, split, **kwargs).cells == reference.cells
+        assert beta_gridsearch(corpus, split, **kwargs).scores.tobytes() == reference.scores.tobytes()
     finally:
         monkeypatch.undo()
         pool._openblas_threads.cache_clear()
@@ -537,7 +577,7 @@ def test_descend_peak_memory_stays_within_four_frame_arrays():
     targets = (rng.random((frames, pixels)) < 0.3).astype(np.float64)
     tracemalloc.start()
     try:
-        _descend(features, targets, TrainConfig(epochs=3))
+        _descend(features, targets, TrainConfig(epochs=3), 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -553,7 +593,7 @@ def test_descend_peak_memory_on_bool_targets_stays_within_three_frame_arrays():
     targets = rng.random((frames, pixels)) < 0.3
     tracemalloc.start()
     try:
-        _descend(features, targets, TrainConfig(epochs=3))
+        _descend(features, targets, TrainConfig(epochs=3), 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -573,9 +613,9 @@ def default_grid_inputs():
 @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0, 2.0])
 def test_descend_on_bool_targets_is_bit_identical_to_float_targets(default_grid_inputs, beta):
     features, targets = default_grid_inputs
-    train_config = TrainConfig(beta=beta, epochs=25)
-    on_bool = _descend(features, targets, train_config)
-    on_float = _descend(features, targets.astype(np.float64), train_config)
+    train_config = TrainConfig(epochs=25)
+    on_bool = _descend(features, targets, train_config, beta)
+    on_float = _descend(features, targets.astype(np.float64), train_config, beta)
     assert targets.dtype == bool
     assert on_bool[0].weights.tobytes() == on_float[0].weights.tobytes()
     assert on_bool[1] == on_float[1]
@@ -590,7 +630,7 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0)
 
-    @pytest.mark.parametrize("field", ["learning_rate", "beta", "init_scale"])
+    @pytest.mark.parametrize("field", ["learning_rate", "init_scale"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
