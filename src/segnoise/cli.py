@@ -197,7 +197,7 @@ def cmd_score(args, config) -> int:
     predictions = index_bundles(args.pred, "prediction")
     for pid in predictions:
         if pid not in patients:
-            raise KeyError(f"prediction {pid!r} has no matching patient bundle")
+            raise ValueError(f"prediction {pid!r} has no matching patient bundle")
 
     rows = []
     collected: dict[str, list[float]] = {}

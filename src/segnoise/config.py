@@ -176,10 +176,6 @@ def validate_config(config: dict) -> dict:
     return config
 
 
-def default_config() -> dict:
-    return copy.deepcopy(DEFAULT_CONFIG)
-
-
 def default_config_json() -> str:
     return json.dumps(DEFAULT_CONFIG, indent=2, sort_keys=True) + "\n"
 

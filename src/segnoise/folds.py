@@ -32,6 +32,12 @@ class DatasetSplit:
     def all_ids(self) -> tuple[str, ...]:
         return self.train_ids + self.val_ids + self.test_ids
 
+    def check_known(self, known, ids=None) -> None:
+        """KeyError unless `known` holds each of `ids` (default: all_ids)."""
+        missing = [pid for pid in (self.all_ids if ids is None else ids) if pid not in known]
+        if missing:
+            raise KeyError(f"split references unknown patient ids: {missing}")
+
 
 @dataclass(frozen=True)
 class FoldPlan:
@@ -46,9 +52,6 @@ class FoldPlan:
             if overlap:
                 raise ValueError(f"fold {i} test ids overlap earlier folds: {sorted(overlap)}")
             seen.update(fold.test_ids)
-
-    def __len__(self) -> int:
-        return len(self.folds)
 
 
 def make_folds(ids, n_folds: int, sizes: tuple[int, int, int], seed: int) -> FoldPlan:

@@ -7,13 +7,14 @@ sum_t = sum(t) and b2 = beta**2, smoothed f-beta is N / D with
 
     N = (1+b2)*tp + 1,   D = b2*sum_t + sum_p + 1
 
-so f_1 is exactly soft_dice = (2*tp + 1) / (sum_p + sum_t + 1), f_0 is
-exactly soft_precision = (tp + 1) / (sum_p + 1), and f_beta tends to
-soft_recall = (tp + 1) / (sum_t + 1) as beta -> inf.
+so f_1 is exactly the soft dice (2*tp + 1) / (sum_p + sum_t + 1), f_0
+is exactly the soft precision (tp + 1) / (sum_p + 1), and f_beta tends
+to the soft recall (tp + 1) / (sum_t + 1) as beta -> inf. The loss
+is 1 - f_beta.
 
 These formulas exist once, in a kernel over (..., pixels) arrays:
 `confusion_sums`, `f_beta_terms` (N, D) and `f_beta_loss_grad`
-(d(1 - N/D)/dp). The scores, the finite-difference reference and the
+(d(1 - N/D)/dp). The scores, the finite-difference gradient and the
 toy trainer's descent (`trainer._descend`, one frame per row, which
 takes its own sums without a p * t temporary) all run through it, so
 `gradcheck` verifies the gradient that training follows. Every score
@@ -31,7 +32,7 @@ values are exact in float64 too, so both paths give the same bits.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -123,31 +124,14 @@ def _triple(sums) -> ScoreTriple:
     return ScoreTriple(*score_triples(*sums).tolist())
 
 
-def soft_dice(p, t) -> float:
-    return soft_metrics(p, t).dice
-
-
-def soft_precision(p, t) -> float:
-    return soft_metrics(p, t).precision
-
-
-def soft_recall(p, t) -> float:
-    return soft_metrics(p, t).recall
-
-
 def f_beta(p, t, beta) -> float:
     """Recall/precision trade-off score; beta > 1 weights recall."""
     b = check_beta(beta)
     return _score(_whole_sums(*_check_pair(p, t)), b * b)
 
 
-def loss(p, t, beta=1.0) -> float:
-    """1 - f_beta; the quantity the toy trainer descends."""
-    return 1.0 - f_beta(p, t, beta)
-
-
 def grad_loss(p, t, beta=1.0) -> np.ndarray:
-    """Closed-form d loss / d p_i, same shape as p."""
+    """Closed-form d(1 - f_beta) / d p_i, same shape as p."""
     b = check_beta(beta)
     p_arr, t_arr = _check_pair(p, t)
     b2 = b * b
@@ -194,13 +178,6 @@ def finite_difference_grad_loss(p, t, beta=1.0, eps: float = 1e-4) -> np.ndarray
     return grad.reshape(p_arr.shape)
 
 
-def aggregate_framewise(scores: Sequence[float]) -> float:
-    """Arithmetic mean of per-frame scores."""
-    if len(scores) == 0:
-        raise ValueError("cannot aggregate an empty score list")
-    return float(np.mean(np.asarray(scores, dtype=np.float64)))
-
-
 def score_volumewise(p_vol, t_vol) -> ScoreTriple:
     """Soft scores with sums running over all voxels of the volume."""
     p_arr = np.asarray(p_vol)
@@ -235,6 +212,8 @@ def score_blocks(blocks: Iterable[np.ndarray], mask: np.ndarray,
     whole volume in the last bit.
     """
     _check_threshold(threshold)
+    if mask.shape[0] == 0:
+        raise ValueError("cannot score a mask with no frames")
     frame_sums = np.empty((3, mask.shape[0]))  # soft tp, sum_p, sum_t per frame
     counts = np.zeros(3, dtype=np.int64)  # hard tp, sum_p, sum_t of the volume
     index = 0
@@ -251,5 +230,5 @@ def score_blocks(blocks: Iterable[np.ndarray], mask: np.ndarray,
     return VolumeScores(
         soft=_triple((tp, sum_p, int(counts[2]))),
         hard=_triple(tuple(int(c) for c in counts)),
-        framewise_dice=aggregate_framewise(numer / denom),
+        framewise_dice=float(np.mean(numer / denom)),
     )

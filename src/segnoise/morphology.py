@@ -115,11 +115,6 @@ def erode(frame, iterations: int = 1) -> np.ndarray:
     return _iterate(frame, iterations, erosion=True)
 
 
-def mask_area(frame) -> int:
-    """Number of 1-pixels in the frame."""
-    return int(np.count_nonzero(as_mask_frame(frame)))
-
-
 @dataclass(frozen=True)
 class SizeChange:
     """Pixel counts before/after a corruption of one frame.

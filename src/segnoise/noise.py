@@ -18,8 +18,9 @@ more than `capped_passes` per frame; the reported k is the drawn one).
 Two consumers read the groups: `corrupt_mask_volume` builds the one
 volume of a single seed, and `count_repetitions` returns each of many
 repetitions' (tp, sum_p) against the mask from the stack's rows and the
-clean frames' counts, without building a volume. `corrupt_frame` is the
-per-frame reference both must match.
+clean frames' counts, without building a volume. The per-frame
+reference both must match (one frame, one stream, `morphology.dilate` or
+`erode` k times) lives with the tests, in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -35,18 +36,9 @@ import numpy as np
 
 from .atomic import csv_text, write_text
 from .folds import DatasetSplit
-from .morphology import SizeChange, capped_passes, dilate, erode, radius1_pass, size_change
-from .specs import NoiseMode, NoiseSpec
+from .morphology import SizeChange, capped_passes, radius1_pass
+from .specs import NoiseMode, NoiseSpec, check_sigma2
 from .volume import PatientRecord, validate_mask_volume
-
-
-@dataclass(frozen=True)
-class FrameCorruption:
-    """What happened to one frame: op in {dilate, erode, none}."""
-
-    op: str
-    k: int
-    change: SizeChange
 
 
 @dataclass(frozen=True)
@@ -203,9 +195,7 @@ def frame_states(keys: Sequence[tuple[int, int, int]]) -> list[dict]:
 
 def _std(sigma2: float) -> float:
     """The standard deviation of N(0, sigma2), once sigma2 is checked."""
-    if not math.isfinite(sigma2) or sigma2 < 0:
-        raise ValueError("sigma2 must be finite and >= 0")
-    return math.sqrt(sigma2)
+    return math.sqrt(check_sigma2(sigma2))
 
 
 def _scale(rng: np.random.Generator, std: float) -> int:
@@ -225,22 +215,6 @@ def _draw(rng: np.random.Generator, mode: NoiseMode, std: float) -> tuple[NoiseM
     else:
         op_mode = mode
     return op_mode, _scale(rng, std)
-
-
-def corrupt_frame(
-    frame, mode: NoiseMode, sigma2: float, rng: np.random.Generator
-) -> tuple[np.ndarray, FrameCorruption]:
-    """Corrupt one frame; k = 0 returns it unchanged with op 'none'.
-
-    Random mode flips a fair coin for the operation first, then draws
-    its own scale.
-    """
-    op_mode, k = _draw(rng, NoiseMode(mode), _std(sigma2))
-    if k == 0:
-        out = np.asarray(frame, dtype=np.uint8).copy()
-        return out, FrameCorruption(op="none", k=0, change=size_change(frame, out))
-    out = dilate(frame, k) if op_mode is NoiseMode.DILATE else erode(frame, k)
-    return out, FrameCorruption(op=op_mode.value, k=k, change=size_change(frame, out))
 
 
 def _chunk_frames(stack: np.ndarray) -> int:
@@ -350,9 +324,9 @@ def corrupt_mask_volume(
     """Corrupt every frame of one mask volume with keyed RNG streams;
     return the volume and its report rows, one per frame.
 
-    Equal to `corrupt_frame` on each frame with `frame_rng(seed,
-    patient_id, index)`: the one group of `_corrupted_groups` for one
-    seed, its stack written over a copy of the mask.
+    Frame i is corrupted as if with its own `frame_rng(seed, patient_id,
+    i)`: the one group of `_corrupted_groups` for one seed, its stack
+    written over a copy of the mask.
     """
     mask = validate_mask_volume(mask_volume)
     mode = NoiseMode(mode)
@@ -386,10 +360,7 @@ def corrupt_dataset(
     bit-identical. Returns (masks by patient id, audit report).
     """
     by_id = {r.patient_id: r for r in records}
-    missing = [pid for pid in split.all_ids if pid not in by_id]
-    if missing:
-        raise KeyError(f"split references unknown patient ids: {missing}")
-
+    split.check_known(by_id)
     masks: dict[str, np.ndarray] = {}
     rows: list[CorruptionRecord] = []
     for pid in sorted(split.all_ids):

@@ -50,9 +50,7 @@ def cell_seed(base_seed: int, mode_index: int, sigma_index: int, fold_index: int
 
 
 def _check_test_ids(known, split: DatasetSplit) -> None:
-    missing = [pid for pid in split.test_ids if pid not in known]
-    if missing:
-        raise KeyError(f"split references unknown patient ids: {missing}")
+    split.check_known(known, split.test_ids)
     if not split.test_ids:
         raise ValueError("split has an empty test subset")
 

@@ -22,12 +22,26 @@ def check_beta(beta) -> float:
     return b
 
 
+def check_sigma2(sigma2, name: str = "sigma2") -> float:
+    """`sigma2` as a float, if it is a variance: finite and >= 0."""
+    s = float(sigma2)
+    if not math.isfinite(s) or s < 0.0:
+        raise ValueError(f"{name} must be finite and >= 0")
+    return s
+
+
 def check_distinct(name: str, values: tuple) -> tuple:
     """`values`, unless one repeats: a sweep axis that repeats a value
     would pool the two points' results under one key."""
     if len(set(values)) < len(values):
         raise ValueError(f"{name} must not repeat a value")
     return values
+
+
+def check_sigma2_values(values) -> tuple[float, ...]:
+    """A sweep's sigma2 axis as floats: each a variance, none repeated."""
+    return check_distinct("sigma2_values", tuple(
+        check_sigma2(s, f"sigma2_values[{i}]") for i, s in enumerate(values)))
 
 
 class NoiseMode(str, Enum):
@@ -46,8 +60,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", NoiseMode(self.mode))
-        if not math.isfinite(self.sigma2) or self.sigma2 < 0:
-            raise ValueError("sigma2 must be finite and >= 0")
+        check_sigma2(self.sigma2)
         if int(self.seed) < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -105,12 +118,9 @@ class SweepConfig:
     def __post_init__(self):
         modes = check_distinct("modes", tuple(NoiseMode(m) for m in self.modes))
         object.__setattr__(self, "modes", modes)
-        sigma2_values = check_distinct("sigma2_values", tuple(float(s) for s in self.sigma2_values))
-        object.__setattr__(self, "sigma2_values", sigma2_values)
+        object.__setattr__(self, "sigma2_values", check_sigma2_values(self.sigma2_values))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if any(s < 0 for s in self.sigma2_values):
-            raise ValueError(f"sigma2_values must all be >= 0, got {self.sigma2_values}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -21,7 +21,7 @@ from .atomic import csv_text, write_text
 from .folds import DatasetSplit
 from .metrics import ScoreTriple, check_beta, f_beta_loss_grad, f_beta_terms, hard_metrics
 from .noise import corrupt_mask_volume
-from .specs import NoiseMode, TrainConfig, check_distinct
+from .specs import NoiseMode, TrainConfig, check_distinct, check_sigma2_values
 from .svgplot import heatmap
 from .volume import PatientRecord, is_binary, zscore_normalize
 
@@ -234,35 +234,13 @@ class GridResult:
         ]
 
 
-@dataclass(frozen=True)
-class _GridContext:
-    """Precomputed per-corpus data shared by all grid tasks."""
-
-    train_pids: tuple[str, ...]
-    # (N_FEATURES, total frames, pixels): C-contiguous, so pickling to a
-    # spawned worker keeps the feature-major layout `_feature_stack` builds.
-    train_planes: np.ndarray
-    train_masks: dict[str, np.ndarray]
-    test_pids: tuple[str, ...]
-    test_features: dict[str, np.ndarray]  # (frames, pixels, N_FEATURES)
-    test_masks: dict[str, np.ndarray]
-    frame_shape: tuple[int, int]
-    mode: NoiseMode
-    base_config: TrainConfig
-    threshold: float
-
-
-def _build_grid_context(
-    records: list[PatientRecord],
-    split: DatasetSplit,
-    mode: NoiseMode,
-    base_config: TrainConfig,
-    threshold: float,
-) -> _GridContext:
+def _grid_inputs(records: list[PatientRecord], split: DatasetSplit):
+    """Check that the split's patients exist and share one frame shape;
+    return the records by id, the train features as the C-contiguous
+    (N_FEATURES, frames, pixels) planes `_feature_stack` fills, and per
+    test patient its features and its mask as (frames, pixels)."""
     by_id = {r.patient_id: r for r in records}
-    missing = [pid for pid in split.all_ids if pid not in by_id]
-    if missing:
-        raise KeyError(f"split references unknown patient ids: {missing}")
+    split.check_known(by_id)
     if not split.train_ids or not split.test_ids:
         raise ValueError("split needs non-empty train and test subsets")
     first = split.train_ids[0]
@@ -280,42 +258,18 @@ def _build_grid_context(
         )
         return _feature_stack(frames, sum(by_id[pid].shape[0] for pid in pids), frame_shape)
 
-    return _GridContext(
-        train_pids=split.train_ids,
-        train_planes=features_for(split.train_ids).transpose(2, 0, 1),
-        train_masks={pid: by_id[pid].mask for pid in split.train_ids},
-        test_pids=split.test_ids,
-        test_features={pid: features_for([pid]) for pid in split.test_ids},
-        test_masks={pid: by_id[pid].mask for pid in split.test_ids},
-        frame_shape=frame_shape,
-        mode=mode,
-        base_config=base_config,
-        threshold=threshold,
-    )
-
-
-def _corrupted_targets(ctx: _GridContext, sigma2: float, seed: int) -> np.ndarray:
-    """The train masks corrupted once for one (sigma2, seed) key: a bool
-    (frames, pixels) array, one row per train frame in `train_pids` order."""
-    return np.concatenate([
-        corrupt_mask_volume(ctx.train_masks[pid], ctx.mode, sigma2, seed, pid)[0]
-        .reshape(len(ctx.train_masks[pid]), -1)
-        for pid in ctx.train_pids
-    ]).astype(bool)
+    tests = tuple((features_for([pid]), by_id[pid].mask.reshape(by_id[pid].shape[0], -1))
+                  for pid in split.test_ids)
+    return by_id, features_for(split.train_ids).transpose(2, 0, 1), tests
 
 
 def _grid_task(args) -> np.ndarray:
     """Train one beta on one key's corrupted targets, then score the model
     on the clean test masks: the mean (dice, precision, recall)."""
     (sigma2, seed), beta = args
-    ctx, targets = pool.context()
-    features = ctx.train_planes.transpose(1, 2, 0)  # (frames, pixels, N_FEATURES)
-    model, _ = _descend(features, targets[sigma2, seed], ctx.base_config, beta)
-    triples = []
-    for pid in ctx.test_pids:
-        pred = predict(model, ctx.test_features[pid])  # (frames, pixels)
-        pred_vol = pred.reshape(pred.shape[0], *ctx.frame_shape)
-        triples.append(hard_metrics(pred_vol, ctx.test_masks[pid], ctx.threshold))
+    train_planes, tests, targets, config, threshold = pool.context()
+    model, _ = _descend(train_planes.transpose(1, 2, 0), targets[sigma2, seed], config, beta)
+    triples = [hard_metrics(predict(model, features), mask, threshold) for features, mask in tests]
     return np.array(triples, dtype=np.float64).mean(axis=0)
 
 
@@ -343,23 +297,30 @@ def beta_gridsearch(
     features and the bool targets of every cell, on one BLAS thread
     (`pool.map_cells`). A one-task grid runs in-process. Validation
     masks are never consumed by the toy trainer, so their corruption
-    (keyed the same way) is not materialized here. Every beta is checked
-    before any work, and no beta or sigma2 may repeat.
+    (keyed the same way) is not materialized here. Every beta and
+    sigma2 is checked before any work, and none may repeat. A worker's
+    context holds only what a task reads.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     betas = check_distinct("betas", tuple(check_beta(b) for b in betas))
-    sigma2_values = check_distinct("sigma2_values", tuple(float(s) for s in sigma2_values))
+    sigma2_values = check_sigma2_values(sigma2_values)
     seeds = tuple(int(s) for s in seeds)
     if not betas or not sigma2_values or not seeds:
         raise ValueError("betas, sigma2_values and seeds must be non-empty")
-    base = base_config if base_config is not None else TrainConfig()
-    ctx = _build_grid_context(records, split, NoiseMode(mode), base, threshold)
+    mode = NoiseMode(mode)
+    by_id, train_planes, tests = _grid_inputs(records, split)
     key = {(s2, seed): (s2, seed if s2 > 0 else seeds[0]) for s2 in sigma2_values for seed in seeds}
-    targets = {k: _corrupted_targets(ctx, *k) for k in dict.fromkeys(key.values())}
+    # Each distinct key's train masks, corrupted once: a bool row per train frame.
+    targets = {
+        (s2, seed): np.concatenate([corrupt_mask_volume(by_id[pid].mask, mode, s2, seed, pid)[0]
+                                    for pid in split.train_ids]).reshape(train_planes.shape[1:]).view(bool)
+        for s2, seed in dict.fromkeys(key.values())
+    }
     tasks = [(k, beta) for k in targets for beta in betas]
+    ctx = (train_planes, tests, targets, base_config or TrainConfig(), threshold)
     # A task is one descent (about 0.6 s at the default 200 epochs).
-    results = dict(zip(tasks, pool.map_cells(_grid_task, tasks, (ctx, targets), jobs, chunksize=1)))
+    results = dict(zip(tasks, pool.map_cells(_grid_task, tasks, ctx, jobs, chunksize=1)))
     cells = [[[results[key[s2, seed], beta] for seed in seeds] for beta in betas] for s2 in sigma2_values]
     scores = np.moveaxis(np.array(cells), -1, 2).copy()  # C-ordered (sigma2, beta, metric, seed)
     return GridResult(betas=betas, sigma2_values=sigma2_values, seeds=seeds, scores=scores)

@@ -11,7 +11,7 @@ zero outside the brain).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,8 +169,3 @@ def zscore_normalize(volume: MultiModalVolume) -> MultiModalVolume:
         out[region] = (values - mean) / std
         normalized[name] = out.astype(np.float32)
     return MultiModalVolume(patient_id=volume.patient_id, modalities=normalized)
-
-
-def normalize_record(record: PatientRecord) -> PatientRecord:
-    """Record with its image volume z-score normalized."""
-    return replace(record, volume=zscore_normalize(record.volume))

@@ -15,12 +15,14 @@ import pytest
 
 from segnoise.cli import main as cli_main
 from segnoise.folds import DatasetSplit, make_folds
-from segnoise.metrics import f_beta, grad_loss, loss, soft_dice, soft_precision, soft_recall
+from segnoise.metrics import f_beta, grad_loss, soft_metrics
 from segnoise.morphology import dilate, erode
 from segnoise.noise import NoiseMode, NoiseSpec, corrupt_dataset, sample_scale
 from segnoise.oracle import SweepConfig, run_sweep
 from segnoise.phantom import PhantomSpec, generate_corpus
 from segnoise.trainer import TrainConfig, beta_gridsearch
+
+from reference import loss
 
 RESULTS = []
 
@@ -51,9 +53,9 @@ def test_criterion_1_metric_identities():
     for _ in range(1000):
         p = rng.random((64, 64))
         t = (rng.random((64, 64)) < 0.5).astype(np.float64)
-        max_dice_err = max(max_dice_err, abs(f_beta(p, t, 1.0) - soft_dice(p, t)))
-        assert f_beta(p, t, 0.0) == soft_precision(p, t)
-        max_recall_err = max(max_recall_err, abs(f_beta(p, t, 1e3) - soft_recall(p, t)))
+        max_dice_err = max(max_dice_err, abs(f_beta(p, t, 1.0) - soft_metrics(p, t).dice))
+        assert f_beta(p, t, 0.0) == soft_metrics(p, t).precision
+        max_recall_err = max(max_recall_err, abs(f_beta(p, t, 1e3) - soft_metrics(p, t).recall))
     elapsed = time.perf_counter() - started
     ok = max_dice_err < 1e-12 and max_recall_err < 1e-3 and elapsed < 5.0
     report(

@@ -532,7 +532,7 @@ class TestScoreCmd:
         write_prediction("stranger", np.zeros((3, 48, 48)), pred_dir)
         rc = main(["score", "--pred", str(pred_dir), "--data", str(src), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "stranger" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: prediction 'stranger' has no matching patient bundle\n"
 
 
 class TestStreamedScore:

@@ -4,8 +4,8 @@ import re
 import pytest
 
 from segnoise.config import (
+    DEFAULT_CONFIG,
     ConfigError,
-    default_config,
     default_config_json,
     foldplan_from,
     load_config,
@@ -17,6 +17,7 @@ from segnoise.config import (
     validate_config,
 )
 from segnoise.noise import NoiseMode
+from segnoise.specs import SweepConfig
 
 
 def write_config(tmp_path, payload):
@@ -27,7 +28,7 @@ def write_config(tmp_path, payload):
 
 class TestDefaults:
     def test_default_config_validates(self):
-        validate_config(default_config())
+        validate_config(load_config(None))
 
     def test_default_json_round_trips(self):
         parsed = json.loads(default_config_json())
@@ -35,8 +36,7 @@ class TestDefaults:
         assert parsed["data"]["phantom"]["patients"] == 16
 
     def test_load_without_file_gives_defaults(self):
-        config = load_config(None)
-        assert config == validate_config(default_config())
+        assert load_config(None) == DEFAULT_CONFIG
 
 
 class TestLoading:
@@ -115,7 +115,7 @@ class TestBuilders:
         config = load_config(None)
         records = [f"p{i}" for i in range(16)]
         plan = foldplan_from(config, records)
-        assert len(plan) == 2
+        assert len(plan.folds) == 2
         noise = noise_spec_from(config)
         assert noise.mode is NoiseMode.DILATE
         sweep = sweep_config_from(config)
@@ -194,3 +194,9 @@ def test_bad_leaf_rejected_with_its_path(tmp_path, path, value):
         payload = {key: payload}
     with pytest.raises(ConfigError, match=re.escape(path)):
         load_config(write_config(tmp_path, payload))
+
+
+@pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), -1.0])
+def test_sweep_config_rejects_a_bad_sigma2(sigma2):
+    with pytest.raises(ValueError, match=r"^sigma2_values\[1\] must be finite and >= 0$"):
+        SweepConfig(sigma2_values=(0.0, sigma2))

@@ -2,13 +2,16 @@
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
 import segnoise
 
 SRC = Path(segnoise.__file__).resolve().parent
-BENCH_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_CHILD = ROOT / "perfbench" / "child.py"
+README = ROOT / "README.md"
 
 
 def references(node) -> tuple[Counter, Counter]:
@@ -45,6 +48,35 @@ def test_every_private_module_level_name_is_used():
                        + attrs_anywhere[name] - inner_attrs[name])
             if outside == 0:
                 unused.append(f"{module}:{node.lineno} {name}")
+    assert unused == []
+
+
+def test_every_public_module_level_name_is_used():
+    # A public function or class is kept for a command, for the
+    # benchmark or for the documented API: package code or perfbench
+    # refers to it outside its own definition, or README names it in
+    # backticks. One that only the tests use belongs in the tests.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    refs = {module: references(tree) for module, tree in trees.items()}
+    attrs_anywhere = sum((attrs for _, attrs in refs.values()), Counter())
+    bench = Counter()
+    for path in sorted(BENCH_CHILD.parent.glob("*.py")):
+        bench.update(sum(references(ast.parse(path.read_text())), Counter()))
+    # Code blocks show the CLI, and the list of removed names is no API.
+    prose = re.sub(r"```.*?```|Removed names.*?\n\n", "", README.read_text() + "\n\n", flags=re.S)
+    documented = {name for span in re.findall(r"`([^`]+)`", prose)
+                  for name in re.findall(r"\w+", span)}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            name = node.name
+            inner_names, inner_attrs = references(node)
+            outside = (refs[module][0][name] - inner_names[name]
+                       + attrs_anywhere[name] - inner_attrs[name] + bench[name])
+            if outside == 0 and name not in documented:
+                unused.append(f"{module[:-3]}.{name}")
     assert unused == []
 
 

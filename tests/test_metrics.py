@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from segnoise.metrics import (
     ScoreTriple,
-    aggregate_framewise,
     confusion_sums,
     f_beta,
     f_beta_loss_grad,
@@ -15,15 +14,13 @@ from segnoise.metrics import (
     finite_difference_grad_loss,
     grad_loss,
     hard_metrics,
-    loss,
     score_blocks,
     score_volumewise,
-    soft_dice,
     soft_metrics,
-    soft_precision,
-    soft_recall,
 )
 from segnoise.morphology import dilate, erode
+
+from reference import loss
 
 
 def random_pair(rng, shape=(16, 16), low=0.0, high=1.0):
@@ -50,27 +47,27 @@ class TestSoftDice:
     def test_perfect_binary_match(self):
         t = np.zeros((4, 4))
         t.reshape(-1)[:10] = 1.0
-        assert soft_dice(t, t) == 1.0
+        assert soft_metrics(t, t).dice == 1.0
 
     def test_all_zero_prediction_against_five_targets(self):
         t = np.zeros((4, 4))
         t.reshape(-1)[:5] = 1.0
         p = np.zeros((4, 4))
-        assert soft_dice(p, t) == pytest.approx(1.0 / 6.0, abs=1e-12)
+        assert soft_metrics(p, t).dice == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_both_empty_scores_one(self):
         z = np.zeros((3, 3))
-        assert soft_dice(z, z) == 1.0
+        assert soft_metrics(z, z).dice == 1.0
 
     def test_symmetric_for_binary_prediction(self):
         rng = np.random.default_rng(0)
         t = (rng.random((8, 8)) < 0.5).astype(np.float64)
         p = (rng.random((8, 8)) < 0.5).astype(np.float64)
-        assert soft_dice(p, t) == pytest.approx(soft_dice(t, p), abs=1e-15)
+        assert soft_metrics(p, t).dice == pytest.approx(soft_metrics(t, p).dice, abs=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes differ"):
-            soft_dice(np.zeros((2, 2)), np.zeros((2, 3)))
+            soft_metrics(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestSoftPrecisionRecall:
@@ -79,36 +76,36 @@ class TestSoftPrecisionRecall:
         t[:4] = 1.0
         p = np.zeros(16)
         p[:8] = 1.0  # 4 TP + 4 FP
-        assert soft_precision(p, t) == pytest.approx(5.0 / 9.0, abs=1e-12)
+        assert soft_metrics(p, t).precision == pytest.approx(5.0 / 9.0, abs=1e-12)
 
     def test_precision_is_one_without_false_positives(self):
         t = np.zeros(16)
         t[:6] = 1.0
         p = np.zeros(16)
         p[:3] = 1.0  # p subset of t
-        assert soft_precision(p, t) == 1.0
+        assert soft_metrics(p, t).precision == 1.0
 
     def test_precision_empty_prediction(self):
         t = np.ones(8)
-        assert soft_precision(np.zeros(8), t) == 1.0
+        assert soft_metrics(np.zeros(8), t).precision == 1.0
 
     def test_recall_four_tp_of_six_targets(self):
         t = np.zeros(16)
         t[:6] = 1.0
         p = np.zeros(16)
         p[:4] = 1.0
-        assert soft_recall(p, t) == pytest.approx(5.0 / 7.0, abs=1e-12)
+        assert soft_metrics(p, t).recall == pytest.approx(5.0 / 7.0, abs=1e-12)
 
     def test_recall_is_one_without_false_negatives(self):
         t = np.zeros(16)
         t[:3] = 1.0
         p = np.zeros(16)
         p[:7] = 1.0  # t subset of p
-        assert soft_recall(p, t) == 1.0
+        assert soft_metrics(p, t).recall == 1.0
 
     def test_recall_empty_target(self):
         p = np.full(8, 0.3)
-        assert soft_recall(p, np.zeros(8)) == 1.0
+        assert soft_metrics(p, np.zeros(8)).recall == 1.0
 
 
 class TestFBeta:
@@ -116,19 +113,19 @@ class TestFBeta:
         rng = np.random.default_rng(1)
         for _ in range(50):
             p, t = random_pair(rng)
-            assert abs(f_beta(p, t, 1.0) - soft_dice(p, t)) < 1e-12
+            assert abs(f_beta(p, t, 1.0) - soft_metrics(p, t).dice) < 1e-12
 
     def test_beta_zero_equals_precision_bitwise(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             p, t = random_pair(rng)
-            assert f_beta(p, t, 0.0) == soft_precision(p, t)
+            assert f_beta(p, t, 0.0) == soft_metrics(p, t).precision
 
     def test_large_beta_approaches_recall(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             p, t = random_pair(rng, shape=(64, 64))
-            assert abs(f_beta(p, t, 1e3) - soft_recall(p, t)) < 1e-3
+            assert abs(f_beta(p, t, 1e3) - soft_metrics(p, t).recall) < 1e-3
 
     def test_harmonic_mean_reference_point(self):
         # Construct soft precision 0.5, recall 1.0: p covers all of t
@@ -137,8 +134,8 @@ class TestFBeta:
         t[:1000] = 1.0
         p = np.zeros(4096)
         p[:2001] = 1.0
-        assert soft_precision(p, t) == pytest.approx(0.5, abs=1e-12)
-        assert soft_recall(p, t) == 1.0
+        assert soft_metrics(p, t).precision == pytest.approx(0.5, abs=1e-12)
+        assert soft_metrics(p, t).recall == 1.0
         assert f_beta(p, t, 1.0) == pytest.approx(2 * 0.5 / 1.5, abs=1e-3)
 
     def test_rejects_negative_beta(self):
@@ -154,8 +151,8 @@ class TestFBeta:
         rng = np.random.default_rng(seed)
         p, t = random_pair(rng, shape=(16, 16))
         value = f_beta(p, t, beta)
-        p_score = soft_precision(p, t)
-        r_score = soft_recall(p, t)
+        p_score = soft_metrics(p, t).precision
+        r_score = soft_metrics(p, t).recall
         # The integrated smoothing pulls the recall-side endpoint down by
         # at most 1/(sum_t + 1).
         gap = 1.0 / (t.sum() + 1.0)
@@ -261,20 +258,30 @@ class TestHardMetrics:
 
 
 class TestAggregation:
+    # The framewise dice of `score_blocks` is the plain mean of the
+    # frames' soft dice.
     def test_mean_of_two(self):
-        assert aggregate_framewise([0.8, 1.0]) == pytest.approx(0.9)
+        mask = np.zeros((2, 2, 2), dtype=np.uint8)
+        mask[:, 0] = 1
+        pred = np.stack([mask[0], np.zeros((2, 2))])  # dice 1 and 1/3
+        assert score_blocks((pred,), mask).framewise_dice == pytest.approx(2.0 / 3.0)
 
     def test_single_frame(self):
-        assert aggregate_framewise([0.37]) == pytest.approx(0.37)
+        rng = np.random.default_rng(7)
+        pred, mask = rng.random((1, 8, 8)), (rng.random((1, 8, 8)) < 0.5).astype(np.uint8)
+        dice = score_blocks((pred,), mask).framewise_dice
+        assert dice == soft_metrics(pred[0], mask[0]).dice
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            aggregate_framewise([])
+        with pytest.raises(ValueError, match="no frames"):
+            score_blocks((), np.zeros((0, 4, 4), dtype=np.uint8))
 
     def test_matches_brute_force_mean(self):
         rng = np.random.default_rng(8)
-        scores = list(rng.random(23))
-        assert aggregate_framewise(scores) == pytest.approx(sum(scores) / len(scores), abs=1e-12)
+        pred, mask = rng.random((23, 6, 6)), (rng.random((23, 6, 6)) < 0.5).astype(np.uint8)
+        scores = [soft_metrics(p, t).dice for p, t in zip(pred, mask)]
+        dice = score_blocks((pred[:10], pred[10:]), mask).framewise_dice
+        assert dice == pytest.approx(sum(scores) / len(scores), abs=1e-12)
 
 
 class TestVolumewise:
@@ -283,9 +290,9 @@ class TestVolumewise:
         p = rng.random((1, 8, 8))
         t = (rng.random((1, 8, 8)) < 0.5).astype(np.float64)
         triple = score_volumewise(p, t)
-        assert triple.dice == pytest.approx(soft_dice(p[0], t[0]), abs=1e-15)
-        assert triple.precision == pytest.approx(soft_precision(p[0], t[0]), abs=1e-15)
-        assert triple.recall == pytest.approx(soft_recall(p[0], t[0]), abs=1e-15)
+        assert triple.dice == pytest.approx(soft_metrics(p[0], t[0]).dice, abs=1e-15)
+        assert triple.precision == pytest.approx(soft_metrics(p[0], t[0]).precision, abs=1e-15)
+        assert triple.recall == pytest.approx(soft_metrics(p[0], t[0]).recall, abs=1e-15)
 
     def test_weighted_toward_larger_frame(self):
         # Frame A: 10 target pixels, dice ~0.52; frame B: 1000 target
@@ -300,8 +307,8 @@ class TestVolumewise:
         frame_b_t.reshape(-1)[:1000] = 1.0
         frame_b_p = np.zeros((side, side))
         frame_b_p.reshape(-1)[100:1100] = 1.0  # 900 TP, 100 FP
-        d_a = soft_dice(frame_a_p, frame_a_t)
-        d_b = soft_dice(frame_b_p, frame_b_t)
+        d_a = soft_metrics(frame_a_p, frame_a_t).dice
+        d_b = soft_metrics(frame_b_p, frame_b_t).dice
         assert d_a < 0.6 < d_b
         p_vol = np.stack([frame_a_p, frame_b_p])
         t_vol = np.stack([frame_a_t, frame_b_t])
@@ -413,7 +420,7 @@ class TestScoreFrames:
     def test_soft_and_framewise_scores_match_the_whole_volume_functions(self):
         pred, mask = float32_prediction()
         scores = score_blocks((pred,), mask, 0.5)
-        framewise = aggregate_framewise([soft_metrics(p, t).dice for p, t in zip(pred, mask)])
+        framewise = np.mean([soft_metrics(p, t).dice for p, t in zip(pred, mask)])
         assert scores.soft == pytest.approx(soft_metrics(pred, mask), rel=1e-12)
         assert scores.framewise_dice == pytest.approx(framewise, rel=1e-12)
         assert bits(scores.hard) == bits(hard_metrics(pred, mask, 0.5))
@@ -453,17 +460,17 @@ class TestScoreFrames:
 class TestValidation:
     def test_prediction_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            soft_dice(np.full((2, 2), 1.5), np.zeros((2, 2)))
+            soft_metrics(np.full((2, 2), 1.5), np.zeros((2, 2)))
 
     def test_prediction_non_finite(self):
         p = np.zeros((2, 2))
         p[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            soft_dice(p, np.zeros((2, 2)))
+            soft_metrics(p, np.zeros((2, 2)))
 
     def test_target_non_binary(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            soft_dice(np.zeros((2, 2)), np.full((2, 2), 0.5))
+            soft_metrics(np.zeros((2, 2)), np.full((2, 2), 0.5))
 
     def test_scores_lie_in_unit_interval(self):
         rng = np.random.default_rng(10)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from segnoise.morphology import STRUCTURING_ELEMENT, dilate, erode, mask_area, radius1_pass, size_change
+from segnoise.morphology import STRUCTURING_ELEMENT, dilate, erode, radius1_pass, size_change
 
 
 def brute_force_morph(frame: np.ndarray, k: int, require_all: bool) -> np.ndarray:
@@ -50,7 +50,7 @@ class TestDilate:
         expected = np.zeros((5, 5), dtype=np.uint8)
         expected[1:4, 1:4] = 1
         assert np.array_equal(out, expected)
-        assert mask_area(out) == 9
+        assert np.count_nonzero(out) == 9
 
     def test_zero_iterations_is_identity(self):
         frame = random_frames(1, seed=3)[0]
@@ -59,7 +59,7 @@ class TestDilate:
     def test_two_iterations_fill_5x5_from_center(self):
         frame = np.zeros((5, 5), dtype=np.uint8)
         frame[2, 2] = 1
-        assert mask_area(dilate(frame, 2)) == 25
+        assert np.count_nonzero(dilate(frame, 2)) == 25
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestErode:
     def test_single_pixel_vanishes(self):
         frame = np.zeros((5, 5), dtype=np.uint8)
         frame[2, 2] = 1
-        assert mask_area(erode(frame, 1)) == 0
+        assert np.count_nonzero(erode(frame, 1)) == 0
 
     def test_zero_iterations_is_identity(self):
         frame = random_frames(1, seed=4)[0]
@@ -208,22 +208,23 @@ class TestPassCap:
 
 
 class TestMaskArea:
+    # A frame's mask area is the pixel count `size_change` reports.
     def test_empty(self):
-        assert mask_area(np.zeros((4, 4), dtype=np.uint8)) == 0
+        assert size_change(np.zeros((4, 4), dtype=np.uint8), np.zeros((4, 4))).s_original == 0
 
     def test_block(self):
         frame = np.zeros((5, 5), dtype=np.uint8)
         frame[1:4, 1:4] = 1
-        assert mask_area(frame) == 9
+        assert size_change(frame, frame).s_original == 9
 
     def test_equals_pixel_loop(self):
         frame = random_frames(1, seed=9)[0]
         count = sum(int(frame[y, x]) for y in range(16) for x in range(16))
-        assert mask_area(frame) == count
+        assert size_change(frame, frame).s_modified == count
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            mask_area(np.full((3, 3), 2, dtype=np.uint8))
+            size_change(np.full((3, 3), 2, dtype=np.uint8), np.zeros((3, 3)))
 
 
 class TestSizeChange:
@@ -264,7 +265,7 @@ class TestProperties:
 
     def test_delta_s_monotone_in_iterations(self):
         for frame in random_frames(5, p=0.4, seed=42):
-            if mask_area(frame) == 0:
+            if np.count_nonzero(frame) == 0:
                 continue
             dil = [size_change(frame, dilate(frame, k)).delta_s for k in range(4)]
             assert all(a <= b for a, b in zip(dil, dil[1:]))

@@ -12,7 +12,6 @@ from segnoise.noise import (
     NoiseMode,
     NoiseSpec,
     corrupt_dataset,
-    corrupt_frame,
     corrupt_mask_volume,
     count_repetitions,
     frame_rng,
@@ -21,6 +20,8 @@ from segnoise.noise import (
 )
 from segnoise.noise import _patient_key
 from segnoise.phantom import PhantomSpec, generate_corpus
+
+from reference import corrupt_frame
 
 
 def phi(z):

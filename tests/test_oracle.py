@@ -8,9 +8,11 @@ import pytest
 from segnoise import noise, oracle, pool
 from segnoise.folds import DatasetSplit, FoldPlan, make_folds
 from segnoise.metrics import score_volumewise
-from segnoise.noise import NoiseMode, corrupt_frame, count_repetitions, frame_rng
+from segnoise.noise import NoiseMode, count_repetitions, frame_rng
 from segnoise.oracle import SweepConfig, cell_seed, run_sweep, simulate_noise_robust
 from segnoise.phantom import PhantomSpec, generate_corpus
+
+from reference import corrupt_frame
 
 
 @pytest.fixture(scope="module")

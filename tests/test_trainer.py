@@ -10,9 +10,9 @@ import pytest
 
 from segnoise import config as cfgmod
 from segnoise import pool, trainer
-from segnoise.folds import make_folds
-from segnoise.metrics import hard_metrics, loss, soft_dice
-from segnoise.noise import NoiseMode, NoiseSpec, corrupt_dataset
+from segnoise.folds import DatasetSplit, make_folds
+from segnoise.metrics import hard_metrics, soft_metrics
+from segnoise.noise import NoiseMode, NoiseSpec, corrupt_dataset, corrupt_mask_volume
 from segnoise.phantom import PhantomSpec, generate_corpus
 from segnoise.trainer import (
     LinearSegmenter,
@@ -25,6 +25,8 @@ from segnoise.trainer import (
     train,
 )
 from segnoise.volume import zscore_normalize
+
+from reference import loss
 
 
 def brute_force_box_mean(frame, radius):
@@ -165,7 +167,7 @@ class TestTrain:
     def test_clean_phantom_reaches_high_soft_dice(self, samples):
         model, history = train(samples, TrainConfig(learning_rate=4.0, epochs=200))
         dices = [
-            soft_dice(predict(model, extract_features(img)), mask) for img, mask in samples
+            soft_metrics(predict(model, extract_features(img)), mask).dice for img, mask in samples
         ]
         assert float(np.mean(dices)) > 0.85
         assert history[-1] < history[0]
@@ -451,7 +453,7 @@ class TestGridsearch:
         pids = log.read_text().split()
         assert len(set(pids)) == len(pids) == 2
         assert str(os.getpid()) not in pids
-        ((_, targets), kwargs), = contexts
+        (((_, _, targets, _, _), kwargs),) = contexts
         assert [t.dtype for t in targets.values()] == [np.dtype(bool)]
         assert kwargs == {"chunksize": 1}  # a task is a whole descent
 
@@ -486,16 +488,33 @@ class TestGridsearch:
     def test_repeated_axis_value_rejected_before_any_work(self, grid_setup, monkeypatch, axis, values):
         corpus, split = grid_setup
         kwargs = {"betas": [1.0], "mode": NoiseMode.DILATE, "sigma2_values": [1.0], "seeds": [0], axis: values}
-        monkeypatch.setattr(trainer, "_build_grid_context", _fail)
+        monkeypatch.setattr(trainer, "_grid_inputs", _fail)
         with pytest.raises(ValueError, match=f"{axis} must not repeat a value"):
             beta_gridsearch(corpus, split, **kwargs)
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -1.0])
     def test_bad_beta_rejected_before_any_work(self, grid_setup, monkeypatch, beta):
         corpus, split = grid_setup
-        monkeypatch.setattr(trainer, "_build_grid_context", _fail)
+        monkeypatch.setattr(trainer, "_grid_inputs", _fail)
         with pytest.raises(ValueError, match="beta must be finite and >= 0"):
             beta_gridsearch(corpus, split, betas=[1.0, beta], mode=NoiseMode.DILATE,
+                            sigma2_values=[1.0], seeds=[0])
+
+    @pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), -1.0])
+    def test_bad_sigma2_rejected_before_any_work(self, grid_setup, monkeypatch, sigma2):
+        corpus, split = grid_setup
+        monkeypatch.setattr(trainer, "_grid_inputs", _fail)
+        monkeypatch.setattr(trainer, "corrupt_mask_volume", _fail)
+        with pytest.raises(ValueError, match=r"sigma2_values\[1\] must be finite and >= 0"):
+            beta_gridsearch(corpus, split, betas=[1.0], mode=NoiseMode.DILATE,
+                            sigma2_values=[3.0, sigma2], seeds=[0])
+
+    def test_unknown_patient_rejected_before_any_feature(self, grid_setup, monkeypatch):
+        corpus, split = grid_setup
+        split = DatasetSplit(train_ids=split.train_ids + ("ghost",), val_ids=(), test_ids=split.test_ids)
+        monkeypatch.setattr(trainer, "_feature_stack", _fail)
+        with pytest.raises(KeyError, match=r"split references unknown patient ids: \['ghost'\]"):
+            beta_gridsearch(corpus, split, betas=[1.0], mode=NoiseMode.DILATE,
                             sigma2_values=[1.0], seeds=[0])
 
     def test_empty_axes_rejected(self, grid_setup):
@@ -606,8 +625,12 @@ def default_grid_inputs():
     config = cfgmod.DEFAULT_CONFIG
     records = cfgmod.records_from(config)
     split = cfgmod.foldplan_from(config, [r.patient_id for r in records]).folds[0]
-    ctx = trainer._build_grid_context(records, split, NoiseMode.DILATE, TrainConfig(), 0.5)
-    return ctx.train_planes.transpose(1, 2, 0), trainer._corrupted_targets(ctx, 4.0, 2)
+    by_id, train_planes, _ = trainer._grid_inputs(records, split)
+    targets = np.concatenate([
+        corrupt_mask_volume(by_id[pid].mask, NoiseMode.DILATE, 4.0, 2, pid)[0].reshape(by_id[pid].shape[0], -1)
+        for pid in split.train_ids
+    ]).astype(bool)
+    return train_planes.transpose(1, 2, 0), targets
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0, 2.0])

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from segnoise.volume import (
     PatientRecord,
     VALID_LABELS,
     binarize_labels,
-    normalize_record,
     validate_labels,
     zscore_normalize,
 )
@@ -177,7 +177,8 @@ class TestVolumeTypes:
         vol = MultiModalVolume(patient_id="p", modalities={"m": grid})
         mask = np.zeros((2, 4, 4), dtype=np.uint8)
         mask[0, 1, 1] = 1
-        rec = normalize_record(PatientRecord(volume=vol, mask=mask))
+        rec = PatientRecord(volume=vol, mask=mask)
+        rec = replace(rec, volume=zscore_normalize(rec.volume))
         assert np.array_equal(rec.mask, mask)
 
 
@@ -185,7 +186,7 @@ class TestMakeFolds:
     def test_full_scale_seven_fold_plan(self):
         ids = [f"pat{i:03d}" for i in range(285)]
         plan = make_folds(ids, n_folds=7, sizes=(205, 40, 40), seed=13)
-        assert len(plan) == 7
+        assert len(plan.folds) == 7
         seen_tests = set()
         for fold in plan.folds:
             assert len(fold.train_ids) == 205
