@@ -8,13 +8,14 @@ draws from its own RNG stream keyed by (seed, patient id, frame index),
 so results never depend on iteration order or parallelism, and the
 corruption is fixed once per experiment rather than resampled.
 
-`frame_rng` builds one frame's stream; `frame_states` derives the same
-streams' starting states for many keys at once, by rebuilding
-`SeedSequence`'s mixing in vectorised uint32 arithmetic.
+`frame_rng` builds one frame's stream. `draw_frames` draws the same
+streams for many keys at once: `stream_states` rebuilds `SeedSequence`'s
+mixing in vectorised uint32 arithmetic, each frame's PCG64 seeds itself
+in C from its row of that, and every frame's op and k land in arrays.
 One mask volume is corrupted once per seed a group of repetitions at a
-time: every frame's op and k are drawn, the frames that need passes are
-stacked, and each radius-1 pass runs once per op over the stack (never
-more than `capped_passes` per frame; the reported k is the drawn one).
+time: the frames that need passes are stacked by op and descending k,
+and each radius-1 pass runs once per op over the stack (never more than
+`capped_passes` per frame; the reported k is the drawn one).
 Two consumers read the groups: `corrupt_mask_volume` builds the one
 volume of a single seed, and `count_repetitions` returns each of many
 repetitions' (tp, sum_p) against the mask from the stack's rows and the
@@ -25,6 +26,7 @@ reference both must match (one frame, one stream, `morphology.dilate` or
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -73,15 +75,14 @@ class CorruptionReport:
         return float(np.mean(defined))
 
 
-# numpy's SeedSequence (pool of four uint32 words, hashmix and mix
-# constants) and PCG64 seeding, which `frame_states` rebuilds exactly.
+# numpy's SeedSequence: a pool of four uint32 words, and its hashmix and
+# mix constants, which `stream_states` rebuilds exactly.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 
 # Repetitions are corrupted in groups whose frames hold at most this many
 # voxels (8 MiB of bool), and never fewer than one repetition.
@@ -116,10 +117,7 @@ def _words(value: int) -> list[int]:
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """`init` and the next `count` hash constants (each the last times
     `mult`, mod 2^32), as a (count + 1, 1) column."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
+    return np.cumprod([init] + [mult] * count, dtype=np.uint32)[:, None]
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -139,7 +137,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _seed_state(entropy: np.ndarray) -> np.ndarray:
     """`SeedSequence(row).generate_state(4, np.uint64)` for each row of
-    (n, L) uint32 entropy words, as a (4, n) uint64 array.
+    (n, L) uint32 entropy words, as a C-contiguous (n, 4) uint64 array.
 
     Entropy shorter than the pool is padded with zeros, which is what
     numpy's mixing does; words beyond the pool take its extra loop.
@@ -165,32 +163,50 @@ def _seed_state(entropy: np.ndarray) -> np.ndarray:
         used += _POOL_SIZE
     # generate_state(4, uint64) takes eight uint32 words, cycling the pool.
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8))
-    words = words.astype(np.uint64)
-    return words[0::2] | (words[1::2] << np.uint64(32))
+    words = words.T.astype(np.uint64)
+    return words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
 
 
-def frame_states(keys: Sequence[tuple[int, int, int]]) -> list[dict]:
-    """The PCG64 state that `np.random.default_rng(SeedSequence([seed,
-    key, frame]))` starts from, for each (seed, key, frame) triple of
-    non-negative ints (key is a patient key; `frame_rng` hashes the
-    patient id to one). Assigning a state to a Generator's bit generator
-    gives that frame's stream. The mixing runs once per entropy length
-    over all keys; PCG64's seeding of (state, inc) runs on Python ints.
-    """
-    words = {value: _words(int(value)) for value in {v for key in keys for v in key}}
-    rows = [words[seed] + words[key] + words[frame] for seed, key, frame in keys]
-    by_length: dict[int, list[int]] = {}
-    for index, row in enumerate(rows):
-        by_length.setdefault(len(row), []).append(index)
-    states: list = [None] * len(rows)
-    for indices in by_length.values():
-        seeded = _seed_state(np.array([rows[i] for i in indices], dtype=np.uint32))
-        for index, (s_hi, s_lo, i_hi, i_lo) in zip(indices, zip(*seeded.tolist())):
-            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-            state = ((((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-            states[index] = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                             "has_uint32": 0, "uinteger": 0}
-    return states
+def _entropy_groups(keys: Sequence[Sequence[int]]) -> list[tuple[list[int], np.ndarray]]:
+    """The keys' `_words`, grouped by count: (indices, (n, count) words)."""
+    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for index, key in enumerate(keys):
+        row = [w for v in key for w in _words(int(v))]
+        indices, rows = groups.setdefault(len(row), ([], []))
+        indices.append(index)
+        rows.append(row)
+    return [(indices, np.array(rows, dtype=np.uint32)) for indices, rows in groups.values()]
+
+
+def stream_states(prefixes: Sequence[Sequence[int]], suffixes: Sequence[Sequence[int]]) -> np.ndarray:
+    """`SeedSequence([*prefix, *suffix]).generate_state(4, np.uint64)`
+    for each prefix and, within it, each suffix of non-negative ints, as
+    a (prefixes x suffixes, 4) uint64 array: the words a PCG64 seeds
+    itself from. The mixing runs once per pair of word counts."""
+    states = np.empty((len(prefixes), len(suffixes), 4), dtype=np.uint64)
+    for p_index, p_words in _entropy_groups(prefixes):
+        for s_index, s_words in _entropy_groups(suffixes):
+            entropy = np.concatenate([np.repeat(p_words, len(s_index), axis=0),
+                                      np.tile(s_words, (len(p_index), 1))], axis=1)
+            states[np.ix_(p_index, s_index)] = _seed_state(entropy).reshape(len(p_index), len(s_index), 4)
+    return states.reshape(-1, 4)
+
+
+@functools.cache
+def _state_rows() -> type:
+    """An `ISeedSequence` whose `generate_state` returns the next row of
+    `stream_states`, the 4 uint64 words `PCG64(seq)` asks for. Defined
+    at the first draw: importing this module leaves numpy.random out."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateRows(ISeedSequence):
+        def __init__(self, states: np.ndarray):
+            self._rows = iter(states)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return next(self._rows)
+
+    return StateRows
 
 
 def _std(sigma2: float) -> float:
@@ -198,23 +214,30 @@ def _std(sigma2: float) -> float:
     return math.sqrt(check_sigma2(sigma2))
 
 
-def _scale(rng: np.random.Generator, std: float) -> int:
-    return int(math.floor(abs(rng.normal(0.0, std))))
-
-
 def sample_scale(rng: np.random.Generator, sigma2: float) -> int:
     """Contamination scale k = floor(|x|), x ~ N(0, sigma2)."""
-    return _scale(rng, _std(sigma2))
+    return int(math.floor(abs(rng.normal(0.0, _std(sigma2)))))
 
 
-def _draw(rng: np.random.Generator, mode: NoiseMode, std: float) -> tuple[NoiseMode, int]:
-    """One frame's (operation, k) with x ~ N(0, std**2): random mode
-    flips its fair coin first."""
+def draw_frames(states: np.ndarray, mode: NoiseMode, std: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's draw from its row of `stream_states`, as `frame_rng`
+    gives it: whether it is eroded (else dilated; random mode flips its
+    fair coin first) and its k = floor(|x|), x ~ N(0, std**2), as a bool
+    and a float64 array. k may exceed int64; `int(k[i])` is exact. numpy's
+    `normal(0.0, std)` is `0.0 + std * standard_normal()`, hence std * x."""
+    # PCG64 reads each row's four words from its buffer, so rows must be contiguous uint64.
+    states = np.ascontiguousarray(states, dtype=np.uint64)
+    if states.ndim != 2 or states.shape[1] != 4:
+        raise ValueError(f"states must be (n, 4) seed words, got shape {states.shape}")
+    streams, generator, pcg64 = _state_rows()(states), np.random.Generator, np.random.PCG64
+    rngs = (generator(pcg64(streams)) for _ in range(len(states)))
     if mode is NoiseMode.RANDOM:
-        op_mode = NoiseMode.DILATE if rng.random() < 0.5 else NoiseMode.ERODE
+        coin, x = np.array([(rng.random(), rng.standard_normal()) for rng in rngs]).reshape(-1, 2).T
+        erode = coin >= 0.5
     else:
-        op_mode = mode
-    return op_mode, _scale(rng, std)
+        x = np.array([rng.standard_normal() for rng in rngs], dtype=np.float64)
+        erode = np.full(len(x), mode is NoiseMode.ERODE)
+    return erode, np.floor(np.abs(std * x))
 
 
 def _chunk_frames(stack: np.ndarray) -> int:
@@ -222,52 +245,51 @@ def _chunk_frames(stack: np.ndarray) -> int:
     return max(1, _PASS_VOXELS // max(1, stack.shape[1] * stack.shape[2]))
 
 
-def _run_passes(stack: np.ndarray, draws: list[tuple[NoiseMode, int]]) -> None:
-    """Corrupt a bool frame stack in place: its dilated frames, then its
-    eroded ones, each block sorted by descending k, so that the frames
-    still active at pass j of an op are a prefix of its block. No frame
-    takes more passes than `capped_passes` allows; its k is unchanged."""
+def _run_passes(stack: np.ndarray, erode: np.ndarray, k: np.ndarray) -> None:
+    """Corrupt a bool frame stack in place, row i by k[i] passes of
+    erosion if erode[i], else of dilation. The rows are ordered: the
+    dilated ones, then the eroded ones, each block by descending k, so
+    that the rows still active at pass j of an op are a prefix of its
+    block. No row takes more passes than `capped_passes` allows."""
     chunk = _chunk_frames(stack)
-    start = 0
-    for op_mode in (NoiseMode.DILATE, NoiseMode.ERODE):
-        ks = [capped_passes(k, stack.shape[1:]) for op, k in draws if op is op_mode]
-        block = stack[start:start + len(ks)]
-        for j in range(1, (ks[0] if ks else 0) + 1):
-            active = sum(k >= j for k in ks)
+    split = len(erode) - np.count_nonzero(erode)
+    for block, ks, erosion in ((stack[:split], k[:split], False), (stack[split:], k[split:], True)):
+        for j in range(1, capped_passes(ks[0], block.shape) + 1 if len(ks) else 1):
+            active = np.count_nonzero(ks >= j)
             for lo in range(0, active, chunk):
                 hi = min(lo + chunk, active)
-                block[lo:hi] = radius1_pass(block[lo:hi], op_mode is NoiseMode.ERODE)
-        start += len(ks)
+                block[lo:hi] = radius1_pass(block[lo:hi], erosion)
+
+
+def _draw_volume(mask: np.ndarray, mode: NoiseMode, sigma2: float, seeds: Sequence[int],
+                 patient_id: str) -> tuple[np.ndarray, np.ndarray]:
+    """`draw_frames` of every frame of the mask for each seed, in seed
+    order; sigma2 is checked before any stream is drawn."""
+    std = _std(sigma2)
+    key = _patient_key(patient_id)
+    states = stream_states([(seed, key) for seed in seeds], [(i,) for i in range(mask.shape[0])])
+    return draw_frames(states, mode, std)
 
 
 def _corrupted_groups(
-    mask: np.ndarray, mode: NoiseMode, sigma2: float, seeds: Sequence[int], patient_id: str
-) -> Iterator[tuple[list[list[tuple[NoiseMode, int]]], np.ndarray, np.ndarray, np.ndarray]]:
-    """Corrupt a validated uint8 mask volume once per seed, a group of
-    repetitions at a time. Yield per group, in seed order: each of its
-    repetitions' frame draws (op, k), the bool stack of its corrupted
-    frames (those with k > 0), and each stack row's repetition within
-    the group and frame index. A consumer drops the stack before asking
-    for the next group, so that only one group's stack is alive."""
-    depth = mask.shape[0]
+    mask: np.ndarray, erode: np.ndarray, k: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Corrupt a validated uint8 mask volume once per repetition of its
+    frames' draws (`_draw_volume`), a group of repetitions at a time.
+    Yield per group: the bool stack of its corrupted frames (k > 0), and
+    each stack row's repetition and frame index. A consumer drops the
+    stack before asking for the next group, so that only one group's
+    stack is alive."""
+    depth = max(1, mask.shape[0])
     frames = mask.view(bool)
-    key = _patient_key(patient_id)
-    std = _std(sigma2)
-    rng = np.random.Generator(np.random.PCG64(0))
-    draws = []
-    for state in frame_states([(seed, key, i) for seed in seeds for i in range(depth)]):
-        rng.bit_generator.state = state
-        draws.append(_draw(rng, mode, std))
-    per_group = max(1, STACK_VOXELS // max(1, mask.size))
-    for first in range(0, len(seeds), per_group):
-        reps = min(per_group, len(seeds) - first)
-        rows = draws[first * depth:(first + reps) * depth]
-        order = sorted((i for i, (_, k) in enumerate(rows) if k),
-                       key=lambda i: (rows[i][0] is NoiseMode.ERODE, -rows[i][1]))
-        rep_index, frame_index = np.divmod(np.array(order, dtype=np.intp), max(1, depth))
+    per_group = max(1, STACK_VOXELS // max(1, mask.size)) * depth
+    for first in range(0, len(k), per_group):
+        hit = first + np.flatnonzero(k[first:first + per_group])
+        order = hit[np.lexsort((-k[hit], erode[hit]))]
+        rep_index, frame_index = np.divmod(order, depth)
         stack = frames[frame_index]
-        _run_passes(stack, [rows[i] for i in order])
-        yield [rows[r * depth:(r + 1) * depth] for r in range(reps)], stack, rep_index, frame_index
+        _run_passes(stack, erode[order], k[order])
+        yield stack, rep_index, frame_index
         del stack  # before the next group's stack is built
 
 
@@ -302,19 +324,17 @@ def count_repetitions(
     replace its clean frame's in the mask's totals.
     """
     mask = validate_mask_volume(mask_volume)
+    erode, k = _draw_volume(mask, NoiseMode(mode), sigma2, seeds, patient_id)
     frames = mask.view(bool)
     clean = _frame_counts(frames)
     sum_t = int(clean.sum())
     tp = np.full(len(seeds), sum_t, dtype=np.int64)
     sum_p = tp.copy()
-    first = 0
-    for group, stack, rep_index, frame_index in _corrupted_groups(mask, NoiseMode(mode), sigma2,
-                                                                    seeds, patient_id):
+    for stack, rep_index, frame_index in _corrupted_groups(mask, erode, k):
         kept, total = _stack_counts(frames, stack, frame_index)
         del stack
-        np.add.at(tp, first + rep_index, kept - clean[frame_index])
-        np.add.at(sum_p, first + rep_index, total - clean[frame_index])
-        first += len(group)
+        np.add.at(tp, rep_index, kept - clean[frame_index])
+        np.add.at(sum_p, rep_index, total - clean[frame_index])
     return tp, sum_p, sum_t
 
 
@@ -325,19 +345,21 @@ def corrupt_mask_volume(
     return the volume and its report rows, one per frame.
 
     Frame i is corrupted as if with its own `frame_rng(seed, patient_id,
-    i)`: the one group of `_corrupted_groups` for one seed, its stack
-    written over a copy of the mask.
+    i)`: `_corrupted_groups` for one seed, its stack written over a copy
+    of the mask.
     """
     mask = validate_mask_volume(mask_volume)
     mode = NoiseMode(mode)
-    (((draws,), stack, _, frame_index),) = _corrupted_groups(mask, mode, sigma2, [seed], patient_id)
+    erode, k = _draw_volume(mask, mode, sigma2, [seed], patient_id)
     out = mask.copy()
-    out.view(bool)[frame_index] = stack
+    for stack, _, frame_index in _corrupted_groups(mask, erode, k):
+        out.view(bool)[frame_index] = stack
+    ops = np.where(erode, NoiseMode.ERODE.value, NoiseMode.DILATE.value)
     rows = [
-        CorruptionRecord(s_original=int(before), s_modified=int(after), patient_id=patient_id,
-                         frame=index, mode=mode.value, op=op.value if k else "none", k=k)
-        for index, ((op, k), before, after) in enumerate(zip(draws, _frame_counts(mask),
-                                                             _frame_counts(out)))
+        CorruptionRecord(s_original=before, s_modified=after, patient_id=patient_id, frame=index,
+                         mode=mode.value, op=op if drawn else "none", k=int(drawn))
+        for index, (op, drawn, before, after) in enumerate(zip(
+            ops.tolist(), k.tolist(), _frame_counts(mask).tolist(), _frame_counts(out).tolist()))
     ]
     return out, rows
 

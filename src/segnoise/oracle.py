@@ -9,18 +9,19 @@ curves isolate what the corruption alone does to each score.
 
 The sweep's unit of work is a (fold, mode, sigma2) point with all its
 repetitions: each test mask is corrupted once per repetition seed in one
-`count_repetitions` call, which derives every repetition's frame
-streams at once, runs the radius-1 passes over all of them and returns
-each repetition's integer (tp, sum_p) and the mask's sum_t; no
+`count_repetitions` call, which draws every repetition's frame streams
+into arrays at once, runs the radius-1 passes over all of them and
+returns each repetition's integer (tp, sum_p) and the mask's sum_t; no
 corrupted volume is built. `metrics.score_triples` turns the counts of
 all test masks and repetitions into scores in one step. A point returns
 a (3, repetitions) array, each column the mean over test masks of the
 volume-wise (dice, precision, recall), bit for bit what
 `score_volumewise` gives on the corrupted volumes. `simulate_noise_robust`
 is the one-seed case of the same code. The sweep needs only masks: its
-context is ({patient id: mask}, folds). `run_sweep` stacks the points
-into one array over the sweep's axes, and every CSV, curve and SVG is a
-reduction of that array (`SweepResult`).
+context is ({patient id: mask}, folds). `run_sweep` seeds each point's
+repetitions at once (`cell_seeds`) and stacks the points into one array
+over the sweep's axes; every CSV, curve and SVG is a reduction of that
+array (`SweepResult`).
 """
 
 from __future__ import annotations
@@ -35,18 +36,25 @@ from . import pool
 from .atomic import csv_text, write_text
 from .folds import DatasetSplit, FoldPlan
 from .metrics import ScoreTriple, score_triples
-from .noise import count_repetitions
+from .noise import count_repetitions, stream_states
 from .specs import NoiseMode, SweepConfig
 from .svgplot import line_plot
 from .volume import PatientRecord
 
 
+def cell_seeds(base_seed: int, mode_index: int, sigma_index: int, fold_index: int,
+               reps: Sequence[int]) -> list[int]:
+    """`cell_seed` of each rep of one point, seeded at once: the two uint32
+    words of `generate_state(2)` are `stream_states`' first uint64 word,
+    low word first, so the seed is that word with its halves swapped."""
+    first = stream_states([(base_seed, mode_index, sigma_index, fold_index)], [(rep,) for rep in reps])[:, 0]
+    return ((first << np.uint64(32)) | (first >> np.uint64(32))).tolist()
+
+
 def cell_seed(base_seed: int, mode_index: int, sigma_index: int, fold_index: int, rep: int) -> int:
-    """Stable 64-bit seed for one sweep cell."""
-    state = np.random.SeedSequence(
-        [int(base_seed), mode_index, sigma_index, fold_index, rep]
-    ).generate_state(2)
-    return (int(state[0]) << 32) | int(state[1])
+    """Stable 64-bit seed for one sweep cell: `SeedSequence([base_seed,
+    mode_index, sigma_index, fold_index, rep]).generate_state(2)`, high word first."""
+    return cell_seeds(base_seed, mode_index, sigma_index, fold_index, [rep])[0]
 
 
 def _check_test_ids(known, split: DatasetSplit) -> None:
@@ -174,9 +182,8 @@ def run_sweep(
     for mode_index, mode in enumerate(config.modes):
         for sigma_index, sigma2 in enumerate(config.sigma2_values):
             for fold_index in range(len(folds.folds)):
-                seeds = tuple(cell_seed(config.seed, mode_index, sigma_index, fold_index, rep)
-                              for rep in range(config.repetitions))
-                tasks.append((fold_index, mode, sigma2, seeds))
+                seeds = cell_seeds(config.seed, mode_index, sigma_index, fold_index, range(config.repetitions))
+                tasks.append((fold_index, mode, sigma2, tuple(seeds)))
     points = pool.map_cells(_sweep_point, tasks, (masks, folds), jobs)
     shape = (len(config.modes), len(config.sigma2_values), len(folds.folds), 3, config.repetitions)
     return SweepResult(config=config, scores=np.array(points).reshape(shape))

@@ -23,7 +23,7 @@ from .metrics import ScoreTriple, check_beta, f_beta_loss_grad, f_beta_terms, ha
 from .noise import corrupt_mask_volume
 from .specs import NoiseMode, TrainConfig, check_distinct, check_sigma2_values
 from .svgplot import heatmap
-from .volume import PatientRecord, is_binary, zscore_normalize
+from .volume import MultiModalVolume, PatientRecord, is_binary, zscore_normalize
 
 N_FEATURES = 5
 
@@ -253,9 +253,10 @@ def _grid_inputs(records: list[PatientRecord], split: DatasetSplit):
             )
 
     def features_for(pids) -> np.ndarray:
-        frames = (
-            frame for pid in pids for frame in zscore_normalize(by_id[pid].volume).first_modality()
-        )
+        # z-scoring is per modality, and the features read only the first.
+        firsts = (next(iter(by_id[pid].volume.modalities.items())) for pid in pids)
+        frames = (frame for pid, (name, grid) in zip(pids, firsts)
+                  for frame in zscore_normalize(MultiModalVolume(pid, {name: grid})).first_modality())
         return _feature_stack(frames, sum(by_id[pid].shape[0] for pid in pids), frame_shape)
 
     tests = tuple((features_for([pid]), by_id[pid].mask.reshape(by_id[pid].shape[0], -1))

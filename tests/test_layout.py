@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -105,3 +108,16 @@ def test_every_segnoise_name_the_benchmark_reads_exists():
                 patched[owner.attr] = getattr(modules[owner.value.id], owner.attr), method.value
     assert set(patched) == {"GridResult", "SweepResult", "CorruptionReport"}
     assert [name for name, (cls, method) in patched.items() if method not in vars(cls)] == []
+
+
+def test_importing_the_commands_does_not_load_numpy_random():
+    # numpy does not import numpy.random with numpy, and importing it
+    # costs about 10 ms; `score` and the benchmark's corpus child never
+    # draw, so only the first draw may load it.
+    code = ("import sys\n"
+            "import segnoise.cli, segnoise.noise, segnoise.oracle, segnoise.bundleio, segnoise.metrics\n"
+            "print(sorted(name for name in sys.modules if name.startswith('numpy.random')))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout.split("\n")[-2] == "[]"

@@ -14,9 +14,10 @@ from segnoise.noise import (
     corrupt_dataset,
     corrupt_mask_volume,
     count_repetitions,
+    draw_frames,
     frame_rng,
-    frame_states,
     sample_scale,
+    stream_states,
 )
 from segnoise.noise import _patient_key
 from segnoise.phantom import PhantomSpec, generate_corpus
@@ -131,40 +132,79 @@ def stream_keys(count: int) -> list[tuple[int, int, int]]:
     return keys
 
 
+def seeded_generators(states):
+    """A Generator per row of `stream_states`, each PCG64 seeded from it."""
+    streams = noise._state_rows()(states)
+    return [np.random.Generator(np.random.PCG64(streams)) for _ in states]
+
+
 class TestFrameStates:
-    """`frame_states` rebuilds numpy's SeedSequence mixing and PCG64
-    seeding; if a numpy release changes either, these fail instead of
-    the corruption streams drifting silently."""
+    """`stream_states` rebuilds numpy's SeedSequence mixing, and each
+    frame's PCG64 seeds itself from its row; if a numpy release changes
+    either, these fail instead of the corruption streams drifting
+    silently."""
 
     def test_states_equal_seed_sequence_pcg64(self):
         keys = stream_keys(10_000)
-        states = frame_states(keys)
-        assert len(states) == len(keys)
-        for key, state in zip(keys, states):
-            assert state == np.random.PCG64(np.random.SeedSequence(list(key))).state, key
+        states = stream_states(keys, [()])
+        assert states.shape == (len(keys), 4) and states.dtype == np.uint64
+        for key, rng in zip(keys, seeded_generators(states)):
+            assert rng.bit_generator.state == np.random.PCG64(np.random.SeedSequence(list(key))).state, key
+
+    def test_prefixes_times_suffixes_in_order(self):
+        # Every prefix with every suffix, of one to three words each,
+        # so the words of a key run past SeedSequence's pool of four.
+        prefixes = [key[:2] for key in stream_keys(60)]
+        suffixes = [(), (0,), (5,), (2**32 - 1,), (2**32,), (2**70, 3)]
+        states = stream_states(prefixes, suffixes)
+        keys = [(*prefix, *suffix) for prefix in prefixes for suffix in suffixes]
+        assert states.tolist() == [np.random.SeedSequence(list(key)).generate_state(4, np.uint64).tolist()
+                                   for key in keys]
+        assert stream_states([], suffixes).shape == stream_states(prefixes, []).shape == (0, 4)
 
     def test_first_draws_equal(self):
         keys = stream_keys(2_000)
-        rng = np.random.Generator(np.random.PCG64(0))
-        for key, state in zip(keys, frame_states(keys)):
+        states = stream_states(keys, [()])
+        for key, rng in zip(keys, seeded_generators(states)):
             reference = np.random.default_rng(np.random.SeedSequence(list(key)))
-            rng.bit_generator.state = state
             assert rng.random() == reference.random()
             assert rng.normal() == reference.normal()
+        for key, rng in zip(keys, seeded_generators(states)):
             reference = np.random.default_rng(np.random.SeedSequence(list(key)))
-            rng.bit_generator.state = state
             assert rng.normal(0.0, 2.0) == reference.normal(0.0, 2.0)
+
+    @pytest.mark.parametrize("sigma2", [0.0, 3.0, 1e16, 1e300])
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_draw_frames_equal_each_frames_own_stream(self, mode, sigma2):
+        keys = stream_keys(500)
+        erode, k = draw_frames(stream_states(keys, [()]), mode, math.sqrt(sigma2))
+        assert erode.dtype == bool and k.dtype == np.float64 and len(erode) == len(k) == len(keys)
+        for key, eroded, drawn in zip(keys, erode.tolist(), k.tolist()):
+            reference = np.random.default_rng(np.random.SeedSequence(list(key)))
+            coin = reference.random() >= 0.5 if mode is NoiseMode.RANDOM else mode is NoiseMode.ERODE
+            assert (eroded, int(drawn)) == (coin, sample_scale(reference, sigma2)), key
+
+    def test_draw_frames_reads_seed_words_in_any_layout(self):
+        states = stream_states(stream_keys(50), [()])
+        expected = draw_frames(states, NoiseMode.RANDOM, 3.0)
+        for layout in (np.asfortranarray(states), states.astype(np.int64), states.T.copy().T):
+            assert all(np.array_equal(a, b) for a, b in zip(draw_frames(layout, NoiseMode.RANDOM, 3.0), expected))
+        for bad in (states[:, :3], states.ravel()):
+            with pytest.raises(ValueError, match=r"\(n, 4\) seed words"):
+                draw_frames(bad, NoiseMode.DILATE, 3.0)
 
     def test_patient_ids_key_the_same_streams_as_frame_rng(self):
         keys = [(seed, pid, frame) for seed in (0, 5, 2**40) for pid in ("p", "case-017")
                 for frame in range(3)]
-        states = frame_states([(seed, _patient_key(pid), frame) for seed, pid, frame in keys])
-        for (seed, pid, frame), state in zip(keys, states):
-            assert state == frame_rng(seed, pid, frame).bit_generator.state
+        states = stream_states([(seed, _patient_key(pid), frame) for seed, pid, frame in keys], [()])
+        for (seed, pid, frame), rng in zip(keys, seeded_generators(states)):
+            assert rng.bit_generator.state == frame_rng(seed, pid, frame).bit_generator.state
 
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            frame_states([(0, 1, 2), (-1, 1, 2)])
+            stream_states([(0, 1, 2), (-1, 1, 2)], [()])
+        with pytest.raises(ValueError, match="non-negative"):
+            stream_states([(0, 1)], [(2,), (-2,)])
 
 
 class TestCorruptMaskVolume:
@@ -264,7 +304,7 @@ class TestDrawsCheckSigma2Once:
     @pytest.mark.parametrize("sigma2", [-1.0, math.inf, math.nan])
     def test_bad_sigma2_rejected_before_any_draw(self, sigma2, monkeypatch):
         mask = small_corpus(count=1, depth=3, seed=2)[0].mask
-        monkeypatch.setattr(noise, "frame_states", lambda keys: pytest.fail("drew frames"))
+        monkeypatch.setattr(noise, "draw_frames", lambda *args: pytest.fail("drew frames"))
         with pytest.raises(ValueError, match="sigma2 must be finite"):
             count_repetitions(mask, NoiseMode.DILATE, sigma2, [1], "p")
 
@@ -281,6 +321,43 @@ class TestHugeSigma2:
                 assert outcome.k == sample_scale(rng, 1e16) > max(mask.shape[1:])
                 op = dilate if outcome.op == "dilate" else erode
                 assert np.array_equal(out[i], op(mask[i], max(mask.shape[1:])))
+
+    def test_k_past_int64_is_the_exact_drawn_int(self):
+        mask = small_corpus(count=1, depth=5, seed=3)[0].mask
+        for mode in NoiseMode:
+            out, outcomes = corrupt_mask_volume(mask, mode, 1e300, seed=4, patient_id="p")
+            for i, outcome in enumerate(outcomes):
+                rng = frame_rng(4, "p", i)
+                if mode is NoiseMode.RANDOM:
+                    rng.random()
+                assert type(outcome.k) is int and outcome.k == sample_scale(rng, 1e300) > 2**63
+                op = dilate if outcome.op == "dilate" else erode
+                assert np.array_equal(out[i], op(mask[i], max(mask.shape[1:])))
+            tp, sum_p, sum_t = count_repetitions(mask, mode, 1e300, [4, 5, 6], "p")
+            assert (tp.tolist(), sum_p.tolist(), sum_t) == volume_counts(mask, mode, 1e300, [4, 5, 6], "p")
+
+
+class TestFastDrawPath:
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_no_seed_sequence_or_state_assignment_per_frame(self, mode, monkeypatch):
+        # Each frame's PCG64 seeds itself in C from its `stream_states`
+        # row; a SeedSequence or a state dict per frame costs several
+        # microseconds, a large share of an oracle sweep.
+        mask = small_corpus(count=1, depth=6, seed=2)[0].mask
+        expected = volume_counts(mask, mode, 4.0, [1, 2, 3], "p")
+
+        def fail(*args, **kwargs):
+            pytest.fail("built a SeedSequence or a default_rng")
+
+        class NoStateAssignment(np.random.PCG64):
+            state = property(np.random.PCG64.state.__get__,
+                             lambda self, value: pytest.fail("assigned a bit generator state"))
+
+        monkeypatch.setattr(np.random, "SeedSequence", fail)
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        monkeypatch.setattr(np.random, "PCG64", NoStateAssignment)
+        tp, sum_p, sum_t = count_repetitions(mask, mode, 4.0, [1, 2, 3], "p")
+        assert (tp.tolist(), sum_p.tolist(), sum_t) == expected
 
 
 class TestCorruptDataset:

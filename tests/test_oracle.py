@@ -9,7 +9,7 @@ from segnoise import noise, oracle, pool
 from segnoise.folds import DatasetSplit, FoldPlan, make_folds
 from segnoise.metrics import score_volumewise
 from segnoise.noise import NoiseMode, count_repetitions, frame_rng
-from segnoise.oracle import SweepConfig, cell_seed, run_sweep, simulate_noise_robust
+from segnoise.oracle import SweepConfig, cell_seed, cell_seeds, run_sweep, simulate_noise_robust
 from segnoise.phantom import PhantomSpec, generate_corpus
 
 from reference import corrupt_frame
@@ -233,22 +233,23 @@ class TestSweepPoint:
     def test_sigma_zero_is_corrupted_and_scored(self, corpus, plan, monkeypatch):
         # Criterion 6's exact 1.0 at sigma2 = 0 must come from drawn
         # streams and real scores, not from a shortcut.
-        keys, scored = [], []
-        states = noise.frame_states
+        streams, scored = [], []  # a seed row per frame stream drawn
+        draw_frames = noise.draw_frames
 
         def count(mask, mode, sigma2, seeds, pid):
             counts = count_repetitions(mask, mode, sigma2, seeds, pid)
             scored.extend([pid] * len(counts[0]))
             return counts
 
-        monkeypatch.setattr(noise, "frame_states", lambda k: keys.extend(k) or states(k))
+        monkeypatch.setattr(noise, "draw_frames",
+                            lambda states, *rest: streams.extend(states) or draw_frames(states, *rest))
         monkeypatch.setattr(oracle, "count_repetitions", count)
         masks = {r.patient_id: r.mask for r in corpus}
         scores = sweep_point(masks, plan, (0, NoiseMode.RANDOM, 0.0, (3, 4, 5)))
         assert scores.tolist() == [[1.0] * 3] * 3
         test_ids = plan.folds[0].test_ids
         assert len(scored) == 3 * len(test_ids)
-        assert len(keys) == 3 * sum(masks[pid].shape[0] for pid in test_ids)
+        assert len(streams) == 3 * sum(masks[pid].shape[0] for pid in test_ids)
 
     def test_point_memory_bounded_by_the_stack_budget(self):
         spec = PhantomSpec(depth=40, height=128, width=128, radius_min=12, radius_max=30, margin=16)
@@ -335,3 +336,16 @@ class TestCellSeed:
 
     def test_stable_across_calls(self):
         assert cell_seed(42, 1, 2, 3, 4) == cell_seed(42, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize("base_seed", [0, 123, 2**32 - 1, 2**32, 2**63 + 5, 2**64, 2**95 + 7])
+    def test_vectorised_seeds_equal_seed_sequence(self, base_seed):
+        # Bases of one, two and three uint32 words, and reps past 2^32,
+        # which lengthen the entropy past SeedSequence's pool.
+        reps = [0, 1, 29, 2**32 - 1, 2**32, 2**40 + 3]
+        for point in [(m, s, f) for m in (0, 2) for s in (0, 5) for f in (0, 1)]:
+            expected = []
+            for rep in reps:
+                state = np.random.SeedSequence([base_seed, *point, rep]).generate_state(2)
+                expected.append((int(state[0]) << 32) | int(state[1]))
+            assert cell_seeds(base_seed, *point, reps) == expected
+            assert [cell_seed(base_seed, *point, rep) for rep in reps] == expected

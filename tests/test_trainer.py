@@ -24,7 +24,7 @@ from segnoise.trainer import (
     predict,
     train,
 )
-from segnoise.volume import zscore_normalize
+from segnoise.volume import MultiModalVolume, zscore_normalize
 
 from reference import loss
 
@@ -461,6 +461,20 @@ class TestGridsearch:
         parallel.write_outputs(tmp_path / "parallel")
         for name in ("grid_scores.csv", "grid_dice_heatmap.svg"):
             assert (tmp_path / "parallel" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    def test_zero_variance_second_modality_is_never_read(self, grid_setup):
+        # The features read only the first modality, so only it is
+        # z-scored; a flat second modality, which zscore_normalize
+        # rejects, changes nothing.
+        corpus, split = grid_setup
+        flat = [replace(r, volume=MultiModalVolume(r.patient_id, {
+            "m0": r.volume.modalities["m0"], "m1": np.ones(r.shape, dtype=np.float32)})) for r in corpus]
+        with pytest.raises(ValueError, match="'m1': zero variance"):
+            zscore_normalize(flat[0].volume)
+        kwargs = dict(betas=[0.6, 1.0], mode=NoiseMode.DILATE, sigma2_values=[2.0], seeds=[1],
+                      base_config=TrainConfig(learning_rate=3.0, epochs=5))
+        grid = beta_gridsearch(flat, split, **kwargs)
+        assert grid.scores.tobytes() == beta_gridsearch(corpus, split, **kwargs).scores.tobytes()
 
     def test_mixed_frame_shapes_rejected_before_any_feature(self, grid_setup, monkeypatch):
         corpus, split = grid_setup
