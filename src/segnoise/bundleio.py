@@ -266,15 +266,15 @@ def index_bundles(root: str | Path, what: str = "patient") -> dict[str, Path]:
     return index
 
 
+def bundle_shape(path: str | Path) -> tuple[int, int, int]:
+    """A patient bundle's (depth, H, W), from its checked meta.json alone."""
+    return _read_meta(Path(path))[1]
+
+
 def load_dataset(root: str | Path) -> list[PatientRecord]:
-    """Load every patient bundle directly under `root`, sorted by id."""
+    """Load every patient bundle directly under `root`, in directory
+    order (`index_bundles`)."""
     return [load_patient(bundle) for bundle in index_bundles(root).values()]
-
-
-def load_masks(root: str | Path) -> dict[str, np.ndarray]:
-    """Every patient's mask under `root`, by id. The bundles pass every
-    check that `load_dataset` makes, but no intensities are kept."""
-    return dict(load_mask(bundle) for bundle in index_bundles(root).values())
 
 
 def write_prediction(patient_id: str, pred: np.ndarray, out_root: str | Path) -> Path:

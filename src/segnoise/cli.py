@@ -43,23 +43,25 @@ def _resolve_out(args_out, config) -> Path:
 
 
 def cmd_phantom(args, config) -> int:
+    """Write each phantom as soon as it is generated, so that one is held."""
     from .bundleio import write_bundle
 
     if config["data"]["phantom"] is None:
         raise cfgmod.ConfigError("phantom generation needs data.phantom in the config")
     out = _resolve_out(args.out, config)
-    records = cfgmod.records_from(config)
-    for record in records:
-        write_bundle(record, out)
-    print(f"wrote {len(records)} phantom bundles to {out}")
+    source = cfgmod.source_from(config)
+    for pid in source.ids:
+        write_bundle(source.record(pid), out)
+    print(f"wrote {len(source.ids)} phantom bundles to {out}")
     return 0
 
 
 def cmd_corrupt(args, config) -> int:
     """Corrupt one fold's train/val masks and write every split patient
-    under corrupted/, one patient at a time. A bundle corpus is streamed:
-    only one patient's mask is held, and each modality is copied through
-    the checked block reader."""
+    under corrupted/, one patient at a time. A phantom source generates
+    one patient at a time. A bundle corpus is streamed: only one
+    patient's mask is held, and each modality is copied through the
+    checked block reader."""
     from .bundleio import index_bundles, load_mask, open_patient, write_patient
     from .noise import CorruptionReport, corrupt_patient
 
@@ -67,28 +69,31 @@ def cmd_corrupt(args, config) -> int:
     bundle_dir = out / "corrupted"
     root = config["data"]["path"]
     if root is None:
-        corpus = {r.patient_id: r for r in cfgmod.records_from(config)}
+        source = cfgmod.source_from(config)
+        ids = source.ids
 
-        def read(record):
+        def read(pid):
+            record = source.record(pid)
             return record.volume.modalities, record.mask
     else:
-        corpus = index_bundles(root)
+        bundles = index_bundles(root)
         if bundle_dir.resolve() == Path(root).resolve():
             raise ValueError(f"corrupt would overwrite its input bundles in {root}")
+        ids = sorted(bundles)
 
-        def read(bundle):
-            return open_patient(bundle)[1:]
-    plan = cfgmod.foldplan_from(config, list(corpus))
+        def read(pid):
+            return open_patient(bundles[pid])[1:]
+    plan = cfgmod.foldplan_from(config, ids)
     split = plan.folds[config["folds"]["fold_index"]]
     spec = cfgmod.noise_spec_from(config)
     if root is not None:
         # Bundles outside the split are not written, but checked all the same.
-        for pid in sorted(corpus.keys() - set(split.all_ids)):
-            load_mask(corpus[pid])
+        for pid in sorted(bundles.keys() - set(split.all_ids)):
+            load_mask(bundles[pid])
 
     rows = []
     for pid in sorted(split.all_ids):
-        modalities, mask = read(corpus[pid])
+        modalities, mask = read(pid)
         mask, patient_rows = corrupt_patient(mask, pid, split, spec)
         write_patient(pid, modalities, mask, bundle_dir)
         rows += patient_rows
@@ -106,18 +111,14 @@ def cmd_corrupt(args, config) -> int:
 
 
 def cmd_oracle(args, config) -> int:
-    """The oracle sweep on masks alone: a bundle corpus is read through
-    `load_masks`, which checks every bundle but keeps no intensities."""
-    from .bundleio import load_masks
+    """The oracle sweep on masks alone: a bundle's after every check but
+    with no intensities kept, a phantom's without its modalities."""
     from .oracle import run_sweep
 
     out = _resolve_out(args.out, config)
-    root = config["data"]["path"]
-    if root is None:
-        masks = {r.patient_id: r.mask for r in cfgmod.records_from(config)}
-    else:
-        masks = load_masks(root)
-    plan = cfgmod.foldplan_from(config, list(masks))
+    source = cfgmod.source_from(config)
+    masks = {pid: source.mask(pid) for pid in source.ids}
+    plan = cfgmod.foldplan_from(config, source.ids)
     sweep = cfgmod.sweep_config_from(config)
     result = run_sweep(masks, plan, sweep, jobs=args.jobs)
     written = result.write_outputs(out)
@@ -129,11 +130,11 @@ def cmd_gridsearch(args, config) -> int:
     from .trainer import beta_gridsearch
 
     out = _resolve_out(args.out, config)
-    records = cfgmod.records_from(config)
-    plan = cfgmod.foldplan_from(config, [r.patient_id for r in records])
+    source = cfgmod.source_from(config)
+    plan = cfgmod.foldplan_from(config, source.ids)
     split = plan.folds[config["folds"]["fold_index"]]
     grid = beta_gridsearch(
-        records,
+        source,
         split,
         betas=config["grid"]["betas"],
         mode=NoiseMode(config["noise"]["mode"]),

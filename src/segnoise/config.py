@@ -16,13 +16,15 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .specs import NoiseMode, NoiseSpec, PhantomSpec, SweepConfig, TrainConfig
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .folds import FoldPlan
     from .volume import PatientRecord
 
@@ -224,16 +226,46 @@ def phantom_spec_from(config: dict) -> PhantomSpec:
     return _build(PhantomSpec, config, "data.phantom")
 
 
-def records_from(config: dict) -> list[PatientRecord]:
-    """Materialize the configured data source."""
-    from .bundleio import load_dataset
-    from .phantom import generate_corpus
+@dataclass(frozen=True)
+class CorpusSource:
+    """A corpus read on demand: sorted `ids`, and per id its (depth, H, W)
+    `shape`, its `mask` and its `record`, each reading only what it returns."""
 
+    ids: tuple[str, ...]
+    shape: Callable[[str], tuple[int, int, int]]
+    mask: Callable[[str], np.ndarray]
+    record: Callable[[str], PatientRecord]
+
+    @classmethod
+    def of(cls, records) -> CorpusSource:
+        by_id = {r.patient_id: r for r in records}
+        return cls(tuple(sorted(by_id)), lambda pid: by_id[pid].shape, lambda pid: by_id[pid].mask,
+                   by_id.__getitem__)
+
+
+def source_from(config: dict) -> CorpusSource:
+    """The configured corpus: bundles, read with every check through
+    `load_mask` and `load_patient`, or phantoms, generated one at a time."""
     data = config["data"]
     if data["path"] is not None:
-        return load_dataset(data["path"])
-    ph = data["phantom"]
-    return generate_corpus(phantom_spec_from(config), count=ph["patients"], seed=ph["seed"])
+        from .bundleio import bundle_shape, index_bundles, load_mask, load_patient
+
+        bundles = index_bundles(data["path"])
+        return CorpusSource(tuple(sorted(bundles)), lambda pid: bundle_shape(bundles[pid]),
+                            lambda pid: load_mask(bundles[pid])[1], lambda pid: load_patient(bundles[pid]))
+    from .phantom import corpus_seeds, generate_phantom, phantom_mask
+
+    spec, ph = phantom_spec_from(config), data["phantom"]
+    seeds = corpus_seeds(ph["patients"], ph["seed"])
+    return CorpusSource(tuple(sorted(seeds)), lambda pid: (spec.depth, spec.height, spec.width),
+                        lambda pid: phantom_mask(spec, seeds[pid])[0],
+                        lambda pid: generate_phantom(spec, seeds[pid], patient_id=pid))
+
+
+def records_from(config: dict) -> list[PatientRecord]:
+    """Every record of the configured data source, in id order."""
+    source = source_from(config)
+    return [source.record(pid) for pid in source.ids]
 
 
 def foldplan_from(config: dict, ids) -> FoldPlan:

@@ -18,14 +18,15 @@ a (3, repetitions) array, each column the mean over test masks of the
 volume-wise (dice, precision, recall), bit for bit what
 `score_volumewise` gives on the corrupted volumes. `simulate_noise_robust`
 is the one-seed case of the same code. The sweep needs only masks: its
-context is ({patient id: mask}, folds). `run_sweep` seeds each point's
-repetitions at once (`cell_seeds`) and stacks the points into one array
+context is ({patient id: mask}, folds). `run_sweep` seeds every point's
+repetitions in one step and stacks the points into one array
 over the sweep's axes; every CSV, curve and SVG is a reduction of that
 array (`SweepResult`).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,13 +43,18 @@ from .svgplot import line_plot
 from .volume import PatientRecord
 
 
+def _point_seeds(points: Sequence[Sequence[int]], reps: Sequence[int]) -> np.ndarray:
+    """`cell_seed` of each rep of each (base_seed, mode_index, sigma_index,
+    fold_index) point, as a (points, reps) uint64 array, seeded in one step:
+    `generate_state(2)` is `stream_states`' first word with its halves swapped."""
+    first = stream_states(points, [(rep,) for rep in reps])[:, 0]
+    return ((first << np.uint64(32)) | (first >> np.uint64(32))).reshape(len(points), len(reps))
+
+
 def cell_seeds(base_seed: int, mode_index: int, sigma_index: int, fold_index: int,
                reps: Sequence[int]) -> list[int]:
-    """`cell_seed` of each rep of one point, seeded at once: the two uint32
-    words of `generate_state(2)` are `stream_states`' first uint64 word,
-    low word first, so the seed is that word with its halves swapped."""
-    first = stream_states([(base_seed, mode_index, sigma_index, fold_index)], [(rep,) for rep in reps])[:, 0]
-    return ((first << np.uint64(32)) | (first >> np.uint64(32))).tolist()
+    """`cell_seed` of each rep of one point, seeded at once."""
+    return _point_seeds([(base_seed, mode_index, sigma_index, fold_index)], reps)[0].tolist()
 
 
 def cell_seed(base_seed: int, mode_index: int, sigma_index: int, fold_index: int, rep: int) -> int:
@@ -178,12 +184,11 @@ def run_sweep(
     masks = corpus if isinstance(corpus, Mapping) else {r.patient_id: r.mask for r in corpus}
     for split in folds.folds:
         _check_test_ids(masks, split)
-    tasks = []
-    for mode_index, mode in enumerate(config.modes):
-        for sigma_index, sigma2 in enumerate(config.sigma2_values):
-            for fold_index in range(len(folds.folds)):
-                seeds = cell_seeds(config.seed, mode_index, sigma_index, fold_index, range(config.repetitions))
-                tasks.append((fold_index, mode, sigma2, tuple(seeds)))
-    points = pool.map_cells(_sweep_point, tasks, (masks, folds), jobs)
+    points = list(itertools.product(range(len(config.modes)), range(len(config.sigma2_values)),
+                                    range(len(folds.folds))))
+    seeds = _point_seeds([(config.seed, *point) for point in points], range(config.repetitions))
+    tasks = [(fold_index, config.modes[mode_index], config.sigma2_values[sigma_index], tuple(row))
+             for (mode_index, sigma_index, fold_index), row in zip(points, seeds.tolist())]
+    scores = pool.map_cells(_sweep_point, tasks, (masks, folds), jobs)
     shape = (len(config.modes), len(config.sigma2_values), len(folds.folds), 3, config.repetitions)
-    return SweepResult(config=config, scores=np.array(points).reshape(shape))
+    return SweepResult(config=config, scores=np.array(scores).reshape(shape))

@@ -29,11 +29,17 @@ def _frame_mask(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
     return mask
 
 
+def phantom_mask(spec: PhantomSpec, seed: int) -> tuple[np.ndarray, np.random.Generator]:
+    """A phantom's (depth, H, W) uint8 mask, which is its first draws,
+    and its generator after them: a mask alone stops there."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    return np.stack([_frame_mask(spec, rng) for _ in range(spec.depth)]), rng
+
+
 def generate_phantom(spec: PhantomSpec, seed: int, patient_id: str | None = None) -> PatientRecord:
     """One synthetic patient, deterministic per (spec, seed)."""
     pid = patient_id if patient_id is not None else f"phantom-{int(seed):08d}"
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    mask = np.stack([_frame_mask(spec, rng) for _ in range(spec.depth)])
+    mask, rng = phantom_mask(spec, seed)
     shape = (spec.depth, spec.height, spec.width)
     grids = {}
     for name in spec.modalities:
@@ -44,12 +50,14 @@ def generate_phantom(spec: PhantomSpec, seed: int, patient_id: str | None = None
     return PatientRecord(volume=volume, mask=mask)
 
 
-def generate_corpus(spec: PhantomSpec, count: int, seed: int) -> list[PatientRecord]:
-    """`count` phantoms with ids phantom-000..., seeded per patient."""
+def corpus_seeds(count: int, seed: int) -> dict[str, int]:
+    """Each corpus patient's id, phantom-000..., and its own seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    records = []
-    for index in range(count):
-        child = np.random.SeedSequence([int(seed), index]).generate_state(1)[0]
-        records.append(generate_phantom(spec, int(child), patient_id=f"phantom-{index:03d}"))
-    return records
+    return {f"phantom-{index:03d}": int(np.random.SeedSequence([int(seed), index]).generate_state(1)[0])
+            for index in range(count)}
+
+
+def generate_corpus(spec: PhantomSpec, count: int, seed: int) -> list[PatientRecord]:
+    """`count` phantoms with ids phantom-000..., seeded per patient."""
+    return [generate_phantom(spec, child, patient_id=pid) for pid, child in corpus_seeds(count, seed).items()]

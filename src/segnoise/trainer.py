@@ -18,6 +18,7 @@ import numpy as np
 
 from . import pool
 from .atomic import csv_text, write_text
+from .config import CorpusSource
 from .folds import DatasetSplit
 from .metrics import ScoreTriple, check_beta, f_beta_loss_grad, f_beta_terms, hard_metrics
 from .noise import corrupt_mask_volume
@@ -234,48 +235,55 @@ class GridResult:
         ]
 
 
-def _grid_inputs(records: list[PatientRecord], split: DatasetSplit):
-    """Check that the split's patients exist and share one frame shape;
-    return the records by id, the train features as the C-contiguous
-    (N_FEATURES, frames, pixels) planes `_feature_stack` fills, and per
-    test patient its features and its mask as (frames, pixels)."""
-    by_id = {r.patient_id: r for r in records}
-    split.check_known(by_id)
+def _first_modality(source: CorpusSource, pid: str, masks: dict) -> np.ndarray:
+    """One patient's z-scored first modality (z-scoring is per modality,
+    and the features read only the first); its mask goes into `masks`."""
+    record = source.record(pid)
+    masks[pid] = record.mask
+    name, grid = next(iter(record.volume.modalities.items()))
+    return zscore_normalize(MultiModalVolume(pid, {name: grid})).first_modality()
+
+
+def _grid_inputs(corpus: CorpusSource | list[PatientRecord], split: DatasetSplit):
+    """Check from the source's ids and shapes that the split's patients
+    exist and share one frame shape; then read each train and test
+    patient once. Return the masks by id, the train features as the
+    C-contiguous (N_FEATURES, frames, pixels) planes `_feature_stack`
+    fills, and each test patient's z-scored first modality by id."""
+    source = corpus if isinstance(corpus, CorpusSource) else CorpusSource.of(corpus)
+    split.check_known(source.ids)
     if not split.train_ids or not split.test_ids:
         raise ValueError("split needs non-empty train and test subsets")
-    first = split.train_ids[0]
-    frame_shape = by_id[first].shape[1:]
+    shapes = {pid: source.shape(pid) for pid in split.all_ids}
+    first, frame_shape = split.train_ids[0], shapes[split.train_ids[0]][1:]
     for pid in split.all_ids:
-        if by_id[pid].shape[1:] != frame_shape:
+        if shapes[pid][1:] != frame_shape:
             raise ValueError(
-                f"patient {pid!r} has frames of shape {by_id[pid].shape[1:]}, but the "
+                f"patient {pid!r} has frames of shape {shapes[pid][1:]}, but the "
                 f"first train patient {first!r} has {frame_shape}; a split needs one frame shape"
             )
-
-    def features_for(pids) -> np.ndarray:
-        # z-scoring is per modality, and the features read only the first.
-        firsts = (next(iter(by_id[pid].volume.modalities.items())) for pid in pids)
-        frames = (frame for pid, (name, grid) in zip(pids, firsts)
-                  for frame in zscore_normalize(MultiModalVolume(pid, {name: grid})).first_modality())
-        return _feature_stack(frames, sum(by_id[pid].shape[0] for pid in pids), frame_shape)
-
-    tests = tuple((features_for([pid]), by_id[pid].mask.reshape(by_id[pid].shape[0], -1))
-                  for pid in split.test_ids)
-    return by_id, features_for(split.train_ids).transpose(2, 0, 1), tests
+    masks: dict[str, np.ndarray] = {}
+    frames = (frame for pid in split.train_ids for frame in _first_modality(source, pid, masks))
+    train = _feature_stack(frames, sum(shapes[pid][0] for pid in split.train_ids), frame_shape)
+    tests = {pid: _first_modality(source, pid, masks) for pid in split.test_ids}
+    return masks, train.transpose(2, 0, 1), tests
 
 
-def _grid_task(args) -> np.ndarray:
-    """Train one beta on one key's corrupted targets, then score the model
-    on the clean test masks: the mean (dice, precision, recall)."""
+def _grid_task(args) -> LinearSegmenter:
+    """Train one beta on one key's corrupted targets."""
     (sigma2, seed), beta = args
-    train_planes, tests, targets, config, threshold = pool.context()
-    model, _ = _descend(train_planes.transpose(1, 2, 0), targets[sigma2, seed], config, beta)
-    triples = [hard_metrics(predict(model, features), mask, threshold) for features, mask in tests]
-    return np.array(triples, dtype=np.float64).mean(axis=0)
+    train_planes, targets, config = pool.context()
+    return _descend(train_planes.transpose(1, 2, 0), targets[sigma2, seed], config, beta)[0]
+
+
+def _test_triples(image: np.ndarray, mask: np.ndarray, models: list, threshold: float) -> list:
+    """Each model's (dice, precision, recall) on one test patient."""
+    features, targets = _feature_stack(image, len(image), image.shape[1:]), mask.reshape(len(image), -1)
+    return [hard_metrics(predict(model, features), targets, threshold) for model in models]
 
 
 def beta_gridsearch(
-    records: list[PatientRecord],
+    corpus: CorpusSource | list[PatientRecord],
     split: DatasetSplit,
     betas,
     mode: NoiseMode,
@@ -287,20 +295,22 @@ def beta_gridsearch(
 ) -> GridResult:
     """Corrupt train masks, train per beta, score on clean test masks.
 
-    Each (sigma2, seed) cell corrupts the train masks once, in this
-    process, and every beta trains on those same targets (paired
-    comparison). Corruption streams are keyed by (seed, patient, frame),
-    so results are independent of the job count. At sigma2 = 0 every
-    frame's k is 0 whatever the seed, so the first seed's cell is
-    computed once and reported under each seed. The unit of work and of
-    parallelism is one beta of one distinct cell: `min(jobs, tasks)`
-    workers, forked where that is the platform default, inherit the
-    features and the bool targets of every cell, on one BLAS thread
-    (`pool.map_cells`). A one-task grid runs in-process. Validation
-    masks are never consumed by the toy trainer, so their corruption
-    (keyed the same way) is not materialized here. Every beta and
-    sigma2 is checked before any work, and none may repeat. A worker's
-    context holds only what a task reads.
+    The corpus (a `config.CorpusSource` or a list of records) is read
+    one split patient at a time, keeping its mask and, for a test
+    patient, its z-scored first modality. Each (sigma2, seed) cell
+    corrupts the train masks once, in this process, and every beta
+    trains on those same targets (paired comparison). Corruption streams
+    are keyed by (seed, patient, frame), so results are independent of
+    the job count. At sigma2 = 0 every frame's k is 0 whatever the seed,
+    so the first seed's cell is computed once and reported under each
+    seed. The unit of work and of parallelism is one beta of one
+    distinct cell, which returns its model: `min(jobs, tasks)` workers,
+    forked where that is the platform default, inherit the train
+    features, targets and config, on one BLAS thread (`pool.map_cells`).
+    A one-task grid runs in-process. Then, with the train features
+    dropped, each test patient's features are extracted once and scored
+    with every model. Validation patients are never read. Every beta and
+    sigma2 is checked before any work, and none may repeat.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -310,18 +320,22 @@ def beta_gridsearch(
     if not betas or not sigma2_values or not seeds:
         raise ValueError("betas, sigma2_values and seeds must be non-empty")
     mode = NoiseMode(mode)
-    by_id, train_planes, tests = _grid_inputs(records, split)
+    masks, train_planes, tests = _grid_inputs(corpus, split)
     key = {(s2, seed): (s2, seed if s2 > 0 else seeds[0]) for s2 in sigma2_values for seed in seeds}
     # Each distinct key's train masks, corrupted once: a bool row per train frame.
     targets = {
-        (s2, seed): np.concatenate([corrupt_mask_volume(by_id[pid].mask, mode, s2, seed, pid)[0]
+        (s2, seed): np.concatenate([corrupt_mask_volume(masks[pid], mode, s2, seed, pid)[0]
                                     for pid in split.train_ids]).reshape(train_planes.shape[1:]).view(bool)
         for s2, seed in dict.fromkeys(key.values())
     }
     tasks = [(k, beta) for k in targets for beta in betas]
-    ctx = (train_planes, tests, targets, base_config or TrainConfig(), threshold)
+    ctx = (train_planes, targets, base_config or TrainConfig())
+    del train_planes, targets  # the context's alone, so that they go with it
     # A task is one descent (about 0.6 s at the default 200 epochs).
-    results = dict(zip(tasks, pool.map_cells(_grid_task, tasks, ctx, jobs, chunksize=1)))
+    models = pool.map_cells(_grid_task, tasks, ctx, jobs, chunksize=1)
+    del ctx
+    triples = [_test_triples(tests.pop(pid), masks[pid], models, threshold) for pid in split.test_ids]
+    results = dict(zip(tasks, np.array(triples, dtype=np.float64).mean(axis=0)))
     cells = [[[results[key[s2, seed], beta] for seed in seeds] for beta in betas] for s2 in sigma2_values]
     scores = np.moveaxis(np.array(cells), -1, 2).copy()  # C-ordered (sigma2, beta, metric, seed)
     return GridResult(betas=betas, sigma2_values=sigma2_values, seeds=seeds, scores=scores)

@@ -11,7 +11,6 @@ from segnoise import config as cfgmod
 from segnoise.bundleio import (
     import_nifti,
     load_dataset,
-    load_masks,
     load_patient,
     load_prediction,
     open_patient,
@@ -59,6 +58,12 @@ def edit_meta(bundle, **changes):
     meta.update(changes)
     meta = {key: value for key, value in meta.items() if value is not None}
     (bundle / "meta.json").write_text(json.dumps(meta))
+
+
+def source_masks(root):
+    """Every patient's mask under `root` by id, read through the bundle source."""
+    source = cfgmod.source_from(cfgmod.load_config(None, {"data": {"path": str(root)}}))
+    return {pid: source.mask(pid) for pid in source.ids}
 
 
 def tree(root):
@@ -130,12 +135,12 @@ class TestNoSecondCopy:
         assert np.array_equal(loaded, pred.astype(np.float32))
 
 
-class TestLoadMasks:
+class TestBundleSourceMasks:
     def test_masks_equal_the_dataset_masks(self, tmp_path):
         for pid in ("zeta", "alpha"):
             write_bundle(sample_record(pid=pid), tmp_path)
         (tmp_path / "zeta" / "mask.raw").unlink()  # derived from labels.raw
-        masks = load_masks(tmp_path)
+        masks = source_masks(tmp_path)
         records = load_dataset(tmp_path)
         assert list(masks) == [r.patient_id for r in records] == ["alpha", "zeta"]
         for record in records:
@@ -150,7 +155,7 @@ class TestLoadMasks:
             return real_read(path, shape, dtype)
 
         monkeypatch.setattr(bundleio, "_read_raw", read)
-        assert list(load_masks(tmp_path)) == ["case-1"]
+        assert list(source_masks(tmp_path)) == ["case-1"]
 
 
 class TestBlockReader:
@@ -252,7 +257,7 @@ class TestScoreRejectsWhatLoadDatasetRejects:
         with pytest.raises(error) as from_dataset:
             load_dataset(data)
         with pytest.raises(error) as from_masks:
-            load_masks(data)
+            source_masks(data)
         assert type(from_masks.value) is type(from_dataset.value)
         argv = ["score", "--pred", str(preds), "--data", str(data), "--out", str(tmp_path / "out")]
         assert main(argv) == 1
@@ -469,7 +474,7 @@ def test_huge_shape_with_empty_payloads_fails_the_size_check_first(tmp_path, sha
         "open_patient": lambda: open_patient(bundle),
         "load_mask": lambda: bundleio.load_mask(bundle),
         "load_dataset": lambda: load_dataset(corpus),
-        "load_masks": lambda: load_masks(corpus),
+        "source masks": lambda: source_masks(corpus),
         "open_prediction": lambda: bundleio.open_prediction(pred),
         "load_prediction": lambda: load_prediction(pred),
     }

@@ -2,16 +2,18 @@ import argparse
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import segnoise
-from segnoise import bundleio, pool
+from segnoise import bundleio, phantom, pool
 from segnoise import config as cfgmod
 from segnoise.bundleio import index_bundles, load_dataset, write_bundle, write_prediction
 from segnoise.cli import _config_overrides, build_parser, main
@@ -143,6 +145,18 @@ def test_importing_the_cli_loads_no_command_modules():
     run = subprocess.run([sys.executable, "-c", code, *heavy], env=env, capture_output=True,
                          text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_oracle_and_gridsearch_on_phantoms_never_import_bundleio(tmp_path):
+    config = small_phantom_config(tmp_path)
+    code = ("import sys; from segnoise import cli\n"
+            "for command in ('oracle', 'gridsearch'):\n"
+            "    assert cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2] + command]) == 0\n"
+            "    print(command, 'segnoise.bundleio' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, str(config), f"{tmp_path}/"],
+                         env=_fresh_interpreter_env(), capture_output=True, text=True, check=True, timeout=120)
+    assert [line for line in run.stdout.splitlines() if line.endswith(("True", "False"))] == [
+        "oracle False", "gridsearch False"]
 
 
 needs_openblas = pytest.mark.skipif(pool._openblas_threads() is None,
@@ -379,6 +393,50 @@ class TestStreamedCorrupt:
         # Twice one mask, plus the block buffer and its finiteness flags
         # (a quarter of it); the whole corpus is 4 x 4.25 MiB.
         assert peak <= 2 * mask + buffer + buffer // 4
+
+
+class TestOnePatientAtATime:
+    @pytest.mark.parametrize("command, generated", [
+        (["phantom"], 6),
+        (["corrupt", "--mode", "random", "--sigma2", "4"], 6),
+        (["gridsearch"], 5),  # 3 train and 2 test patients; the val patient is never read
+    ])
+    def test_at_most_one_record_is_alive(self, tmp_path, monkeypatch, command, generated):
+        records = []
+        most_alive = 0
+        original = phantom.generate_phantom
+
+        def tracked(*args, **kwargs):
+            nonlocal most_alive
+            record = original(*args, **kwargs)
+            records.append(weakref.ref(record))
+            most_alive = max(most_alive, sum(ref() is not None for ref in records))
+            return record
+
+        monkeypatch.setattr(phantom, "generate_phantom", tracked)
+        config = small_phantom_config(tmp_path)
+        assert main([command[0], "--config", str(config), "--out", str(tmp_path / "out"), *command[1:]]) == 0
+        assert len(records) == generated
+        assert most_alive == 1
+
+
+def test_fold_plans_follow_patient_ids_not_directory_names(tmp_path):
+    config, src = TestStreamedCorrupt.corpus(tmp_path)
+    renamed = tmp_path / "renamed"
+    shutil.copytree(src, renamed)
+    ids = sorted(index_bundles(src))
+    for i, pid in enumerate(ids):
+        (renamed / pid).rename(renamed / f"case-{len(ids) - i}")
+    assert list(index_bundles(renamed)) == ids[::-1]
+    plans, outputs = [], []
+    for data in (src, renamed):
+        loaded = cfgmod.load_config(config, {"data": {"path": str(data)}})
+        plans.append(cfgmod.foldplan_from(loaded, cfgmod.source_from(loaded).ids))
+        out = tmp_path / f"oracle-{data.name}"
+        assert main(["oracle", "--config", str(config), "--data", str(data), "--out", str(out)]) == 0
+        outputs.append(tree_bytes(out))
+    assert plans[0] == plans[1]
+    assert outputs[0] == outputs[1]
 
 
 class TestOracleCmd:

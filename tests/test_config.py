@@ -1,22 +1,27 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
+from segnoise.bundleio import write_bundle
 from segnoise.config import (
     DEFAULT_CONFIG,
     ConfigError,
+    CorpusSource,
     default_config_json,
     foldplan_from,
     load_config,
     noise_spec_from,
     phantom_spec_from,
     records_from,
+    source_from,
     sweep_config_from,
     train_config_from,
     validate_config,
 )
 from segnoise.noise import NoiseMode
+from segnoise.phantom import PhantomSpec, corpus_seeds, generate_phantom, phantom_mask
 from segnoise.specs import SweepConfig
 
 
@@ -111,6 +116,17 @@ class TestBuilders:
         assert len(records) == 3
         assert records[0].shape == (2, 48, 48)
 
+    def test_records_are_the_sources_records_in_id_order(self, tmp_path):
+        path = write_config(tmp_path, {"data": {"phantom": {"patients": 3, "depth": 2}}})
+        config = load_config(path)
+        source = source_from(config)
+        assert source.ids == ("phantom-000", "phantom-001", "phantom-002")
+        records = records_from(config)
+        assert [r.patient_id for r in records] == list(source.ids)
+        for record in records:
+            assert record.mask.tobytes() == source.mask(record.patient_id).tobytes()
+            assert source.shape(record.patient_id) == record.shape == (2, 64, 64)
+
     def test_foldplan_and_specs(self):
         config = load_config(None)
         records = [f"p{i}" for i in range(16)]
@@ -200,3 +216,41 @@ def test_bad_leaf_rejected_with_its_path(tmp_path, path, value):
 def test_sweep_config_rejects_a_bad_sigma2(sigma2):
     with pytest.raises(ValueError, match=r"^sigma2_values\[1\] must be finite and >= 0$"):
         SweepConfig(sigma2_values=(0.0, sigma2))
+
+
+class TestCorpusSource:
+    @pytest.mark.parametrize("spec", [
+        PhantomSpec(),
+        PhantomSpec(depth=2, height=240, width=240, radius_min=8.0, radius_max=30.0, margin=40,
+                    modalities=("t1", "t1ce", "t2", "flair")),
+    ], ids=["default", "240x240"])
+    def test_mask_only_phantom_is_the_phantoms_mask(self, spec):
+        # generate_phantom draws the mask first, so a mask alone is the
+        # same draws stopped early.
+        for seed in corpus_seeds(3, 7).values():
+            mask = phantom_mask(spec, seed)[0]
+            assert mask.dtype == np.uint8
+            assert mask.tobytes() == generate_phantom(spec, seed).mask.tobytes()
+
+    def test_bundle_source_reads_what_it_is_asked(self, tmp_path):
+        config = load_config(None, {"data": {"phantom": {"patients": 3, "depth": 2}}})
+        phantoms = source_from(config)
+        for pid in reversed(phantoms.ids):
+            # Directory names that sort opposite to the ids.
+            bundle = write_bundle(phantoms.record(pid), tmp_path)
+            bundle.rename(tmp_path / f"case-{9 - int(pid[-1])}")
+        bundles = source_from(load_config(None, {"data": {"path": str(tmp_path)}}))
+        assert bundles.ids == phantoms.ids
+        for pid in bundles.ids:
+            assert bundles.shape(pid) == phantoms.shape(pid) == (2, 64, 64)
+            assert bundles.mask(pid).tobytes() == phantoms.mask(pid).tobytes()
+            assert bundles.record(pid).patient_id == pid
+
+    def test_in_memory_source(self):
+        records = [generate_phantom(PhantomSpec(depth=2), seed, patient_id=pid)
+                   for pid, seed in (("b", 1), ("a", 2))]
+        source = CorpusSource.of(records)
+        assert source.ids == ("a", "b")
+        assert source.record("b") is records[0]
+        assert source.mask("a") is records[1].mask
+        assert source.shape("a") == (2, 64, 64)

@@ -9,6 +9,12 @@ within 1e-9 relative. The default config tree must also match byte for
 byte, and so must the sha256 of every file that `corrupt` writes under
 `corrupted/`.
 
+The golden `gridsearch` and `gradcheck` also run in child processes on
+other BLAS kernels and numpy CPU paths, set through `OPENBLAS_CORETYPE`
+and `NPY_DISABLE_CPU_FEATURES` in the child's environment only, and
+must give the pinned bytes there too: an output that depends on the
+last bits of the descent would differ between hosts.
+
 When an output change is intended, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,12 +26,16 @@ import contextlib
 import hashlib
 import io
 import math
+import os
+import platform
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from segnoise.bundleio import load_dataset, write_prediction
 from segnoise.cli import main as cli_main
@@ -44,6 +54,10 @@ def _cli(*argv) -> str:
         status = cli_main([str(a) for a in argv])
     assert status == 0, f"segnoise {argv[0]} exited {status}"
     return stdout.getvalue()
+
+
+GRIDSEARCH_ARGS = ("--epochs", 40, "--seeds", 1, "--sigma2-values", 0, 4)
+GRADCHECK_ARGS = ("--trials", 5)
 
 
 def _write_predictions(data: Path, preds: Path) -> None:
@@ -73,11 +87,10 @@ def run_golden(work: Path) -> dict[str, str]:
     _write_predictions(data, preds)
     _cli("score", "--pred", preds, "--data", data, "--out", work / "score")
     _cli("oracle", "--data", data, "--repetitions", 4, "--out", work / "oracle")
-    _cli("gridsearch", "--data", data, "--epochs", 40, "--seeds", 1,
-         "--sigma2-values", 0, 4, "--out", work / "gridsearch")
+    _cli("gridsearch", "--data", data, *GRIDSEARCH_ARGS, "--out", work / "gridsearch")
     outputs = {p.relative_to(work).as_posix(): p.read_text() for p in sorted(work.rglob("*.csv"))}
     outputs[CORRUPTED_DIGESTS] = _digests(work / "corrupt" / "corrupted")
-    outputs[GRADCHECK_REPORT] = _cli("gradcheck", "--trials", 5)
+    outputs[GRADCHECK_REPORT] = _cli("gradcheck", *GRADCHECK_ARGS)
     outputs[DEFAULT_CONFIG] = _cli("--emit-default-config")
     return outputs
 
@@ -120,6 +133,76 @@ def test_golden_outputs(tmp_path):
 
 def test_default_config_byte_identical():
     assert _cli("--emit-default-config") == (GOLDEN / DEFAULT_CONFIG).read_text()
+
+
+# Other hosts' arithmetic: OpenBLAS's Haswell kernels, and its Sandybridge
+# kernels together with numpy's x86-64-v2 paths (a different float64 tanh).
+OTHER_HOSTS = {
+    "Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "Sandybridge-v2": {"OPENBLAS_CORETYPE": "Sandybridge",
+                       "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+# The child runs the golden gridsearch and gradcheck as the CLI does
+# (numpy loads inside `main`), then prints the OpenBLAS kernels it got.
+_CHILD = """
+import contextlib, ctypes, io, sys
+from pathlib import Path
+from segnoise.cli import main
+data, out, grid_args, gradcheck_args = sys.argv[1], Path(sys.argv[2]), sys.argv[3].split(), sys.argv[4].split()
+assert main(["gridsearch", "--data", data, *grid_args, "--out", str(out / "gridsearch")]) == 0
+report = io.StringIO()
+with contextlib.redirect_stdout(report):
+    assert main(["gradcheck", *gradcheck_args]) == 0
+(out / "gradcheck.txt").write_text(report.getvalue())
+import numpy as np
+lib = next((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*.so*"))
+corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+print("core", corename().decode())
+"""
+
+
+def _blas_name() -> str | None:
+    return np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {}).get("name")
+
+
+@pytest.fixture(scope="module")
+def other_host_runs(tmp_path_factory):
+    """Per host, the child running the golden gridsearch and gradcheck
+    under its environment, and its output directory. The children run
+    at once, on the golden phantoms."""
+    work = tmp_path_factory.mktemp("other-hosts")
+    _cli("phantom", "--depth", 5, "--out", work / "phantoms")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    runs = {}
+    for host, variables in OTHER_HOSTS.items():
+        out = work / host
+        argv = [sys.executable, "-c", _CHILD, str(work / "phantoms"), str(out),
+                " ".join(map(str, GRIDSEARCH_ARGS)), " ".join(map(str, GRADCHECK_ARGS))]
+        runs[host] = subprocess.Popen(argv, env={**os.environ, **variables, "PYTHONPATH": path},
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True), out
+    yield runs
+    for proc, _ in runs.values():
+        proc.kill()
+        proc.communicate()
+
+
+@pytest.mark.skipif(_blas_name() != "scipy-openblas",
+                    reason=f"numpy's BLAS is {_blas_name()}, not scipy-openblas, whose kernels the gate selects")
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the gate's kernels and CPU paths are x86-64's")
+@pytest.mark.parametrize("host", list(OTHER_HOSTS))
+def test_golden_grid_and_gradcheck_bytes_on_other_hosts(other_host_runs, host):
+    proc, out = other_host_runs[host]
+    stdout, stderr = proc.communicate(timeout=300)
+    assert proc.returncode == 0, stderr[-2000:]
+    core = stdout.splitlines()[-1]
+    if core != f"core {OTHER_HOSTS[host]['OPENBLAS_CORETYPE']}":
+        pytest.skip(f"this host has no {host} kernels: OpenBLAS chose {core!r}")
+    for name in ("gridsearch/grid_scores.csv", GRADCHECK_REPORT):
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), f"{name} under {host}"
 
 
 if __name__ == "__main__":

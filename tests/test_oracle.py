@@ -349,3 +349,24 @@ class TestCellSeed:
                 expected.append((int(state[0]) << 32) | int(state[1]))
             assert cell_seeds(base_seed, *point, reps) == expected
             assert [cell_seed(base_seed, *point, rep) for rep in reps] == expected
+
+    def test_one_call_seeds_equal_each_points_cell_seeds(self, monkeypatch):
+        # run_sweep seeds the whole sweep in one step; on the default
+        # sweep every task carries its point's own `cell_seeds`.
+        config, plan = SweepConfig(), make_folds([f"p{i}" for i in range(16)], 2, (8, 4, 4), seed=11)
+        masks = {pid: np.zeros((1, 4, 4), dtype=np.uint8) for pid in plan.folds[0].all_ids}
+        seen = []
+
+        def capture(function, tasks, ctx, jobs):
+            seen.extend(tasks)
+            return [np.zeros((3, config.repetitions))] * len(tasks)
+
+        monkeypatch.setattr(oracle.pool, "map_cells", capture)
+        run_sweep(masks, plan, config)
+        expected = [
+            (fold, mode, sigma2, tuple(cell_seeds(config.seed, m, s, fold, range(config.repetitions))))
+            for m, mode in enumerate(config.modes) for s, sigma2 in enumerate(config.sigma2_values)
+            for fold in range(2)
+        ]
+        assert len(seen) == 36
+        assert seen == expected

@@ -453,7 +453,7 @@ class TestGridsearch:
         pids = log.read_text().split()
         assert len(set(pids)) == len(pids) == 2
         assert str(os.getpid()) not in pids
-        (((_, _, targets, _, _), kwargs),) = contexts
+        (((_, targets, _), kwargs),) = contexts
         assert [t.dtype for t in targets.values()] == [np.dtype(bool)]
         assert kwargs == {"chunksize": 1}  # a task is a whole descent
 
@@ -639,9 +639,9 @@ def default_grid_inputs():
     config = cfgmod.DEFAULT_CONFIG
     records = cfgmod.records_from(config)
     split = cfgmod.foldplan_from(config, [r.patient_id for r in records]).folds[0]
-    by_id, train_planes, _ = trainer._grid_inputs(records, split)
+    masks, train_planes, _ = trainer._grid_inputs(records, split)
     targets = np.concatenate([
-        corrupt_mask_volume(by_id[pid].mask, NoiseMode.DILATE, 4.0, 2, pid)[0].reshape(by_id[pid].shape[0], -1)
+        corrupt_mask_volume(masks[pid], NoiseMode.DILATE, 4.0, 2, pid)[0].reshape(masks[pid].shape[0], -1)
         for pid in split.train_ids
     ]).astype(bool)
     return train_planes.transpose(1, 2, 0), targets
