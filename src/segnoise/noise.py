@@ -12,16 +12,16 @@ corruption is fixed once per experiment rather than resampled.
 streams for many keys at once: `stream_states` rebuilds `SeedSequence`'s
 mixing in vectorised uint32 arithmetic, each frame's PCG64 seeds itself
 in C from its row of that, and every frame's op and k land in arrays.
-One mask volume is corrupted once per seed a group of repetitions at a
-time: the frames that need passes are stacked by op and descending k,
-and each radius-1 pass runs once per op over the stack (never more than
-`capped_passes` per frame; the reported k is the drawn one).
-Two consumers read the groups: `corrupt_mask_volume` builds the one
-volume of a single seed, and `count_repetitions` returns each of many
-repetitions' (tp, sum_p) against the mask from the stack's rows and the
-clean frames' counts, without building a volume. The per-frame
-reference both must match (one frame, one stream, `morphology.dilate` or
-`erode` k times) lives with the tests, in `tests/reference.py`.
+Passes never exceed `capped_passes` per frame; the reported k is the
+drawn one. `corrupt_mask_volume` builds one seed's volume: the frames
+that need passes are stacked by op and descending k, and each radius-1
+pass runs once per op over the stack. `count_masks` scores many seeds
+without building a volume: a frame's counts after k passes depend only
+on (frame, op, k), so each op's passes run once over a mask's own
+frames and record every frame's count after each pass, and each seed's
+(tp, sum_p) is a gather from that table. The per-frame reference both
+must match (one frame, one stream, `morphology.dilate` or `erode` k
+times) lives with the tests, in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,9 +84,6 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = (1 << 32) - 1
 
-# Repetitions are corrupted in groups whose frames hold at most this many
-# voxels (8 MiB of bool), and never fewer than one repetition.
-STACK_VOXELS = 1 << 23
 # A radius-1 pass reads at most this many voxels of a stack at a time,
 # which bounds its two temporaries.
 _PASS_VOXELS = 1 << 20
@@ -261,36 +258,23 @@ def _run_passes(stack: np.ndarray, erode: np.ndarray, k: np.ndarray) -> None:
                 block[lo:hi] = radius1_pass(block[lo:hi], erosion)
 
 
-def _draw_volume(mask: np.ndarray, mode: NoiseMode, sigma2: float, seeds: Sequence[int],
-                 patient_id: str) -> tuple[np.ndarray, np.ndarray]:
-    """`draw_frames` of every frame of the mask for each seed, in seed
-    order; sigma2 is checked before any stream is drawn."""
+def _draw_volumes(masks: Sequence[np.ndarray], mode: NoiseMode, sigma2: float, seeds: Sequence[int],
+                  patient_ids: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each mask's `draw_frames` for every seed, as (seeds, depth) erode
+    and k arrays; sigma2 is checked before any stream is drawn. Masks of
+    one depth are seeded and drawn together, in one call each."""
     std = _std(sigma2)
-    key = _patient_key(patient_id)
-    states = stream_states([(seed, key) for seed in seeds], [(i,) for i in range(mask.shape[0])])
-    return draw_frames(states, mode, std)
-
-
-def _corrupted_groups(
-    mask: np.ndarray, erode: np.ndarray, k: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Corrupt a validated uint8 mask volume once per repetition of its
-    frames' draws (`_draw_volume`), a group of repetitions at a time.
-    Yield per group: the bool stack of its corrupted frames (k > 0), and
-    each stack row's repetition and frame index. A consumer drops the
-    stack before asking for the next group, so that only one group's
-    stack is alive."""
-    depth = max(1, mask.shape[0])
-    frames = mask.view(bool)
-    per_group = max(1, STACK_VOXELS // max(1, mask.size)) * depth
-    for first in range(0, len(k), per_group):
-        hit = first + np.flatnonzero(k[first:first + per_group])
-        order = hit[np.lexsort((-k[hit], erode[hit]))]
-        rep_index, frame_index = np.divmod(order, depth)
-        stack = frames[frame_index]
-        _run_passes(stack, erode[order], k[order])
-        yield stack, rep_index, frame_index
-        del stack  # before the next group's stack is built
+    by_depth: dict[int, list[int]] = {}
+    for index, mask in enumerate(masks):
+        by_depth.setdefault(mask.shape[0], []).append(index)
+    draws: list = [None] * len(masks)
+    for depth, indices in by_depth.items():
+        keys = [_patient_key(patient_ids[i]) for i in indices]
+        states = stream_states([(seed, key) for key in keys for seed in seeds], [(f,) for f in range(depth)])
+        erode, k = (a.reshape(len(indices), len(seeds), depth) for a in draw_frames(states, mode, std))
+        for i, draw in zip(indices, zip(erode, k)):
+            draws[i] = draw
+    return draws
 
 
 def _frame_counts(frames: np.ndarray) -> np.ndarray:
@@ -299,43 +283,55 @@ def _frame_counts(frames: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(frame) for frame in frames], dtype=np.int64)
 
 
-def _stack_counts(frames: np.ndarray, stack: np.ndarray,
-                  frame_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each stack row's voxel count within its clean frame and overall,
-    reading at most _PASS_VOXELS voxels of the stack at a time."""
-    chunk = _chunk_frames(stack)
-    tp, sum_p = np.empty((2, len(stack)), dtype=np.int64)
-    for lo in range(0, len(stack), chunk):
-        kept = frames[frame_index[lo:lo + chunk]]
-        kept &= stack[lo:lo + chunk]
-        tp[lo:lo + chunk] = _frame_counts(kept)
-        sum_p[lo:lo + chunk] = _frame_counts(stack[lo:lo + chunk])
-    return tp, sum_p
+def _fill_table(table: np.ndarray, frames: np.ndarray, reach: np.ndarray, erosion: bool) -> None:
+    """table[j, f] = the voxel count of frame f after j passes of one op,
+    for every j up to reach[f]. The frames run in chunks of at most
+    _PASS_VOXELS voxels, by descending reach, so that the frames still
+    active at pass j are a prefix of their chunk."""
+    order = np.argsort(-reach, kind="stable")[:np.count_nonzero(reach)]
+    chunk = _chunk_frames(frames)
+    for lo in range(0, len(order), chunk):
+        index = order[lo:lo + chunk]
+        stack = frames[index]
+        for j in range(1, reach[index[0]] + 1):
+            active = np.count_nonzero(reach[index] >= j)
+            stack[:active] = radius1_pass(stack[:active], erosion)
+            table[j, index[:active]] = _frame_counts(stack[:active])
 
 
-def count_repetitions(
-    mask_volume, mode: NoiseMode, sigma2: float, seeds: Sequence[int], patient_id: str
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(tp, sum_p, sum_t) of each seed's corrupted volume against the
-    mask: tp and sum_p as int64 arrays in seed order, sum_t the mask's
-    voxel count. They equal `count_nonzero` of `corrupted & mask` and of
-    `corrupted` for the volumes `corrupt_mask_volume` builds, one seed
-    at a time, but no volume is built: each corrupted frame's counts
-    replace its clean frame's in the mask's totals.
-    """
-    mask = validate_mask_volume(mask_volume)
-    erode, k = _draw_volume(mask, NoiseMode(mode), sigma2, seeds, patient_id)
+def _table_counts(mask: np.ndarray, erode: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(tp, sum_p, sum_t) of the mask corrupted once per row of (seeds,
+    depth) draws. Each op's passes run once over the mask's own frames,
+    as far as any row needs, and record every frame's count after each
+    pass; a row's counts are a gather from that table. A dilation holds
+    its frame and an erosion lies within it, so a frame's tp is its clean
+    count if dilated, else its own count."""
     frames = mask.view(bool)
-    clean = _frame_counts(frames)
-    sum_t = int(clean.sum())
-    tp = np.full(len(seeds), sum_t, dtype=np.int64)
-    sum_p = tp.copy()
-    for stack, rep_index, frame_index in _corrupted_groups(mask, erode, k):
-        kept, total = _stack_counts(frames, stack, frame_index)
-        del stack
-        np.add.at(tp, rep_index, kept - clean[frame_index])
-        np.add.at(sum_p, rep_index, total - clean[frame_index])
-    return tp, sum_p, sum_t
+    passes = np.minimum(k, capped_passes(k.max(initial=0), mask.shape)).astype(np.intp)
+    op = erode.astype(np.intp)
+    table = np.zeros((2, passes.max(initial=0) + 1, len(frames)), dtype=np.int64)
+    table[:, 0] = _frame_counts(frames)
+    for erosion, rows in enumerate(table):
+        reach = np.where(op == erosion, passes, 0).max(axis=0, initial=0)
+        _fill_table(rows, frames, reach, bool(erosion))
+    sum_p = table[op, passes, np.arange(len(frames))]
+    tp = np.where(erode, sum_p, table[0, 0])
+    return tp.sum(axis=1), sum_p.sum(axis=1), int(table[0, 0].sum())
+
+
+def count_masks(
+    masks: Sequence, mode: NoiseMode, sigma2: float, seeds: Sequence[int], patient_ids: Sequence[str]
+) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """(tp, sum_p, sum_t) of each mask, with its patient id, against each
+    seed's corrupted volume: tp and sum_p as int64 arrays in seed order,
+    sum_t the mask's voxel count. They equal `count_nonzero` of
+    `corrupted & mask` and of `corrupted` for the volumes
+    `corrupt_mask_volume` builds, one seed at a time, but no volume is
+    built (`_table_counts`). Masks of one depth are seeded and drawn
+    together."""
+    masks = [validate_mask_volume(mask) for mask in masks]
+    draws = _draw_volumes(masks, NoiseMode(mode), sigma2, seeds, patient_ids)
+    return [_table_counts(mask, erode, k) for mask, (erode, k) in zip(masks, draws)]
 
 
 def corrupt_mask_volume(
@@ -345,15 +341,18 @@ def corrupt_mask_volume(
     return the volume and its report rows, one per frame.
 
     Frame i is corrupted as if with its own `frame_rng(seed, patient_id,
-    i)`: `_corrupted_groups` for one seed, its stack written over a copy
-    of the mask.
+    i)`: the frames that need passes are stacked by op and descending k
+    (`_run_passes`), and the stack is written over a copy of the mask.
     """
     mask = validate_mask_volume(mask_volume)
     mode = NoiseMode(mode)
-    erode, k = _draw_volume(mask, mode, sigma2, [seed], patient_id)
+    erode, k = (draw[0] for draw in _draw_volumes([mask], mode, sigma2, [seed], [patient_id])[0])
     out = mask.copy()
-    for stack, _, frame_index in _corrupted_groups(mask, erode, k):
-        out.view(bool)[frame_index] = stack
+    hit = np.flatnonzero(k)
+    order = hit[np.lexsort((-k[hit], erode[hit]))]
+    stack = mask.view(bool)[order]
+    _run_passes(stack, erode[order], k[order])
+    out.view(bool)[order] = stack
     ops = np.where(erode, NoiseMode.ERODE.value, NoiseMode.DILATE.value)
     rows = [
         CorruptionRecord(s_original=before, s_modified=after, patient_id=patient_id, frame=index,

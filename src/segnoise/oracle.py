@@ -8,20 +8,20 @@ and erosion leaves precision pinned at 1 (pure containment), so the
 curves isolate what the corruption alone does to each score.
 
 The sweep's unit of work is a (fold, mode, sigma2) point with all its
-repetitions: each test mask is corrupted once per repetition seed in one
-`count_repetitions` call, which draws every repetition's frame streams
-into arrays at once, runs the radius-1 passes over all of them and
-returns each repetition's integer (tp, sum_p) and the mask's sum_t; no
-corrupted volume is built. `metrics.score_triples` turns the counts of
-all test masks and repetitions into scores in one step. A point returns
-a (3, repetitions) array, each column the mean over test masks of the
-volume-wise (dice, precision, recall), bit for bit what
-`score_volumewise` gives on the corrupted volumes. `simulate_noise_robust`
-is the one-seed case of the same code. The sweep needs only masks: its
-context is ({patient id: mask}, folds). `run_sweep` seeds every point's
-repetitions in one step and stacks the points into one array
-over the sweep's axes; every CSV, curve and SVG is a reduction of that
-array (`SweepResult`).
+repetitions. One `count_masks` call counts it: the test masks of one
+depth are seeded and drawn together for every repetition seed, each
+mask's passes run once per op over its own frames into a table of
+per-frame counts, and each repetition's integer (tp, sum_p) and the
+mask's sum_t are read from the tables; no corrupted volume is built.
+`metrics.score_triples` turns the counts of all test masks and
+repetitions into scores in one step. A point returns a (3, repetitions)
+array, each column the mean over test masks of the volume-wise (dice,
+precision, recall), bit for bit what `score_volumewise` gives on the
+corrupted volumes. `simulate_noise_robust` is the one-seed case of the
+same code. The sweep needs only masks: its context is ({patient id:
+mask}, folds). `run_sweep` seeds every point's repetitions in one step
+and stacks the points into one array over the sweep's axes; every CSV,
+curve and SVG is a reduction of that array (`SweepResult`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from . import pool
 from .atomic import csv_text, write_text
 from .folds import DatasetSplit, FoldPlan
 from .metrics import ScoreTriple, score_triples
-from .noise import count_repetitions, stream_states
+from .noise import count_masks, stream_states
 from .specs import NoiseMode, SweepConfig
 from .svgplot import line_plot
 from .volume import PatientRecord
@@ -77,7 +77,7 @@ def _point_triples(
     corrupted with that seed's streams, each scored volume-wise against
     its original, averaged."""
     _check_test_ids(masks, split)
-    counts = [count_repetitions(masks[pid], mode, sigma2, seeds, pid) for pid in split.test_ids]
+    counts = count_masks([masks[pid] for pid in split.test_ids], mode, sigma2, seeds, split.test_ids)
     tp, sum_p, sum_t = (np.array(column) for column in zip(*counts))
     return score_triples(tp, sum_p, sum_t[:, None]).mean(axis=0).T
 

@@ -40,12 +40,18 @@ def generate_phantom(spec: PhantomSpec, seed: int, patient_id: str | None = None
     """One synthetic patient, deterministic per (spec, seed)."""
     pid = patient_id if patient_id is not None else f"phantom-{int(seed):08d}"
     mask, rng = phantom_mask(spec, seed)
-    shape = (spec.depth, spec.height, spec.width)
+    base = spec.foreground_offset * mask
+    base += spec.background_mean
+    image = np.empty(mask.shape)  # one float64 buffer for every modality's draw
     grids = {}
     for name in spec.modalities:
-        noise = rng.standard_normal(shape) * spec.noise_std
-        image = spec.background_mean + spec.foreground_offset * mask + noise
+        rng.standard_normal(out=image)
+        image *= spec.noise_std
+        image += base
+        # Read-only and owning its data, so the volume adopts it uncopied.
         grids[name] = image.astype(np.float32)
+        grids[name].setflags(write=False)
+    del base, image
     volume = MultiModalVolume(patient_id=pid, modalities=grids)
     return PatientRecord(volume=volume, mask=mask)
 

@@ -13,7 +13,7 @@ from segnoise.noise import (
     NoiseSpec,
     corrupt_dataset,
     corrupt_mask_volume,
-    count_repetitions,
+    count_masks,
     draw_frames,
     frame_rng,
     sample_scale,
@@ -246,6 +246,11 @@ class TestCorruptMaskVolume:
             assert any(o.k > 1 for o in outcomes)
 
 
+def count_repetitions(mask, mode, sigma2, seeds, pid):
+    """`count_masks` of one mask."""
+    return count_masks([mask], mode, sigma2, seeds, [pid])[0]
+
+
 def volume_counts(mask, mode, sigma2, seeds, pid):
     """(tp, sum_p, sum_t) from the volumes `corrupt_mask_volume` builds,
     one seed at a time."""
@@ -271,9 +276,8 @@ class TestCountRepetitions:
     @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
     def test_several_groups_and_pass_chunks(self, mode, monkeypatch):
         mask = small_corpus(count=1, depth=8, seed=6)[0].mask
-        # Two repetitions per group (three groups for five seeds) and
-        # three frames per counting chunk.
-        monkeypatch.setattr(noise, "STACK_VOXELS", 2 * mask.size)
+        # Three frames per chunk: each op's table passes run over the
+        # frames that need them three at a time.
         monkeypatch.setattr(noise, "_PASS_VOXELS", 3 * mask[0].size)
         seeds = list(range(5))
         tp, sum_p, sum_t = count_repetitions(mask, mode, 20.0, seeds, "p")
@@ -287,6 +291,74 @@ class TestCountRepetitions:
     def test_empty_full_and_zero_size_masks(self, mask, mode):
         tp, sum_p, sum_t = count_repetitions(mask, mode, 9.0, [7, 8, 9], "p")
         assert (tp.tolist(), sum_p.tolist(), sum_t) == volume_counts(mask, mode, 9.0, [7, 8, 9], "p")
+
+
+def radius1_voxels(monkeypatch) -> list[int]:
+    """The size of every stack `noise.radius1_pass` is given from now on."""
+    sizes = []
+    real = noise.radius1_pass
+    monkeypatch.setattr(noise, "radius1_pass",
+                        lambda stack, erosion: sizes.append(stack.size) or real(stack, erosion))
+    return sizes
+
+
+class TestCountTables:
+    @pytest.mark.parametrize("sigma2", [1e4, 1e300], ids=["past-the-cap", "past-int64"])
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_k_past_the_cap_and_past_int64(self, mode, sigma2, monkeypatch):
+        mask = small_corpus(count=1, depth=5, seed=3)[0].mask
+        seeds = [4, 5, 6, 7]
+        erode, k = noise._draw_volumes([mask], mode, sigma2, seeds, ["p"])[0]
+        assert (k > max(mask.shape[1:])).any() and (sigma2 < 1e300 or (k > 2.0**63).any())
+        sizes = radius1_voxels(monkeypatch)
+        tp, sum_p, sum_t = count_repetitions(mask, mode, sigma2, seeds, "p")
+        assert len(sizes) <= 2 * max(mask.shape[1:])  # each op's table stops at the cap
+        assert (tp.tolist(), sum_p.tolist(), sum_t) == volume_counts(mask, mode, sigma2, seeds, "p")
+
+    def test_random_mode_with_both_ops_in_one_point(self):
+        masks = [r.mask for r in small_corpus(count=2, depth=6, seed=4)]
+        seeds, ids = [11, 12, 13], ["a", "b"]
+        for mask, (erode, k) in zip(masks, noise._draw_volumes(masks, NoiseMode.RANDOM, 6.0, seeds, ids)):
+            assert (erode & (k > 0)).any() and (~erode & (k > 0)).any()
+        counts = count_masks(masks, NoiseMode.RANDOM, 6.0, seeds, ids)
+        for mask, pid, (tp, sum_p, sum_t) in zip(masks, ids, counts):
+            assert (tp.tolist(), sum_p.tolist(), sum_t) == volume_counts(mask, NoiseMode.RANDOM, 6.0, seeds, pid)
+
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_masks_of_different_depths_in_one_point(self, mode, monkeypatch):
+        masks = [small_corpus(count=1, depth=depth, seed=depth)[0].mask for depth in (3, 6, 3)]
+        masks.append(np.zeros((0, 48, 48), np.uint8))
+        seeds, ids = [2, 7, 1, 8], ["a", "b", "c", "d"]
+        calls = []
+        real = noise.stream_states
+        monkeypatch.setattr(noise, "stream_states", lambda *args: calls.append(args) or real(*args))
+        counts = count_masks(masks, mode, 8.0, seeds, ids)
+        assert len(calls) == 3  # one per distinct depth
+        for mask, pid, (tp, sum_p, sum_t) in zip(masks, ids, counts):
+            assert (tp.tolist(), sum_p.tolist(), sum_t) == volume_counts(mask, mode, 8.0, seeds, pid)
+
+    @pytest.mark.parametrize("frames_per_chunk", [1, 2, 5])
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_frame_chunks_smaller_than_the_volume(self, mode, frames_per_chunk, monkeypatch):
+        mask = small_corpus(count=1, depth=7, seed=9)[0].mask
+        monkeypatch.setattr(noise, "_PASS_VOXELS", frames_per_chunk * mask[0].size)
+        sizes = radius1_voxels(monkeypatch)
+        tp, sum_p, sum_t = count_repetitions(mask, mode, 30.0, range(6), "p")
+        assert sizes and max(sizes) <= frames_per_chunk * mask[0].size
+        assert (tp.tolist(), sum_p.tolist(), sum_t) == volume_counts(mask, mode, 30.0, range(6), "p")
+
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_passes_do_not_grow_with_the_repetitions(self, mode, monkeypatch):
+        # Repeating the seeds repeats every draw: the tables need the
+        # same passes, however many repetitions read them.
+        mask = small_corpus(count=1, depth=6, seed=5)[0].mask
+        sizes = radius1_voxels(monkeypatch)
+        few = count_repetitions(mask, mode, 20.0, [1, 2], "p")
+        few_voxels, few_calls = sum(sizes), len(sizes)
+        sizes.clear()
+        many = count_repetitions(mask, mode, 20.0, [1, 2] * 20, "p")
+        assert (sum(sizes), len(sizes)) == (few_voxels, few_calls) and few_calls > 0
+        assert many[0].tolist() == few[0].tolist() * 20 and many[1].tolist() == few[1].tolist() * 20
 
 
 class TestDrawsCheckSigma2Once:

@@ -8,9 +8,9 @@ import pytest
 from segnoise import noise, oracle, pool
 from segnoise.folds import DatasetSplit, FoldPlan, make_folds
 from segnoise.metrics import score_volumewise
-from segnoise.noise import NoiseMode, count_repetitions, frame_rng
+from segnoise.noise import NoiseMode, count_masks, frame_rng
 from segnoise.oracle import SweepConfig, cell_seed, cell_seeds, run_sweep, simulate_noise_robust
-from segnoise.phantom import PhantomSpec, generate_corpus
+from segnoise.phantom import PhantomSpec, generate_corpus, generate_phantom
 
 from reference import corrupt_frame
 
@@ -236,14 +236,14 @@ class TestSweepPoint:
         streams, scored = [], []  # a seed row per frame stream drawn
         draw_frames = noise.draw_frames
 
-        def count(mask, mode, sigma2, seeds, pid):
-            counts = count_repetitions(mask, mode, sigma2, seeds, pid)
-            scored.extend([pid] * len(counts[0]))
+        def count(masks, mode, sigma2, seeds, pids):
+            counts = count_masks(masks, mode, sigma2, seeds, pids)
+            scored.extend(pid for pid, (tp, _, _) in zip(pids, counts) for _ in tp)
             return counts
 
         monkeypatch.setattr(noise, "draw_frames",
                             lambda states, *rest: streams.extend(states) or draw_frames(states, *rest))
-        monkeypatch.setattr(oracle, "count_repetitions", count)
+        monkeypatch.setattr(oracle, "count_masks", count)
         masks = {r.patient_id: r.mask for r in corpus}
         scores = sweep_point(masks, plan, (0, NoiseMode.RANDOM, 0.0, (3, 4, 5)))
         assert scores.tolist() == [[1.0] * 3] * 3
@@ -251,13 +251,32 @@ class TestSweepPoint:
         assert len(scored) == 3 * len(test_ids)
         assert len(streams) == 3 * sum(masks[pid].shape[0] for pid in test_ids)
 
+    def test_one_seeding_and_one_draw_per_distinct_depth(self, corpus, plan, monkeypatch):
+        deep = [generate_phantom(PhantomSpec(depth=6, height=48, width=48, radius_min=4, radius_max=8,
+                                             margin=8), seed, patient_id=f"deep-{seed}") for seed in (1, 2)]
+        records = list(corpus) + deep
+        test_ids = plan.folds[0].test_ids[:2] + tuple(r.patient_id for r in deep)
+        split = DatasetSplit(train_ids=(), val_ids=(), test_ids=test_ids)
+        calls = []
+        for name in ("stream_states", "draw_frames"):
+            real = getattr(noise, name)
+            monkeypatch.setattr(noise, name,
+                                lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        seeds = (9, 8, 7)
+        masks = {r.patient_id: r.mask for r in records}
+        scores = sweep_point(masks, FoldPlan(folds=(split,), seed=0), (0, NoiseMode.RANDOM, 4.0, seeds))
+        assert calls == ["stream_states", "draw_frames"] * 2
+        for column, seed in zip(scores.T.tolist(), seeds):
+            assert tuple(column) == frame_by_frame_triple(records, split, NoiseMode.RANDOM, 4.0, seed)
+
     def test_point_memory_bounded_by_the_stack_budget(self):
         spec = PhantomSpec(depth=40, height=128, width=128, radius_min=12, radius_max=30, margin=16)
         record = generate_corpus(spec, count=1, seed=4)[0]
         split = DatasetSplit(train_ids=(), val_ids=(), test_ids=(record.patient_id,))
         masks = {record.patient_id: record.mask}
-        # At sigma2 = 50 nine frames in ten need passes, so each group's
-        # stack (12 of the 20 repetitions) nearly fills the budget.
+        # At sigma2 = 50 nine frames in ten need passes in most of the 20
+        # repetitions; the count tables pass over the mask's own frames,
+        # once per op, whatever the repetition count.
         tracemalloc.start()
         try:
             scores = sweep_point(masks, FoldPlan(folds=(split,), seed=0),
@@ -266,7 +285,7 @@ class TestSweepPoint:
         finally:
             tracemalloc.stop()
         assert scores.shape == (3, 20)
-        assert peak < noise.STACK_VOXELS + 4 * record.mask.nbytes
+        assert peak < 4 * record.mask.nbytes
 
 
 needs_fork = pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",

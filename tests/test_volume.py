@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from segnoise.folds import make_folds
-from segnoise.phantom import PhantomSpec, generate_corpus, generate_phantom
+from segnoise.phantom import PhantomSpec, generate_corpus, generate_phantom, phantom_mask
 from segnoise.volume import (
     MultiModalVolume,
     PatientRecord,
@@ -235,6 +235,25 @@ class TestPhantom:
         assert np.array_equal(a.mask, b.mask)
         for name in spec.modalities:
             assert np.array_equal(a.volume.modalities[name], b.volume.modalities[name])
+
+    def test_modalities_are_the_float64_formula_built_without_a_copy(self):
+        spec = PhantomSpec(depth=40, height=128, width=128, modalities=("a", "b", "c", "d"))
+        tracemalloc.start()
+        try:
+            rec = generate_phantom(spec, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Held: the mask and four float32 grids. Beyond them live one
+        # float64 base and one float64 draw buffer (16 bytes a voxel);
+        # float64 temporaries per modality and a copy of each grid took 34.
+        held = rec.mask.nbytes + sum(grid.nbytes for grid in rec.volume.modalities.values())
+        assert peak < held + 24 * rec.mask.size
+        mask, rng = phantom_mask(spec, 3)
+        for grid in rec.volume.modalities.values():
+            noise = rng.standard_normal(mask.shape) * spec.noise_std
+            expected = (spec.background_mean + spec.foreground_offset * mask + noise).astype(np.float32)
+            assert grid.tobytes() == expected.tobytes()
 
     def test_mask_respects_margin(self):
         spec = PhantomSpec(depth=6, margin=8)
