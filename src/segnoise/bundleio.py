@@ -203,10 +203,10 @@ def _read_patient(bundle: Path, read_modality: Callable) -> tuple:
     names = meta["modalities"]
     if not isinstance(names, list) or not names:
         raise ValueError(f"{bundle / META_NAME}: modalities must be a non-empty list")
-    grids = {
-        name: read_modality(bundle / f"{check_name(name, 'modality name')}.raw", shape)
-        for name in names
-    }
+    names = [check_name(name, "modality name") for name in names]
+    if len(set(names)) < len(names):
+        raise ValueError(f"{bundle / META_NAME}: modalities name one modality twice: {names!r}")
+    grids = {name: read_modality(bundle / f"{name}.raw", shape) for name in names}
 
     labels_path = bundle / "labels.raw"
     mask_path = bundle / "mask.raw"

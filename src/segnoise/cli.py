@@ -38,7 +38,10 @@ def _resolve_out(args_out, config) -> Path:
             f"or set ${cfgmod.OUTPUT_DIR_ENV}"
         )
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValueError(f"output directory {path} is, or lies under, a file") from exc
     return path
 
 

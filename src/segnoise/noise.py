@@ -13,15 +13,16 @@ streams for many keys at once: `stream_states` rebuilds `SeedSequence`'s
 mixing in vectorised uint32 arithmetic, each frame's PCG64 seeds itself
 in C from its row of that, and every frame's op and k land in arrays.
 Passes never exceed `capped_passes` per frame; the reported k is the
-drawn one. `corrupt_mask_volume` builds one seed's volume: the frames
-that need passes are stacked by op and descending k, and each radius-1
-pass runs once per op over the stack. `count_masks` scores many seeds
-without building a volume: a frame's counts after k passes depend only
-on (frame, op, k), so each op's passes run once over a mask's own
-frames and record every frame's count after each pass, and each seed's
-(tp, sum_p) is a gather from that table. The per-frame reference both
-must match (one frame, one stream, `morphology.dilate` or `erode` k
-times) lives with the tests, in `tests/reference.py`.
+drawn one. One pass engine serves both corruptions: a frame's counts
+after k passes depend only on (frame, op, k), so each op's radius-1
+passes run once over a mask's own frames, as far as any seed needs, and
+record every frame's count after each pass (`_pass_counts`).
+`count_masks` scores many seeds without building a volume, each seed's
+(tp, sum_p) a gather from that table; `corrupt_mask_volume` is its
+one-seed case, whose passes also write their frames into the volume.
+The per-frame reference both must match (one frame, one stream,
+`morphology.dilate` or `erode` k times) lives with the tests, in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -237,27 +238,6 @@ def draw_frames(states: np.ndarray, mode: NoiseMode, std: float) -> tuple[np.nda
     return erode, np.floor(np.abs(std * x))
 
 
-def _chunk_frames(stack: np.ndarray) -> int:
-    """How many frames of a stack hold at most _PASS_VOXELS voxels (at least one)."""
-    return max(1, _PASS_VOXELS // max(1, stack.shape[1] * stack.shape[2]))
-
-
-def _run_passes(stack: np.ndarray, erode: np.ndarray, k: np.ndarray) -> None:
-    """Corrupt a bool frame stack in place, row i by k[i] passes of
-    erosion if erode[i], else of dilation. The rows are ordered: the
-    dilated ones, then the eroded ones, each block by descending k, so
-    that the rows still active at pass j of an op are a prefix of its
-    block. No row takes more passes than `capped_passes` allows."""
-    chunk = _chunk_frames(stack)
-    split = len(erode) - np.count_nonzero(erode)
-    for block, ks, erosion in ((stack[:split], k[:split], False), (stack[split:], k[split:], True)):
-        for j in range(1, capped_passes(ks[0], block.shape) + 1 if len(ks) else 1):
-            active = np.count_nonzero(ks >= j)
-            for lo in range(0, active, chunk):
-                hi = min(lo + chunk, active)
-                block[lo:hi] = radius1_pass(block[lo:hi], erosion)
-
-
 def _draw_volumes(masks: Sequence[np.ndarray], mode: NoiseMode, sigma2: float, seeds: Sequence[int],
                   patient_ids: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each mask's `draw_frames` for every seed, as (seeds, depth) erode
@@ -283,13 +263,15 @@ def _frame_counts(frames: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(frame) for frame in frames], dtype=np.int64)
 
 
-def _fill_table(table: np.ndarray, frames: np.ndarray, reach: np.ndarray, erosion: bool) -> None:
+def _fill_table(table: np.ndarray, frames: np.ndarray, reach: np.ndarray, erosion: bool,
+                out: np.ndarray | None) -> None:
     """table[j, f] = the voxel count of frame f after j passes of one op,
-    for every j up to reach[f]. The frames run in chunks of at most
-    _PASS_VOXELS voxels, by descending reach, so that the frames still
-    active at pass j are a prefix of their chunk."""
+    for every j up to reach[f]; `out[f]`, if given, = frame f after its
+    reach[f] passes, for every frame with reach. The frames run in chunks
+    of at most _PASS_VOXELS voxels, by descending reach, so that the
+    frames still active at pass j are a prefix of their chunk."""
     order = np.argsort(-reach, kind="stable")[:np.count_nonzero(reach)]
-    chunk = _chunk_frames(frames)
+    chunk = max(1, _PASS_VOXELS // max(1, frames.shape[1] * frames.shape[2]))
     for lo in range(0, len(order), chunk):
         index = order[lo:lo + chunk]
         stack = frames[index]
@@ -297,15 +279,19 @@ def _fill_table(table: np.ndarray, frames: np.ndarray, reach: np.ndarray, erosio
             active = np.count_nonzero(reach[index] >= j)
             stack[:active] = radius1_pass(stack[:active], erosion)
             table[j, index[:active]] = _frame_counts(stack[:active])
+        if out is not None:
+            out[index] = stack
 
 
-def _table_counts(mask: np.ndarray, erode: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(tp, sum_p, sum_t) of the mask corrupted once per row of (seeds,
-    depth) draws. Each op's passes run once over the mask's own frames,
-    as far as any row needs, and record every frame's count after each
-    pass; a row's counts are a gather from that table. A dilation holds
-    its frame and an erosion lies within it, so a frame's tp is its clean
-    count if dilated, else its own count."""
+def _pass_counts(mask: np.ndarray, erode: np.ndarray, k: np.ndarray,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's clean voxel count, and its count after each row's
+    corruption, for every row of (rows, depth) draws. Each op's passes run
+    once over the mask's own frames, as far as any row needs, and record
+    every frame's count after each pass; a row's counts are a gather from
+    that table. With one row, each frame's reach is its own pass count,
+    so the frames the passes leave are that row's corrupted frames, and a
+    bool `out` receives them."""
     frames = mask.view(bool)
     passes = np.minimum(k, capped_passes(k.max(initial=0), mask.shape)).astype(np.intp)
     op = erode.astype(np.intp)
@@ -313,10 +299,8 @@ def _table_counts(mask: np.ndarray, erode: np.ndarray, k: np.ndarray) -> tuple[n
     table[:, 0] = _frame_counts(frames)
     for erosion, rows in enumerate(table):
         reach = np.where(op == erosion, passes, 0).max(axis=0, initial=0)
-        _fill_table(rows, frames, reach, bool(erosion))
-    sum_p = table[op, passes, np.arange(len(frames))]
-    tp = np.where(erode, sum_p, table[0, 0])
-    return tp.sum(axis=1), sum_p.sum(axis=1), int(table[0, 0].sum())
+        _fill_table(rows, frames, reach, bool(erosion), out)
+    return table[0, 0], table[op, passes, np.arange(len(frames))]
 
 
 def count_masks(
@@ -327,11 +311,15 @@ def count_masks(
     sum_t the mask's voxel count. They equal `count_nonzero` of
     `corrupted & mask` and of `corrupted` for the volumes
     `corrupt_mask_volume` builds, one seed at a time, but no volume is
-    built (`_table_counts`). Masks of one depth are seeded and drawn
-    together."""
+    built (`_pass_counts`). A dilation holds its frame and an erosion
+    lies within it, so a frame's tp is its clean count if dilated, else
+    its own count. Masks of one depth are seeded and drawn together."""
     masks = [validate_mask_volume(mask) for mask in masks]
-    draws = _draw_volumes(masks, NoiseMode(mode), sigma2, seeds, patient_ids)
-    return [_table_counts(mask, erode, k) for mask, (erode, k) in zip(masks, draws)]
+    counts = []
+    for mask, (erode, k) in zip(masks, _draw_volumes(masks, NoiseMode(mode), sigma2, seeds, patient_ids)):
+        clean, after = _pass_counts(mask, erode, k)
+        counts.append((np.where(erode, after, clean).sum(axis=1), after.sum(axis=1), int(clean.sum())))
+    return counts
 
 
 def corrupt_mask_volume(
@@ -341,24 +329,21 @@ def corrupt_mask_volume(
     return the volume and its report rows, one per frame.
 
     Frame i is corrupted as if with its own `frame_rng(seed, patient_id,
-    i)`: the frames that need passes are stacked by op and descending k
-    (`_run_passes`), and the stack is written over a copy of the mask.
+    i)`: the volume is `count_masks`' one-seed case, whose passes write
+    their frames over a copy of the mask and whose table gives the
+    report's counts (`_pass_counts`).
     """
     mask = validate_mask_volume(mask_volume)
     mode = NoiseMode(mode)
-    erode, k = (draw[0] for draw in _draw_volumes([mask], mode, sigma2, [seed], [patient_id])[0])
+    erode, k = _draw_volumes([mask], mode, sigma2, [seed], [patient_id])[0]
     out = mask.copy()
-    hit = np.flatnonzero(k)
-    order = hit[np.lexsort((-k[hit], erode[hit]))]
-    stack = mask.view(bool)[order]
-    _run_passes(stack, erode[order], k[order])
-    out.view(bool)[order] = stack
-    ops = np.where(erode, NoiseMode.ERODE.value, NoiseMode.DILATE.value)
+    clean, after = _pass_counts(mask, erode, k, out.view(bool))
+    ops = np.where(erode[0], NoiseMode.ERODE.value, NoiseMode.DILATE.value)
     rows = [
-        CorruptionRecord(s_original=before, s_modified=after, patient_id=patient_id, frame=index,
+        CorruptionRecord(s_original=before, s_modified=modified, patient_id=patient_id, frame=index,
                          mode=mode.value, op=op if drawn else "none", k=int(drawn))
-        for index, (op, drawn, before, after) in enumerate(zip(
-            ops.tolist(), k.tolist(), _frame_counts(mask).tolist(), _frame_counts(out).tolist()))
+        for index, (op, drawn, before, modified) in enumerate(zip(
+            ops.tolist(), k[0].tolist(), clean.tolist(), after[0].tolist()))
     ]
     return out, rows
 

@@ -457,6 +457,15 @@ class TestBundleErrors:
         with pytest.raises(ValueError, match="not a safe file name"):
             load_patient(bundle)
 
+    @pytest.mark.parametrize("reader", [load_patient, bundleio.open_patient, bundleio.load_mask],
+                             ids=lambda f: f.__name__)
+    def test_a_modality_listed_twice_is_rejected(self, tmp_path, reader):
+        # Read as a dict, the repeat would merge into one modality.
+        bundle = write_bundle(sample_record(), tmp_path)
+        edit_meta(bundle, modalities=["t1", "t2", "t1"])
+        with pytest.raises(ValueError, match=r"modalities name one modality twice: \['t1', 't2', 't1'\]"):
+            reader(bundle)
+
 
 @pytest.mark.parametrize("shape", [[2**32, 2**32, 1], [2**62, 4, 1]])
 def test_huge_shape_with_empty_payloads_fails_the_size_check_first(tmp_path, shape):

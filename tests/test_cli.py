@@ -251,6 +251,16 @@ class TestPhantomCmd:
         assert main(["phantom", "--config", str(config)]) == 1
         assert "output directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["the-file", "under-the-file"])
+    def test_out_at_or_under_a_file_is_one_error_line(self, tmp_path, capsys, below):
+        config = small_phantom_config(tmp_path)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / below if below else afile
+        assert main(["phantom", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: output directory {out} is, or lies under, a file"]
+        assert afile.read_text() == "kept"
+
 
 class TestCorruptCmd:
     def test_sigma_zero_masks_identical(self, tmp_path):

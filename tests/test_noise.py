@@ -245,18 +245,52 @@ class TestCorruptMaskVolume:
                 assert (outcome.patient_id, outcome.frame, outcome.mode) == ("p", i, mode.value)
             assert any(o.k > 1 for o in outcomes)
 
+    @pytest.mark.parametrize("frames_per_chunk", [1, 2, 5])
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_frame_chunks_write_back_every_frame(self, mode, frames_per_chunk, monkeypatch):
+        mask = small_corpus(count=1, depth=12, seed=9)[0].mask
+        monkeypatch.setattr(noise, "_PASS_VOXELS", frames_per_chunk * mask[0].size)
+        sizes = radius1_voxels(monkeypatch)
+        out, outcomes = corrupt_mask_volume(mask, mode, 100.0, seed=0, patient_id="p")
+        assert sizes and max(sizes) <= frames_per_chunk * mask[0].size
+        # Some op's frames span more than one chunk.
+        assert max(sum(o.op == op for o in outcomes) for op in ("dilate", "erode")) > frames_per_chunk
+        assert np.array_equal(out, reference_volume(mask, mode, 100.0, 0, "p"))
+        assert [(o.s_original, o.s_modified) for o in outcomes] == [
+            (np.count_nonzero(a), np.count_nonzero(b)) for a, b in zip(mask, out)]
+
+    @pytest.mark.parametrize("sigma2", [30.0, 1e4], ids=["below-the-cap", "past-the-cap"])
+    @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
+    def test_passes_are_each_frames_own_capped_k(self, mode, sigma2, monkeypatch):
+        # One volume passes each frame exactly its own capped k times:
+        # sharing the engine with `count_masks` costs it no extra pass.
+        mask = small_corpus(count=1, depth=6, seed=4)[0].mask
+        height, width = mask.shape[1:]
+        sizes = radius1_voxels(monkeypatch)
+        _, outcomes = corrupt_mask_volume(mask, mode, sigma2, seed=8, patient_id="p")
+        assert sum(sizes) == sum(min(o.k, max(height, width)) * height * width for o in outcomes) > 0
+
 
 def count_repetitions(mask, mode, sigma2, seeds, pid):
     """`count_masks` of one mask."""
     return count_masks([mask], mode, sigma2, seeds, [pid])[0]
 
 
+def reference_volume(mask, mode, sigma2, seed, pid):
+    """The mask corrupted frame by frame, each with its own `frame_rng`
+    stream and the reference `corrupt_frame`. Frames with no pixels
+    have nothing to corrupt, and the reference rejects them."""
+    if mask.size == 0:
+        return mask.copy()
+    frames = [corrupt_frame(frame, mode, sigma2, frame_rng(seed, pid, i))[0] for i, frame in enumerate(mask)]
+    return np.array(frames, dtype=np.uint8).reshape(mask.shape)
+
+
 def volume_counts(mask, mode, sigma2, seeds, pid):
-    """(tp, sum_p, sum_t) from the volumes `corrupt_mask_volume` builds,
-    one seed at a time."""
+    """(tp, sum_p, sum_t) from the reference volumes, one seed at a time."""
     tp, sum_p = [], []
     for seed in seeds:
-        volume = corrupt_mask_volume(mask, mode, sigma2, seed, pid)[0]
+        volume = reference_volume(mask, mode, sigma2, seed, pid)
         tp.append(np.count_nonzero(volume & mask))
         sum_p.append(np.count_nonzero(volume))
     return tp, sum_p, np.count_nonzero(mask)
