@@ -61,42 +61,26 @@ def cmd_phantom(args, config) -> int:
 
 def cmd_corrupt(args, config) -> int:
     """Corrupt one fold's train/val masks and write every split patient
-    under corrupted/, one patient at a time. A phantom source generates
-    one patient at a time. A bundle corpus is streamed: only one
-    patient's mask is held, and each modality is copied through the
-    checked block reader."""
-    from .bundleio import index_bundles, load_mask, open_patient, write_patient
+    under corrupted/ from its `payloads`, one patient at a time: a
+    phantom's grids, or a bundle's payloads copied through the checked
+    block reader. Patients outside the split are only checked (`mask`)."""
+    from .bundleio import write_patient
     from .noise import CorruptionReport, corrupt_patient
 
     out = _resolve_out(args.out, config)
     bundle_dir = out / "corrupted"
+    source = cfgmod.source_from(config)
     root = config["data"]["path"]
-    if root is None:
-        source = cfgmod.source_from(config)
-        ids = source.ids
-
-        def read(pid):
-            record = source.record(pid)
-            return record.volume.modalities, record.mask
-    else:
-        bundles = index_bundles(root)
-        if bundle_dir.resolve() == Path(root).resolve():
-            raise ValueError(f"corrupt would overwrite its input bundles in {root}")
-        ids = sorted(bundles)
-
-        def read(pid):
-            return open_patient(bundles[pid])[1:]
-    plan = cfgmod.foldplan_from(config, ids)
-    split = plan.folds[config["folds"]["fold_index"]]
+    if root is not None and bundle_dir.resolve() == Path(root).resolve():
+        raise ValueError(f"corrupt would overwrite its input bundles in {root}")
+    split = cfgmod.foldplan_from(config, source.ids).folds[config["folds"]["fold_index"]]
     spec = cfgmod.noise_spec_from(config)
-    if root is not None:
-        # Bundles outside the split are not written, but checked all the same.
-        for pid in sorted(bundles.keys() - set(split.all_ids)):
-            load_mask(bundles[pid])
+    for pid in sorted(set(source.ids) - set(split.all_ids)):
+        source.mask(pid)
 
     rows = []
     for pid in sorted(split.all_ids):
-        modalities, mask = read(pid)
+        modalities, mask = source.payloads(pid)
         mask, patient_rows = corrupt_patient(mask, pid, split, spec)
         write_patient(pid, modalities, mask, bundle_dir)
         rows += patient_rows
@@ -192,21 +176,21 @@ def cmd_score(args, config) -> int:
     also those with no prediction, which are checked last."""
     import numpy as np
 
-    from .bundleio import index_bundles, load_mask, open_prediction
+    from .bundleio import index_bundles, open_prediction
     from .metrics import ScoreTriple, score_blocks
 
     out = _resolve_out(args.out, config)
     threshold = config["score"]["threshold"]
-    patients = index_bundles(args.data)
+    patients = cfgmod.bundle_source(args.data)
     predictions = index_bundles(args.pred, "prediction")
     for pid in predictions:
-        if pid not in patients:
+        if pid not in patients.ids:
             raise ValueError(f"prediction {pid!r} has no matching patient bundle")
 
     rows = []
     collected: dict[str, list[float]] = {}
     for pid, bundle in predictions.items():
-        mask = load_mask(patients[pid])[1]
+        mask = patients.mask(pid)
         shape, blocks = open_prediction(bundle)[1:]
         if shape != mask.shape:
             raise ValueError(f"prediction {pid!r} has shape {shape}, its mask {mask.shape}")
@@ -219,15 +203,14 @@ def cmd_score(args, config) -> int:
             rows.append((pid, name, value))
             collected.setdefault(name, []).append(value)
         del mask  # so that only one mask is held while the next loads
-    for pid, bundle in patients.items():
+    for pid in patients.ids:
         if pid not in predictions:
-            load_mask(bundle)
+            patients.mask(pid)
     for name in sorted(collected):
         rows.append(("ALL", name, float(np.mean(collected[name]))))
 
     write_text(out / "scores.csv", csv_text(("patient_id", "metric", "value"), rows))
-    patients = len(collected["framewise_soft_dice"])
-    print(f"scored {patients} patients (volume-wise); wrote {out / 'scores.csv'}")
+    print(f"scored {len(collected['framewise_soft_dice'])} patients (volume-wise); wrote {out / 'scores.csv'}")
     return 0
 
 
@@ -343,7 +326,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args, cfgmod.load_config(args.config, _config_overrides(args)))
-    except (cfgmod.ConfigError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (cfgmod.ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -168,8 +168,9 @@ def validate_config(config: dict) -> dict:
             _check_rule(value, rule, path)
     if config["folds"]["fold_index"] >= config["folds"]["n_folds"]:
         _fail("folds.fold_index", f"must be < n_folds ({config['folds']['n_folds']})")
-    if config["gradcheck"]["eps"] <= 0:
-        _fail("gradcheck.eps", "must be > 0")
+    for leaf in ("eps", "tolerance"):
+        if config["gradcheck"][leaf] <= 0:
+            _fail(f"gradcheck.{leaf}", "must be > 0")
     if not 0.0 < config["score"]["threshold"] < 1.0:
         _fail("score.threshold", "must lie in (0, 1)")
     for path, cls in _DATACLASSES.items():
@@ -229,37 +230,52 @@ def phantom_spec_from(config: dict) -> PhantomSpec:
 @dataclass(frozen=True)
 class CorpusSource:
     """A corpus read on demand: sorted `ids`, and per id its (depth, H, W)
-    `shape`, its `mask` and its `record`, each reading only what it returns."""
+    `shape`, `mask`, `record` and `payloads` (modalities and mask as
+    `bundleio.write_patient` takes them), each reading only what it returns."""
 
     ids: tuple[str, ...]
     shape: Callable[[str], tuple[int, int, int]]
     mask: Callable[[str], np.ndarray]
     record: Callable[[str], PatientRecord]
+    payloads: Callable[[str], tuple[dict, np.ndarray]]
 
     @classmethod
     def of(cls, records) -> CorpusSource:
         by_id = {r.patient_id: r for r in records}
         return cls(tuple(sorted(by_id)), lambda pid: by_id[pid].shape, lambda pid: by_id[pid].mask,
-                   by_id.__getitem__)
+                   by_id.__getitem__, lambda pid: _record_payloads(by_id[pid]))
+
+
+def _record_payloads(record: PatientRecord) -> tuple[dict, np.ndarray]:
+    return record.volume.modalities, record.mask
+
+
+def bundle_source(root: str | Path) -> CorpusSource:
+    """The bundles under `root`: masks and records read with every check,
+    payloads as `open_patient` gives them, with no intensity read."""
+    from .bundleio import bundle_shape, index_bundles, load_mask, load_patient, open_patient
+
+    bundles = index_bundles(root)
+    return CorpusSource(tuple(sorted(bundles)), lambda pid: bundle_shape(bundles[pid]),
+                        lambda pid: load_mask(bundles[pid])[1], lambda pid: load_patient(bundles[pid]),
+                        lambda pid: open_patient(bundles[pid])[1:])
 
 
 def source_from(config: dict) -> CorpusSource:
-    """The configured corpus: bundles, read with every check through
-    `load_mask` and `load_patient`, or phantoms, generated one at a time."""
+    """The configured corpus: `bundle_source(data.path)`, or phantoms generated one at a time."""
     data = config["data"]
     if data["path"] is not None:
-        from .bundleio import bundle_shape, index_bundles, load_mask, load_patient
-
-        bundles = index_bundles(data["path"])
-        return CorpusSource(tuple(sorted(bundles)), lambda pid: bundle_shape(bundles[pid]),
-                            lambda pid: load_mask(bundles[pid])[1], lambda pid: load_patient(bundles[pid]))
+        return bundle_source(data["path"])
     from .phantom import corpus_seeds, generate_phantom, phantom_mask
 
     spec, ph = phantom_spec_from(config), data["phantom"]
     seeds = corpus_seeds(ph["patients"], ph["seed"])
+
+    def record(pid):
+        return generate_phantom(spec, seeds[pid], patient_id=pid)
     return CorpusSource(tuple(sorted(seeds)), lambda pid: (spec.depth, spec.height, spec.width),
-                        lambda pid: phantom_mask(spec, seeds[pid])[0],
-                        lambda pid: generate_phantom(spec, seeds[pid], patient_id=pid))
+                        lambda pid: phantom_mask(spec, seeds[pid])[0], record,
+                        lambda pid: _record_payloads(record(pid)))
 
 
 def records_from(config: dict) -> list[PatientRecord]:

@@ -262,6 +262,24 @@ class TestPhantomCmd:
         assert afile.read_text() == "kept"
 
 
+@pytest.mark.parametrize("command, taken, kind", [
+    (["oracle"], "oracle_scores.csv", "dir"),
+    (["corrupt"], "corrupted/phantom-000", "file"),
+], ids=["oracle-csv-is-a-dir", "corrupt-bundle-is-a-file"])
+def test_an_output_path_taken_by_the_other_kind_is_one_error_line(tmp_path, capsys, command, taken, kind):
+    config = small_phantom_config(tmp_path)
+    out = tmp_path / "out"
+    (out / taken).parent.mkdir(parents=True)
+    if kind == "dir":
+        (out / taken).mkdir()
+    else:
+        (out / taken).write_text("kept")
+    assert main([*command, "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out / taken) in err[0]
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+
+
 class TestCorruptCmd:
     def test_sigma_zero_masks_identical(self, tmp_path):
         config = small_phantom_config(tmp_path)
@@ -409,6 +427,8 @@ class TestOnePatientAtATime:
     @pytest.mark.parametrize("command, generated", [
         (["phantom"], 6),
         (["corrupt", "--mode", "random", "--sigma2", "4"], 6),
+        # Only the split's 3 patients are generated; the others' masks are drawn alone.
+        (["corrupt", "--train-size", "1", "--val-size", "1", "--test-size", "1"], 3),
         (["gridsearch"], 5),  # 3 train and 2 test patients; the val patient is never read
     ])
     def test_at_most_one_record_is_alive(self, tmp_path, monkeypatch, command, generated):
@@ -562,6 +582,13 @@ class TestGradcheckCmd:
         assert "cancellation" in captured.err
         assert "max_rel_err" in captured.out
         assert rc == 0
+
+    @pytest.mark.parametrize("tolerance", ["0", "-1"])
+    def test_a_tolerance_of_zero_or_less_is_one_error(self, capsys, tolerance):
+        assert main(["gradcheck", "--tolerance", tolerance, "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: config gradcheck.tolerance: must be > 0\n"
+        assert captured.out == ""
 
     def test_beta_zero_included(self, capsys):
         rc = main(["gradcheck", "--trials", "3", "--betas", "0"])

@@ -196,6 +196,8 @@ BAD_LEAVES = [
     ("gradcheck.eps", 0.0),
     ("gradcheck.betas", [-1.0]),
     ("gradcheck.tolerance", "tight"),
+    ("gradcheck.tolerance", 0.0),
+    ("gradcheck.tolerance", -1.0),
     ("gradcheck.seed", -1),
     ("score.threshold", 1.0),
     ("score.threshold", "half"),
@@ -245,6 +247,17 @@ class TestCorpusSource:
             assert bundles.shape(pid) == phantoms.shape(pid) == (2, 64, 64)
             assert bundles.mask(pid).tobytes() == phantoms.mask(pid).tobytes()
             assert bundles.record(pid).patient_id == pid
+            # Payloads as write_patient takes them: paths, no intensity read.
+            modalities, mask = bundles.payloads(pid)
+            grids = phantoms.payloads(pid)[0]
+            assert modalities == {name: tmp_path / f"case-{9 - int(pid[-1])}" / f"{name}.raw" for name in grids}
+            assert mask.tobytes() == phantoms.mask(pid).tobytes()
+        first = bundles.ids[0]
+        raw = next(iter(bundles.payloads(first)[0].values()))
+        raw.write_bytes(b"\xff" * raw.stat().st_size)  # float32 NaN throughout
+        assert bundles.payloads(first)[1].tobytes() == phantoms.mask(first).tobytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            bundles.mask(first)
 
     def test_in_memory_source(self):
         records = [generate_phantom(PhantomSpec(depth=2), seed, patient_id=pid)
@@ -254,3 +267,6 @@ class TestCorpusSource:
         assert source.record("b") is records[0]
         assert source.mask("a") is records[1].mask
         assert source.shape("a") == (2, 64, 64)
+        modalities, mask = source.payloads("b")
+        assert modalities is records[0].volume.modalities
+        assert mask is records[0].mask

@@ -110,6 +110,14 @@ def test_every_segnoise_name_the_benchmark_reads_exists():
     assert [name for name, (cls, method) in patched.items() if method not in vars(cls)] == []
 
 
+def test_the_commands_read_ground_truth_only_through_config():
+    # `config` decides how a bundle is read; cli.py reads its patients
+    # through a `CorpusSource` and never calls a bundle reader itself.
+    names, attrs = references(ast.parse((SRC / "cli.py").read_text()))
+    readers = {"load_mask", "open_patient", "load_patient"}
+    assert sorted(readers & (set(names) | set(attrs))) == []
+
+
 def test_importing_the_commands_does_not_load_numpy_random():
     # numpy does not import numpy.random with numpy, and importing it
     # costs about 10 ms; `score` and the benchmark's corpus child never
