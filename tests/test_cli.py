@@ -427,9 +427,9 @@ class TestOnePatientAtATime:
     @pytest.mark.parametrize("command, generated", [
         (["phantom"], 6),
         (["corrupt", "--mode", "random", "--sigma2", "4"], 6),
+        (["gridsearch"], 5),  # 3 train and 2 test patients; the val patient is never read
         # Only the split's 3 patients are generated; the others' masks are drawn alone.
         (["corrupt", "--train-size", "1", "--val-size", "1", "--test-size", "1"], 3),
-        (["gridsearch"], 5),  # 3 train and 2 test patients; the val patient is never read
     ])
     def test_at_most_one_record_is_alive(self, tmp_path, monkeypatch, command, generated):
         records = []
