@@ -16,9 +16,9 @@ float32 per-voxel probabilities.
 Float32 payloads are read through one checked block reader: a block of
 frames (about BLOCK_BYTES) at a time into one reused buffer, rejecting
 non-finite values. `load_mask` scans a bundle's intensities through it
-and keeps none, `write_patient` copies them through it, and
-`open_prediction` streams a prediction through it, each block also
-checked against [0, 1].
+and keeps none, `write_patient` copies them and `read_intensities` fills
+an array from it, and `open_prediction` streams a prediction through it,
+each block also checked against [0, 1].
 
 The NIfTI importer covers exactly the subset needed to convert external
 volumes into bundles: single-file uncompressed NIfTI-1 (magic ``n+1``),
@@ -307,18 +307,29 @@ def open_prediction(path: str | Path) -> tuple[str, tuple[int, int, int], Iterat
     return str(meta["patient_id"]), shape, blocks()
 
 
+def _filled(shape: tuple[int, int, int], blocks: Iterator[np.ndarray]) -> np.ndarray:
+    """The frames that `blocks` yields, as one read-only float32 array of `shape`."""
+    arr = np.empty(shape, dtype="<f4")
+    frames, start = arr.reshape(shape[0], -1), 0
+    for block in blocks:
+        frames[start:start + len(block)] = block
+        start += len(block)
+    arr.setflags(write=False)
+    return arr
+
+
+def read_intensities(path: str | Path, shape: tuple[int, int, int]) -> np.ndarray:
+    """An intensity payload (as `open_patient` gives it) as a read-only
+    float32 array, filled through the checked block reader."""
+    return _filled(shape, _checked_blocks(Path(path), shape, f"{path} contains non-finite intensities"))
+
+
 def load_prediction(path: str | Path) -> tuple[str, np.ndarray]:
     """Load a prediction bundle; returns (patient_id, volume), the volume
     as the read-only float32 array it holds, checked as
     `open_prediction` checks it."""
     pid, shape, blocks = open_prediction(path)
-    pred = np.empty(shape, dtype="<f4")
-    frames, start = pred.reshape(shape[0], -1), 0
-    for block in blocks:
-        frames[start:start + len(block)] = block
-        start += len(block)
-    pred.setflags(write=False)
-    return pid, pred
+    return pid, _filled(shape, blocks)
 
 
 def read_nifti(path: str | Path) -> np.ndarray:

@@ -46,15 +46,15 @@ def _resolve_out(args_out, config) -> Path:
 
 
 def cmd_phantom(args, config) -> int:
-    """Write each phantom as soon as it is generated, so that one is held."""
-    from .bundleio import write_bundle
+    """Write each phantom's `payloads` as soon as it is generated, so that one is held."""
+    from .bundleio import write_patient
 
     if config["data"]["phantom"] is None:
         raise cfgmod.ConfigError("phantom generation needs data.phantom in the config")
     out = _resolve_out(args.out, config)
     source = cfgmod.source_from(config)
     for pid in source.ids:
-        write_bundle(source.record(pid), out)
+        write_patient(pid, *source.payloads(pid), out)
     print(f"wrote {len(source.ids)} phantom bundles to {out}")
     return 0
 

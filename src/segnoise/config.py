@@ -17,6 +17,7 @@ import copy
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -230,20 +231,19 @@ def phantom_spec_from(config: dict) -> PhantomSpec:
 @dataclass(frozen=True)
 class CorpusSource:
     """A corpus read on demand: sorted `ids`, and per id its (depth, H, W)
-    `shape`, `mask`, `record` and `payloads` (modalities and mask as
-    `bundleio.write_patient` takes them), each reading only what it returns."""
+    `shape`, `mask` and `payloads` (modalities and mask as `write_patient`
+    takes them), each reading only what it returns; no whole record."""
 
     ids: tuple[str, ...]
     shape: Callable[[str], tuple[int, int, int]]
     mask: Callable[[str], np.ndarray]
-    record: Callable[[str], PatientRecord]
     payloads: Callable[[str], tuple[dict, np.ndarray]]
 
     @classmethod
     def of(cls, records) -> CorpusSource:
         by_id = {r.patient_id: r for r in records}
         return cls(tuple(sorted(by_id)), lambda pid: by_id[pid].shape, lambda pid: by_id[pid].mask,
-                   by_id.__getitem__, lambda pid: _record_payloads(by_id[pid]))
+                   lambda pid: _record_payloads(by_id[pid]))
 
 
 def _record_payloads(record: PatientRecord) -> tuple[dict, np.ndarray]:
@@ -251,14 +251,13 @@ def _record_payloads(record: PatientRecord) -> tuple[dict, np.ndarray]:
 
 
 def bundle_source(root: str | Path) -> CorpusSource:
-    """The bundles under `root`: masks and records read with every check,
-    payloads as `open_patient` gives them, with no intensity read."""
-    from .bundleio import bundle_shape, index_bundles, load_mask, load_patient, open_patient
+    """The bundles under `root`: masks read with every check, payloads as
+    `open_patient` gives them, checked but for the intensities, none read."""
+    from .bundleio import bundle_shape, index_bundles, load_mask, open_patient
 
     bundles = index_bundles(root)
     return CorpusSource(tuple(sorted(bundles)), lambda pid: bundle_shape(bundles[pid]),
-                        lambda pid: load_mask(bundles[pid])[1], lambda pid: load_patient(bundles[pid]),
-                        lambda pid: open_patient(bundles[pid])[1:])
+                        lambda pid: load_mask(bundles[pid])[1], lambda pid: open_patient(bundles[pid])[1:])
 
 
 def source_from(config: dict) -> CorpusSource:
@@ -270,18 +269,21 @@ def source_from(config: dict) -> CorpusSource:
 
     spec, ph = phantom_spec_from(config), data["phantom"]
     seeds = corpus_seeds(ph["patients"], ph["seed"])
-
-    def record(pid):
-        return generate_phantom(spec, seeds[pid], patient_id=pid)
     return CorpusSource(tuple(sorted(seeds)), lambda pid: (spec.depth, spec.height, spec.width),
-                        lambda pid: phantom_mask(spec, seeds[pid])[0], record,
-                        lambda pid: _record_payloads(record(pid)))
+                        lambda pid: phantom_mask(spec, seeds[pid])[0],
+                        lambda pid: _record_payloads(generate_phantom(spec, seeds[pid], patient_id=pid)))
 
 
 def records_from(config: dict) -> list[PatientRecord]:
-    """Every record of the configured data source, in id order."""
-    source = source_from(config)
-    return [source.record(pid) for pid in source.ids]
+    """Every record of the configured data source, all in memory, in id order."""
+    data, ph = config["data"], config["data"]["phantom"]
+    if data["path"] is not None:
+        from .bundleio import load_dataset
+        records = load_dataset(data["path"])
+    else:
+        from .phantom import generate_corpus
+        records = generate_corpus(phantom_spec_from(config), ph["patients"], ph["seed"])
+    return sorted(records, key=attrgetter("patient_id"))
 
 
 def foldplan_from(config: dict, ids) -> FoldPlan:

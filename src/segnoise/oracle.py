@@ -51,16 +51,10 @@ def _point_seeds(points: Sequence[Sequence[int]], reps: Sequence[int]) -> np.nda
     return ((first << np.uint64(32)) | (first >> np.uint64(32))).reshape(len(points), len(reps))
 
 
-def cell_seeds(base_seed: int, mode_index: int, sigma_index: int, fold_index: int,
-               reps: Sequence[int]) -> list[int]:
-    """`cell_seed` of each rep of one point, seeded at once."""
-    return _point_seeds([(base_seed, mode_index, sigma_index, fold_index)], reps)[0].tolist()
-
-
 def cell_seed(base_seed: int, mode_index: int, sigma_index: int, fold_index: int, rep: int) -> int:
     """Stable 64-bit seed for one sweep cell: `SeedSequence([base_seed,
     mode_index, sigma_index, fold_index, rep]).generate_state(2)`, high word first."""
-    return cell_seeds(base_seed, mode_index, sigma_index, fold_index, [rep])[0]
+    return int(_point_seeds([(base_seed, mode_index, sigma_index, fold_index)], [rep])[0, 0])
 
 
 def _check_test_ids(known, split: DatasetSplit) -> None:

@@ -236,11 +236,14 @@ class GridResult:
 
 
 def _first_modality(source: CorpusSource, pid: str, masks: dict) -> np.ndarray:
-    """One patient's z-scored first modality (z-scoring is per modality,
-    and the features read only the first); its mask goes into `masks`."""
-    record = source.record(pid)
-    masks[pid] = record.mask
-    name, grid = next(iter(record.volume.modalities.items()))
+    """One patient's z-scored first modality, read alone from its `payloads`
+    (z-scoring is per modality, and the features read only the first);
+    its mask goes into `masks`."""
+    modalities, masks[pid] = source.payloads(pid)
+    name, grid = next(iter(modalities.items()))
+    if isinstance(grid, Path):
+        from .bundleio import read_intensities
+        grid = read_intensities(grid, masks[pid].shape)
     return zscore_normalize(MultiModalVolume(pid, {name: grid})).first_modality()
 
 
@@ -295,22 +298,22 @@ def beta_gridsearch(
 ) -> GridResult:
     """Corrupt train masks, train per beta, score on clean test masks.
 
-    The corpus (a `config.CorpusSource` or a list of records) is read
-    one split patient at a time, keeping its mask and, for a test
-    patient, its z-scored first modality. Each (sigma2, seed) cell
-    corrupts the train masks once, in this process, and every beta
-    trains on those same targets (paired comparison). Corruption streams
-    are keyed by (seed, patient, frame), so results are independent of
-    the job count. At sigma2 = 0 every frame's k is 0 whatever the seed,
-    so the first seed's cell is computed once and reported under each
-    seed. The unit of work and of parallelism is one beta of one
-    distinct cell, which returns its model: `min(jobs, tasks)` workers,
-    forked where that is the platform default, inherit the train
-    features, targets and config, on one BLAS thread (`pool.map_cells`).
-    A one-task grid runs in-process. Then, with the train features
-    dropped, each test patient's features are extracted once and scored
-    with every model. Validation patients are never read. Every beta and
-    sigma2 is checked before any work, and none may repeat.
+    The corpus (a `config.CorpusSource` or a list of records) is read one
+    split patient at a time through `payloads`, keeping its mask and, for
+    a test patient, its z-scored first modality, read alone. Each (sigma2,
+    seed) cell corrupts the train masks once, in this process, and every
+    beta trains on those same targets (paired comparison). Corruption
+    streams are keyed by (seed, patient, frame), so results are
+    independent of the job count. At sigma2 = 0 every frame's k is 0
+    whatever the seed, so the first seed's cell is computed once and
+    reported under each seed. The unit of work and of parallelism is one
+    beta of one distinct cell, which returns its model: `min(jobs, tasks)`
+    workers, forked where that is the platform default, inherit the train
+    features, targets and config, on one BLAS thread (`pool.map_cells`). A
+    one-task grid runs in-process. Then, with the train features dropped,
+    each test patient's features are extracted once and scored with every
+    model. Validation patients are never read. Every beta and sigma2 is
+    checked before any work, and none may repeat.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

@@ -193,6 +193,18 @@ class TestBlockReader:
         with pytest.raises(ValueError, match="shape mismatch"):
             bundleio._scan_intensities(path, (5, 2, 4))
 
+    def test_read_intensities_fills_one_read_only_array(self, tmp_path, monkeypatch):
+        grid = np.arange(5 * 2 * 4, dtype="<f4").reshape(5, 2, 4)
+        path = self.payload(tmp_path, grid)
+        monkeypatch.setattr(bundleio, "BLOCK_BYTES", 2 * grid[0].nbytes)
+        loaded = bundleio.read_intensities(path, grid.shape)
+        assert loaded.dtype == np.float32 and loaded.tobytes() == grid.tobytes()
+        assert loaded.flags.owndata and not loaded.flags.writeable
+        grid[-1, 1, 3] = np.nan
+        self.payload(tmp_path, grid)
+        with pytest.raises(ValueError, match="t1.raw contains non-finite"):
+            bundleio.read_intensities(path, grid.shape)
+
     def test_streamed_copy_equals_a_bundle_write(self, tmp_path):
         record = sample_record()
         source = write_bundle(record, tmp_path / "src")

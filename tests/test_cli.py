@@ -568,6 +568,40 @@ class TestGridsearchCmd:
         assert capsys.readouterr().err.splitlines() == [f"error: {axis} must not repeat a value"]
         assert not (out / "grid_scores.csv").exists()
 
+    @staticmethod
+    def bundles(tmp_path):
+        """The small phantom corpus as bundles, the gridsearch argv on it,
+        and its split."""
+        config, src = TestStreamedCorrupt.corpus(tmp_path)
+        loaded = cfgmod.load_config(config)
+        split = cfgmod.foldplan_from(loaded, cfgmod.source_from(loaded).ids).folds[0]
+        return src, ["gridsearch", "--config", str(config), "--data", str(src)], split
+
+    def test_data_reads_only_the_first_modality(self, tmp_path, capsys):
+        # The features read m0 alone, so a NaN in m1 of a train and a test
+        # patient changes nothing, and a NaN in m0 is one error line.
+        src, argv, split = self.bundles(tmp_path)
+        assert main([*argv, "--out", str(tmp_path / "clean")]) == 0
+        for pid in (split.train_ids[0], split.test_ids[0]):
+            _nan_at(src / pid / "m1.raw", 0)
+        assert main([*argv, "--out", str(tmp_path / "m1")]) == 0
+        assert tree_bytes(tmp_path / "m1") == tree_bytes(tmp_path / "clean")
+        capsys.readouterr()
+        bad = src / split.test_ids[0] / "m0.raw"
+        _nan_at(bad, -1)
+        assert main([*argv, "--out", str(tmp_path / "m0")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad} contains non-finite intensities"]
+        assert not (tmp_path / "m0" / "grid_scores.csv").exists()
+
+    def test_data_checks_the_size_of_a_modality_it_does_not_read(self, tmp_path, capsys):
+        src, argv, split = self.bundles(tmp_path)
+        raw = src / split.test_ids[0] / "m1.raw"
+        raw.write_bytes(raw.read_bytes()[:-4])
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: shape mismatch for m1.raw")
+        assert not (tmp_path / "out" / "grid_scores.csv").exists()
+
 
 class TestGradcheckCmd:
     def test_defaults_pass(self, capsys):

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
-from segnoise.bundleio import write_bundle
+from segnoise.bundleio import write_patient
 from segnoise.config import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -234,19 +235,26 @@ class TestCorpusSource:
             assert mask.dtype == np.uint8
             assert mask.tobytes() == generate_phantom(spec, seed).mask.tobytes()
 
-    def test_bundle_source_reads_what_it_is_asked(self, tmp_path):
-        config = load_config(None, {"data": {"phantom": {"patients": 3, "depth": 2}}})
-        phantoms = source_from(config)
+    def test_the_source_has_exactly_four_accessors(self):
+        assert [f.name for f in dataclasses.fields(CorpusSource)] == ["ids", "shape", "mask", "payloads"]
+
+    @staticmethod
+    def phantoms_as_bundles(root):
+        """A 3-phantom source, written as bundles under `root` whose
+        directory names sort opposite to the ids."""
+        phantoms = source_from(load_config(None, {"data": {"phantom": {"patients": 3, "depth": 2}}}))
         for pid in reversed(phantoms.ids):
-            # Directory names that sort opposite to the ids.
-            bundle = write_bundle(phantoms.record(pid), tmp_path)
-            bundle.rename(tmp_path / f"case-{9 - int(pid[-1])}")
-        bundles = source_from(load_config(None, {"data": {"path": str(tmp_path)}}))
+            bundle = write_patient(pid, *phantoms.payloads(pid), root)
+            bundle.rename(root / f"case-{9 - int(pid[-1])}")
+        return phantoms, load_config(None, {"data": {"path": str(root)}})
+
+    def test_bundle_source_reads_what_it_is_asked(self, tmp_path):
+        phantoms, config = self.phantoms_as_bundles(tmp_path)
+        bundles = source_from(config)
         assert bundles.ids == phantoms.ids
         for pid in bundles.ids:
             assert bundles.shape(pid) == phantoms.shape(pid) == (2, 64, 64)
             assert bundles.mask(pid).tobytes() == phantoms.mask(pid).tobytes()
-            assert bundles.record(pid).patient_id == pid
             # Payloads as write_patient takes them: paths, no intensity read.
             modalities, mask = bundles.payloads(pid)
             grids = phantoms.payloads(pid)[0]
@@ -259,12 +267,21 @@ class TestCorpusSource:
         with pytest.raises(ValueError, match="non-finite"):
             bundles.mask(first)
 
+    def test_records_from_bundles_are_in_id_order(self, tmp_path):
+        phantoms, config = self.phantoms_as_bundles(tmp_path)
+        records = records_from(config)
+        assert [r.patient_id for r in records] == list(phantoms.ids)
+        for record in records:
+            modalities, mask = phantoms.payloads(record.patient_id)
+            assert record.mask.tobytes() == mask.tobytes()
+            assert {name: grid.tobytes() for name, grid in record.volume.modalities.items()} == {
+                name: grid.tobytes() for name, grid in modalities.items()}
+
     def test_in_memory_source(self):
         records = [generate_phantom(PhantomSpec(depth=2), seed, patient_id=pid)
                    for pid, seed in (("b", 1), ("a", 2))]
         source = CorpusSource.of(records)
         assert source.ids == ("a", "b")
-        assert source.record("b") is records[0]
         assert source.mask("a") is records[1].mask
         assert source.shape("a") == (2, 64, 64)
         modalities, mask = source.payloads("b")

@@ -118,6 +118,14 @@ def test_the_commands_read_ground_truth_only_through_config():
     assert sorted(readers & (set(names) | set(attrs))) == []
 
 
+def test_the_corpus_source_reads_and_writes_through_payloads():
+    # No command reads or writes a whole record: config builds no source
+    # from `load_patient`, and `phantom` writes what `payloads` gives.
+    for module, name in (("config.py", "load_patient"), ("cli.py", "write_bundle")):
+        names, attrs = references(ast.parse((SRC / module).read_text()))
+        assert names[name] + attrs[name] == 0, (module, name)
+
+
 def test_importing_the_commands_does_not_load_numpy_random():
     # numpy does not import numpy.random with numpy, and importing it
     # costs about 10 ms; `score` and the benchmark's corpus child never

@@ -9,7 +9,7 @@ from segnoise import noise, oracle, pool
 from segnoise.folds import DatasetSplit, FoldPlan, make_folds
 from segnoise.metrics import score_volumewise
 from segnoise.noise import NoiseMode, count_masks, frame_rng
-from segnoise.oracle import SweepConfig, cell_seed, cell_seeds, run_sweep, simulate_noise_robust
+from segnoise.oracle import SweepConfig, cell_seed, run_sweep, simulate_noise_robust
 from segnoise.phantom import PhantomSpec, generate_corpus, generate_phantom
 
 from reference import corrupt_frame
@@ -366,12 +366,11 @@ class TestCellSeed:
             for rep in reps:
                 state = np.random.SeedSequence([base_seed, *point, rep]).generate_state(2)
                 expected.append((int(state[0]) << 32) | int(state[1]))
-            assert cell_seeds(base_seed, *point, reps) == expected
             assert [cell_seed(base_seed, *point, rep) for rep in reps] == expected
 
     def test_one_call_seeds_equal_each_points_cell_seeds(self, monkeypatch):
         # run_sweep seeds the whole sweep in one step; on the default
-        # sweep every task carries its point's own `cell_seeds`.
+        # sweep every task carries its point's own `cell_seed` of each rep.
         config, plan = SweepConfig(), make_folds([f"p{i}" for i in range(16)], 2, (8, 4, 4), seed=11)
         masks = {pid: np.zeros((1, 4, 4), dtype=np.uint8) for pid in plan.folds[0].all_ids}
         seen = []
@@ -383,7 +382,8 @@ class TestCellSeed:
         monkeypatch.setattr(oracle.pool, "map_cells", capture)
         run_sweep(masks, plan, config)
         expected = [
-            (fold, mode, sigma2, tuple(cell_seeds(config.seed, m, s, fold, range(config.repetitions))))
+            (fold, mode, sigma2, tuple(cell_seed(config.seed, m, s, fold, rep)
+                                       for rep in range(config.repetitions)))
             for m, mode in enumerate(config.modes) for s, sigma2 in enumerate(config.sigma2_values)
             for fold in range(2)
         ]
