@@ -121,16 +121,10 @@ def cmd_gridsearch(args, config) -> int:
     plan = cfgmod.foldplan_from(config, source.ids)
     split = plan.folds[config["folds"]["fold_index"]]
     grid = beta_gridsearch(
-        source,
-        split,
-        betas=config["grid"]["betas"],
-        mode=NoiseMode(config["noise"]["mode"]),
-        sigma2_values=config["grid"]["sigma2_values"],
-        seeds=range(config["grid"]["seeds"]),
-        base_config=cfgmod.train_config_from(config),
-        threshold=config["score"]["threshold"],
-        jobs=args.jobs,
-    )
+        source, split, betas=config["grid"]["betas"], mode=NoiseMode(config["noise"]["mode"]),
+        sigma2_values=config["grid"]["sigma2_values"], seeds=range(config["grid"]["seeds"]),
+        base_config=cfgmod.train_config_from(config), threshold=config["score"]["threshold"],
+        jobs=args.jobs)
     written = grid.write_outputs(out)
     print(f"gridsearch: {grid.scores[:, :, 0].size} cells; wrote {len(written)} files to {out}")
     return 0
@@ -306,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_jobs, default=1, help="worker processes (>= 1)")
     add("gridsearch", cmd_gridsearch, "beta x sigma2 bias-cancellation grid").add_argument(
         "--jobs", type=_jobs, default=1,
-        help="worker processes (>= 1), one beta of one (sigma2, seed) cell at a time")
+        help="worker processes (>= 1), one (sigma2, seed) cell and all its betas at a time")
     add("gradcheck", cmd_gradcheck, "verify analytic gradients numerically", out=False)
     p = add("score", cmd_score, "score prediction bundles against masks")
     p.add_argument("--pred", required=True, help="directory of prediction bundles")

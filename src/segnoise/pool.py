@@ -116,8 +116,9 @@ def map_cells(function, tasks: list, ctx, jobs: int, chunksize: int | None = Non
     libraries. By default tasks go out in about eight chunks per worker,
     so that short tasks (a point of the default oracle sweep takes about
     7 ms) do not each pay a round trip to the pool; callers whose tasks
-    take much longer than a round trip pass `chunksize=1`, so that no
-    worker idles while another works through a chunk at the end.
+    take much longer than a round trip (a gridsearch cell, all its betas'
+    descent, takes about 2 s) pass `chunksize=1`, so that no worker idles
+    while another works through a chunk at the end.
     """
     workers = min(jobs, len(tasks))
     with _one_blas_thread():

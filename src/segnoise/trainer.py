@@ -55,12 +55,8 @@ def _box_sum(arr: np.ndarray, radius: int) -> np.ndarray:
     padded = np.pad(arr, radius)
     integral = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.float64)
     integral[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
-    return (
-        integral[size:, size:]
-        - integral[:-size, size:]
-        - integral[size:, :-size]
-        + integral[:-size, :-size]
-    )
+    return (integral[size:, size:] - integral[:-size, size:]
+            - integral[size:, :-size] + integral[:-size, :-size])
 
 
 def _box_mean(arr: np.ndarray, radius: int) -> np.ndarray:
@@ -128,42 +124,62 @@ def _initial_weights(config: TrainConfig) -> np.ndarray:
     return config.init_scale * rng.standard_normal(N_FEATURES)
 
 
-def _descend(
-    features: np.ndarray, targets: np.ndarray, config: TrainConfig, beta: float
-) -> tuple[LinearSegmenter, list[float]]:
-    """Full-batch gradient descent on the mean per-frame f-beta loss.
+# A descent's block of whole frames holds about this many bytes of one
+# beta's probabilities (at least one frame), so that it stays in cache.
+BLOCK_BYTES = 1 << 17
 
-    features: (frames, pixels, N_FEATURES); targets: (frames, pixels),
-    bool or 0/1 floats, read as they are. Loss and d loss / d p come from
-    the metrics kernel, one frame per row; tp is an einsum, so no p * t
-    product is materialized. The descent holds two (frames, pixels)
-    float64 arrays, p and the gradient, both allocated once and
-    overwritten each epoch.
+
+def _descend(
+    features: np.ndarray, targets: np.ndarray, config: TrainConfig, betas
+) -> tuple[list[LinearSegmenter], np.ndarray]:
+    """Full-batch descent on the mean per-frame f-beta loss for every beta
+    in lockstep, on the same targets: one model per beta, and the mean
+    losses as an (epochs, betas) array.
+
+    features: (frames, pixels, N_FEATURES), fastest as `_feature_stack`'s
+    view of feature-major planes; targets: (frames, pixels), bool or 0/1
+    floats. The loss couples pixels only through each frame's (tp, sum_p),
+    so an epoch walks blocks of whole frames (`BLOCK_BYTES`). Per block,
+    one product gives every beta's logits, the targets are cast to float64,
+    the metrics kernel gives the per-frame terms and d loss / d p, and one
+    product adds every beta's weight gradient. The memory held beyond the
+    inputs does not grow with the frame count. The sigmoid's halving is
+    left out (q = 2p): powers of two scale tp, sum_p and the gradient
+    exactly. A non-finite loss for any beta raises `TrainingDiverged`.
     """
-    w = _initial_weights(config)
-    b2 = check_beta(beta) ** 2
+    b2 = np.array([[check_beta(b) ** 2] for b in betas])
+    planes = features.transpose(2, 0, 1)
     n_frames, n_pixels = targets.shape
-    flat_features = np.reshape(features, (-1, N_FEATURES))
-    sum_t = targets.sum(axis=-1)
-    p = np.empty((n_frames, n_pixels))
-    grad_z = np.empty_like(p)
-    history = []
+    step = max(1, BLOCK_BYTES // (8 * n_pixels))
+    w = np.tile(_initial_weights(config), (len(b2), 1))
+    q_buf, grad_buf = np.empty((2, len(b2), step * n_pixels))
+    t_buf = np.empty((step, n_pixels))
+    history = np.empty((config.epochs, len(b2)))
     for epoch in range(config.epochs):
-        np.matmul(flat_features, 0.5 * w, out=p.reshape(-1))
-        _sigmoid_from_half(p)
-        tp = np.einsum("fp,fp->f", p, targets)
-        numer, denom = f_beta_terms(tp, p.sum(axis=-1), sum_t, b2)
-        mean_loss = float((1.0 - numer / denom).mean())
-        if not np.isfinite(mean_loss):
+        half_w, grad_w, loss = 0.5 * w, np.zeros_like(w), np.zeros(len(b2))
+        for start in range(0, n_frames, step):
+            rows = min(step, n_frames - start)
+            block = planes[:, start:start + rows].reshape(N_FEATURES, -1)
+            t = t_buf[:rows]
+            np.copyto(t, targets[start:start + rows])
+            q = np.matmul(half_w, block, out=q_buf[:, :rows * n_pixels])
+            np.tanh(q, out=q)
+            q += 1.0  # 2p
+            q_frames = q.reshape(len(b2), rows, n_pixels)
+            tp = 0.5 * np.einsum("bfp,fp->bf", q_frames, t)
+            numer, denom = f_beta_terms(tp, 0.5 * q_frames.sum(axis=-1), t.sum(axis=-1), b2)
+            loss += (1.0 - numer / denom).sum(axis=-1)
+            # dL/dz = dL/dp * p * (1 - p), as 4x that: dL/dp * q * (2 - q).
+            grad = grad_buf[:, :rows * n_pixels]
+            f_beta_loss_grad(t, numer, denom, b2, out=grad.reshape(q_frames.shape))
+            grad *= q
+            grad *= np.subtract(2.0, q, out=q)
+            grad_w += grad @ block.T
+        history[epoch] = loss / n_frames
+        if not np.isfinite(history[epoch]).all():
             raise TrainingDiverged(epoch)
-        history.append(mean_loss)
-        # dL/dz = dL/dp * p * (1 - p), with 1 - p written over p.
-        f_beta_loss_grad(targets, numer, denom, b2, out=grad_z)
-        grad_z *= p
-        grad_z *= np.subtract(1.0, p, out=p)
-        grad_w = grad_z.reshape(-1) @ flat_features / n_frames
-        w = w - config.learning_rate * grad_w
-    return LinearSegmenter(weights=w), history
+        w = w - config.learning_rate * (0.25 * grad_w / n_frames)
+    return [LinearSegmenter(weights=row) for row in w], history
 
 
 def train(samples, config: TrainConfig, beta: float = 1.0) -> tuple[LinearSegmenter, list[float]]:
@@ -178,7 +194,8 @@ def train(samples, config: TrainConfig, beta: float = 1.0) -> tuple[LinearSegmen
     targets = np.stack([np.asarray(mask).reshape(-1) for _, mask in samples])
     if not is_binary(targets):
         raise ValueError("mask values must be exactly 0 or 1")
-    return _descend(feats, targets.astype(bool, copy=False), config, beta)
+    (model,), history = _descend(feats, targets.astype(bool, copy=False), config, (beta,))
+    return model, history[:, 0].tolist()
 
 
 @dataclass(frozen=True)
@@ -213,18 +230,9 @@ class GridResult:
         return csv_text(self.CSV_COLUMNS, rows)
 
     def heatmap_svg(self) -> str:
-        grid = [
-            [self.mean_metric(beta, sigma2) for beta in self.betas]
-            for sigma2 in self.sigma2_values
-        ]
-        return heatmap(
-            self.sigma2_values,
-            self.betas,
-            grid,
-            title="Clean-test dice vs (sigma2, beta)",
-            x_label="beta",
-            y_label="sigma2",
-        )
+        grid = [[self.mean_metric(beta, sigma2) for beta in self.betas] for sigma2 in self.sigma2_values]
+        return heatmap(self.sigma2_values, self.betas, grid, title="Clean-test dice vs (sigma2, beta)",
+                       x_label="beta", y_label="sigma2")
 
     def write_outputs(self, out_dir: str | Path) -> list[Path]:
         out = Path(out_dir)
@@ -272,11 +280,10 @@ def _grid_inputs(corpus: CorpusSource | list[PatientRecord], split: DatasetSplit
     return masks, train.transpose(2, 0, 1), tests
 
 
-def _grid_task(args) -> LinearSegmenter:
-    """Train one beta on one key's corrupted targets."""
-    (sigma2, seed), beta = args
-    train_planes, targets, config = pool.context()
-    return _descend(train_planes.transpose(1, 2, 0), targets[sigma2, seed], config, beta)[0]
+def _grid_task(key) -> list[LinearSegmenter]:
+    """Train every beta of one key's cell on its corrupted targets."""
+    train_planes, targets, config, betas = pool.context()
+    return _descend(train_planes.transpose(1, 2, 0), targets[key], config, betas)[0]
 
 
 def _test_triples(image: np.ndarray, mask: np.ndarray, models: list, threshold: float) -> list:
@@ -296,7 +303,7 @@ def beta_gridsearch(
     threshold: float = 0.5,
     jobs: int = 1,
 ) -> GridResult:
-    """Corrupt train masks, train per beta, score on clean test masks.
+    """Corrupt train masks, train every beta, score on clean test masks.
 
     The corpus (a `config.CorpusSource` or a list of records) is read one
     split patient at a time through `payloads`, keeping its mask and, for
@@ -307,10 +314,12 @@ def beta_gridsearch(
     independent of the job count. At sigma2 = 0 every frame's k is 0
     whatever the seed, so the first seed's cell is computed once and
     reported under each seed. The unit of work and of parallelism is one
-    beta of one distinct cell, which returns its model: `min(jobs, tasks)`
-    workers, forked where that is the platform default, inherit the train
-    features, targets and config, on one BLAS thread (`pool.map_cells`). A
-    one-task grid runs in-process. Then, with the train features dropped,
+    distinct cell with all its betas: one lockstep descent (`_descend`),
+    which returns a model per beta, so each cell's arithmetic is fixed by
+    the config whatever `jobs` is. `min(jobs, cells)` workers, forked
+    where that is the platform default, inherit the train features,
+    targets, config and betas, on one BLAS thread (`pool.map_cells`); a
+    one-cell grid runs in-process. Then, with the train features dropped,
     each test patient's features are extracted once and scored with every
     model. Validation patients are never read. Every beta and sigma2 is
     checked before any work, and none may repeat.
@@ -331,14 +340,15 @@ def beta_gridsearch(
                                     for pid in split.train_ids]).reshape(train_planes.shape[1:]).view(bool)
         for s2, seed in dict.fromkeys(key.values())
     }
-    tasks = [(k, beta) for k in targets for beta in betas]
-    ctx = (train_planes, targets, base_config or TrainConfig())
+    keys = list(targets)
+    ctx = (train_planes, targets, base_config or TrainConfig(), betas)
     del train_planes, targets  # the context's alone, so that they go with it
-    # A task is one descent (about 0.6 s at the default 200 epochs).
-    models = pool.map_cells(_grid_task, tasks, ctx, jobs, chunksize=1)
+    # A task is a cell's descent (about 2 s at the default 200 epochs and six betas).
+    models = [m for cell in pool.map_cells(_grid_task, keys, ctx, jobs, chunksize=1) for m in cell]
     del ctx
     triples = [_test_triples(tests.pop(pid), masks[pid], models, threshold) for pid in split.test_ids]
-    results = dict(zip(tasks, np.array(triples, dtype=np.float64).mean(axis=0)))
+    results = dict(zip([(k, beta) for k in keys for beta in betas],
+                       np.array(triples, dtype=np.float64).mean(axis=0)))
     cells = [[[results[key[s2, seed], beta] for seed in seeds] for beta in betas] for s2 in sigma2_values]
     scores = np.moveaxis(np.array(cells), -1, 2).copy()  # C-ordered (sigma2, beta, metric, seed)
     return GridResult(betas=betas, sigma2_values=sigma2_values, seeds=seeds, scores=scores)

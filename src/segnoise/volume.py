@@ -153,7 +153,8 @@ class PatientRecord:
 
 def zscore_normalize(volume: MultiModalVolume) -> MultiModalVolume:
     """Normalize each modality to mean 0 / population std 1 over its
-    brain region (original intensity != 0); background stays 0.
+    brain region (original intensity != 0); background stays 0. Only the
+    region's values are held in float64, normalized in place.
     """
     normalized = {}
     for name, grid in volume.modalities.items():
@@ -165,7 +166,9 @@ def zscore_normalize(volume: MultiModalVolume) -> MultiModalVolume:
         std = values.std()  # population std (ddof=0)
         if std < 1e-12:
             raise ValueError(f"modality {name!r}: zero variance within brain region")
-        out = np.zeros_like(grid, dtype=np.float64)
-        out[region] = (values - mean) / std
-        normalized[name] = out.astype(np.float32)
+        values -= mean
+        values /= std
+        out = np.zeros(grid.shape, dtype=np.float32)
+        out[region] = values
+        normalized[name] = out
     return MultiModalVolume(patient_id=volume.patient_id, modalities=normalized)

@@ -44,6 +44,10 @@ GOLDEN = Path(__file__).parent / "golden"
 GRADCHECK_REPORT = "gradcheck.txt"
 DEFAULT_CONFIG = "default_config.json"
 CORRUPTED_DIGESTS = "corrupt/corrupted.sha256"
+# The sha256 of the default `gridsearch --out g`'s grid_scores.csv, in
+# `sha256sum -c` form. That run takes about half a minute, so CI checks it
+# in a job of its own, not here.
+DEFAULT_GRID_DIGEST = "default_grid_scores.sha256"
 
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
@@ -122,13 +126,18 @@ def compare_text(name: str, got: str, want: str) -> list[str]:
 def test_golden_outputs(tmp_path):
     outputs = run_golden(tmp_path)
     golden = {p.relative_to(GOLDEN).as_posix(): p.read_text()
-              for p in sorted(GOLDEN.rglob("*")) if p.is_file()}
+              for p in sorted(GOLDEN.rglob("*")) if p.is_file() and p.name != DEFAULT_GRID_DIGEST}
     assert sorted(outputs) == sorted(golden)
     problems = [p for name in sorted(golden) if name != CORRUPTED_DIGESTS
                 for p in compare_text(name, outputs[name], golden[name])]
     if outputs[CORRUPTED_DIGESTS] != golden[CORRUPTED_DIGESTS]:
         problems.append(f"{CORRUPTED_DIGESTS}: the corrupted bundles' bytes changed")
     assert not problems, "\n".join(problems[:20])
+
+
+def test_default_grid_digest_names_one_grid_scores_file():
+    (line,) = (GOLDEN / DEFAULT_GRID_DIGEST).read_text().splitlines()
+    assert re.fullmatch(r"[0-9a-f]{64}  g/grid_scores\.csv", line)
 
 
 def test_default_config_byte_identical():

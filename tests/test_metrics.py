@@ -218,6 +218,24 @@ class TestGradLoss:
         assert buf.tobytes() == f_beta_loss_grad(t, numer, denom, 0.36).tobytes()
         assert buf.tobytes() == f_beta_loss_grad(t.astype(np.float64), numer, denom, 0.36).tobytes()
 
+    @pytest.mark.parametrize("dtype", [bool, np.float64])
+    def test_kernel_over_a_leading_beta_axis_equals_each_beta_alone(self, dtype):
+        # A lockstep descent passes (betas, frames) N and D, a (betas, 1)
+        # b2 column and (frames, pixels) targets; each beta's slice must
+        # be that beta's own result, and the product form's, byte for byte.
+        rng = np.random.default_rng(11)
+        p = rng.random((4, 5, 300))
+        t = (rng.random((5, 300)) < 0.4).astype(dtype)
+        b2 = np.array([[0.0], [0.16], [1.0], [4.0]])
+        numer, denom = f_beta_terms(np.einsum("bfp,fp->bf", p, t), p.sum(axis=-1), t.sum(axis=-1), b2)
+        out = np.full(p.shape, np.nan)
+        assert f_beta_loss_grad(t, numer, denom, b2, out=out) is out
+        for b in range(len(b2)):
+            alone = f_beta_loss_grad(t, numer[b], denom[b], float(b2[b, 0]))
+            n, d = numer[b][:, None], denom[b][:, None]
+            product = t * (-(1.0 + b2[b, 0]) / d) + n / (d * d)
+            assert out[b].tobytes() == alone.tobytes() == product.tobytes()
+
     def test_gradient_nonnegative_for_empty_target_beta_zero(self):
         rng = np.random.default_rng(6)
         p = rng.uniform(0.05, 0.95, size=(8, 8))

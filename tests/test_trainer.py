@@ -26,6 +26,7 @@ from segnoise.trainer import (
 )
 from segnoise.volume import MultiModalVolume, zscore_normalize
 
+import reference
 from reference import loss
 
 
@@ -298,15 +299,15 @@ class TestGridsearch:
         assert cell == pytest.approx(expected, abs=1e-12)
 
     def test_deterministic_and_parallel_identical(self, grid_setup):
+        # A 2 x 2 grid of cells writes the same CSV bytes at any job count.
         corpus, split = grid_setup
-        cfg = TrainConfig(learning_rate=3.0, epochs=15)
-        kwargs = dict(
-            betas=[0.4, 1.0], mode=NoiseMode.DILATE, sigma2_values=[2.0],
-            seeds=[0, 1], base_config=cfg,
-        )
-        serial = beta_gridsearch(corpus, split, jobs=1, **kwargs)
-        parallel = beta_gridsearch(corpus, split, jobs=4, **kwargs)
-        assert serial.scores.tobytes() == parallel.scores.tobytes()
+        kwargs = dict(betas=[0.4, 1.0, 2.0], mode=NoiseMode.RANDOM, sigma2_values=[2.0, 4.0],
+                      seeds=[0, 1], base_config=TrainConfig(learning_rate=3.0, epochs=15))
+        grids = {jobs: beta_gridsearch(corpus, split, jobs=jobs, **kwargs) for jobs in (1, 2, 8)}
+        assert grids[1].scores.tobytes() == grids[2].scores.tobytes() == grids[8].scores.tobytes()
+        csvs = {jobs: grid.to_csv_string().encode() for jobs, grid in grids.items()}
+        assert csvs[1] == csvs[2] == csvs[8]
+        assert len(csvs[1].splitlines()) == 1 + 2 * 2 * 3
 
     def test_csv_and_heatmap(self, grid_setup, tmp_path):
         corpus, split = grid_setup
@@ -391,13 +392,14 @@ class TestGridsearch:
 
         monkeypatch.setattr(pool, "_openblas_threads", lambda: (lambda: threads[0], set_threads))
         monkeypatch.setattr(trainer, "_descend", descend)
+        # Two cells, so that a pool starts; each cell is one lockstep descent.
         beta_gridsearch(corpus, split, betas=[0.5, 1.0], mode=NoiseMode.DILATE,
                         sigma2_values=[1.0], seeds=[0, 1], base_config=TrainConfig(epochs=2), jobs=2)
         calls = [line.split() for line in log.read_text().splitlines()]
         parent = str(os.getpid())
         assert [c for c in calls if c[0] == "set"] == [["set", parent, "1"], ["set", parent, "4"]]
         descents = [c for c in calls if c[0] == "descend"]
-        assert len(descents) == 4
+        assert len(descents) == 2
         assert all(pid != parent and count == "1" for _, pid, count in descents)
         assert threads == [4]
 
@@ -417,50 +419,71 @@ class TestGridsearch:
         saved = get_threads()
         set_threads(2)
         try:
+            # Two cells, so that a pool starts.
             beta_gridsearch(corpus, split, betas=[0.5, 1.0], mode=NoiseMode.DILATE,
-                            sigma2_values=[1.0], seeds=[0], base_config=TrainConfig(epochs=2), jobs=2)
+                            sigma2_values=[1.0], seeds=[0, 1], base_config=TrainConfig(epochs=2), jobs=2)
             assert get_threads() == 2
         finally:
             set_threads(saved)
         assert log.read_text().split() == ["1", "1"]
 
     @needs_fork
-    def test_one_cell_trains_its_betas_in_two_workers(self, grid_setup, monkeypatch, tmp_path):
+    def test_one_process_trains_all_of_a_cells_betas(self, grid_setup, monkeypatch, tmp_path):
         corpus, split = grid_setup
-        kwargs = dict(betas=[0.5, 1.0], mode=NoiseMode.DILATE, sigma2_values=[2.0], seeds=[0],
+        kwargs = dict(betas=[0.5, 1.0], mode=NoiseMode.DILATE, sigma2_values=[2.0], seeds=[0, 1],
                       base_config=TrainConfig(epochs=5))
         serial = beta_gridsearch(corpus, split, jobs=1, **kwargs)
 
-        # Each descent waits for the other: one worker holding both betas
-        # would break the barrier instead of training them in turn.
-        log = tmp_path / "pids"
+        # Each cell's descent waits for the other cell's: one worker
+        # holding both cells would break the barrier instead of training
+        # them in turn. Each descent trains every beta of its cell.
+        log = tmp_path / "descents"
         barrier = multiprocessing.get_context("fork").Barrier(2)
         contexts = []
         original_descend, original_map = trainer._descend, trainer.pool.map_cells
 
-        def descend(*args):
-            _append(log, str(os.getpid()))
+        def descend(features, targets, config, betas):
+            _append(log, f"{os.getpid()} {' '.join(map(str, betas))}")
             barrier.wait(timeout=60)
-            return original_descend(*args)
+            return original_descend(features, targets, config, betas)
 
         def map_cells(function, tasks, ctx, jobs, **kwargs):
-            contexts.append((ctx, kwargs))
+            contexts.append((tasks, ctx, kwargs))
             return original_map(function, tasks, ctx, jobs, **kwargs)
 
         monkeypatch.setattr(trainer, "_descend", descend)
         monkeypatch.setattr(trainer.pool, "map_cells", map_cells)
         parallel = beta_gridsearch(corpus, split, jobs=2, **kwargs)
-        pids = log.read_text().split()
+        descents = [line.split() for line in log.read_text().splitlines()]
+        pids = [pid for pid, *_ in descents]
         assert len(set(pids)) == len(pids) == 2
         assert str(os.getpid()) not in pids
-        (((_, targets, _), kwargs),) = contexts
-        assert [t.dtype for t in targets.values()] == [np.dtype(bool)]
-        assert kwargs == {"chunksize": 1}  # a task is a whole descent
+        assert [betas for _, *betas in descents] == [["0.5", "1.0"]] * 2
+        ((tasks, (_, targets, _, betas), kwargs),) = contexts
+        assert tasks == [(2.0, 0), (2.0, 1)] and betas == (0.5, 1.0)
+        assert [t.dtype for t in targets.values()] == [np.dtype(bool)] * 2
+        assert kwargs == {"chunksize": 1}  # a task is a whole cell's descent
 
         serial.write_outputs(tmp_path / "serial")
         parallel.write_outputs(tmp_path / "parallel")
         for name in ("grid_scores.csv", "grid_dice_heatmap.svg"):
             assert (tmp_path / "parallel" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    def test_one_cell_grid_starts_no_pool(self, grid_setup, monkeypatch):
+        # A grid of one distinct cell is one task, so even at --jobs 2 it
+        # trains in this process.
+        import concurrent.futures
+
+        corpus, split = grid_setup
+        kwargs = dict(betas=[0.5, 1.0], mode=NoiseMode.DILATE, sigma2_values=[2.0], seeds=[0],
+                      base_config=TrainConfig(epochs=5))
+        serial = beta_gridsearch(corpus, split, jobs=1, **kwargs)
+        pids = []
+        original = trainer._descend
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _fail)
+        monkeypatch.setattr(trainer, "_descend", lambda *args: pids.append(os.getpid()) or original(*args))
+        assert beta_gridsearch(corpus, split, jobs=2, **kwargs).scores.tobytes() == serial.scores.tobytes()
+        assert pids == [os.getpid()]
 
     def test_zero_variance_second_modality_is_never_read(self, grid_setup):
         # The features read only the first modality, so only it is
@@ -562,7 +585,8 @@ def test_grid_result_outputs_read_the_score_array_exactly(monkeypatch):
 @needs_openblas
 def test_in_process_cells_run_on_one_blas_thread_and_the_count_is_restored(grid_setup, monkeypatch):
     corpus, split = grid_setup
-    kwargs = dict(betas=[1.0], mode=NoiseMode.DILATE, sigma2_values=[1.0], seeds=[0],
+    # One cell: its one descent trains both betas, in this process.
+    kwargs = dict(betas=[0.5, 1.0], mode=NoiseMode.DILATE, sigma2_values=[1.0], seeds=[0],
                   base_config=TrainConfig(epochs=2), jobs=1)
     get_threads, set_threads = pool._openblas_threads()
     seen = []
@@ -602,15 +626,15 @@ def test_no_blas_pin_without_the_symbol(grid_setup, monkeypatch):
 
 
 def test_descend_peak_memory_stays_within_four_frame_arrays():
-    # p and the gradient are the only (frames, pixels) arrays an epoch
-    # holds; the bound leaves room for two more.
+    # The descent holds blocks of frames, so its peak is far below the
+    # old bound of p, the gradient and two more (frames, pixels) arrays.
     rng = np.random.default_rng(8)
     frames, pixels = 48, 4096
     features = rng.normal(size=(frames, pixels, 5))
     targets = (rng.random((frames, pixels)) < 0.3).astype(np.float64)
     tracemalloc.start()
     try:
-        _descend(features, targets, TrainConfig(epochs=3), 1.0)
+        _descend(features, targets, TrainConfig(epochs=3), (1.0,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -618,19 +642,45 @@ def test_descend_peak_memory_stays_within_four_frame_arrays():
 
 
 def test_descend_peak_memory_on_bool_targets_stays_within_three_frame_arrays():
-    # p and the gradient are allocated once, and bool targets are read as
-    # they are: no float64 copy of the targets, no gradient per epoch.
+    # Bool targets are cast a block at a time, never copied whole.
     rng = np.random.default_rng(8)
     frames, pixels = 48, 4096
     features = rng.normal(size=(frames, pixels, 5))
     targets = rng.random((frames, pixels)) < 0.3
     tracemalloc.start()
     try:
-        _descend(features, targets, TrainConfig(epochs=3), 1.0)
+        _descend(features, targets, TrainConfig(epochs=3), (1.0,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 3 * frames * pixels * 8
+
+
+def _descent_peak(frames: int, betas) -> int:
+    """tracemalloc's peak during a lockstep descent, beyond its inputs:
+    feature-major planes and bool targets of `frames` 64x64 frames."""
+    rng = np.random.default_rng(frames)
+    planes = rng.normal(size=(5, frames, 4096))
+    targets = rng.random((frames, 4096)) < 0.3
+    tracemalloc.start()
+    try:
+        _descend(planes.transpose(1, 2, 0), targets, TrainConfig(epochs=3), betas)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_descend_memory_beyond_its_inputs_does_not_grow_with_the_frames():
+    # Per block: every beta's probabilities and gradient, and the block's
+    # targets as float64; nothing (frames, pixels) sized, nor one float
+    # per frame (384 bytes for 48 more frames). The two peaks can differ
+    # by a few bytes of Python objects, after a first run has warmed up.
+    betas = (0.0, 0.4, 1.0, 2.0)
+    _descent_peak(48, betas)
+    peak = _descent_peak(48, betas)
+    assert abs(_descent_peak(96, betas) - peak) <= 64
+    block = trainer.BLOCK_BYTES // (8 * 4096) * 4096 * 8
+    assert peak < (2 * len(betas) + 4) * block
 
 
 @pytest.fixture(scope="module")
@@ -651,11 +701,51 @@ def default_grid_inputs():
 def test_descend_on_bool_targets_is_bit_identical_to_float_targets(default_grid_inputs, beta):
     features, targets = default_grid_inputs
     train_config = TrainConfig(epochs=25)
-    on_bool = _descend(features, targets, train_config, beta)
-    on_float = _descend(features, targets.astype(np.float64), train_config, beta)
+    on_bool = _descend(features, targets, train_config, (beta,))
+    on_float = _descend(features, targets.astype(np.float64), train_config, (beta,))
     assert targets.dtype == bool
-    assert on_bool[0].weights.tobytes() == on_float[0].weights.tobytes()
-    assert on_bool[1] == on_float[1]
+    assert on_bool[0][0].weights.tobytes() == on_float[0][0].weights.tobytes()
+    assert on_bool[1].tobytes() == on_float[1].tobytes()
+
+
+def test_lockstep_descent_matches_the_per_beta_reference(default_grid_inputs):
+    # Every beta of a cell descends together over blocks of frames, with
+    # products over all betas at once; the reference runs one beta over
+    # all frames. Only the products' and the loss sums' rounding differ.
+    features, targets = default_grid_inputs
+    betas, config = (0.0, 0.4, 1.0, 2.0), TrainConfig()
+    models, history = _descend(features, targets, config, betas)
+    assert history.shape == (config.epochs, len(betas))
+    for model, losses, beta in zip(models, history.T, betas):
+        expected, expected_losses = reference.descend(features, targets, config, beta)
+        assert np.allclose(model.weights, expected.weights, rtol=1e-12, atol=0)
+        assert np.allclose(losses, expected_losses, rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_lockstep_descent_raises_at_the_epoch_one_betas_loss_turns_non_finite(monkeypatch):
+    # One block per epoch, so the terms' n-th call is epoch n's. Epoch 3
+    # gives the second beta a non-finite numerator; the first stays finite.
+    rng = np.random.default_rng(3)
+    features = rng.normal(size=(6, 64, 5))
+    targets = rng.random((6, 64)) < 0.3
+    calls = []
+    original = trainer.f_beta_terms
+
+    def terms(*args):
+        numer, denom = original(*args)
+        if len(calls) == 3:
+            numer[1, 0] = np.inf
+        calls.append(len(calls))
+        return numer, denom
+
+    monkeypatch.setattr(trainer, "f_beta_terms", terms)
+    with pytest.raises(trainer.TrainingDiverged, match="epoch 3") as raised:
+        _descend(features, targets, TrainConfig(epochs=10), (0.5, 2.0))
+    assert raised.value.epoch == 3 and len(calls) == 4
+    calls.clear()
+    monkeypatch.setattr(trainer, "f_beta_terms", original)
+    assert len(_descend(features, targets, TrainConfig(epochs=10), (0.5, 2.0))[1]) == 10
 
 
 class TestTrainConfigValidation:

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
+
 from segnoise.folds import make_folds
 from segnoise.phantom import PhantomSpec, generate_corpus, generate_phantom, phantom_mask
 from segnoise.volume import (
@@ -103,6 +105,20 @@ class TestZScore:
         twice = zscore_normalize(once)
         diff = np.abs(once.modalities["m"] - twice.modalities["m"])
         assert diff.max() < 1e-5
+
+    def test_bytes_match_the_whole_volume_float64_formula(self):
+        # Normalising the region in place and assigning it into float32
+        # zeros must give the bytes of the float64 volume cast at the end.
+        rng = np.random.default_rng(3)
+        record = generate_phantom(PhantomSpec(depth=6, height=40, width=48), seed=3, patient_id="p")
+        grid = record.volume.modalities["m0"].copy()
+        grid[:, :3] = 0.0
+        grid[0, 5, 5] = 1e-30  # a tiny value is still brain
+        grids = {"m0": grid, "m1": rng.normal(200.0, 90.0, size=grid.shape).astype(np.float32)}
+        out = zscore_normalize(MultiModalVolume("p", grids))
+        for name, expected in grids.items():
+            assert out.modalities[name].dtype == np.float32
+            assert out.modalities[name].tobytes() == reference.zscore_modality(expected).tobytes()
 
     def test_constant_modality_rejected(self):
         vol = make_volume(fill=7.0)
