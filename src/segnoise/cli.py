@@ -11,7 +11,9 @@ Subcommands:
 Every command reads an optional JSON config (--config); flags override
 file values. `segnoise --emit-default-config` prints the full default
 tree. Outputs are byte-reproducible from config + seeds, and --jobs N
-never changes results, only wall time. Each command imports the
+never changes results, only wall time: a sweep starts up to N workers
+once the work it has left would pay for them, and otherwise runs in
+this process (`pool.map_cells`). Each command imports the
 modules it runs when it starts, so none pays for the others' imports;
 importing this module loads no numpy. No command uses a second BLAS
 thread, so `main` has numpy's OpenBLAS start with one (see `pool`).
@@ -297,10 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     add("phantom", cmd_phantom, "generate a synthetic bundle corpus")
     add("corrupt", cmd_corrupt, "corrupt train/val masks of one fold")
     add("oracle", cmd_oracle, "noise-robust oracle sweep").add_argument(
-        "--jobs", type=_jobs, default=1, help="worker processes (>= 1)")
+        "--jobs", type=_jobs, default=1,
+        help="worker processes at most (>= 1), started once the points left pay for them")
     add("gridsearch", cmd_gridsearch, "beta x sigma2 bias-cancellation grid").add_argument(
         "--jobs", type=_jobs, default=1,
-        help="worker processes (>= 1), one (sigma2, seed) cell and all its betas at a time")
+        help="worker processes at most (>= 1), started once the cells left pay for them; "
+             "one (sigma2, seed) cell and all its betas at a time")
     add("gradcheck", cmd_gradcheck, "verify analytic gradients numerically", out=False)
     p = add("score", cmd_score, "score prediction bundles against masks")
     p.add_argument("--pred", required=True, help="directory of prediction bundles")

@@ -15,11 +15,13 @@ in C from its row of that, and every frame's op and k land in arrays.
 Passes never exceed `capped_passes` per frame; the reported k is the
 drawn one. One pass engine serves both corruptions: a frame's counts
 after k passes depend only on (frame, op, k), so each op's radius-1
-passes run once over a mask's own frames, as far as any seed needs, and
-record every frame's count after each pass (`_pass_counts`).
+passes run once over the masks' own frames, as far as any seed needs,
+and record every frame's count after each pass (`_pass_counts`).
 `count_masks` scores many seeds without building a volume, each seed's
-(tp, sum_p) a gather from that table; `corrupt_mask_volume` is its
-one-seed case, whose passes also write their frames into the volume.
+(tp, sum_p) a gather from that table, and passes the frames of all its
+masks of one frame shape as one stack; `corrupt_mask_volume` is its
+one-seed, one-mask case, whose passes also write their frames into the
+volume.
 The per-frame reference both must match (one frame, one stream,
 `morphology.dilate` or `erode` k times) lives with the tests, in
 `tests/reference.py`.
@@ -263,18 +265,31 @@ def _frame_counts(frames: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(frame) for frame in frames], dtype=np.int64)
 
 
-def _fill_table(table: np.ndarray, frames: np.ndarray, reach: np.ndarray, erosion: bool,
+def _gather(masks: Sequence[np.ndarray], index: np.ndarray) -> np.ndarray:
+    """A new stack of the frames at `index` of the masks laid end to
+    end, copied one frame at a time: no temporary beside the stack."""
+    if len(masks) == 1:
+        return masks[0][index]
+    frames = [frame for mask in masks for frame in mask]
+    stack = np.empty((len(index), *masks[0].shape[1:]), dtype=bool)
+    for row, i in enumerate(index.tolist()):
+        stack[row] = frames[i]
+    return stack
+
+
+def _fill_table(table: np.ndarray, masks: Sequence[np.ndarray], reach: np.ndarray, erosion: bool,
                 out: np.ndarray | None) -> None:
-    """table[j, f] = the voxel count of frame f after j passes of one op,
-    for every j up to reach[f]; `out[f]`, if given, = frame f after its
-    reach[f] passes, for every frame with reach. The frames run in chunks
-    of at most _PASS_VOXELS voxels, by descending reach, so that the
-    frames still active at pass j are a prefix of their chunk."""
+    """table[j, f] = the voxel count of frame f of the masks laid end to
+    end after j passes of one op, for every j up to reach[f]; `out[f]`,
+    if given, = frame f after its reach[f] passes, for every frame with
+    reach. The frames run in chunks of at most _PASS_VOXELS voxels,
+    gathered across masks, by descending reach, so that the frames still
+    active at pass j are a prefix of their chunk."""
     order = np.argsort(-reach, kind="stable")[:np.count_nonzero(reach)]
-    chunk = max(1, _PASS_VOXELS // max(1, frames.shape[1] * frames.shape[2]))
+    chunk = max(1, _PASS_VOXELS // max(1, masks[0].shape[1] * masks[0].shape[2]))
     for lo in range(0, len(order), chunk):
         index = order[lo:lo + chunk]
-        stack = frames[index]
+        stack = _gather(masks, index)
         for j in range(1, reach[index[0]] + 1):
             active = np.count_nonzero(reach[index] >= j)
             stack[:active] = radius1_pass(stack[:active], erosion)
@@ -283,24 +298,25 @@ def _fill_table(table: np.ndarray, frames: np.ndarray, reach: np.ndarray, erosio
             out[index] = stack
 
 
-def _pass_counts(mask: np.ndarray, erode: np.ndarray, k: np.ndarray,
+def _pass_counts(masks: Sequence[np.ndarray], erode: np.ndarray, k: np.ndarray,
                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each frame's clean voxel count, and its count after each row's
-    corruption, for every row of (rows, depth) draws. Each op's passes run
-    once over the mask's own frames, as far as any row needs, and record
-    every frame's count after each pass; a row's counts are a gather from
-    that table. With one row, each frame's reach is its own pass count,
-    so the frames the passes leave are that row's corrupted frames, and a
-    bool `out` receives them."""
-    frames = mask.view(bool)
-    passes = np.minimum(k, capped_passes(k.max(initial=0), mask.shape)).astype(np.intp)
+    corruption, for every row of (rows, frames) draws over the frames of
+    `masks` (all of one frame shape) laid end to end. Each op's passes
+    run once over those frames, as far as any row needs, and record
+    every frame's count after each pass; a row's counts are a gather
+    from that table. With one mask and one row, each frame's reach is
+    its own pass count, so the frames the passes leave are that row's
+    corrupted frames, and a bool `out` receives them."""
+    masks = [mask.view(bool) for mask in masks]
+    passes = np.minimum(k, capped_passes(k.max(initial=0), masks[0].shape)).astype(np.intp)
     op = erode.astype(np.intp)
-    table = np.zeros((2, passes.max(initial=0) + 1, len(frames)), dtype=np.int64)
-    table[:, 0] = _frame_counts(frames)
+    table = np.zeros((2, passes.max(initial=0) + 1, k.shape[1]), dtype=np.int64)
+    table[:, 0] = np.concatenate([_frame_counts(mask) for mask in masks])
     for erosion, rows in enumerate(table):
         reach = np.where(op == erosion, passes, 0).max(axis=0, initial=0)
-        _fill_table(rows, frames, reach, bool(erosion), out)
-    return table[0, 0], table[op, passes, np.arange(len(frames))]
+        _fill_table(rows, masks, reach, bool(erosion), out)
+    return table[0, 0], table[op, passes, np.arange(k.shape[1])]
 
 
 def count_masks(
@@ -313,12 +329,22 @@ def count_masks(
     `corrupt_mask_volume` builds, one seed at a time, but no volume is
     built (`_pass_counts`). A dilation holds its frame and an erosion
     lies within it, so a frame's tp is its clean count if dilated, else
-    its own count. Masks of one depth are seeded and drawn together."""
+    its own count. Masks of one depth are seeded and drawn together, and
+    the frames of all masks of one frame shape pass as one stack, a
+    chunk of at most `_PASS_VOXELS` voxels at a time."""
     masks = [validate_mask_volume(mask) for mask in masks]
-    counts = []
-    for mask, (erode, k) in zip(masks, _draw_volumes(masks, NoiseMode(mode), sigma2, seeds, patient_ids)):
-        clean, after = _pass_counts(mask, erode, k)
-        counts.append((np.where(erode, after, clean).sum(axis=1), after.sum(axis=1), int(clean.sum())))
+    draws = _draw_volumes(masks, NoiseMode(mode), sigma2, seeds, patient_ids)
+    by_shape: dict[tuple, list[int]] = {}
+    for index, mask in enumerate(masks):
+        by_shape.setdefault(mask.shape[1:], []).append(index)
+    counts: list = [None] * len(masks)
+    for indices in by_shape.values():
+        erode, k = (np.concatenate([draws[i][j] for i in indices], axis=1) for j in (0, 1))
+        clean, after = _pass_counts([masks[i] for i in indices], erode, k)
+        tp = np.where(erode, after, clean)
+        ends = np.cumsum([len(masks[i]) for i in indices]).tolist()
+        for i, lo, hi in zip(indices, [0, *ends], ends):
+            counts[i] = (tp[:, lo:hi].sum(axis=1), after[:, lo:hi].sum(axis=1), int(clean[lo:hi].sum()))
     return counts
 
 
@@ -337,7 +363,7 @@ def corrupt_mask_volume(
     mode = NoiseMode(mode)
     erode, k = _draw_volumes([mask], mode, sigma2, [seed], [patient_id])[0]
     out = mask.copy()
-    clean, after = _pass_counts(mask, erode, k, out.view(bool))
+    clean, after = _pass_counts([mask], erode, k, out.view(bool))
     ops = np.where(erode[0], NoiseMode.ERODE.value, NoiseMode.DILATE.value)
     rows = [
         CorruptionRecord(s_original=before, s_modified=modified, patient_id=patient_id, frame=index,

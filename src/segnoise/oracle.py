@@ -168,10 +168,12 @@ def run_sweep(
     Cell RNG streams are keyed, so the result is identical for any job
     count. Every fold's test ids are checked here, before any worker
     starts. Each task is a (fold, mode, sigma2) point with all its
-    repetitions. With `jobs > 1` the points run in `min(jobs, points)`
-    workers started the platform's default way (fork on Linux: a forked
-    worker starts without re-importing the package), each given
-    ({patient id: mask}, folds) once.
+    repetitions. With `jobs > 1` the points left after the first run in
+    up to `jobs` workers once they would pay for them (`pool.map_cells`;
+    the default sweep, about 0.15 s of points, never does), started the
+    platform's default way (fork on Linux: a forked worker starts without
+    re-importing the package), each given ({patient id: mask}, folds)
+    once.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

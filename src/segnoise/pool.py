@@ -6,8 +6,11 @@ over a list of small task tuples; the bulky, read-only data every cell
 needs (corpus, folds, features) is the context. It is installed in each
 worker by the pool initializer, so it crosses the process boundary at
 most once per worker (not at all under fork), never once per task.
-The process machinery is imported only when a pool starts, so that a
-command that runs in-process does not load it.
+A pool starts only when the work left can pay for it: `map_cells` runs
+tasks in the parent, timing each, until the tasks left would take more
+than `POOL_MIN_WORK_S` there, and only then starts workers for the rest
+(see `map_cells`). The process machinery is imported only when a pool
+starts, so that a command that runs in-process does not load it.
 
 No cell gains wall time from a second BLAS thread, only CPU time, so
 `cli.main` has OpenBLAS start with one thread, and `map_cells` pins it
@@ -19,9 +22,27 @@ from __future__ import annotations
 import functools
 import os
 import sys
+import time
 from contextlib import contextmanager
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# The seconds of work left below which `map_cells` finishes in the
+# parent rather than start a pool. Measured on a 2-core host (Python
+# 3.11, numpy 2.4.6, fork): starting two workers on no-op tasks and
+# shutting them down took 12-15 ms wall and 22 ms CPU; a default-size
+# `oracle` sweep of one repetition per point, whose tasks are nearly
+# free, took 0.06 s more wall and 0.10 s more CPU at `--jobs 2` than at
+# `--jobs 1`, the fork and executor plus the cold workers' first tasks.
+# Above 0.5 s, two workers save at least 0.25 s of wall, four times that
+# start-up, and their extra CPU is at most a fifth of the work. The
+# default oracle sweep (about 0.12-0.15 s of work) stays in the parent
+# with a margin over 3x; the default gridsearch (about 2 s per cell)
+# starts its pool after its first cell.
+POOL_MIN_WORK_S = 0.5
+
+# The clock that times each task run in the parent; tests replace it.
+_clock = time.perf_counter
 
 _CONTEXT = None
 _FORKED = False
@@ -110,27 +131,44 @@ def map_cells(function, tasks: list, ctx, jobs: int, chunksize: int | None = Non
     """`function` over `tasks` with `ctx` installed, in canonical order,
     on one BLAS thread (`_one_blas_thread`).
 
-    Runs in-process when only one worker would have work. Otherwise
-    `min(jobs, tasks)` workers start the platform's default way (fork on
-    Linux), and forked workers inherit `ctx` and the parent's loaded
-    libraries. By default tasks go out in about eight chunks per worker,
-    so that short tasks (a point of the default oracle sweep takes about
-    7 ms) do not each pay a round trip to the pool; callers whose tasks
-    take much longer than a round trip (a gridsearch cell, all its betas'
-    descent, takes about 2 s) pass `chunksize=1`, so that no worker idles
-    while another works through a chunk at the end.
-    """
-    workers = min(jobs, len(tasks))
-    with _one_blas_thread():
-        if workers <= 1:
-            _install(ctx)
-            try:
-                return [function(t) for t in tasks]
-            finally:
-                _install(None)
-        from concurrent.futures import ProcessPoolExecutor
+    Tasks run in the parent, one at a time, each timed by `_clock`.
+    Before each task after the first, the work left is estimated as the
+    mean seconds per task so far times the tasks left; when `jobs` and
+    the tasks left both exceed one and that estimate exceeds
+    `POOL_MIN_WORK_S`, `min(jobs, tasks left)` workers start the
+    platform's default way (fork on Linux) and run the rest. Forked
+    workers inherit `ctx`, the parent's loaded libraries and its one
+    BLAS thread. Otherwise every task runs in the parent. Every cell's
+    streams are keyed, so the choice never changes a result.
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_install, initargs=(ctx,)) as pool:
+    By default the pool's tasks go out in about eight chunks per worker,
+    so that short tasks do not each pay a round trip to the pool;
+    callers whose tasks take much longer than a round trip (a gridsearch
+    cell, all its betas' descent, takes about 2 s) pass `chunksize=1`,
+    so that no worker idles while another works through a chunk at the
+    end.
+    """
+    results = []
+    with _one_blas_thread():
+        _install(ctx)
+        try:
+            busy = 0.0
+            for task in tasks:
+                left = len(tasks) - len(results)
+                if results and min(jobs, left) > 1 and busy / len(results) * left > POOL_MIN_WORK_S:
+                    break
+                start = _clock()
+                results.append(function(task))
+                busy += _clock() - start
+        finally:
+            _install(None)
+        rest = tasks[len(results):]
+        if rest:
+            from concurrent.futures import ProcessPoolExecutor
+
+            workers = min(jobs, len(rest))
             if chunksize is None:
-                chunksize = max(1, len(tasks) // (8 * workers))
-            return list(pool.map(function, tasks, chunksize=chunksize))
+                chunksize = max(1, len(rest) // (8 * workers))
+            with ProcessPoolExecutor(max_workers=workers, initializer=_install, initargs=(ctx,)) as pool:
+                results += pool.map(function, rest, chunksize=chunksize)
+    return results

@@ -16,9 +16,11 @@ from enum import Enum
 
 
 def check_beta(beta) -> float:
+    """`beta` as a float, if it is >= 0 and its square, which the f-beta
+    algebra takes, is finite (beta up to about 1.34e154)."""
     b = float(beta)
-    if not math.isfinite(b) or b < 0.0:
-        raise ValueError("beta must be finite and >= 0")
+    if b < 0.0 or not math.isfinite(b * b):
+        raise ValueError("beta must be finite and >= 0, with a finite square")
     return b
 
 

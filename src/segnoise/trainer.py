@@ -316,7 +316,8 @@ def beta_gridsearch(
     reported under each seed. The unit of work and of parallelism is one
     distinct cell with all its betas: one lockstep descent (`_descend`),
     which returns a model per beta, so each cell's arithmetic is fixed by
-    the config whatever `jobs` is. `min(jobs, cells)` workers, forked
+    the config whatever `jobs` is. The first cell trains in this process;
+    once the cells left would pay for them, up to `jobs` workers, forked
     where that is the platform default, inherit the train features,
     targets, config and betas, on one BLAS thread (`pool.map_cells`); a
     one-cell grid runs in-process. Then, with the train features dropped,

@@ -254,7 +254,11 @@ def test_criterion_8_learned_bias_direction(grid_corpus):
     )
 
 
-def test_criterion_9_cli_determinism(tmp_path):
+def test_criterion_9_cli_determinism(tmp_path, costly_tasks, pool_starts):
+    # Every task reads as costly, so a --jobs 8 run with three or more
+    # tasks forks workers after the parent's first task. The config's
+    # two grid cells leave one task, which the parent runs too, so a
+    # three-seed grid is compared as well.
     config_payload = {
         "data": {
             "phantom": {
@@ -272,8 +276,8 @@ def test_criterion_9_cli_determinism(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(config_payload))
 
-    def run(cmd, out, jobs=None):
-        argv = [cmd, "--config", str(config), "--out", str(out)]
+    def run(cmd, out, jobs=None, extra=()):
+        argv = [cmd, "--config", str(config), "--out", str(out), *extra]
         if jobs is not None:
             argv += ["--jobs", str(jobs)]
         assert cli_main(argv) == 0
@@ -285,20 +289,26 @@ def test_criterion_9_cli_determinism(tmp_path):
             if p.is_file() and p.suffix in (".csv", ".svg", ".json", ".raw")
         }
 
-    mismatches = []
-    for cmd, jobs_variants in (
-        ("phantom", (None, None)),
-        ("corrupt", (None, None)),
-        ("oracle", (1, 8)),
-        ("gridsearch", (1, 8)),
+    mismatches, unforked = [], []
+    for cmd, jobs_variants, extra in (
+        ("phantom", (None, None), ()),
+        ("corrupt", (None, None), ()),
+        ("oracle", (1, 8), ()),
+        ("gridsearch", (1, 8), ()),
+        ("gridsearch", (1, 8), ("--seeds", "3")),
     ):
-        out_a = tmp_path / f"{cmd}-a"
-        out_b = tmp_path / f"{cmd}-b"
-        run(cmd, out_a, jobs_variants[0])
-        run(cmd, out_b, jobs_variants[1])
+        name = " ".join((cmd, *extra))
+        out_a = tmp_path / f"{cmd}{len(extra)}-a"
+        out_b = tmp_path / f"{cmd}{len(extra)}-b"
+        run(cmd, out_a, jobs_variants[0], extra)
+        started = len(pool_starts)
+        run(cmd, out_b, jobs_variants[1], extra)
         if csv_bytes(out_a) != csv_bytes(out_b):
-            mismatches.append(cmd)
-    ok = not mismatches
+            mismatches.append(name)
+        if name in ("oracle", "gridsearch --seeds 3") and len(pool_starts) == started:
+            unforked.append(name)
+    ok = not mismatches and not unforked
     report(9, ok, "byte-identical reruns for phantom/corrupt/oracle/gridsearch, "
-           "oracle+gridsearch agree across --jobs 1 vs 8"
-           + ("" if ok else f" | mismatches: {mismatches}"))
+           "oracle+gridsearch agree across --jobs 1 vs 8 (forked workers at 8)"
+           + ("" if not mismatches else f" | mismatches: {mismatches}")
+           + ("" if not unforked else f" | no pool started: {unforked}"))

@@ -559,6 +559,16 @@ class TestGridsearchCmd:
         assert lines[0] == "beta,sigma2,seed,test_dice,test_precision,test_recall"
         assert len(lines) == 1 + 2 * 2  # betas x seeds
 
+    def test_a_beta_whose_square_overflows_is_one_error(self, tmp_path, capsys):
+        # The descent squares each beta as a float: 1e200 ** 2 overflows.
+        out = tmp_path / "out"
+        argv = ["gridsearch", "--config", str(small_phantom_config(tmp_path)), "--out", str(out),
+                "--betas", "1e200", "--epochs", "1", "--seeds", "1", "--sigma2-values", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: beta must be finite and >= 0, with a finite square"]
+        assert not (out / "grid_scores.csv").exists()
+
     @pytest.mark.parametrize("flag, values, axis", [
         ("--betas", ["0.6", "1", "0.6"], "betas"), ("--sigma2-values", ["2", "2.0"], "sigma2_values")])
     def test_a_repeated_grid_value_is_one_error(self, tmp_path, capsys, flag, values, axis):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import os
 import platform
@@ -37,6 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from segnoise import pool
 from segnoise.bundleio import load_dataset, write_prediction
 from segnoise.cli import main as cli_main
 
@@ -48,6 +50,9 @@ CORRUPTED_DIGESTS = "corrupt/corrupted.sha256"
 # `sha256sum -c` form. That run takes about half a minute, so CI checks it
 # in a job of its own, not here.
 DEFAULT_GRID_DIGEST = "default_grid_scores.sha256"
+# The sha256 of the default `oracle --out o1`'s two CSVs, in the same form.
+# CI also checks them, and that `--jobs 2` writes the same tree.
+DEFAULT_ORACLE_DIGEST = "default_oracle.sha256"
 
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
@@ -126,7 +131,8 @@ def compare_text(name: str, got: str, want: str) -> list[str]:
 def test_golden_outputs(tmp_path):
     outputs = run_golden(tmp_path)
     golden = {p.relative_to(GOLDEN).as_posix(): p.read_text()
-              for p in sorted(GOLDEN.rglob("*")) if p.is_file() and p.name != DEFAULT_GRID_DIGEST}
+              for p in sorted(GOLDEN.rglob("*"))
+              if p.is_file() and p.name not in (DEFAULT_GRID_DIGEST, DEFAULT_ORACLE_DIGEST)}
     assert sorted(outputs) == sorted(golden)
     problems = [p for name in sorted(golden) if name != CORRUPTED_DIGESTS
                 for p in compare_text(name, outputs[name], golden[name])]
@@ -138,6 +144,31 @@ def test_golden_outputs(tmp_path):
 def test_default_grid_digest_names_one_grid_scores_file():
     (line,) = (GOLDEN / DEFAULT_GRID_DIGEST).read_text().splitlines()
     assert re.fullmatch(r"[0-9a-f]{64}  g/grid_scores\.csv", line)
+
+
+def test_default_oracle_digest_names_its_two_csv_files():
+    lines = (GOLDEN / DEFAULT_ORACLE_DIGEST).read_text().splitlines()
+    assert len(lines) == 2
+    for line, name in zip(lines, ("oracle_scores.csv", "oracle_summary.csv")):
+        assert re.fullmatch(rf"[0-9a-f]{{64}}  o1/{re.escape(name)}", line)
+
+
+def test_default_oracle_bytes_on_either_side_of_the_pool_decision(tmp_path, monkeypatch, pool_starts):
+    # The default sweep at --jobs 2, with every point read as free (it
+    # runs in this process) and as an hour of work (a pool starts after
+    # the first point), writes what --jobs 1 writes: the pinned bytes.
+    clocks = {"cheap": itertools.repeat(0.0).__next__, "costly": itertools.count(0.0, 3600.0).__next__}
+    trees = {}
+    for name, jobs in (("serial", 1), ("cheap", 2), ("costly", 2)):
+        if name in clocks:
+            monkeypatch.setattr(pool, "_clock", clocks[name])
+        _cli("oracle", "--out", tmp_path / name, "--jobs", jobs)
+        trees[name] = _digests(tmp_path / name)
+    assert pool_starts == [2]
+    assert trees["serial"] == trees["cheap"] == trees["costly"]
+    for line in (GOLDEN / DEFAULT_ORACLE_DIGEST).read_text().splitlines():
+        digest, path = line.split("  ")
+        assert hashlib.sha256((tmp_path / "serial" / Path(path).name).read_bytes()).hexdigest() == digest
 
 
 def test_default_config_byte_identical():

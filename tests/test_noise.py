@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -370,6 +372,32 @@ class TestCountTables:
         assert len(calls) == 3  # one per distinct depth
         for mask, pid, (tp, sum_p, sum_t) in zip(masks, ids, counts):
             assert (tp.tolist(), sum_p.tolist(), sum_t) == volume_counts(mask, mode, 8.0, seeds, pid)
+
+    def test_masks_of_one_frame_shape_pass_as_one_stack_in_bounded_memory(self, monkeypatch):
+        # Four masks of one shape and one of another depth: their frames
+        # pass together, a chunk of at most _PASS_VOXELS voxels at a
+        # time, so memory stays under the one-mask bound of
+        # test_oracle.py's stack-budget test although the five masks
+        # hold more than that bound.
+        spec = PhantomSpec(depth=80, height=128, width=128, radius_min=12, radius_max=30, margin=16)
+        masks = [r.mask for r in generate_corpus(spec, count=4, seed=4)]
+        masks.append(generate_corpus(replace(spec, depth=40), count=1, seed=5)[0].mask)
+        ids, seeds = ["a", "b", "c", "d", "e"], list(range(10))
+        assert masks[0].size > noise._PASS_VOXELS and sum(m.nbytes for m in masks) > 4 * masks[0].nbytes
+        sizes = radius1_voxels(monkeypatch)
+        alone = [count_masks([mask], NoiseMode.RANDOM, 8.0, seeds, [pid]) for mask, pid in zip(masks, ids)]
+        alone_calls = len(sizes)
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            together = count_masks(masks, NoiseMode.RANDOM, 8.0, seeds, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(tp.tolist(), sum_p.tolist(), sum_t) for tp, sum_p, sum_t in together] == [
+            (tp.tolist(), sum_p.tolist(), sum_t) for ((tp, sum_p, sum_t),) in alone]
+        assert max(sizes) <= noise._PASS_VOXELS and len(sizes) < alone_calls
+        assert peak < 4 * masks[0].nbytes
 
     @pytest.mark.parametrize("frames_per_chunk", [1, 2, 5])
     @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)

@@ -99,13 +99,14 @@ class TestRunSweep:
         for fa, fb in zip(files, again):
             assert fa.read_bytes() == fb.read_bytes()
 
-    def test_jobs_do_not_change_results(self, corpus, plan):
+    def test_jobs_do_not_change_results(self, corpus, plan, costly_tasks, pool_starts):
         config = SweepConfig(
             modes=(NoiseMode.RANDOM,), sigma2_values=(1.0, 3.0), repetitions=2, seed=11
         )
         serial = run_sweep(corpus, plan, config, jobs=1)
         parallel = run_sweep(corpus, plan, config, jobs=4)
         assert serial.scores.tobytes() == parallel.scores.tobytes()
+        assert pool_starts == [3]  # the parent ran the first of the four points
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, corpus, plan, jobs):
@@ -308,7 +309,7 @@ def two_blas_threads():
 @needs_openblas
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_points_run_on_one_blas_thread_and_the_count_is_restored(
-    corpus, plan, monkeypatch, tmp_path, two_blas_threads, jobs
+    corpus, plan, monkeypatch, tmp_path, two_blas_threads, jobs, costly_tasks, pool_starts
 ):
     log = tmp_path / "threads"
     original = oracle._point_triples
@@ -321,6 +322,7 @@ def test_sweep_points_run_on_one_blas_thread_and_the_count_is_restored(
     monkeypatch.setattr(oracle, "_point_triples", point_triples)
     run_sweep(corpus, plan, SweepConfig(sigma2_values=(1.0,), repetitions=2), jobs=jobs)
     assert log.read_text().split() == ["1"] * 6  # 3 modes x 2 folds
+    assert pool_starts == ([] if jobs == 1 else [2])  # the parent ran the first point
     assert two_blas_threads() == 2
 
 

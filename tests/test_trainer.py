@@ -298,12 +298,15 @@ class TestGridsearch:
         expected = np.array(triples).mean(axis=0)
         assert cell == pytest.approx(expected, abs=1e-12)
 
-    def test_deterministic_and_parallel_identical(self, grid_setup):
+    def test_deterministic_and_parallel_identical(self, grid_setup, costly_tasks, pool_starts):
         # A 2 x 2 grid of cells writes the same CSV bytes at any job count.
+        # The parent trains the first cell; the other three go to two
+        # workers at --jobs 2 and to three at --jobs 8.
         corpus, split = grid_setup
         kwargs = dict(betas=[0.4, 1.0, 2.0], mode=NoiseMode.RANDOM, sigma2_values=[2.0, 4.0],
                       seeds=[0, 1], base_config=TrainConfig(learning_rate=3.0, epochs=15))
         grids = {jobs: beta_gridsearch(corpus, split, jobs=jobs, **kwargs) for jobs in (1, 2, 8)}
+        assert pool_starts == [2, 3]
         assert grids[1].scores.tobytes() == grids[2].scores.tobytes() == grids[8].scores.tobytes()
         csvs = {jobs: grid.to_csv_string().encode() for jobs, grid in grids.items()}
         assert csvs[1] == csvs[2] == csvs[8]
@@ -372,7 +375,7 @@ class TestGridsearch:
 
     @needs_fork
     def test_forked_workers_inherit_one_blas_thread_and_never_call_the_setter(
-        self, grid_setup, monkeypatch, tmp_path
+        self, grid_setup, monkeypatch, tmp_path, costly_tasks, pool_starts
     ):
         # The parent pins BLAS before the pool forks. A setter call in a
         # forked worker would restart OpenBLAS's spinning server thread.
@@ -392,59 +395,71 @@ class TestGridsearch:
 
         monkeypatch.setattr(pool, "_openblas_threads", lambda: (lambda: threads[0], set_threads))
         monkeypatch.setattr(trainer, "_descend", descend)
-        # Two cells, so that a pool starts; each cell is one lockstep descent.
+        # Three cells: the first trains in the parent, which may run
+        # GEMMs before it forks, and two workers train the others. Each
+        # cell is one lockstep descent.
         beta_gridsearch(corpus, split, betas=[0.5, 1.0], mode=NoiseMode.DILATE,
-                        sigma2_values=[1.0], seeds=[0, 1], base_config=TrainConfig(epochs=2), jobs=2)
+                        sigma2_values=[1.0], seeds=[0, 1, 2], base_config=TrainConfig(epochs=2), jobs=2)
         calls = [line.split() for line in log.read_text().splitlines()]
         parent = str(os.getpid())
         assert [c for c in calls if c[0] == "set"] == [["set", parent, "1"], ["set", parent, "4"]]
         descents = [c for c in calls if c[0] == "descend"]
-        assert len(descents) == 2
-        assert all(pid != parent and count == "1" for _, pid, count in descents)
+        assert descents[0] == ["descend", parent, "1"]
+        assert len(descents) == 3
+        assert all(pid != parent and count == "1" for _, pid, count in descents[1:])
+        assert pool_starts == [2]
         assert threads == [4]
 
     @needs_fork
     @needs_openblas
-    def test_forked_workers_report_one_openblas_thread(self, grid_setup, monkeypatch, tmp_path):
+    def test_forked_workers_report_one_openblas_thread(self, grid_setup, monkeypatch, tmp_path, costly_tasks,
+                                                      pool_starts):
         corpus, split = grid_setup
         get_threads, set_threads = pool._openblas_threads()
         log = tmp_path / "threads"
         original = trainer._descend
 
         def descend(*args):
-            _append(log, str(get_threads()))
+            _append(log, f"{os.getpid()} {get_threads()}")
             return original(*args)
 
         monkeypatch.setattr(trainer, "_descend", descend)
         saved = get_threads()
         set_threads(2)
         try:
-            # Two cells, so that a pool starts.
+            # Three cells: the parent trains the first, with real GEMMs,
+            # before a pool of two starts for the others.
             beta_gridsearch(corpus, split, betas=[0.5, 1.0], mode=NoiseMode.DILATE,
-                            sigma2_values=[1.0], seeds=[0, 1], base_config=TrainConfig(epochs=2), jobs=2)
+                            sigma2_values=[1.0], seeds=[0, 1, 2], base_config=TrainConfig(epochs=2), jobs=2)
             assert get_threads() == 2
         finally:
             set_threads(saved)
-        assert log.read_text().split() == ["1", "1"]
+        descents = [line.split() for line in log.read_text().splitlines()]
+        assert [count for _, count in descents] == ["1", "1", "1"]
+        assert descents[0][0] == str(os.getpid()) and str(os.getpid()) not in [pid for pid, _ in descents[1:]]
+        assert pool_starts == [2]
 
     @needs_fork
-    def test_one_process_trains_all_of_a_cells_betas(self, grid_setup, monkeypatch, tmp_path):
+    def test_one_process_trains_all_of_a_cells_betas(self, grid_setup, monkeypatch, tmp_path, costly_tasks):
         corpus, split = grid_setup
-        kwargs = dict(betas=[0.5, 1.0], mode=NoiseMode.DILATE, sigma2_values=[2.0], seeds=[0, 1],
+        kwargs = dict(betas=[0.5, 1.0], mode=NoiseMode.DILATE, sigma2_values=[2.0], seeds=[0, 1, 2],
                       base_config=TrainConfig(epochs=5))
         serial = beta_gridsearch(corpus, split, jobs=1, **kwargs)
 
-        # Each cell's descent waits for the other cell's: one worker
-        # holding both cells would break the barrier instead of training
-        # them in turn. Each descent trains every beta of its cell.
+        # The parent trains the first cell. In the workers, each cell's
+        # descent waits for the other cell's: one worker holding both
+        # cells would break the barrier instead of training them in
+        # turn. Each descent trains every beta of its cell.
         log = tmp_path / "descents"
         barrier = multiprocessing.get_context("fork").Barrier(2)
         contexts = []
         original_descend, original_map = trainer._descend, trainer.pool.map_cells
+        parent = os.getpid()
 
         def descend(features, targets, config, betas):
             _append(log, f"{os.getpid()} {' '.join(map(str, betas))}")
-            barrier.wait(timeout=60)
+            if os.getpid() != parent:
+                barrier.wait(timeout=60)
             return original_descend(features, targets, config, betas)
 
         def map_cells(function, tasks, ctx, jobs, **kwargs):
@@ -456,12 +471,13 @@ class TestGridsearch:
         parallel = beta_gridsearch(corpus, split, jobs=2, **kwargs)
         descents = [line.split() for line in log.read_text().splitlines()]
         pids = [pid for pid, *_ in descents]
-        assert len(set(pids)) == len(pids) == 2
-        assert str(os.getpid()) not in pids
-        assert [betas for _, *betas in descents] == [["0.5", "1.0"]] * 2
+        assert pids[0] == str(parent)
+        assert len(set(pids[1:])) == len(pids[1:]) == 2
+        assert str(parent) not in pids[1:]
+        assert [betas for _, *betas in descents] == [["0.5", "1.0"]] * 3
         ((tasks, (_, targets, _, betas), kwargs),) = contexts
-        assert tasks == [(2.0, 0), (2.0, 1)] and betas == (0.5, 1.0)
-        assert [t.dtype for t in targets.values()] == [np.dtype(bool)] * 2
+        assert tasks == [(2.0, 0), (2.0, 1), (2.0, 2)] and betas == (0.5, 1.0)
+        assert [t.dtype for t in targets.values()] == [np.dtype(bool)] * 3
         assert kwargs == {"chunksize": 1}  # a task is a whole cell's descent
 
         serial.write_outputs(tmp_path / "serial")
