@@ -116,17 +116,21 @@ def cmd_oracle(args, config) -> int:
 
 
 def cmd_gridsearch(args, config) -> int:
-    from .trainer import beta_gridsearch
+    """A descent that diverges, in this process or a worker, is one error line."""
+    from .trainer import TrainingDiverged, beta_gridsearch
 
     out = _resolve_out(args.out, config)
     source = cfgmod.source_from(config)
     plan = cfgmod.foldplan_from(config, source.ids)
     split = plan.folds[config["folds"]["fold_index"]]
-    grid = beta_gridsearch(
-        source, split, betas=config["grid"]["betas"], mode=NoiseMode(config["noise"]["mode"]),
-        sigma2_values=config["grid"]["sigma2_values"], seeds=range(config["grid"]["seeds"]),
-        base_config=cfgmod.train_config_from(config), threshold=config["score"]["threshold"],
-        jobs=args.jobs)
+    try:
+        grid = beta_gridsearch(
+            source, split, betas=config["grid"]["betas"], mode=NoiseMode(config["noise"]["mode"]),
+            sigma2_values=config["grid"]["sigma2_values"], seeds=range(config["grid"]["seeds"]),
+            base_config=cfgmod.train_config_from(config), threshold=config["score"]["threshold"],
+            jobs=args.jobs)
+    except TrainingDiverged as exc:
+        raise ValueError(f"{exc}; lower train.learning_rate or train.init_scale") from exc
     written = grid.write_outputs(out)
     print(f"gridsearch: {grid.scores[:, :, 0].size} cells; wrote {len(written)} files to {out}")
     return 0

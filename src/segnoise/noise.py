@@ -13,15 +13,16 @@ streams for many keys at once: `stream_states` rebuilds `SeedSequence`'s
 mixing in vectorised uint32 arithmetic, each frame's PCG64 seeds itself
 in C from its row of that, and every frame's op and k land in arrays.
 Passes never exceed `capped_passes` per frame; the reported k is the
-drawn one. One pass engine serves both corruptions: a frame's counts
-after k passes depend only on (frame, op, k), so each op's radius-1
-passes run once over the masks' own frames, as far as any seed needs,
-and record every frame's count after each pass (`_pass_counts`).
-`count_masks` scores many seeds without building a volume, each seed's
-(tp, sum_p) a gather from that table, and passes the frames of all its
-masks of one frame shape as one stack; `corrupt_mask_volume` is its
-one-seed, one-mask case, whose passes also write their frames into the
-volume.
+drawn one. One engine step, `_corrupt`, serves both corruptions, for
+masks of one frame shape and any depths: one `stream_states` and one
+`draw_frames` call give every frame's draws for every seed, and since a
+frame's counts after k passes depend only on (frame, op, k), each op's
+radius-1 passes run once over the masks' frames, as far as any seed
+needs, and record every frame's count after each pass. `count_masks`
+groups its masks by frame shape and scores many seeds without building
+a volume, each seed's (tp, sum_p) a gather from that table;
+`corrupt_mask_volume` is the step's one-seed, one-mask case, whose
+passes also write their frames into the volume.
 The per-frame reference both must match (one frame, one stream,
 `morphology.dilate` or `erode` k times) lives with the tests, in
 `tests/reference.py`.
@@ -240,56 +241,23 @@ def draw_frames(states: np.ndarray, mode: NoiseMode, std: float) -> tuple[np.nda
     return erode, np.floor(np.abs(std * x))
 
 
-def _draw_volumes(masks: Sequence[np.ndarray], mode: NoiseMode, sigma2: float, seeds: Sequence[int],
-                  patient_ids: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each mask's `draw_frames` for every seed, as (seeds, depth) erode
-    and k arrays; sigma2 is checked before any stream is drawn. Masks of
-    one depth are seeded and drawn together, in one call each."""
-    std = _std(sigma2)
-    by_depth: dict[int, list[int]] = {}
-    for index, mask in enumerate(masks):
-        by_depth.setdefault(mask.shape[0], []).append(index)
-    draws: list = [None] * len(masks)
-    for depth, indices in by_depth.items():
-        keys = [_patient_key(patient_ids[i]) for i in indices]
-        states = stream_states([(seed, key) for key in keys for seed in seeds], [(f,) for f in range(depth)])
-        erode, k = (a.reshape(len(indices), len(seeds), depth) for a in draw_frames(states, mode, std))
-        for i, draw in zip(indices, zip(erode, k)):
-            draws[i] = draw
-    return draws
-
-
-def _frame_counts(frames: np.ndarray) -> np.ndarray:
+def _frame_counts(frames: Sequence[np.ndarray]) -> np.ndarray:
     """count_nonzero of each frame, one whole frame at a time: its fast
     path, which the axis form (a bool sum) does not take."""
     return np.array([np.count_nonzero(frame) for frame in frames], dtype=np.int64)
 
 
-def _gather(masks: Sequence[np.ndarray], index: np.ndarray) -> np.ndarray:
-    """A new stack of the frames at `index` of the masks laid end to
-    end, copied one frame at a time: no temporary beside the stack."""
-    if len(masks) == 1:
-        return masks[0][index]
-    frames = [frame for mask in masks for frame in mask]
-    stack = np.empty((len(index), *masks[0].shape[1:]), dtype=bool)
-    for row, i in enumerate(index.tolist()):
-        stack[row] = frames[i]
-    return stack
-
-
-def _fill_table(table: np.ndarray, masks: Sequence[np.ndarray], reach: np.ndarray, erosion: bool,
+def _fill_table(table: np.ndarray, frames: list[np.ndarray], reach: np.ndarray, erosion: bool, chunk: int,
                 out: np.ndarray | None) -> None:
-    """table[j, f] = the voxel count of frame f of the masks laid end to
-    end after j passes of one op, for every j up to reach[f]; `out[f]`,
-    if given, = frame f after its reach[f] passes, for every frame with
-    reach. The frames run in chunks of at most _PASS_VOXELS voxels,
-    gathered across masks, by descending reach, so that the frames still
-    active at pass j are a prefix of their chunk."""
+    """table[j, f] = the voxel count of frames[f] after j passes of one
+    op, for every j up to reach[f]; `out[f]`, if given, = frames[f] after
+    its reach[f] passes, for every frame with reach. The frames run in
+    stacks of at most `chunk`, by descending reach, so that the frames
+    still active at pass j are a prefix of their stack."""
     order = np.argsort(-reach, kind="stable")[:np.count_nonzero(reach)]
-    chunk = max(1, _PASS_VOXELS // max(1, masks[0].shape[1] * masks[0].shape[2]))
     for lo in range(0, len(order), chunk):
         index = order[lo:lo + chunk]
-        stack = _gather(masks, index)
+        stack = np.array([frames[i] for i in index.tolist()])
         for j in range(1, reach[index[0]] + 1):
             active = np.count_nonzero(reach[index] >= j)
             stack[:active] = radius1_pass(stack[:active], erosion)
@@ -298,25 +266,41 @@ def _fill_table(table: np.ndarray, masks: Sequence[np.ndarray], reach: np.ndarra
             out[index] = stack
 
 
-def _pass_counts(masks: Sequence[np.ndarray], erode: np.ndarray, k: np.ndarray,
-                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Each frame's clean voxel count, and its count after each row's
-    corruption, for every row of (rows, frames) draws over the frames of
-    `masks` (all of one frame shape) laid end to end. Each op's passes
-    run once over those frames, as far as any row needs, and record
-    every frame's count after each pass; a row's counts are a gather
-    from that table. With one mask and one row, each frame's reach is
-    its own pass count, so the frames the passes leave are that row's
-    corrupted frames, and a bool `out` receives them."""
-    masks = [mask.view(bool) for mask in masks]
+def _corrupt(masks: Sequence[np.ndarray], mode: NoiseMode, sigma2: float, seeds: Sequence[int],
+             patient_ids: Sequence[str], out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Every seed's corruption of the frames of `masks` (checked uint8
+    volumes of one frame shape, any depths) laid end to end: each frame's
+    erode flag, drawn k and count after its passes, as (seeds, frames)
+    arrays, and its clean count. sigma2 is checked before any draw.
+
+    Each patient id is hashed once, one `stream_states` call seeds every
+    (seed, mask) to the longest mask's depth, and only real frames'
+    streams are drawn. Each op's passes run once over the frames, as far
+    as any seed needs, in stacks of at most `_PASS_VOXELS` voxels, into a
+    table of every frame's count after each pass; a seed's counts are a
+    gather from it. With one seed each frame's reach is its own pass
+    count, so a bool `out` of the frames receives that seed's corrupted
+    frames.
+    """
+    std = _std(sigma2)
+    depths = [len(mask) for mask in masks]
+    frames = [frame for mask in masks for frame in mask.view(bool)]
+    keys = [_patient_key(pid) for pid in patient_ids]
+    longest = max(depths, default=0)
+    states = stream_states([(seed, key) for seed in seeds for key in keys], [(f,) for f in range(longest)])
+    if len(frames) < len(masks) * longest:  # drop the rows past a shorter mask's depth
+        real = np.greater.outer(depths, np.arange(longest)).ravel()
+        states = states.reshape(len(seeds), len(masks) * longest, 4)[:, real].reshape(-1, 4)
+    erode, k = (a.reshape(len(seeds), len(frames)) for a in draw_frames(states, mode, std))
     passes = np.minimum(k, capped_passes(k.max(initial=0), masks[0].shape)).astype(np.intp)
     op = erode.astype(np.intp)
-    table = np.zeros((2, passes.max(initial=0) + 1, k.shape[1]), dtype=np.int64)
-    table[:, 0] = np.concatenate([_frame_counts(mask) for mask in masks])
+    chunk = max(1, _PASS_VOXELS // max(1, math.prod(masks[0].shape[1:])))
+    table = np.zeros((2, passes.max(initial=0) + 1, len(frames)), dtype=np.int64)
+    table[:, 0] = _frame_counts(frames)
     for erosion, rows in enumerate(table):
         reach = np.where(op == erosion, passes, 0).max(axis=0, initial=0)
-        _fill_table(rows, masks, reach, bool(erosion), out)
-    return table[0, 0], table[op, passes, np.arange(k.shape[1])]
+        _fill_table(rows, frames, reach, bool(erosion), chunk, out)
+    return erode, k, table[0, 0], table[op, passes, np.arange(len(frames))]
 
 
 def count_masks(
@@ -327,20 +311,19 @@ def count_masks(
     sum_t the mask's voxel count. They equal `count_nonzero` of
     `corrupted & mask` and of `corrupted` for the volumes
     `corrupt_mask_volume` builds, one seed at a time, but no volume is
-    built (`_pass_counts`). A dilation holds its frame and an erosion
-    lies within it, so a frame's tp is its clean count if dilated, else
-    its own count. Masks of one depth are seeded and drawn together, and
-    the frames of all masks of one frame shape pass as one stack, a
-    chunk of at most `_PASS_VOXELS` voxels at a time."""
+    built. A dilation holds its frame and an erosion lies within it, so
+    a frame's tp is its clean count if dilated, else its own count. The
+    masks of one frame shape, whatever their depths, are seeded, drawn
+    and passed together in one `_corrupt` step."""
     masks = [validate_mask_volume(mask) for mask in masks]
-    draws = _draw_volumes(masks, NoiseMode(mode), sigma2, seeds, patient_ids)
+    mode = NoiseMode(mode)
     by_shape: dict[tuple, list[int]] = {}
     for index, mask in enumerate(masks):
         by_shape.setdefault(mask.shape[1:], []).append(index)
     counts: list = [None] * len(masks)
     for indices in by_shape.values():
-        erode, k = (np.concatenate([draws[i][j] for i in indices], axis=1) for j in (0, 1))
-        clean, after = _pass_counts([masks[i] for i in indices], erode, k)
+        erode, _, clean, after = _corrupt([masks[i] for i in indices], mode, sigma2, seeds,
+                                          [patient_ids[i] for i in indices])
         tp = np.where(erode, after, clean)
         ends = np.cumsum([len(masks[i]) for i in indices]).tolist()
         for i, lo, hi in zip(indices, [0, *ends], ends):
@@ -355,15 +338,14 @@ def corrupt_mask_volume(
     return the volume and its report rows, one per frame.
 
     Frame i is corrupted as if with its own `frame_rng(seed, patient_id,
-    i)`: the volume is `count_masks`' one-seed case, whose passes write
-    their frames over a copy of the mask and whose table gives the
-    report's counts (`_pass_counts`).
+    i)`: the volume is `_corrupt` of the one mask and seed, whose passes
+    write their frames over a copy of the mask and whose table gives the
+    report's counts.
     """
     mask = validate_mask_volume(mask_volume)
     mode = NoiseMode(mode)
-    erode, k = _draw_volumes([mask], mode, sigma2, [seed], [patient_id])[0]
     out = mask.copy()
-    clean, after = _pass_counts([mask], erode, k, out.view(bool))
+    erode, k, clean, after = _corrupt([mask], mode, sigma2, [seed], [patient_id], out.view(bool))
     ops = np.where(erode[0], NoiseMode.ERODE.value, NoiseMode.DILATE.value)
     rows = [
         CorruptionRecord(s_original=before, s_modified=modified, patient_id=patient_id, frame=index,

@@ -9,10 +9,10 @@ curves isolate what the corruption alone does to each score.
 
 The sweep's unit of work is a (fold, mode, sigma2) point with all its
 repetitions. One `count_masks` call counts it: the test masks of one
-depth are seeded and drawn together for every repetition seed, each
-mask's passes run once per op over its own frames into a table of
-per-frame counts, and each repetition's integer (tp, sum_p) and the
-mask's sum_t are read from the tables; no corrupted volume is built.
+frame shape are seeded and drawn together for every repetition seed,
+their frames' passes run once per op into a table of per-frame counts,
+and each repetition's integer (tp, sum_p) and each mask's sum_t are
+read from the table; no corrupted volume is built.
 `metrics.score_triples` turns the counts of all test masks and
 repetitions into scores in one step. A point returns a (3, repetitions)
 array, each column the mean over test masks of the volume-wise (dice,
@@ -69,8 +69,7 @@ def _point_triples(
 ) -> np.ndarray:
     """(3, seeds) scores, one column per seed in order: the test masks
     corrupted with that seed's streams, each scored volume-wise against
-    its original, averaged."""
-    _check_test_ids(masks, split)
+    its original, averaged. The split's test ids are the caller's to check."""
     counts = count_masks([masks[pid] for pid in split.test_ids], mode, sigma2, seeds, split.test_ids)
     tp, sum_p, sum_t = (np.array(column) for column in zip(*counts))
     return score_triples(tp, sum_p, sum_t[:, None]).mean(axis=0).T
@@ -85,6 +84,7 @@ def simulate_noise_robust(
 ) -> ScoreTriple:
     """Corrupt the test masks, score against the originals, average."""
     masks = {r.patient_id: r.mask for r in records}
+    _check_test_ids(masks, split)
     return ScoreTriple(*_point_triples(masks, split, mode, sigma2, [seed])[:, 0].tolist())
 
 

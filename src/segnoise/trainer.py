@@ -30,11 +30,15 @@ N_FEATURES = 5
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss turns non-finite; carries the epoch."""
+    """Raised when the loss turns non-finite; carries the epoch, also
+    through a pickle (a pool worker's raise reaches the parent so)."""
 
     def __init__(self, epoch: int):
         super().__init__(f"training diverged: non-finite loss at epoch {epoch}")
         self.epoch = epoch
+
+    def __reduce__(self):
+        return type(self), (self.epoch,)
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,7 @@ def _initial_weights(config: TrainConfig) -> np.ndarray:
 BLOCK_BYTES = 1 << 17
 
 
+@np.errstate(all="ignore")  # a non-finite loss is checked each epoch and raised as TrainingDiverged
 def _descend(
     features: np.ndarray, targets: np.ndarray, config: TrainConfig, betas
 ) -> tuple[list[LinearSegmenter], np.ndarray]:
@@ -348,8 +353,7 @@ def beta_gridsearch(
     models = [m for cell in pool.map_cells(_grid_task, keys, ctx, jobs, chunksize=1) for m in cell]
     del ctx
     triples = [_test_triples(tests.pop(pid), masks[pid], models, threshold) for pid in split.test_ids]
-    results = dict(zip([(k, beta) for k in keys for beta in betas],
-                       np.array(triples, dtype=np.float64).mean(axis=0)))
-    cells = [[[results[key[s2, seed], beta] for seed in seeds] for beta in betas] for s2 in sigma2_values]
-    scores = np.moveaxis(np.array(cells), -1, 2).copy()  # C-ordered (sigma2, beta, metric, seed)
+    means = np.array(triples, dtype=np.float64).mean(axis=0).reshape(len(keys), len(betas), 3)
+    cells = means[[[keys.index(key[s2, seed]) for seed in seeds] for s2 in sigma2_values]]
+    scores = np.ascontiguousarray(cells.transpose(0, 2, 3, 1))  # (sigma2, beta, metric, seed)
     return GridResult(betas=betas, sigma2_values=sigma2_values, seeds=seeds, scores=scores)

@@ -569,6 +569,16 @@ class TestGridsearchCmd:
             "error: beta must be finite and >= 0, with a finite square"]
         assert not (out / "grid_scores.csv").exists()
 
+    def test_a_diverged_descent_is_one_error(self, tmp_path, capsys):
+        # The initial weights, 1e308 times normal draws, overflow.
+        config = small_phantom_config(tmp_path, train={"init_scale": 1e308, "epochs": 2, "seed": 2},
+                                      grid={"betas": [1.0], "sigma2_values": [0.0], "seeds": 1})
+        out = tmp_path / "out"
+        assert main(["gridsearch", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: training diverged: non-finite loss at epoch 0; lower train.learning_rate or train.init_scale"]
+        assert not (out / "grid_scores.csv").exists()
+
     @pytest.mark.parametrize("flag, values, axis", [
         ("--betas", ["0.6", "1", "0.6"], "betas"), ("--sigma2-values", ["2", "2.0"], "sigma2_values")])
     def test_a_repeated_grid_value_is_one_error(self, tmp_path, capsys, flag, values, axis):

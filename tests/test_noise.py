@@ -338,25 +338,47 @@ def radius1_voxels(monkeypatch) -> list[int]:
     return sizes
 
 
+def engine_calls(monkeypatch) -> list[tuple[str, int]]:
+    """Every `stream_states` and `draw_frames` call from now on, with the
+    seed rows it built or the streams it drew."""
+    calls = []
+    states, draw = noise.stream_states, noise.draw_frames
+
+    def seeded(*args):
+        rows = states(*args)
+        calls.append(("stream_states", len(rows)))
+        return rows
+
+    monkeypatch.setattr(noise, "stream_states", seeded)
+    monkeypatch.setattr(noise, "draw_frames",
+                        lambda rows, *rest: calls.append(("draw_frames", len(rows))) or draw(rows, *rest))
+    return calls
+
+
 class TestCountTables:
     @pytest.mark.parametrize("sigma2", [1e4, 1e300], ids=["past-the-cap", "past-int64"])
     @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
     def test_k_past_the_cap_and_past_int64(self, mode, sigma2, monkeypatch):
         mask = small_corpus(count=1, depth=5, seed=3)[0].mask
         seeds = [4, 5, 6, 7]
-        erode, k = noise._draw_volumes([mask], mode, sigma2, seeds, ["p"])[0]
+        erode, k = noise._corrupt([mask], mode, sigma2, seeds, ["p"])[:2]
         assert (k > max(mask.shape[1:])).any() and (sigma2 < 1e300 or (k > 2.0**63).any())
         sizes = radius1_voxels(monkeypatch)
+        calls = engine_calls(monkeypatch)
         tp, sum_p, sum_t = count_repetitions(mask, mode, sigma2, seeds, "p")
+        assert calls == [("stream_states", len(seeds) * len(mask)), ("draw_frames", len(seeds) * len(mask))]
         assert len(sizes) <= 2 * max(mask.shape[1:])  # each op's table stops at the cap
         assert (tp.tolist(), sum_p.tolist(), sum_t) == volume_counts(mask, mode, sigma2, seeds, "p")
 
-    def test_random_mode_with_both_ops_in_one_point(self):
+    def test_random_mode_with_both_ops_in_one_point(self, monkeypatch):
         masks = [r.mask for r in small_corpus(count=2, depth=6, seed=4)]
         seeds, ids = [11, 12, 13], ["a", "b"]
-        for mask, (erode, k) in zip(masks, noise._draw_volumes(masks, NoiseMode.RANDOM, 6.0, seeds, ids)):
-            assert (erode & (k > 0)).any() and (~erode & (k > 0)).any()
+        erode, k = noise._corrupt(masks, NoiseMode.RANDOM, 6.0, seeds, ids)[:2]
+        for mask_erode, mask_k in zip(np.split(erode, len(masks), axis=1), np.split(k, len(masks), axis=1)):
+            assert (mask_erode & (mask_k > 0)).any() and (~mask_erode & (mask_k > 0)).any()
+        calls = engine_calls(monkeypatch)
         counts = count_masks(masks, NoiseMode.RANDOM, 6.0, seeds, ids)
+        assert [name for name, _ in calls] == ["stream_states", "draw_frames"]
         for mask, pid, (tp, sum_p, sum_t) in zip(masks, ids, counts):
             assert (tp.tolist(), sum_p.tolist(), sum_t) == volume_counts(mask, NoiseMode.RANDOM, 6.0, seeds, pid)
 
@@ -365,13 +387,25 @@ class TestCountTables:
         masks = [small_corpus(count=1, depth=depth, seed=depth)[0].mask for depth in (3, 6, 3)]
         masks.append(np.zeros((0, 48, 48), np.uint8))
         seeds, ids = [2, 7, 1, 8], ["a", "b", "c", "d"]
-        calls = []
-        real = noise.stream_states
-        monkeypatch.setattr(noise, "stream_states", lambda *args: calls.append(args) or real(*args))
+        calls = engine_calls(monkeypatch)
         counts = count_masks(masks, mode, 8.0, seeds, ids)
-        assert len(calls) == 3  # one per distinct depth
+        assert [name for name, _ in calls] == ["stream_states", "draw_frames"]  # one frame shape
         for mask, pid, (tp, sum_p, sum_t) in zip(masks, ids, counts):
             assert (tp.tolist(), sum_p.tolist(), sum_t) == volume_counts(mask, mode, 8.0, seeds, pid)
+
+    def test_masks_of_three_depths_draw_only_their_own_frames(self, monkeypatch):
+        # One seeding covers every mask to the longest one's depth; only
+        # the streams of real frames are drawn.
+        depths = (2, 9, 5)
+        masks = [small_corpus(count=1, depth=depth, seed=depth)[0].mask for depth in depths]
+        seeds, ids = [3, 0, 2**40, 6, 1], ["a", "b", "c"]
+        alone = [count_masks([mask], NoiseMode.RANDOM, 12.0, seeds, [pid]) for mask, pid in zip(masks, ids)]
+        calls = engine_calls(monkeypatch)
+        together = count_masks(masks, NoiseMode.RANDOM, 12.0, seeds, ids)
+        assert calls == [("stream_states", len(seeds) * len(masks) * max(depths)),
+                         ("draw_frames", len(seeds) * sum(depths))]
+        assert [(tp.tolist(), sum_p.tolist(), sum_t) for tp, sum_p, sum_t in together] == [
+            (tp.tolist(), sum_p.tolist(), sum_t) for ((tp, sum_p, sum_t),) in alone]
 
     def test_masks_of_one_frame_shape_pass_as_one_stack_in_bounded_memory(self, monkeypatch):
         # Four masks of one shape and one of another depth: their frames

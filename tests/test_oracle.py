@@ -252,11 +252,14 @@ class TestSweepPoint:
         assert len(scored) == 3 * len(test_ids)
         assert len(streams) == 3 * sum(masks[pid].shape[0] for pid in test_ids)
 
-    def test_one_seeding_and_one_draw_per_distinct_depth(self, corpus, plan, monkeypatch):
-        deep = [generate_phantom(PhantomSpec(depth=6, height=48, width=48, radius_min=4, radius_max=8,
-                                             margin=8), seed, patient_id=f"deep-{seed}") for seed in (1, 2)]
-        records = list(corpus) + deep
-        test_ids = plan.folds[0].test_ids[:2] + tuple(r.patient_id for r in deep)
+    def test_one_seeding_and_one_draw_per_frame_shape(self, corpus, plan, monkeypatch):
+        # Two depths of 48x48 frames and one mask of 40x56 frames: two frame shapes.
+        spec = PhantomSpec(depth=6, height=48, width=48, radius_min=4, radius_max=8, margin=8)
+        extra = [generate_phantom(spec, 1, patient_id="deep-1"), generate_phantom(spec, 2, patient_id="deep-2"),
+                 generate_phantom(PhantomSpec(depth=3, height=40, width=56, radius_min=4, radius_max=8,
+                                              margin=8), 3, patient_id="wide-3")]
+        records = list(corpus) + extra
+        test_ids = plan.folds[0].test_ids[:2] + tuple(r.patient_id for r in extra)
         split = DatasetSplit(train_ids=(), val_ids=(), test_ids=test_ids)
         calls = []
         for name in ("stream_states", "draw_frames"):

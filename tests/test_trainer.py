@@ -1,6 +1,7 @@
 import ctypes
 import multiprocessing
 import os
+import pickle
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -738,7 +739,6 @@ def test_lockstep_descent_matches_the_per_beta_reference(default_grid_inputs):
         assert np.allclose(losses, expected_losses, rtol=1e-12, atol=0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_lockstep_descent_raises_at_the_epoch_one_betas_loss_turns_non_finite(monkeypatch):
     # One block per epoch, so the terms' n-th call is epoch n's. Epoch 3
     # gives the second beta a non-finite numerator; the first stays finite.
@@ -778,3 +778,19 @@ class TestTrainConfigValidation:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+
+def _diverge_in_a_worker(parent):
+    if os.getpid() != parent:
+        raise trainer.TrainingDiverged(7)
+    return parent
+
+
+def test_a_divergence_keeps_its_message_and_epoch_through_a_pickle_and_a_worker(costly_tasks, pool_starts):
+    message = "training diverged: non-finite loss at epoch 7"
+    again = pickle.loads(pickle.dumps(trainer.TrainingDiverged(7)))
+    assert type(again) is trainer.TrainingDiverged and again.epoch == 7 and str(again) == message
+    # The parent runs the first task; the two workers raise.
+    with pytest.raises(trainer.TrainingDiverged) as raised:
+        pool.map_cells(_diverge_in_a_worker, [os.getpid()] * 3, "ctx", 2)
+    assert pool_starts == [2] and raised.value.epoch == 7 and str(raised.value) == message
