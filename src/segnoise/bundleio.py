@@ -191,7 +191,9 @@ def _read_meta(bundle: Path, *keys: str) -> tuple[dict, tuple[int, int, int]]:
     if not (isinstance(shape, list) and len(shape) == 3
             and all(type(s) is int and s >= 1 for s in shape)):
         raise ValueError(f"{meta_path}: shape must be three positive ints, got {shape!r}")
-    check_name(str(meta["patient_id"]), "patient id")
+    if not isinstance(meta["patient_id"], str):
+        raise ValueError(f"{meta_path}: patient_id must be a string, got {meta['patient_id']!r}")
+    check_name(meta["patient_id"], "patient id")
     return meta, tuple(shape)
 
 
@@ -219,7 +221,7 @@ def _read_patient(bundle: Path, read_modality: Callable) -> tuple:
         mask = binarize_labels(labels)
     else:
         raise FileNotFoundError(f"bundle {bundle} has neither mask.raw nor labels.raw")
-    return str(meta["patient_id"]), grids, mask, labels
+    return meta["patient_id"], grids, mask, labels
 
 
 def load_patient(path: str | Path) -> PatientRecord:
@@ -259,7 +261,7 @@ def index_bundles(root: str | Path, what: str = "patient") -> dict[str, Path]:
         raise FileNotFoundError(f"no {what} bundles under {root}")
     index: dict[str, Path] = {}
     for bundle in bundles:
-        pid = str(_read_meta(bundle)[0]["patient_id"])
+        pid = _read_meta(bundle)[0]["patient_id"]
         if pid in index:
             raise ValueError(f"patient id {pid!r} is used by both {index[pid]} and {bundle}")
         index[pid] = bundle
@@ -304,7 +306,7 @@ def open_prediction(path: str | Path) -> tuple[str, tuple[int, int, int], Iterat
             if block.min() < 0.0 or block.max() > 1.0:
                 raise ValueError(message)
             yield block
-    return str(meta["patient_id"]), shape, blocks()
+    return meta["patient_id"], shape, blocks()
 
 
 def _filled(shape: tuple[int, int, int], blocks: Iterator[np.ndarray]) -> np.ndarray:

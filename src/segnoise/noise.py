@@ -13,17 +13,17 @@ streams for many keys at once: `stream_states` rebuilds `SeedSequence`'s
 mixing in vectorised uint32 arithmetic, each frame's PCG64 seeds itself
 in C from its row of that, and every frame's op and k land in arrays.
 Passes never exceed `capped_passes` per frame; the reported k is the
-drawn one. One engine step, `_corrupt`, serves both corruptions, for
-masks of one frame shape and any depths: one `stream_states` and one
+drawn one. One engine step, `corrupt_masks`, serves every corruption,
+for masks of one frame shape and any depths: one `stream_states` and one
 `draw_frames` call give every frame's draws for every seed, and since a
 frame's counts after k passes depend only on (frame, op, k), each op's
 radius-1 passes run once over the masks' frames, as far as any seed
-needs, and record every frame's count after each pass. `count_masks`
-groups its masks by frame shape and scores many seeds without building
-a volume, each seed's (tp, sum_p) a gather from that table;
-`corrupt_mask_volume` is the step's one-seed, one-mask case, whose
-passes also write their frames into the volume.
-The per-frame reference both must match (one frame, one stream,
+needs, and record every frame's count after each pass. Of its three
+callers, `count_masks` scores many seeds without building a volume,
+each seed's (tp, sum_p) a gather from that table; `corrupt_mask_volume`
+is its one-seed, one-mask case, whose passes also write the volume; and
+a gridsearch cell writes one seed's corruption of every train mask.
+The per-frame reference all three must match (one frame, one stream,
 `morphology.dilate` or `erode` k times) lives with the tests, in
 `tests/reference.py`.
 """
@@ -266,8 +266,8 @@ def _fill_table(table: np.ndarray, frames: list[np.ndarray], reach: np.ndarray, 
             out[index] = stack
 
 
-def _corrupt(masks: Sequence[np.ndarray], mode: NoiseMode, sigma2: float, seeds: Sequence[int],
-             patient_ids: Sequence[str], out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+def corrupt_masks(masks: Sequence[np.ndarray], mode: NoiseMode, sigma2: float, seeds: Sequence[int],
+                  patient_ids: Sequence[str], out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Every seed's corruption of the frames of `masks` (checked uint8
     volumes of one frame shape, any depths) laid end to end: each frame's
     erode flag, drawn k and count after its passes, as (seeds, frames)
@@ -314,7 +314,7 @@ def count_masks(
     built. A dilation holds its frame and an erosion lies within it, so
     a frame's tp is its clean count if dilated, else its own count. The
     masks of one frame shape, whatever their depths, are seeded, drawn
-    and passed together in one `_corrupt` step."""
+    and passed together in one `corrupt_masks` step."""
     masks = [validate_mask_volume(mask) for mask in masks]
     mode = NoiseMode(mode)
     by_shape: dict[tuple, list[int]] = {}
@@ -322,8 +322,8 @@ def count_masks(
         by_shape.setdefault(mask.shape[1:], []).append(index)
     counts: list = [None] * len(masks)
     for indices in by_shape.values():
-        erode, _, clean, after = _corrupt([masks[i] for i in indices], mode, sigma2, seeds,
-                                          [patient_ids[i] for i in indices])
+        erode, _, clean, after = corrupt_masks([masks[i] for i in indices], mode, sigma2, seeds,
+                                               [patient_ids[i] for i in indices])
         tp = np.where(erode, after, clean)
         ends = np.cumsum([len(masks[i]) for i in indices]).tolist()
         for i, lo, hi in zip(indices, [0, *ends], ends):
@@ -338,14 +338,14 @@ def corrupt_mask_volume(
     return the volume and its report rows, one per frame.
 
     Frame i is corrupted as if with its own `frame_rng(seed, patient_id,
-    i)`: the volume is `_corrupt` of the one mask and seed, whose passes
+    i)`: the volume is `corrupt_masks` of the one mask and seed, whose passes
     write their frames over a copy of the mask and whose table gives the
     report's counts.
     """
     mask = validate_mask_volume(mask_volume)
     mode = NoiseMode(mode)
     out = mask.copy()
-    erode, k, clean, after = _corrupt([mask], mode, sigma2, [seed], [patient_id], out.view(bool))
+    erode, k, clean, after = corrupt_masks([mask], mode, sigma2, [seed], [patient_id], out.view(bool))
     ops = np.where(erode[0], NoiseMode.ERODE.value, NoiseMode.DILATE.value)
     rows = [
         CorruptionRecord(s_original=before, s_modified=modified, patient_id=patient_id, frame=index,

@@ -21,10 +21,10 @@ from .atomic import csv_text, write_text
 from .config import CorpusSource
 from .folds import DatasetSplit
 from .metrics import ScoreTriple, check_beta, f_beta_loss_grad, f_beta_terms, hard_metrics
-from .noise import corrupt_mask_volume
+from .noise import corrupt_masks
 from .specs import NoiseMode, TrainConfig, check_distinct, check_sigma2_values
 from .svgplot import heatmap
-from .volume import MultiModalVolume, PatientRecord, is_binary, zscore_normalize
+from .volume import MultiModalVolume, PatientRecord, is_binary, validate_mask_volume, zscore_normalize
 
 N_FEATURES = 5
 
@@ -286,9 +286,11 @@ def _grid_inputs(corpus: CorpusSource | list[PatientRecord], split: DatasetSplit
 
 
 def _grid_task(key) -> list[LinearSegmenter]:
-    """Train every beta of one key's cell on its corrupted targets."""
-    train_planes, targets, config, betas = pool.context()
-    return _descend(train_planes.transpose(1, 2, 0), targets[key], config, betas)[0]
+    """Train every beta of one (sigma2, seed) key's cell on its own corrupted train masks."""
+    train_planes, train_masks, train_ids, mode, config, betas = pool.context()
+    targets = np.concatenate(train_masks).view(bool)  # a bool row per train frame, once reshaped
+    corrupt_masks(train_masks, mode, key[0], [key[1]], train_ids, out=targets)
+    return _descend(train_planes.transpose(1, 2, 0), targets.reshape(train_planes.shape[1:]), config, betas)[0]
 
 
 def _test_triples(image: np.ndarray, mask: np.ndarray, models: list, threshold: float) -> list:
@@ -313,9 +315,9 @@ def beta_gridsearch(
     The corpus (a `config.CorpusSource` or a list of records) is read one
     split patient at a time through `payloads`, keeping its mask and, for
     a test patient, its z-scored first modality, read alone. Each (sigma2,
-    seed) cell corrupts the train masks once, in this process, and every
-    beta trains on those same targets (paired comparison). Corruption
-    streams are keyed by (seed, patient, frame), so results are
+    seed) cell's task corrupts the train masks in one `noise.corrupt_masks`
+    step, and every beta trains on those same targets (paired comparison).
+    Corruption streams are keyed by (seed, patient, frame), so results are
     independent of the job count. At sigma2 = 0 every frame's k is 0
     whatever the seed, so the first seed's cell is computed once and
     reported under each seed. The unit of work and of parallelism is one
@@ -323,9 +325,10 @@ def beta_gridsearch(
     which returns a model per beta, so each cell's arithmetic is fixed by
     the config whatever `jobs` is. The first cell trains in this process;
     once the cells left would pay for them, up to `jobs` workers, forked
-    where that is the platform default, inherit the train features,
-    targets, config and betas, on one BLAS thread (`pool.map_cells`); a
-    one-cell grid runs in-process. Then, with the train features dropped,
+    where that is the platform default, inherit the train features, clean
+    train masks, mode, config and betas, on one BLAS thread
+    (`pool.map_cells`); a one-cell grid runs in-process. A process holds
+    one cell's targets at a time. Then, with the train features dropped,
     each test patient's features are extracted once and scored with every
     model. Validation patients are never read. Every beta and sigma2 is
     checked before any work, and none may repeat.
@@ -340,15 +343,10 @@ def beta_gridsearch(
     mode = NoiseMode(mode)
     masks, train_planes, tests = _grid_inputs(corpus, split)
     key = {(s2, seed): (s2, seed if s2 > 0 else seeds[0]) for s2 in sigma2_values for seed in seeds}
-    # Each distinct key's train masks, corrupted once: a bool row per train frame.
-    targets = {
-        (s2, seed): np.concatenate([corrupt_mask_volume(masks[pid], mode, s2, seed, pid)[0]
-                                    for pid in split.train_ids]).reshape(train_planes.shape[1:]).view(bool)
-        for s2, seed in dict.fromkeys(key.values())
-    }
-    keys = list(targets)
-    ctx = (train_planes, targets, base_config or TrainConfig(), betas)
-    del train_planes, targets  # the context's alone, so that they go with it
+    keys = list(dict.fromkeys(key.values()))
+    ctx = (train_planes, [validate_mask_volume(masks[pid]) for pid in split.train_ids], split.train_ids,
+           mode, base_config or TrainConfig(), betas)
+    del train_planes  # the context's alone, so that it goes with it
     # A task is a cell's descent (about 2 s at the default 200 epochs and six betas).
     models = [m for cell in pool.map_cells(_grid_task, keys, ctx, jobs, chunksize=1) for m in cell]
     del ctx

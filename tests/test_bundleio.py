@@ -249,6 +249,9 @@ SCORE_FAULTS = {
     "non-binary-mask": (_raw_edit("mask.raw", 0, 2, "u1"), ValueError),
     "illegal-labels": (_raw_edit("labels.raw", 0, 3, "u1"), ValueError),
     "duplicate-ids": (lambda b: edit_meta(b, patient_id="a"), ValueError),
+    "bool-patient-id": (lambda b: edit_meta(b, patient_id=True), ValueError),
+    "int-patient-id": (lambda b: edit_meta(b, patient_id=7), ValueError),
+    "nan-patient-id": (lambda b: edit_meta(b, patient_id=float("nan")), ValueError),
 }
 
 
@@ -578,6 +581,9 @@ class TestPredictions:
         ({"shape": [8, 4]}, "three positive ints"),
         ({"shape": [2, 4, 0]}, "three positive ints"),
         ({"patient_id": "../escaped"}, "not a safe file name"),
+        ({"patient_id": True}, r"meta\.json: patient_id must be a string, got True"),
+        ({"patient_id": 7}, r"meta\.json: patient_id must be a string, got 7"),
+        ({"patient_id": float("nan")}, r"meta\.json: patient_id must be a string, got nan"),
     ])
     def test_meta_checked_like_patient_bundles(self, tmp_path, changes, message):
         bundle = write_prediction("case-9", np.zeros((2, 4, 4)), tmp_path)

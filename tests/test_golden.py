@@ -53,6 +53,9 @@ DEFAULT_GRID_DIGEST = "default_grid_scores.sha256"
 # The sha256 of the default `oracle --out o1`'s two CSVs, in the same form.
 # CI also checks them, and that `--jobs 2` writes the same tree.
 DEFAULT_ORACLE_DIGEST = "default_oracle.sha256"
+# The erosion mirror's grid_scores.csv, also checked in CI: `gridsearch
+# --mode erode --betas 1 1.5 2 3 5 --sigma2-values 0 3 5 --seeds 4 --out g`.
+MIRROR_GRID_DIGEST = "mirror_erode_grid_scores.sha256"
 
 _NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
@@ -132,7 +135,7 @@ def test_golden_outputs(tmp_path):
     outputs = run_golden(tmp_path)
     golden = {p.relative_to(GOLDEN).as_posix(): p.read_text()
               for p in sorted(GOLDEN.rglob("*"))
-              if p.is_file() and p.name not in (DEFAULT_GRID_DIGEST, DEFAULT_ORACLE_DIGEST)}
+              if p.is_file() and p.name not in (DEFAULT_GRID_DIGEST, DEFAULT_ORACLE_DIGEST, MIRROR_GRID_DIGEST)}
     assert sorted(outputs) == sorted(golden)
     problems = [p for name in sorted(golden) if name != CORRUPTED_DIGESTS
                 for p in compare_text(name, outputs[name], golden[name])]
@@ -143,6 +146,11 @@ def test_golden_outputs(tmp_path):
 
 def test_default_grid_digest_names_one_grid_scores_file():
     (line,) = (GOLDEN / DEFAULT_GRID_DIGEST).read_text().splitlines()
+    assert re.fullmatch(r"[0-9a-f]{64}  g/grid_scores\.csv", line)
+
+
+def test_mirror_grid_digest_names_one_grid_scores_file():
+    (line,) = (GOLDEN / MIRROR_GRID_DIGEST).read_text().splitlines()
     assert re.fullmatch(r"[0-9a-f]{64}  g/grid_scores\.csv", line)
 
 

@@ -361,7 +361,7 @@ class TestCountTables:
     def test_k_past_the_cap_and_past_int64(self, mode, sigma2, monkeypatch):
         mask = small_corpus(count=1, depth=5, seed=3)[0].mask
         seeds = [4, 5, 6, 7]
-        erode, k = noise._corrupt([mask], mode, sigma2, seeds, ["p"])[:2]
+        erode, k = noise.corrupt_masks([mask], mode, sigma2, seeds, ["p"])[:2]
         assert (k > max(mask.shape[1:])).any() and (sigma2 < 1e300 or (k > 2.0**63).any())
         sizes = radius1_voxels(monkeypatch)
         calls = engine_calls(monkeypatch)
@@ -373,7 +373,7 @@ class TestCountTables:
     def test_random_mode_with_both_ops_in_one_point(self, monkeypatch):
         masks = [r.mask for r in small_corpus(count=2, depth=6, seed=4)]
         seeds, ids = [11, 12, 13], ["a", "b"]
-        erode, k = noise._corrupt(masks, NoiseMode.RANDOM, 6.0, seeds, ids)[:2]
+        erode, k = noise.corrupt_masks(masks, NoiseMode.RANDOM, 6.0, seeds, ids)[:2]
         for mask_erode, mask_k in zip(np.split(erode, len(masks), axis=1), np.split(k, len(masks), axis=1)):
             assert (mask_erode & (mask_k > 0)).any() and (~mask_erode & (mask_k > 0)).any()
         calls = engine_calls(monkeypatch)

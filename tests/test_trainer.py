@@ -1,4 +1,5 @@
 import ctypes
+import json
 import multiprocessing
 import os
 import pickle
@@ -328,26 +329,29 @@ class TestGridsearch:
         svg = grid.heatmap_svg()
         assert svg.startswith("<svg")
 
-    @pytest.mark.parametrize("sigma2_values,seeds,jobs", [([1.0, 3.0], [0, 1], 1), ([2.0], [0], 4)])
-    def test_each_cell_corrupts_train_masks_once(self, grid_setup, monkeypatch, sigma2_values, seeds, jobs):
+    @needs_fork
+    @pytest.mark.parametrize("sigma2_values,seeds,jobs", [([1.0, 3.0], [0, 1], 1), ([2.0, 3.0], [0, 1], 4)])
+    def test_each_cell_corrupts_train_masks_once(self, grid_setup, monkeypatch, tmp_path, costly_tasks,
+                                                 sigma2_values, seeds, jobs):
         # Every beta of a (sigma2, seed) cell trains on the same corrupted
-        # targets, so corruption runs once per cell and train patient,
-        # with no betas factor. Corruption runs in the parent, so the
-        # counter sees it at jobs=4 too, where the betas train in workers.
+        # targets, so each cell's task corrupts every train mask in one
+        # call, with no betas factor. At jobs=4 the pool starts after the
+        # first cell, so the forked workers' calls go to a shared file.
         corpus, split = grid_setup
-        calls = []
-        original = trainer.corrupt_mask_volume
+        log = tmp_path / "calls.txt"
+        original = trainer.corrupt_masks
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(masks, mode, sigma2, seeds, patient_ids, out=None):
+            _append(log, json.dumps([sigma2, list(seeds), list(patient_ids)]))
+            return original(masks, mode, sigma2, seeds, patient_ids, out=out)
 
-        monkeypatch.setattr(trainer, "corrupt_mask_volume", counting)
+        monkeypatch.setattr(trainer, "corrupt_masks", counting)
         beta_gridsearch(
             corpus, split, betas=[0.3, 1.0, 2.0], mode=NoiseMode.DILATE,
             sigma2_values=sigma2_values, seeds=seeds, base_config=TrainConfig(epochs=2), jobs=jobs,
         )
-        assert len(calls) == len(sigma2_values) * len(seeds) * len(split.train_ids)
+        calls = sorted(json.loads(line) for line in log.read_text().splitlines())
+        assert calls == [[s2, [seed], list(split.train_ids)] for s2 in sigma2_values for seed in seeds]
 
     def test_sigma2_zero_cell_runs_once_and_is_reported_per_seed(self, grid_setup, monkeypatch, tmp_path):
         # Each seed run alone computes its own sigma2 = 0 cell; the joint
@@ -357,16 +361,16 @@ class TestGridsearch:
                       base_config=TrainConfig(epochs=15))
         alone = [beta_gridsearch(corpus, split, seeds=[seed], **kwargs) for seed in (5, 6, 7)]
         calls = []
-        original = trainer.corrupt_mask_volume
+        original = trainer.corrupt_masks
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(masks, mode, sigma2, seeds, patient_ids, out=None):
+            calls.append((sigma2, list(seeds), list(patient_ids)))
+            return original(masks, mode, sigma2, seeds, patient_ids, out=out)
 
-        monkeypatch.setattr(trainer, "corrupt_mask_volume", counting)
+        monkeypatch.setattr(trainer, "corrupt_masks", counting)
         joint = beta_gridsearch(corpus, split, seeds=[5, 6, 7], **kwargs)
-        assert len(calls) == (1 + 3) * len(split.train_ids)
-        assert {args[3] for args in calls if args[2] == 0.0} == {5}
+        ids = list(split.train_ids)
+        assert calls == [(0.0, [5], ids), (4.0, [5], ids), (4.0, [6], ids), (4.0, [7], ids)]
 
         reference = replace(joint, scores=np.concatenate([grid.scores for grid in alone], axis=-1))
         joint.write_outputs(tmp_path / "joint")
@@ -450,7 +454,7 @@ class TestGridsearch:
         # The parent trains the first cell. In the workers, each cell's
         # descent waits for the other cell's: one worker holding both
         # cells would break the barrier instead of training them in
-        # turn. Each descent trains every beta of its cell.
+        # turn. Each descent trains every beta of its cell on bool targets.
         log = tmp_path / "descents"
         barrier = multiprocessing.get_context("fork").Barrier(2)
         contexts = []
@@ -458,7 +462,7 @@ class TestGridsearch:
         parent = os.getpid()
 
         def descend(features, targets, config, betas):
-            _append(log, f"{os.getpid()} {' '.join(map(str, betas))}")
+            _append(log, f"{os.getpid()} {targets.dtype} {' '.join(map(str, betas))}")
             if os.getpid() != parent:
                 barrier.wait(timeout=60)
             return original_descend(features, targets, config, betas)
@@ -475,10 +479,13 @@ class TestGridsearch:
         assert pids[0] == str(parent)
         assert len(set(pids[1:])) == len(pids[1:]) == 2
         assert str(parent) not in pids[1:]
-        assert [betas for _, *betas in descents] == [["0.5", "1.0"]] * 3
-        ((tasks, (_, targets, _, betas), kwargs),) = contexts
+        assert [rest for _, *rest in descents] == [["bool", "0.5", "1.0"]] * 3
+        ((tasks, (_, train_masks, train_ids, mode, _, betas), kwargs),) = contexts
         assert tasks == [(2.0, 0), (2.0, 1), (2.0, 2)] and betas == (0.5, 1.0)
-        assert [t.dtype for t in targets.values()] == [np.dtype(bool)] * 3
+        # The context holds the clean train masks, not any cell's targets.
+        by_id = {r.patient_id: r.mask for r in corpus}
+        assert train_ids == split.train_ids and mode is NoiseMode.DILATE
+        assert all(np.array_equal(mask, by_id[pid]) for mask, pid in zip(train_masks, train_ids, strict=True))
         assert kwargs == {"chunksize": 1}  # a task is a whole cell's descent
 
         serial.write_outputs(tmp_path / "serial")
@@ -558,7 +565,7 @@ class TestGridsearch:
     def test_bad_sigma2_rejected_before_any_work(self, grid_setup, monkeypatch, sigma2):
         corpus, split = grid_setup
         monkeypatch.setattr(trainer, "_grid_inputs", _fail)
-        monkeypatch.setattr(trainer, "corrupt_mask_volume", _fail)
+        monkeypatch.setattr(trainer, "corrupt_masks", _fail)
         with pytest.raises(ValueError, match=r"sigma2_values\[1\] must be finite and >= 0"):
             beta_gridsearch(corpus, split, betas=[1.0], mode=NoiseMode.DILATE,
                             sigma2_values=[3.0, sigma2], seeds=[0])
@@ -698,6 +705,32 @@ def test_descend_memory_beyond_its_inputs_does_not_grow_with_the_frames():
     assert abs(_descent_peak(96, betas) - peak) <= 64
     block = trainer.BLOCK_BYTES // (8 * 4096) * 4096 * 8
     assert peak < (2 * len(betas) + 4) * block
+
+
+def _grid_peak(corpus, split, sigma2_values, seeds) -> int:
+    """tracemalloc's peak during a one-beta, one-epoch grid run in this process."""
+    tracemalloc.start()
+    try:
+        beta_gridsearch(corpus, split, betas=[1.0], mode=NoiseMode.DILATE, sigma2_values=sigma2_values,
+                        seeds=seeds, base_config=TrainConfig(epochs=1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_memory_does_not_grow_with_its_cells(cheap_tasks):
+    # Each cell's task corrupts its own targets and drops them after its
+    # descent, so 8 cells peak where 2 cells do: within a small fraction
+    # of one cell's bool targets, which are 1 MiB here.
+    corpus = generate_corpus(PhantomSpec(depth=4, height=256, width=256), count=5, seed=11)
+    ids = sorted(r.patient_id for r in corpus)
+    split = DatasetSplit(train_ids=tuple(ids[:4]), val_ids=(), test_ids=(ids[4],))
+    targets = sum(r.mask.size for r in corpus if r.patient_id in split.train_ids)
+    assert targets >= 2**20
+    _grid_peak(corpus, split, [1.0, 2.0], [0])
+    two = _grid_peak(corpus, split, [1.0, 2.0], [0])
+    eight = _grid_peak(corpus, split, [1.0, 2.0, 3.0, 4.0], [0, 1])
+    assert eight - two < targets // 8
 
 
 @pytest.fixture(scope="module")
