@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .atomic import csv_text, write_text
 from .folds import DatasetSplit
 from .morphology import SizeChange, capped_passes, radius1_pass
 from .specs import NoiseMode, NoiseSpec, check_sigma2
-from .volume import PatientRecord, validate_mask_volume
+from .volume import validate_mask_volume
 
 
 @dataclass(frozen=True)
@@ -368,16 +368,16 @@ def corrupt_patient(
 
 
 def corrupt_dataset(
-    records: list[PatientRecord], split: DatasetSplit, spec: NoiseSpec
+    masks: Mapping[str, np.ndarray], split: DatasetSplit, spec: NoiseSpec
 ) -> tuple[dict[str, np.ndarray], CorruptionReport]:
-    """Corrupt train and validation masks; test masks pass through
-    bit-identical. Returns (masks by patient id, audit report).
+    """Corrupt the train and validation masks of a {patient id: mask}
+    mapping; test masks pass through bit-identical. Returns (the split's
+    masks by patient id, audit report).
     """
-    by_id = {r.patient_id: r for r in records}
-    split.check_known(by_id)
-    masks: dict[str, np.ndarray] = {}
+    split.check_known(masks)
+    corrupted: dict[str, np.ndarray] = {}
     rows: list[CorruptionRecord] = []
     for pid in sorted(split.all_ids):
-        masks[pid], patient_rows = corrupt_patient(by_id[pid].mask, pid, split, spec)
+        corrupted[pid], patient_rows = corrupt_patient(masks[pid], pid, split, spec)
         rows += patient_rows
-    return masks, CorruptionReport(records=tuple(rows))
+    return corrupted, CorruptionReport(records=tuple(rows))

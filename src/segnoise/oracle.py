@@ -40,7 +40,6 @@ from .metrics import ScoreTriple, score_triples
 from .noise import count_masks, stream_states
 from .specs import NoiseMode, SweepConfig
 from .svgplot import line_plot
-from .volume import PatientRecord
 
 
 def _point_seeds(points: Sequence[Sequence[int]], reps: Sequence[int]) -> np.ndarray:
@@ -76,14 +75,14 @@ def _point_triples(
 
 
 def simulate_noise_robust(
-    records: list[PatientRecord],
+    masks: Mapping[str, np.ndarray],
     split: DatasetSplit,
     mode: NoiseMode,
     sigma2: float,
     seed: int,
 ) -> ScoreTriple:
-    """Corrupt the test masks, score against the originals, average."""
-    masks = {r.patient_id: r.mask for r in records}
+    """Corrupt the test masks of a {patient id: mask} mapping, score
+    against the originals, average."""
     _check_test_ids(masks, split)
     return ScoreTriple(*_point_triples(masks, split, mode, sigma2, [seed])[:, 0].tolist())
 
@@ -157,13 +156,13 @@ class SweepResult:
 
 
 def run_sweep(
-    corpus: list[PatientRecord] | Mapping[str, np.ndarray],
+    masks: Mapping[str, np.ndarray],
     folds: FoldPlan,
     config: SweepConfig,
     jobs: int = 1,
 ) -> SweepResult:
     """Full modes x sigma2 x folds x repetitions cross product over a
-    list of records or a {patient id: mask} mapping.
+    {patient id: mask} mapping.
 
     Cell RNG streams are keyed, so the result is identical for any job
     count. Every fold's test ids are checked here, before any worker
@@ -177,7 +176,6 @@ def run_sweep(
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    masks = corpus if isinstance(corpus, Mapping) else {r.patient_id: r.mask for r in corpus}
     for split in folds.folds:
         _check_test_ids(masks, split)
     points = list(itertools.product(range(len(config.modes)), range(len(config.sigma2_values)),

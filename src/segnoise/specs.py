@@ -102,6 +102,7 @@ class PhantomSpec:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         if not self.modalities:
             raise ValueError("modalities must name at least one modality")
+        check_distinct("modalities", tuple(self.modalities))
         limit = min(self.height, self.width) - 1
         if 2 * (self.margin + self.radius_max) > limit:
             raise ValueError(

@@ -25,6 +25,26 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in values]
 
 
+def _svg(title: str, x_label: str, y_label: str, body, legend, font_size: int, x_label_y, y_label_x) -> str:
+    """One plot's SVG text: the frame (canvas, title, and the axis labels
+    centred on the plot area, the x label at `x_label_y` and the rotated
+    y label at `y_label_x`) drawn over `body`, then `legend`."""
+    x_mid, y_mid = (_MARGIN_L + _W - _MARGIN_R) / 2, (_MARGIN_T + _H - _MARGIN_B) / 2
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="{font_size}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W / 2}" y="22" text-anchor="middle" font-size="14">{title}</text>',
+        *body,
+        f'<text x="{x_mid}" y="{x_label_y}" text-anchor="middle">{x_label}</text>',
+        f'<text x="{y_label_x}" y="{y_mid}" text-anchor="middle" '
+        f'transform="rotate(-90 {y_label_x} {y_mid})">{y_label}</text>',
+        *legend,
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"
+
+
 def line_plot(
     x_values,
     series: dict[str, list[float]],
@@ -36,59 +56,43 @@ def line_plot(
     over x_values."""
     xs = [float(v) for v in x_values]
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="12">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="22" text-anchor="middle" font-size="14">{title}</text>',
-    ]
     plot_w = (_MARGIN_L, _W - _MARGIN_R)
     plot_h = (_H - _MARGIN_B, _MARGIN_T)  # svg y grows downward
 
     # Axes with min/max ticks.
-    parts.append(
-        f'<line x1="{plot_w[0]}" y1="{plot_h[0]}" x2="{plot_w[1]}" y2="{plot_h[0]}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{plot_w[0]}" y1="{plot_h[0]}" x2="{plot_w[0]}" y2="{plot_h[1]}" stroke="black"/>'
-    )
+    axes = [
+        f'<line x1="{plot_w[0]}" y1="{plot_h[0]}" x2="{plot_w[1]}" y2="{plot_h[0]}" stroke="black"/>',
+        f'<line x1="{plot_w[0]}" y1="{plot_h[0]}" x2="{plot_w[0]}" y2="{plot_h[1]}" stroke="black"/>',
+    ]
     for xv in xs:
         (px,) = _scale([xv], x_lo, x_hi, *plot_w)
-        parts.append(
+        axes.append(
             f'<text x="{_fmt(px)}" y="{plot_h[0] + 18}" text-anchor="middle">{_fmt(xv)}</text>'
         )
     for yv in (_Y_LO, (_Y_LO + _Y_HI) / 2, _Y_HI):
         (py,) = _scale([yv], _Y_LO, _Y_HI, *plot_h)
-        parts.append(
+        axes.append(
             f'<text x="{plot_w[0] - 8}" y="{_fmt(py + 4)}" text-anchor="end">{_fmt(yv)}</text>'
         )
-    parts.append(
-        f'<text x="{(plot_w[0] + plot_w[1]) / 2}" y="{_H - 12}" text-anchor="middle">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{(plot_h[0] + plot_h[1]) / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {(plot_h[0] + plot_h[1]) / 2})">{y_label}</text>'
-    )
 
+    lines = []
     for idx, (label, ys) in enumerate(series.items()):
         color = PALETTE[idx % len(PALETTE)]
         px = _scale(xs, x_lo, x_hi, *plot_w)
         py = _scale([float(v) for v in ys], _Y_LO, _Y_HI, *plot_h)
         points = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
-        parts.append(
+        lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{_DASH} points="{points}"/>'
         )
         for a, b in zip(px, py):
-            parts.append(f'<circle cx="{_fmt(a)}" cy="{_fmt(b)}" r="2.5" fill="{color}"/>')
+            lines.append(f'<circle cx="{_fmt(a)}" cy="{_fmt(b)}" r="2.5" fill="{color}"/>')
         ly = _MARGIN_T + 14 * idx
-        parts.append(
+        lines.append(
             f'<line x1="{plot_w[1] - 110}" y1="{ly}" x2="{plot_w[1] - 86}" y2="{ly}" '
             f'stroke="{color}" stroke-width="1.5"{_DASH}/>'
         )
-        parts.append(f'<text x="{plot_w[1] - 80}" y="{ly + 4}">{label}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        lines.append(f'<text x="{plot_w[1] - 80}" y="{ly + 4}">{label}</text>')
+    return _svg(title, x_label, y_label, axes, lines, font_size=12, x_label_y=_H - 12, y_label_x=18)
 
 
 def _heat_color(fraction: float) -> str:
@@ -123,12 +127,7 @@ def heatmap(
 
     cell_w = (_W - _MARGIN_L - _MARGIN_R) / max(len(cols), 1)
     cell_h = (_H - _MARGIN_T - _MARGIN_B) / max(len(rows), 1)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="11">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="22" text-anchor="middle" font-size="14">{title}</text>',
-    ]
+    parts = []
     for i, rv in enumerate(rows):
         for j, cv in enumerate(cols):
             value = float(grid[i][j])
@@ -153,13 +152,4 @@ def heatmap(
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end">{_fmt(rv)}</text>'
         )
-    parts.append(
-        f'<text x="{(_MARGIN_L + _W - _MARGIN_R) / 2}" y="{_H - 10}" text-anchor="middle">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{(_MARGIN_T + _H - _MARGIN_B) / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {(_MARGIN_T + _H - _MARGIN_B) / 2})">{y_label}</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
+    return _svg(title, x_label, y_label, parts, (), font_size=11, x_label_y=_H - 10, y_label_x=16)

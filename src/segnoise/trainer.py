@@ -24,7 +24,7 @@ from .metrics import ScoreTriple, check_beta, f_beta_loss_grad, f_beta_terms, ha
 from .noise import corrupt_masks
 from .specs import NoiseMode, TrainConfig, check_distinct, check_sigma2_values
 from .svgplot import heatmap
-from .volume import MultiModalVolume, PatientRecord, is_binary, validate_mask_volume, zscore_normalize
+from .volume import is_binary, validate_mask_volume, zscore_normalize
 
 N_FEATURES = 5
 
@@ -257,16 +257,18 @@ def _first_modality(source: CorpusSource, pid: str, masks: dict) -> np.ndarray:
     if isinstance(grid, Path):
         from .bundleio import read_intensities
         grid = read_intensities(grid, masks[pid].shape)
-    return zscore_normalize(MultiModalVolume(pid, {name: grid})).first_modality()
+    try:
+        return zscore_normalize(grid)
+    except ValueError as exc:
+        raise ValueError(f"patient {pid!r}, modality {name!r}: {exc}") from None
 
 
-def _grid_inputs(corpus: CorpusSource | list[PatientRecord], split: DatasetSplit):
+def _grid_inputs(source: CorpusSource, split: DatasetSplit):
     """Check from the source's ids and shapes that the split's patients
     exist and share one frame shape; then read each train and test
     patient once. Return the masks by id, the train features as the
     C-contiguous (N_FEATURES, frames, pixels) planes `_feature_stack`
     fills, and each test patient's z-scored first modality by id."""
-    source = corpus if isinstance(corpus, CorpusSource) else CorpusSource.of(corpus)
     split.check_known(source.ids)
     if not split.train_ids or not split.test_ids:
         raise ValueError("split needs non-empty train and test subsets")
@@ -300,7 +302,7 @@ def _test_triples(image: np.ndarray, mask: np.ndarray, models: list, threshold: 
 
 
 def beta_gridsearch(
-    corpus: CorpusSource | list[PatientRecord],
+    source: CorpusSource,
     split: DatasetSplit,
     betas,
     mode: NoiseMode,
@@ -312,11 +314,12 @@ def beta_gridsearch(
 ) -> GridResult:
     """Corrupt train masks, train every beta, score on clean test masks.
 
-    The corpus (a `config.CorpusSource` or a list of records) is read one
-    split patient at a time through `payloads`, keeping its mask and, for
-    a test patient, its z-scored first modality, read alone. Each (sigma2,
-    seed) cell's task corrupts the train masks in one `noise.corrupt_masks`
-    step, and every beta trains on those same targets (paired comparison).
+    The `config.CorpusSource` (`CorpusSource.of` wraps records) is read
+    one split patient at a time through `payloads`, keeping its mask and,
+    for a test patient, its z-scored first modality, read alone. Each
+    (sigma2, seed) cell's task corrupts the train masks in one
+    `noise.corrupt_masks` step, and every beta trains on those same
+    targets (paired comparison).
     Corruption streams are keyed by (seed, patient, frame), so results are
     independent of the job count. At sigma2 = 0 every frame's k is 0
     whatever the seed, so the first seed's cell is computed once and
@@ -330,18 +333,18 @@ def beta_gridsearch(
     (`pool.map_cells`); a one-cell grid runs in-process. A process holds
     one cell's targets at a time. Then, with the train features dropped,
     each test patient's features are extracted once and scored with every
-    model. Validation patients are never read. Every beta and sigma2 is
-    checked before any work, and none may repeat.
+    model. Validation patients are never read. Every beta, sigma2 and
+    seed is checked before any work, and none may repeat.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     betas = check_distinct("betas", tuple(check_beta(b) for b in betas))
     sigma2_values = check_sigma2_values(sigma2_values)
-    seeds = tuple(int(s) for s in seeds)
+    seeds = check_distinct("seeds", tuple(int(s) for s in seeds))
     if not betas or not sigma2_values or not seeds:
         raise ValueError("betas, sigma2_values and seeds must be non-empty")
     mode = NoiseMode(mode)
-    masks, train_planes, tests = _grid_inputs(corpus, split)
+    masks, train_planes, tests = _grid_inputs(source, split)
     key = {(s2, seed): (s2, seed if s2 > 0 else seeds[0]) for s2 in sigma2_values for seed in seeds}
     keys = list(dict.fromkeys(key.values()))
     ctx = (train_planes, [validate_mask_volume(masks[pid]) for pid in split.train_ids], split.train_ids,

@@ -115,9 +115,6 @@ class MultiModalVolume:
     def shape(self) -> tuple[int, int, int]:
         return next(iter(self.modalities.values())).shape
 
-    def first_modality(self) -> np.ndarray:
-        return next(iter(self.modalities.values()))
-
 
 @dataclass(frozen=True)
 class PatientRecord:
@@ -151,24 +148,25 @@ class PatientRecord:
         return self.volume.shape
 
 
-def zscore_normalize(volume: MultiModalVolume) -> MultiModalVolume:
-    """Normalize each modality to mean 0 / population std 1 over its
-    brain region (original intensity != 0); background stays 0. Only the
-    region's values are held in float64, normalized in place.
+@np.errstate(invalid="ignore")  # a non-finite value gives a NaN std, which is rejected
+def zscore_normalize(grid: np.ndarray) -> np.ndarray:
+    """One modality's grid as float32, normalized to mean 0 / population
+    std 1 over its brain region (original intensity != 0); background
+    stays 0. Only the region's values are held in float64, normalized in
+    place.
     """
-    normalized = {}
-    for name, grid in volume.modalities.items():
-        region = grid != 0
-        if not region.any():
-            raise ValueError(f"modality {name!r}: brain region is empty")
-        values = grid[region].astype(np.float64)
-        mean = values.mean()
-        std = values.std()  # population std (ddof=0)
-        if std < 1e-12:
-            raise ValueError(f"modality {name!r}: zero variance within brain region")
-        values -= mean
-        values /= std
-        out = np.zeros(grid.shape, dtype=np.float32)
-        out[region] = values
-        normalized[name] = out
-    return MultiModalVolume(patient_id=volume.patient_id, modalities=normalized)
+    region = grid != 0
+    if not region.any():
+        raise ValueError("brain region is empty")
+    values = grid[region].astype(np.float64)
+    mean = values.mean()
+    std = values.std()  # population std (ddof=0)
+    if not np.isfinite(std):
+        raise ValueError("grid contains non-finite intensities")
+    if std < 1e-12:
+        raise ValueError("zero variance within brain region")
+    values -= mean
+    values /= std
+    out = np.zeros(grid.shape, dtype=np.float32)
+    out[region] = values
+    return out

@@ -7,6 +7,11 @@ import pytest
 from segnoise import pool
 
 
+def mask_map(records) -> dict:
+    """{patient id: mask} of `records`, the input that the mask sweeps take."""
+    return {r.patient_id: r.mask for r in records}
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance criterion verdicts after the run."""
     module = sys.modules.get("test_acceptance")

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from segnoise.cli import main as cli_main
+from segnoise.config import CorpusSource
 from segnoise.folds import DatasetSplit, make_folds
 from segnoise.metrics import f_beta, grad_loss, soft_metrics
 from segnoise.morphology import dilate, erode
@@ -22,6 +23,7 @@ from segnoise.oracle import SweepConfig, run_sweep
 from segnoise.phantom import PhantomSpec, generate_corpus
 from segnoise.trainer import TrainConfig, beta_gridsearch
 
+from conftest import mask_map
 from reference import loss
 
 RESULTS = []
@@ -125,7 +127,7 @@ def test_criterion_4_containment_invariants(grid_corpus):
     violations = 0
     for mode in (NoiseMode.DILATE, NoiseMode.ERODE, NoiseMode.RANDOM):
         spec = NoiseSpec(mode=mode, sigma2=4.0, seed=404)
-        masks, report_rows = corrupt_dataset(corpus, split, spec)
+        masks, report_rows = corrupt_dataset(mask_map(corpus), split, spec)
         for row in report_rows.records:
             original = by_id[row.patient_id].mask[row.frame].astype(np.float64)
             corrupted = masks[row.patient_id][row.frame].astype(np.float64)
@@ -169,7 +171,7 @@ def test_criterion_6_oracle_sweep_shape():
         repetitions=20,
         seed=606,
     )
-    result = run_sweep(corpus, plan, config, jobs=2)
+    result = run_sweep(mask_map(corpus), plan, config, jobs=2)
     failures = []
     for mode in config.modes:
         means, stds = result.curve(mode, "dice")
@@ -194,7 +196,7 @@ def test_criterion_7_bias_cancellation_direction(grid_corpus):
     corpus, split = grid_corpus
     betas = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
     grid = beta_gridsearch(
-        corpus,
+        CorpusSource.of(corpus),
         split,
         betas=betas,
         mode=NoiseMode.DILATE,
@@ -228,7 +230,7 @@ def test_criterion_8_learned_bias_direction(grid_corpus):
     stats = {}
     for mode in (NoiseMode.ERODE, NoiseMode.DILATE):
         grid = beta_gridsearch(
-            corpus,
+            CorpusSource.of(corpus),
             split,
             betas=(1.0,),
             mode=mode,

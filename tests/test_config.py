@@ -161,6 +161,7 @@ BAD_LEAVES = [
     ("data.phantom.noise_std", -1.0),
     ("data.phantom.modalities", []),
     ("data.phantom.modalities", [3]),
+    ("data.phantom.modalities", ["m0", "m0"]),
     ("folds.n_folds", 0),
     ("folds.train", -1),
     ("folds.val", -1),

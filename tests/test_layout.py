@@ -126,6 +126,18 @@ def test_the_corpus_source_reads_and_writes_through_payloads():
         assert names[name] + attrs[name] == 0, (module, name)
 
 
+def test_the_sweeps_and_their_kernels_name_no_record_type():
+    # Records are built or loaded in volume, phantom, bundleio and
+    # config; the sweeps take masks or a `CorpusSource`, and the kernels
+    # under them take arrays.
+    records = {"PatientRecord", "MultiModalVolume"}
+    named = {}
+    for module in ("noise.py", "oracle.py", "trainer.py", "metrics.py", "morphology.py", "pool.py"):
+        names, attrs = references(ast.parse((SRC / module).read_text()))
+        named[module] = sorted(records & (set(names) | set(attrs)))
+    assert named == dict.fromkeys(named, [])
+
+
 def test_importing_the_commands_does_not_load_numpy_random():
     # numpy does not import numpy.random with numpy, and importing it
     # costs about 10 ms; `score` and the benchmark's corpus child never

@@ -12,6 +12,7 @@ from segnoise.noise import NoiseMode, count_masks, frame_rng
 from segnoise.oracle import SweepConfig, cell_seed, run_sweep, simulate_noise_robust
 from segnoise.phantom import PhantomSpec, generate_corpus, generate_phantom
 
+from conftest import mask_map
 from reference import corrupt_frame
 
 
@@ -29,18 +30,18 @@ def plan(corpus):
 class TestSimulateNoiseRobust:
     def test_sigma_zero_scores_perfect(self, corpus, plan):
         for mode in NoiseMode:
-            triple = simulate_noise_robust(corpus, plan.folds[0], mode, 0.0, seed=3)
+            triple = simulate_noise_robust(mask_map(corpus), plan.folds[0], mode, 0.0, seed=3)
             assert triple == (1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("sigma2", [1.0, 3.0, 5.0])
     def test_erode_keeps_precision_at_one(self, corpus, plan, sigma2):
-        triple = simulate_noise_robust(corpus, plan.folds[0], NoiseMode.ERODE, sigma2, seed=4)
+        triple = simulate_noise_robust(mask_map(corpus), plan.folds[0], NoiseMode.ERODE, sigma2, seed=4)
         assert triple.precision == 1.0
         assert triple.dice <= 1.0
 
     @pytest.mark.parametrize("sigma2", [1.0, 3.0, 5.0])
     def test_dilate_keeps_recall_at_one(self, corpus, plan, sigma2):
-        triple = simulate_noise_robust(corpus, plan.folds[0], NoiseMode.DILATE, sigma2, seed=4)
+        triple = simulate_noise_robust(mask_map(corpus), plan.folds[0], NoiseMode.DILATE, sigma2, seed=4)
         assert triple.recall == 1.0
         assert triple.dice <= 1.0
 
@@ -49,13 +50,13 @@ class TestSimulateNoiseRobust:
 
         split = DatasetSplit(train_ids=(), val_ids=(), test_ids=("nope",))
         with pytest.raises(KeyError, match="nope"):
-            simulate_noise_robust(corpus, split, NoiseMode.DILATE, 1.0, seed=0)
+            simulate_noise_robust(mask_map(corpus), split, NoiseMode.DILATE, 1.0, seed=0)
 
 
 class TestRunSweep:
     def test_sigma_zero_only_gives_flat_ones(self, corpus, plan):
         config = SweepConfig(sigma2_values=(0.0,), repetitions=2, seed=9)
-        result = run_sweep(corpus, plan, config)
+        result = run_sweep(mask_map(corpus), plan, config)
         assert result.scores.shape == (3, 1, len(plan.folds), 3, 2)
         assert (result.scores == 1.0).all()
 
@@ -66,7 +67,7 @@ class TestRunSweep:
             repetitions=10,
             seed=1,
         )
-        result = run_sweep(corpus, plan, config)
+        result = run_sweep(mask_map(corpus), plan, config)
         for mode in config.modes:
             means, stds = result.curve(mode, "dice")
             assert means[0] == 1.0
@@ -77,7 +78,7 @@ class TestRunSweep:
 
     def test_random_mode_decays_no_faster_than_pure_mode_mean(self, corpus, plan):
         config = SweepConfig(repetitions=10, seed=2)
-        result = run_sweep(corpus, plan, config)
+        result = run_sweep(mask_map(corpus), plan, config)
         random_means, _ = result.curve(NoiseMode.RANDOM, "dice")
         dilate_means, _ = result.curve(NoiseMode.DILATE, "dice")
         erode_means, _ = result.curve(NoiseMode.ERODE, "dice")
@@ -90,8 +91,8 @@ class TestRunSweep:
         config = SweepConfig(
             modes=(NoiseMode.DILATE,), sigma2_values=(0.0, 2.0), repetitions=3, seed=7
         )
-        a = run_sweep(corpus, plan, config)
-        b = run_sweep(corpus, plan, config)
+        a = run_sweep(mask_map(corpus), plan, config)
+        b = run_sweep(mask_map(corpus), plan, config)
         assert a.to_score_csv_string() == b.to_score_csv_string()
         assert a.to_summary_csv_string() == b.to_summary_csv_string()
         files = a.write_outputs(tmp_path / "x")
@@ -103,8 +104,8 @@ class TestRunSweep:
         config = SweepConfig(
             modes=(NoiseMode.RANDOM,), sigma2_values=(1.0, 3.0), repetitions=2, seed=11
         )
-        serial = run_sweep(corpus, plan, config, jobs=1)
-        parallel = run_sweep(corpus, plan, config, jobs=4)
+        serial = run_sweep(mask_map(corpus), plan, config, jobs=1)
+        parallel = run_sweep(mask_map(corpus), plan, config, jobs=4)
         assert serial.scores.tobytes() == parallel.scores.tobytes()
         assert pool_starts == [3]  # the parent ran the first of the four points
 
@@ -112,7 +113,7 @@ class TestRunSweep:
     def test_jobs_below_one_rejected(self, corpus, plan, jobs):
         config = SweepConfig(modes=(NoiseMode.ERODE,), sigma2_values=(1.0,), repetitions=1, seed=0)
         with pytest.raises(ValueError, match="jobs"):
-            run_sweep(corpus, plan, config, jobs=jobs)
+            run_sweep(mask_map(corpus), plan, config, jobs=jobs)
 
     @pytest.mark.parametrize("test_ids,error", [(("phantom-000", "nope"), KeyError), ((), ValueError)])
     def test_bad_test_subset_rejected_before_any_worker_starts(self, corpus, plan, monkeypatch,
@@ -124,17 +125,17 @@ class TestRunSweep:
         monkeypatch.setattr(oracle.pool, "map_cells", lambda *args: started.append(args))
         config = SweepConfig(modes=(NoiseMode.ERODE,), sigma2_values=(1.0,), repetitions=1, seed=0)
         with pytest.raises(error, match="nope" if error is KeyError else "empty test subset"):
-            run_sweep(corpus, bad, config, jobs=2)
+            run_sweep(mask_map(corpus), bad, config, jobs=2)
         assert started == []
 
     def test_cells_index_matches_a_scan(self, corpus, plan):
         # scores[mode, sigma2, fold] is the point that the task for those
         # axes computes on its own.
         config = SweepConfig(sigma2_values=(0.0, 2.0, 4.0), repetitions=3, seed=8)
-        result = run_sweep(corpus, plan, config)
+        result = run_sweep(mask_map(corpus), plan, config)
         assert result.scores.shape == (3, 3, len(plan.folds), 3, 3)
         assert result.scores.flags.c_contiguous
-        masks = {r.patient_id: r.mask for r in corpus}
+        masks = mask_map(corpus)
         for m, mode in enumerate(config.modes):
             for s, sigma2 in enumerate(config.sigma2_values):
                 for f in range(len(plan.folds)):
@@ -144,7 +145,7 @@ class TestRunSweep:
 
     def test_score_csv_schema(self, corpus, plan):
         config = SweepConfig(modes=(NoiseMode.ERODE,), sigma2_values=(1.0,), repetitions=2, seed=0)
-        result = run_sweep(corpus, plan, config)
+        result = run_sweep(mask_map(corpus), plan, config)
         lines = result.to_score_csv_string().splitlines()
         assert lines[0] == "mode,sigma2,beta,fold,subset,metric,value"
         # one row per fold x metric
@@ -154,7 +155,7 @@ class TestRunSweep:
 
     def test_svg_renders_all_modes(self, corpus, plan):
         config = SweepConfig(sigma2_values=(0.0, 1.0), repetitions=1, seed=3)
-        result = run_sweep(corpus, plan, config)
+        result = run_sweep(mask_map(corpus), plan, config)
         svg = result.metric_svg("dice")
         assert svg.startswith("<svg")
         for mode in config.modes:
@@ -204,7 +205,7 @@ class TestSweepResultReductions:
 def frame_by_frame_triple(corpus, split, mode, sigma2, seed):
     """The oracle triple from `corrupt_frame` on every frame with its
     own `frame_rng`: a reference that shares no code with the stacks."""
-    by_id = {r.patient_id: r.mask for r in corpus}
+    by_id = mask_map(corpus)
     triples = []
     for pid in split.test_ids:
         mask = by_id[pid]
@@ -224,11 +225,11 @@ class TestSweepPoint:
     @pytest.mark.parametrize("mode", list(NoiseMode), ids=lambda m: m.value)
     def test_point_equals_its_cells(self, corpus, plan, mode, sigma2):
         seeds = tuple(cell_seed(17, 2, 1, 1, rep) for rep in range(5))
-        masks = {r.patient_id: r.mask for r in corpus}
+        masks = mask_map(corpus)
         scores = sweep_point(masks, plan, (1, mode, sigma2, seeds))
         assert scores.shape == (3, len(seeds)) and scores.dtype == np.float64
         for column, seed in zip(scores.T.tolist(), seeds):
-            assert tuple(column) == simulate_noise_robust(corpus, plan.folds[1], mode, sigma2, seed)
+            assert tuple(column) == simulate_noise_robust(mask_map(corpus), plan.folds[1], mode, sigma2, seed)
             assert tuple(column) == frame_by_frame_triple(corpus, plan.folds[1], mode, sigma2, seed)
 
     def test_sigma_zero_is_corrupted_and_scored(self, corpus, plan, monkeypatch):
@@ -245,7 +246,7 @@ class TestSweepPoint:
         monkeypatch.setattr(noise, "draw_frames",
                             lambda states, *rest: streams.extend(states) or draw_frames(states, *rest))
         monkeypatch.setattr(oracle, "count_masks", count)
-        masks = {r.patient_id: r.mask for r in corpus}
+        masks = mask_map(corpus)
         scores = sweep_point(masks, plan, (0, NoiseMode.RANDOM, 0.0, (3, 4, 5)))
         assert scores.tolist() == [[1.0] * 3] * 3
         test_ids = plan.folds[0].test_ids
@@ -267,7 +268,7 @@ class TestSweepPoint:
             monkeypatch.setattr(noise, name,
                                 lambda *args, real=real, name=name: calls.append(name) or real(*args))
         seeds = (9, 8, 7)
-        masks = {r.patient_id: r.mask for r in records}
+        masks = mask_map(records)
         scores = sweep_point(masks, FoldPlan(folds=(split,), seed=0), (0, NoiseMode.RANDOM, 4.0, seeds))
         assert calls == ["stream_states", "draw_frames"] * 2
         for column, seed in zip(scores.T.tolist(), seeds):
@@ -323,7 +324,7 @@ def test_sweep_points_run_on_one_blas_thread_and_the_count_is_restored(
         return original(*args)
 
     monkeypatch.setattr(oracle, "_point_triples", point_triples)
-    run_sweep(corpus, plan, SweepConfig(sigma2_values=(1.0,), repetitions=2), jobs=jobs)
+    run_sweep(mask_map(corpus), plan, SweepConfig(sigma2_values=(1.0,), repetitions=2), jobs=jobs)
     assert log.read_text().split() == ["1"] * 6  # 3 modes x 2 folds
     assert pool_starts == ([] if jobs == 1 else [2])  # the parent ran the first point
     assert two_blas_threads() == 2
@@ -342,7 +343,7 @@ def test_a_sweep_that_raises_restores_the_thread_count_and_environment(
 
     monkeypatch.setattr(oracle, "_point_triples", fail)
     with pytest.raises(RuntimeError, match="point failed"):
-        run_sweep(corpus, plan, SweepConfig(sigma2_values=(1.0,), repetitions=2))
+        run_sweep(mask_map(corpus), plan, SweepConfig(sigma2_values=(1.0,), repetitions=2))
     assert two_blas_threads() == 2
     assert dict(os.environ) == before
 

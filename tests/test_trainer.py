@@ -29,6 +29,7 @@ from segnoise.trainer import (
 from segnoise.volume import MultiModalVolume, zscore_normalize
 
 import reference
+from conftest import mask_map
 from reference import loss
 
 
@@ -57,7 +58,7 @@ def corpus():
 def samples(corpus):
     pairs = []
     for rec in corpus[:4]:
-        image = zscore_normalize(rec.volume).first_modality()
+        image = zscore_normalize(rec.volume.modalities["m0"])
         for frame_index in range(image.shape[0]):
             pairs.append((image[frame_index], rec.mask[frame_index]))
     return pairs
@@ -267,15 +268,15 @@ def _fail(*args):
 @pytest.fixture(scope="module")
 def grid_setup(corpus):
     plan = make_folds([r.patient_id for r in corpus], 1, (4, 1, 3), seed=3)
-    return corpus, plan.folds[0]
+    return cfgmod.CorpusSource.of(corpus), plan.folds[0]
 
 
 class TestGridsearch:
-    def test_single_cell_equals_plain_pipeline(self, grid_setup):
-        corpus, split = grid_setup
+    def test_single_cell_equals_plain_pipeline(self, grid_setup, corpus):
+        source, split = grid_setup
         cfg = TrainConfig(learning_rate=3.0, epochs=40)
         grid = beta_gridsearch(
-            corpus, split, betas=[1.0], mode=NoiseMode.DILATE,
+            source, split, betas=[1.0], mode=NoiseMode.DILATE,
             sigma2_values=[0.0], seeds=[0], base_config=cfg,
         )
         assert grid.scores.shape == (1, 1, 3, 1)
@@ -283,18 +284,18 @@ class TestGridsearch:
 
         # Plain pipeline: sigma2=0 leaves masks clean.
         masks, _ = corrupt_dataset(
-            corpus, split, NoiseSpec(mode=NoiseMode.DILATE, sigma2=0.0, seed=0)
+            mask_map(corpus), split, NoiseSpec(mode=NoiseMode.DILATE, sigma2=0.0, seed=0)
         )
         by_id = {r.patient_id: r for r in corpus}
         samples = []
         for pid in split.train_ids:
-            image = zscore_normalize(by_id[pid].volume).first_modality()
+            image = zscore_normalize(by_id[pid].volume.modalities["m0"])
             for f in range(image.shape[0]):
                 samples.append((image[f], masks[pid][f]))
         model, _ = train(samples, cfg, beta=1.0)
         triples = []
         for pid in split.test_ids:
-            image = zscore_normalize(by_id[pid].volume).first_modality()
+            image = zscore_normalize(by_id[pid].volume.modalities["m0"])
             pred = np.stack([predict(model, extract_features(fr)) for fr in image])
             triples.append(hard_metrics(pred, by_id[pid].mask))
         expected = np.array(triples).mean(axis=0)
@@ -304,10 +305,10 @@ class TestGridsearch:
         # A 2 x 2 grid of cells writes the same CSV bytes at any job count.
         # The parent trains the first cell; the other three go to two
         # workers at --jobs 2 and to three at --jobs 8.
-        corpus, split = grid_setup
+        source, split = grid_setup
         kwargs = dict(betas=[0.4, 1.0, 2.0], mode=NoiseMode.RANDOM, sigma2_values=[2.0, 4.0],
                       seeds=[0, 1], base_config=TrainConfig(learning_rate=3.0, epochs=15))
-        grids = {jobs: beta_gridsearch(corpus, split, jobs=jobs, **kwargs) for jobs in (1, 2, 8)}
+        grids = {jobs: beta_gridsearch(source, split, jobs=jobs, **kwargs) for jobs in (1, 2, 8)}
         assert pool_starts == [2, 3]
         assert grids[1].scores.tobytes() == grids[2].scores.tobytes() == grids[8].scores.tobytes()
         csvs = {jobs: grid.to_csv_string().encode() for jobs, grid in grids.items()}
@@ -315,10 +316,10 @@ class TestGridsearch:
         assert len(csvs[1].splitlines()) == 1 + 2 * 2 * 3
 
     def test_csv_and_heatmap(self, grid_setup, tmp_path):
-        corpus, split = grid_setup
+        source, split = grid_setup
         cfg = TrainConfig(learning_rate=3.0, epochs=10)
         grid = beta_gridsearch(
-            corpus, split, betas=[0.5, 1.0], mode=NoiseMode.ERODE,
+            source, split, betas=[0.5, 1.0], mode=NoiseMode.ERODE,
             sigma2_values=[0.0, 2.0], seeds=[0], base_config=cfg,
         )
         lines = grid.to_csv_string().splitlines()
@@ -337,7 +338,7 @@ class TestGridsearch:
         # targets, so each cell's task corrupts every train mask in one
         # call, with no betas factor. At jobs=4 the pool starts after the
         # first cell, so the forked workers' calls go to a shared file.
-        corpus, split = grid_setup
+        source, split = grid_setup
         log = tmp_path / "calls.txt"
         original = trainer.corrupt_masks
 
@@ -347,7 +348,7 @@ class TestGridsearch:
 
         monkeypatch.setattr(trainer, "corrupt_masks", counting)
         beta_gridsearch(
-            corpus, split, betas=[0.3, 1.0, 2.0], mode=NoiseMode.DILATE,
+            source, split, betas=[0.3, 1.0, 2.0], mode=NoiseMode.DILATE,
             sigma2_values=sigma2_values, seeds=seeds, base_config=TrainConfig(epochs=2), jobs=jobs,
         )
         calls = sorted(json.loads(line) for line in log.read_text().splitlines())
@@ -356,10 +357,10 @@ class TestGridsearch:
     def test_sigma2_zero_cell_runs_once_and_is_reported_per_seed(self, grid_setup, monkeypatch, tmp_path):
         # Each seed run alone computes its own sigma2 = 0 cell; the joint
         # grid computes it once for the first seed and copies it.
-        corpus, split = grid_setup
+        source, split = grid_setup
         kwargs = dict(betas=[0.5, 1.0], mode=NoiseMode.RANDOM, sigma2_values=[0.0, 4.0],
                       base_config=TrainConfig(epochs=15))
-        alone = [beta_gridsearch(corpus, split, seeds=[seed], **kwargs) for seed in (5, 6, 7)]
+        alone = [beta_gridsearch(source, split, seeds=[seed], **kwargs) for seed in (5, 6, 7)]
         calls = []
         original = trainer.corrupt_masks
 
@@ -368,7 +369,7 @@ class TestGridsearch:
             return original(masks, mode, sigma2, seeds, patient_ids, out=out)
 
         monkeypatch.setattr(trainer, "corrupt_masks", counting)
-        joint = beta_gridsearch(corpus, split, seeds=[5, 6, 7], **kwargs)
+        joint = beta_gridsearch(source, split, seeds=[5, 6, 7], **kwargs)
         ids = list(split.train_ids)
         assert calls == [(0.0, [5], ids), (4.0, [5], ids), (4.0, [6], ids), (4.0, [7], ids)]
 
@@ -384,7 +385,7 @@ class TestGridsearch:
     ):
         # The parent pins BLAS before the pool forks. A setter call in a
         # forked worker would restart OpenBLAS's spinning server thread.
-        corpus, split = grid_setup
+        source, split = grid_setup
         log = tmp_path / "calls"
         threads = [4]
 
@@ -403,7 +404,7 @@ class TestGridsearch:
         # Three cells: the first trains in the parent, which may run
         # GEMMs before it forks, and two workers train the others. Each
         # cell is one lockstep descent.
-        beta_gridsearch(corpus, split, betas=[0.5, 1.0], mode=NoiseMode.DILATE,
+        beta_gridsearch(source, split, betas=[0.5, 1.0], mode=NoiseMode.DILATE,
                         sigma2_values=[1.0], seeds=[0, 1, 2], base_config=TrainConfig(epochs=2), jobs=2)
         calls = [line.split() for line in log.read_text().splitlines()]
         parent = str(os.getpid())
@@ -419,7 +420,7 @@ class TestGridsearch:
     @needs_openblas
     def test_forked_workers_report_one_openblas_thread(self, grid_setup, monkeypatch, tmp_path, costly_tasks,
                                                       pool_starts):
-        corpus, split = grid_setup
+        source, split = grid_setup
         get_threads, set_threads = pool._openblas_threads()
         log = tmp_path / "threads"
         original = trainer._descend
@@ -434,7 +435,7 @@ class TestGridsearch:
         try:
             # Three cells: the parent trains the first, with real GEMMs,
             # before a pool of two starts for the others.
-            beta_gridsearch(corpus, split, betas=[0.5, 1.0], mode=NoiseMode.DILATE,
+            beta_gridsearch(source, split, betas=[0.5, 1.0], mode=NoiseMode.DILATE,
                             sigma2_values=[1.0], seeds=[0, 1, 2], base_config=TrainConfig(epochs=2), jobs=2)
             assert get_threads() == 2
         finally:
@@ -446,10 +447,10 @@ class TestGridsearch:
 
     @needs_fork
     def test_one_process_trains_all_of_a_cells_betas(self, grid_setup, monkeypatch, tmp_path, costly_tasks):
-        corpus, split = grid_setup
+        source, split = grid_setup
         kwargs = dict(betas=[0.5, 1.0], mode=NoiseMode.DILATE, sigma2_values=[2.0], seeds=[0, 1, 2],
                       base_config=TrainConfig(epochs=5))
-        serial = beta_gridsearch(corpus, split, jobs=1, **kwargs)
+        serial = beta_gridsearch(source, split, jobs=1, **kwargs)
 
         # The parent trains the first cell. In the workers, each cell's
         # descent waits for the other cell's: one worker holding both
@@ -473,7 +474,7 @@ class TestGridsearch:
 
         monkeypatch.setattr(trainer, "_descend", descend)
         monkeypatch.setattr(trainer.pool, "map_cells", map_cells)
-        parallel = beta_gridsearch(corpus, split, jobs=2, **kwargs)
+        parallel = beta_gridsearch(source, split, jobs=2, **kwargs)
         descents = [line.split() for line in log.read_text().splitlines()]
         pids = [pid for pid, *_ in descents]
         assert pids[0] == str(parent)
@@ -483,9 +484,8 @@ class TestGridsearch:
         ((tasks, (_, train_masks, train_ids, mode, _, betas), kwargs),) = contexts
         assert tasks == [(2.0, 0), (2.0, 1), (2.0, 2)] and betas == (0.5, 1.0)
         # The context holds the clean train masks, not any cell's targets.
-        by_id = {r.patient_id: r.mask for r in corpus}
         assert train_ids == split.train_ids and mode is NoiseMode.DILATE
-        assert all(np.array_equal(mask, by_id[pid]) for mask, pid in zip(train_masks, train_ids, strict=True))
+        assert all(np.array_equal(mask, source.mask(pid)) for mask, pid in zip(train_masks, train_ids, strict=True))
         assert kwargs == {"chunksize": 1}  # a task is a whole cell's descent
 
         serial.write_outputs(tmp_path / "serial")
@@ -498,33 +498,38 @@ class TestGridsearch:
         # trains in this process.
         import concurrent.futures
 
-        corpus, split = grid_setup
+        source, split = grid_setup
         kwargs = dict(betas=[0.5, 1.0], mode=NoiseMode.DILATE, sigma2_values=[2.0], seeds=[0],
                       base_config=TrainConfig(epochs=5))
-        serial = beta_gridsearch(corpus, split, jobs=1, **kwargs)
+        serial = beta_gridsearch(source, split, jobs=1, **kwargs)
         pids = []
         original = trainer._descend
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _fail)
         monkeypatch.setattr(trainer, "_descend", lambda *args: pids.append(os.getpid()) or original(*args))
-        assert beta_gridsearch(corpus, split, jobs=2, **kwargs).scores.tobytes() == serial.scores.tobytes()
+        assert beta_gridsearch(source, split, jobs=2, **kwargs).scores.tobytes() == serial.scores.tobytes()
         assert pids == [os.getpid()]
 
-    def test_zero_variance_second_modality_is_never_read(self, grid_setup):
+    def test_zero_variance_second_modality_is_never_read(self, grid_setup, corpus):
         # The features read only the first modality, so only it is
         # z-scored; a flat second modality, which zscore_normalize
-        # rejects, changes nothing.
-        corpus, split = grid_setup
+        # rejects, changes nothing. A flat first modality is rejected
+        # with its patient and modality named.
+        source, split = grid_setup
         flat = [replace(r, volume=MultiModalVolume(r.patient_id, {
             "m0": r.volume.modalities["m0"], "m1": np.ones(r.shape, dtype=np.float32)})) for r in corpus]
-        with pytest.raises(ValueError, match="'m1': zero variance"):
-            zscore_normalize(flat[0].volume)
+        with pytest.raises(ValueError, match="zero variance"):
+            zscore_normalize(flat[0].volume.modalities["m1"])
         kwargs = dict(betas=[0.6, 1.0], mode=NoiseMode.DILATE, sigma2_values=[2.0], seeds=[1],
                       base_config=TrainConfig(learning_rate=3.0, epochs=5))
-        grid = beta_gridsearch(flat, split, **kwargs)
-        assert grid.scores.tobytes() == beta_gridsearch(corpus, split, **kwargs).scores.tobytes()
+        grid = beta_gridsearch(cfgmod.CorpusSource.of(flat), split, **kwargs)
+        assert grid.scores.tobytes() == beta_gridsearch(source, split, **kwargs).scores.tobytes()
+        first_flat = [replace(r, volume=MultiModalVolume(r.patient_id, {
+            "m1": np.ones(r.shape, dtype=np.float32), "m0": r.volume.modalities["m0"]})) for r in corpus]
+        with pytest.raises(ValueError, match=f"patient '{split.train_ids[0]}', modality 'm1': zero variance"):
+            beta_gridsearch(cfgmod.CorpusSource.of(first_flat), split, **kwargs)
 
-    def test_mixed_frame_shapes_rejected_before_any_feature(self, grid_setup, monkeypatch):
-        corpus, split = grid_setup
+    def test_mixed_frame_shapes_rejected_before_any_feature(self, grid_setup, corpus, monkeypatch):
+        source, split = grid_setup
         odd_id = split.test_ids[-1]
         small = {r.patient_id: r for r in generate_corpus(
             PhantomSpec(depth=4, height=48, width=48), count=len(corpus), seed=7)}
@@ -535,53 +540,54 @@ class TestGridsearch:
 
         monkeypatch.setattr(trainer, "_feature_stack", no_features)
         with pytest.raises(ValueError, match=rf"{odd_id}.*\(48, 48\).*{split.train_ids[0]}.*\(64, 64\)"):
-            beta_gridsearch(records, split, betas=[1.0], mode=NoiseMode.DILATE,
+            beta_gridsearch(cfgmod.CorpusSource.of(records), split, betas=[1.0], mode=NoiseMode.DILATE,
                             sigma2_values=[1.0], seeds=[0])
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, grid_setup, jobs):
-        corpus, split = grid_setup
+        source, split = grid_setup
         with pytest.raises(ValueError, match="jobs"):
-            beta_gridsearch(corpus, split, betas=[1.0], mode=NoiseMode.DILATE,
+            beta_gridsearch(source, split, betas=[1.0], mode=NoiseMode.DILATE,
                             sigma2_values=[1.0], seeds=[0], jobs=jobs)
 
-    @pytest.mark.parametrize("axis, values", [("betas", [0.5, 1.0, 0.5]), ("sigma2_values", [2.0, 2])])
+    @pytest.mark.parametrize("axis, values", [("betas", [0.5, 1.0, 0.5]), ("sigma2_values", [2.0, 2]),
+                                              ("seeds", [1, 1])])
     def test_repeated_axis_value_rejected_before_any_work(self, grid_setup, monkeypatch, axis, values):
-        corpus, split = grid_setup
+        source, split = grid_setup
         kwargs = {"betas": [1.0], "mode": NoiseMode.DILATE, "sigma2_values": [1.0], "seeds": [0], axis: values}
         monkeypatch.setattr(trainer, "_grid_inputs", _fail)
         with pytest.raises(ValueError, match=f"{axis} must not repeat a value"):
-            beta_gridsearch(corpus, split, **kwargs)
+            beta_gridsearch(source, split, **kwargs)
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -1.0])
     def test_bad_beta_rejected_before_any_work(self, grid_setup, monkeypatch, beta):
-        corpus, split = grid_setup
+        source, split = grid_setup
         monkeypatch.setattr(trainer, "_grid_inputs", _fail)
         with pytest.raises(ValueError, match="beta must be finite and >= 0"):
-            beta_gridsearch(corpus, split, betas=[1.0, beta], mode=NoiseMode.DILATE,
+            beta_gridsearch(source, split, betas=[1.0, beta], mode=NoiseMode.DILATE,
                             sigma2_values=[1.0], seeds=[0])
 
     @pytest.mark.parametrize("sigma2", [float("nan"), float("inf"), -1.0])
     def test_bad_sigma2_rejected_before_any_work(self, grid_setup, monkeypatch, sigma2):
-        corpus, split = grid_setup
+        source, split = grid_setup
         monkeypatch.setattr(trainer, "_grid_inputs", _fail)
         monkeypatch.setattr(trainer, "corrupt_masks", _fail)
         with pytest.raises(ValueError, match=r"sigma2_values\[1\] must be finite and >= 0"):
-            beta_gridsearch(corpus, split, betas=[1.0], mode=NoiseMode.DILATE,
+            beta_gridsearch(source, split, betas=[1.0], mode=NoiseMode.DILATE,
                             sigma2_values=[3.0, sigma2], seeds=[0])
 
     def test_unknown_patient_rejected_before_any_feature(self, grid_setup, monkeypatch):
-        corpus, split = grid_setup
+        source, split = grid_setup
         split = DatasetSplit(train_ids=split.train_ids + ("ghost",), val_ids=(), test_ids=split.test_ids)
         monkeypatch.setattr(trainer, "_feature_stack", _fail)
         with pytest.raises(KeyError, match=r"split references unknown patient ids: \['ghost'\]"):
-            beta_gridsearch(corpus, split, betas=[1.0], mode=NoiseMode.DILATE,
+            beta_gridsearch(source, split, betas=[1.0], mode=NoiseMode.DILATE,
                             sigma2_values=[1.0], seeds=[0])
 
     def test_empty_axes_rejected(self, grid_setup):
-        corpus, split = grid_setup
+        source, split = grid_setup
         with pytest.raises(ValueError, match="non-empty"):
-            beta_gridsearch(corpus, split, betas=[], mode=NoiseMode.DILATE,
+            beta_gridsearch(source, split, betas=[], mode=NoiseMode.DILATE,
                             sigma2_values=[1.0], seeds=[0])
 
 
@@ -608,7 +614,7 @@ def test_grid_result_outputs_read_the_score_array_exactly(monkeypatch):
 
 @needs_openblas
 def test_in_process_cells_run_on_one_blas_thread_and_the_count_is_restored(grid_setup, monkeypatch):
-    corpus, split = grid_setup
+    source, split = grid_setup
     # One cell: its one descent trains both betas, in this process.
     kwargs = dict(betas=[0.5, 1.0], mode=NoiseMode.DILATE, sigma2_values=[1.0], seeds=[0],
                   base_config=TrainConfig(epochs=2), jobs=1)
@@ -620,12 +626,12 @@ def test_in_process_cells_run_on_one_blas_thread_and_the_count_is_restored(grid_
     set_threads(2)
     try:
         before = get_threads()
-        beta_gridsearch(corpus, split, **kwargs)
+        beta_gridsearch(source, split, **kwargs)
         assert seen == [1]
         assert get_threads() == before
         monkeypatch.setattr(trainer, "_descend", _fail)
         with pytest.raises(RuntimeError):
-            beta_gridsearch(corpus, split, **kwargs)
+            beta_gridsearch(source, split, **kwargs)
         assert get_threads() == before
     finally:
         set_threads(saved)
@@ -635,15 +641,15 @@ def test_no_blas_pin_without_the_symbol(grid_setup, monkeypatch):
     class NoSymbols:
         pass
 
-    corpus, split = grid_setup
+    source, split = grid_setup
     kwargs = dict(betas=[1.0], mode=NoiseMode.DILATE, sigma2_values=[1.0], seeds=[0],
                   base_config=TrainConfig(epochs=2), jobs=1)
-    reference = beta_gridsearch(corpus, split, **kwargs)
+    reference = beta_gridsearch(source, split, **kwargs)
     pool._openblas_threads.cache_clear()
     monkeypatch.setattr(ctypes, "CDLL", lambda path: NoSymbols())
     try:
         assert pool._openblas_threads() is None
-        assert beta_gridsearch(corpus, split, **kwargs).scores.tobytes() == reference.scores.tobytes()
+        assert beta_gridsearch(source, split, **kwargs).scores.tobytes() == reference.scores.tobytes()
     finally:
         monkeypatch.undo()
         pool._openblas_threads.cache_clear()
@@ -707,11 +713,11 @@ def test_descend_memory_beyond_its_inputs_does_not_grow_with_the_frames():
     assert peak < (2 * len(betas) + 4) * block
 
 
-def _grid_peak(corpus, split, sigma2_values, seeds) -> int:
+def _grid_peak(source, split, sigma2_values, seeds) -> int:
     """tracemalloc's peak during a one-beta, one-epoch grid run in this process."""
     tracemalloc.start()
     try:
-        beta_gridsearch(corpus, split, betas=[1.0], mode=NoiseMode.DILATE, sigma2_values=sigma2_values,
+        beta_gridsearch(source, split, betas=[1.0], mode=NoiseMode.DILATE, sigma2_values=sigma2_values,
                         seeds=seeds, base_config=TrainConfig(epochs=1))
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -727,9 +733,10 @@ def test_grid_memory_does_not_grow_with_its_cells(cheap_tasks):
     split = DatasetSplit(train_ids=tuple(ids[:4]), val_ids=(), test_ids=(ids[4],))
     targets = sum(r.mask.size for r in corpus if r.patient_id in split.train_ids)
     assert targets >= 2**20
-    _grid_peak(corpus, split, [1.0, 2.0], [0])
-    two = _grid_peak(corpus, split, [1.0, 2.0], [0])
-    eight = _grid_peak(corpus, split, [1.0, 2.0, 3.0, 4.0], [0, 1])
+    source = cfgmod.CorpusSource.of(corpus)
+    _grid_peak(source, split, [1.0, 2.0], [0])
+    two = _grid_peak(source, split, [1.0, 2.0], [0])
+    eight = _grid_peak(source, split, [1.0, 2.0, 3.0, 4.0], [0, 1])
     assert eight - two < targets // 8
 
 
@@ -737,9 +744,9 @@ def test_grid_memory_does_not_grow_with_its_cells(cheap_tasks):
 def default_grid_inputs():
     """The default grid's train features and its sigma2 = 4, seed 2 targets."""
     config = cfgmod.DEFAULT_CONFIG
-    records = cfgmod.records_from(config)
-    split = cfgmod.foldplan_from(config, [r.patient_id for r in records]).folds[0]
-    masks, train_planes, _ = trainer._grid_inputs(records, split)
+    source = cfgmod.source_from(config)
+    split = cfgmod.foldplan_from(config, source.ids).folds[0]
+    masks, train_planes, _ = trainer._grid_inputs(source, split)
     targets = np.concatenate([
         corrupt_mask_volume(masks[pid], NoiseMode.DILATE, 4.0, 2, pid)[0].reshape(masks[pid].shape[0], -1)
         for pid in split.train_ids

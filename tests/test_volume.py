@@ -78,8 +78,7 @@ class TestZScore:
         grid = np.zeros((1, 2, 2), dtype=np.float32)
         grid[0, 0, 0] = 2.0
         grid[0, 0, 1] = 4.0
-        vol = MultiModalVolume(patient_id="p", modalities={"m": grid})
-        out = zscore_normalize(vol).modalities["m"]
+        out = zscore_normalize(grid)
         assert out[0, 0, 0] == pytest.approx(-1.0, abs=1e-6)
         assert out[0, 0, 1] == pytest.approx(1.0, abs=1e-6)
         assert out[0, 1, :].sum() == 0.0
@@ -89,8 +88,7 @@ class TestZScore:
         for _ in range(5):
             grid = rng.normal(5.0, 3.0, size=(4, 8, 8)).astype(np.float32)
             grid[:, :2, :] = 0.0  # background stays zero
-            vol = MultiModalVolume(patient_id="p", modalities={"m": grid})
-            out = zscore_normalize(vol).modalities["m"]
+            out = zscore_normalize(grid)
             region = grid != 0
             values = out[region].astype(np.float64)
             assert abs(values.mean()) < 1e-6
@@ -100,10 +98,9 @@ class TestZScore:
     def test_idempotent_within_tolerance(self):
         rng = np.random.default_rng(2)
         grid = rng.normal(0.0, 1.0, size=(2, 6, 6)).astype(np.float32)
-        vol = MultiModalVolume(patient_id="p", modalities={"m": grid})
-        once = zscore_normalize(vol)
+        once = zscore_normalize(grid)
         twice = zscore_normalize(once)
-        diff = np.abs(once.modalities["m"] - twice.modalities["m"])
+        diff = np.abs(once - twice)
         assert diff.max() < 1e-5
 
     def test_bytes_match_the_whole_volume_float64_formula(self):
@@ -115,20 +112,27 @@ class TestZScore:
         grid[:, :3] = 0.0
         grid[0, 5, 5] = 1e-30  # a tiny value is still brain
         grids = {"m0": grid, "m1": rng.normal(200.0, 90.0, size=grid.shape).astype(np.float32)}
-        out = zscore_normalize(MultiModalVolume("p", grids))
-        for name, expected in grids.items():
-            assert out.modalities[name].dtype == np.float32
-            assert out.modalities[name].tobytes() == reference.zscore_modality(expected).tobytes()
+        for expected in grids.values():
+            out = zscore_normalize(expected)
+            assert out.dtype == np.float32
+            assert out.tobytes() == reference.zscore_modality(expected).tobytes()
 
     def test_constant_modality_rejected(self):
         vol = make_volume(fill=7.0)
         with pytest.raises(ValueError, match="zero variance"):
-            zscore_normalize(vol)
+            zscore_normalize(vol.modalities["t1"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_intensity_rejected(self, bad):
+        grid = np.random.default_rng(4).normal(3.0, 1.0, size=(2, 4, 4)).astype(np.float32)
+        grid[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            zscore_normalize(grid)
 
     def test_empty_brain_region_rejected(self):
         vol = make_volume(fill=0.0)
         with pytest.raises(ValueError, match="empty"):
-            zscore_normalize(vol)
+            zscore_normalize(vol.modalities["t1"])
 
 
 class TestVolumeTypes:
@@ -194,7 +198,8 @@ class TestVolumeTypes:
         mask = np.zeros((2, 4, 4), dtype=np.uint8)
         mask[0, 1, 1] = 1
         rec = PatientRecord(volume=vol, mask=mask)
-        rec = replace(rec, volume=zscore_normalize(rec.volume))
+        rec = replace(rec, volume=MultiModalVolume(rec.patient_id, {
+            name: zscore_normalize(grid) for name, grid in rec.volume.modalities.items()}))
         assert np.array_equal(rec.mask, mask)
 
 
