@@ -22,8 +22,8 @@ each block also checked against [0, 1].
 
 The NIfTI importer covers exactly the subset needed to convert external
 volumes into bundles: single-file uncompressed NIfTI-1 (magic ``n+1``),
-3-D, datatypes uint8 / int16 / float32, either endianness. Anything
-else is rejected.
+3-D, unscaled, datatypes uint8 / int16 / float32, either endianness.
+Anything else is rejected.
 """
 
 from __future__ import annotations
@@ -339,7 +339,8 @@ def read_nifti(path: str | Path) -> np.ndarray:
 
     Returns the voxel grid as (frames, height, width), i.e. the NIfTI
     z-axis becomes the frame axis. Supports datatypes uint8, int16 and
-    float32 in either byte order; everything else raises ValueError.
+    float32 in either byte order, unscaled (scl_slope 0 or 1, with no
+    intercept beside a slope of 1); everything else raises ValueError.
     """
     path = Path(path)
     if not path.is_file():
@@ -379,12 +380,16 @@ def read_nifti(path: str | Path) -> np.ndarray:
     if bitpix != _NIFTI_BITPIX[datatype]:
         raise ValueError(f"{path}: bitpix {bitpix} inconsistent with datatype {datatype}")
 
-    (vox_offset,) = struct.unpack_from(endian + "f", blob, 108)
+    vox_offset, scl_slope, scl_inter = struct.unpack_from(endian + "3f", blob, 108)
     if not math.isfinite(vox_offset):
         raise ValueError(f"{path}: vox_offset {vox_offset} is not finite")
+    if vox_offset < 352 or not vox_offset.is_integer():  # n+1 data follows 4 extension bytes
+        raise ValueError(f"{path}: vox_offset {vox_offset} is not a whole number >= 352")
     offset = int(vox_offset)
-    if offset < 348:
-        raise ValueError(f"{path}: vox_offset {vox_offset} below header size")
+    # A slope of 0 means no scaling (NIfTI-1); the voxels are imported as stored.
+    if not (scl_slope in (0.0, 1.0) and math.isfinite(scl_inter) and (scl_slope == 0.0 or scl_inter == 0.0)):
+        raise ValueError(f"{path}: unsupported voxel scaling scl_slope {scl_slope}, scl_inter {scl_inter}; "
+                         "need slope 0, or slope 1 with intercept 0")
 
     dtype = np.dtype(endian + _NIFTI_DTYPES[datatype])
     count = nx * ny * nz

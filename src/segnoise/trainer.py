@@ -2,10 +2,10 @@
 
 A per-pixel linear-logistic model over five local features of the first
 image modality (raw intensity, 3x3 box mean, 3x3 box std, 7x7 box mean,
-constant bias), trained by full-batch gradient descent on the mean
-per-frame f-beta loss. The architecture is deliberately tiny: the
-bias-cancellation effect lives in the loss, and a convex-ish model makes
-it measurable in seconds. Training is deterministic per config.
+constant bias; four are stored), trained by full-batch gradient descent
+on the mean per-frame f-beta loss. The architecture is deliberately tiny:
+the bias-cancellation effect lives in the loss, and a convex-ish model
+makes it measurable in seconds. Training is deterministic per config.
 """
 
 from __future__ import annotations
@@ -97,18 +97,16 @@ def extract_features(frame) -> np.ndarray:
     )
 
 
-def _feature_stack(frames, n_frames: int, frame_shape: tuple[int, ...]) -> np.ndarray:
-    """(n_frames, pixels, N_FEATURES) features of `frames`, filled into one array.
-
-    The array is a view of feature-major memory: each feature is one
-    contiguous plane, which roughly halves the cost of the descent's two
-    products with the weight vector against pixel-major rows.
-    """
-    planes = np.empty((N_FEATURES, n_frames, math.prod(frame_shape)))
-    stack = planes.transpose(1, 2, 0)
-    for row, frame in zip(stack, frames, strict=True):
-        row[...] = extract_features(frame).reshape(-1, N_FEATURES)
-    return stack
+def _feature_stack(frames, raw: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fill `frames`' raw intensities into `raw` (frames, pixels), float32 only
+    if every frame is (it holds them exactly), and their box features into the
+    float64 planes `boxes` (3, frames, pixels); return both. No bias plane is
+    stored. Feature-major planes roughly halve the cost of the descent's products."""
+    for row, frame in zip(range(len(raw)), frames, strict=True):
+        features = extract_features(frame).reshape(-1, N_FEATURES)
+        raw[row] = features[:, 0]
+        boxes[:, row] = features[:, 1:-1].T
+    return raw, boxes
 
 
 def predict(model: LinearSegmenter, features: np.ndarray) -> np.ndarray:
@@ -135,36 +133,41 @@ BLOCK_BYTES = 1 << 17
 
 @np.errstate(all="ignore")  # a non-finite loss is checked each epoch and raised as TrainingDiverged
 def _descend(
-    features: np.ndarray, targets: np.ndarray, config: TrainConfig, betas
+    features: tuple[np.ndarray, np.ndarray], targets: np.ndarray, config: TrainConfig, betas
 ) -> tuple[list[LinearSegmenter], np.ndarray]:
     """Full-batch descent on the mean per-frame f-beta loss for every beta
     in lockstep, on the same targets: one model per beta, and the mean
     losses as an (epochs, betas) array.
 
-    features: (frames, pixels, N_FEATURES), fastest as `_feature_stack`'s
-    view of feature-major planes; targets: (frames, pixels), bool or 0/1
-    floats. The loss couples pixels only through each frame's (tp, sum_p),
-    so an epoch walks blocks of whole frames (`BLOCK_BYTES`). Per block,
-    one product gives every beta's logits, the targets are cast to float64,
-    the metrics kernel gives the per-frame terms and d loss / d p, and one
-    product adds every beta's weight gradient. The memory held beyond the
-    inputs does not grow with the frame count. The sigmoid's halving is
-    left out (q = 2p): powers of two scale tp, sum_p and the gradient
-    exactly. A non-finite loss for any beta raises `TrainingDiverged`.
+    features: `_feature_stack`'s (raw, boxes) planes; targets: (frames,
+    pixels), bool or 0/1 floats. The loss couples pixels only through each
+    frame's (tp, sum_p), so an epoch walks blocks of whole frames
+    (`BLOCK_BYTES`). Per block, the four stored rows are copied into one
+    reused (N_FEATURES, block pixels) float64 buffer whose last row is
+    ones; one product of it gives every beta's logits, the targets are
+    cast to float64, the metrics kernel gives the per-frame terms and
+    d loss / d p, and one product of it adds every beta's weight gradient.
+    The memory held beyond the inputs does not grow with the frame count.
+    The sigmoid's halving is left out (q = 2p): powers of two scale tp,
+    sum_p and the gradient exactly. A non-finite loss raises `TrainingDiverged`.
     """
     b2 = np.array([[check_beta(b) ** 2] for b in betas])
-    planes = features.transpose(2, 0, 1)
+    raw, boxes = features
     n_frames, n_pixels = targets.shape
     step = max(1, BLOCK_BYTES // (8 * n_pixels))
     w = np.tile(_initial_weights(config), (len(b2), 1))
     q_buf, grad_buf = np.empty((2, len(b2), step * n_pixels))
     t_buf = np.empty((step, n_pixels))
+    block_buf = np.empty((N_FEATURES, step * n_pixels))
+    block_buf[-1] = 1.0
     history = np.empty((config.epochs, len(b2)))
     for epoch in range(config.epochs):
         half_w, grad_w, loss = 0.5 * w, np.zeros_like(w), np.zeros(len(b2))
         for start in range(0, n_frames, step):
             rows = min(step, n_frames - start)
-            block = planes[:, start:start + rows].reshape(N_FEATURES, -1)
+            block = block_buf[:, :rows * n_pixels]
+            np.copyto(block[0].reshape(rows, n_pixels), raw[start:start + rows])
+            np.copyto(block[1:-1].reshape(3, rows, n_pixels), boxes[:, start:start + rows])
             t = t_buf[:rows]
             np.copyto(t, targets[start:start + rows])
             q = np.matmul(half_w, block, out=q_buf[:, :rows * n_pixels])
@@ -192,10 +195,13 @@ def train(samples, config: TrainConfig, beta: float = 1.0) -> tuple[LinearSegmen
     the f-beta loss."""
     if not samples:
         raise ValueError("need at least one training sample")
-    shapes = {np.asarray(img).shape for img, _ in samples}
+    images = [np.asarray(img) for img, _ in samples]
+    shapes = {img.shape for img in images}
     if len(shapes) != 1:
         raise ValueError(f"all frames must share one shape, got {sorted(shapes)}")
-    feats = _feature_stack((img for img, _ in samples), len(samples), shapes.pop())
+    dtype = np.float32 if all(img.dtype == np.float32 for img in images) else np.float64
+    raw = np.empty((len(images), images[0].size), dtype)
+    feats = _feature_stack(images, raw, np.empty((3, *raw.shape)))
     targets = np.stack([np.asarray(mask).reshape(-1) for _, mask in samples])
     if not is_binary(targets):
         raise ValueError("mask values must be exactly 0 or 1")
@@ -267,8 +273,8 @@ def _grid_inputs(source: CorpusSource, split: DatasetSplit):
     """Check from the source's ids and shapes that the split's patients
     exist and share one frame shape; then read each train and test
     patient once. Return the masks by id, the train features as the
-    C-contiguous (N_FEATURES, frames, pixels) planes `_feature_stack`
-    fills, and each test patient's z-scored first modality by id."""
+    (raw, boxes) planes `_feature_stack` fills, and each test patient's
+    z-scored first modality by id."""
     split.check_known(source.ids)
     if not split.train_ids or not split.test_ids:
         raise ValueError("split needs non-empty train and test subsets")
@@ -282,22 +288,28 @@ def _grid_inputs(source: CorpusSource, split: DatasetSplit):
             )
     masks: dict[str, np.ndarray] = {}
     frames = (frame for pid in split.train_ids for frame in _first_modality(source, pid, masks))
-    train = _feature_stack(frames, sum(shapes[pid][0] for pid in split.train_ids), frame_shape)
+    # A z-scored grid is float32, so a float32 raw plane holds it exactly.
+    raw = np.empty((sum(shapes[pid][0] for pid in split.train_ids), math.prod(frame_shape)), np.float32)
+    train = _feature_stack(frames, raw, np.empty((3, *raw.shape)))
     tests = {pid: _first_modality(source, pid, masks) for pid in split.test_ids}
-    return masks, train.transpose(2, 0, 1), tests
+    return masks, train, tests
 
 
 def _grid_task(key) -> list[LinearSegmenter]:
     """Train every beta of one (sigma2, seed) key's cell on its own corrupted train masks."""
-    train_planes, train_masks, train_ids, mode, config, betas = pool.context()
+    train, train_masks, train_ids, mode, config, betas = pool.context()
     targets = np.concatenate(train_masks).view(bool)  # a bool row per train frame, once reshaped
     corrupt_masks(train_masks, mode, key[0], [key[1]], train_ids, out=targets)
-    return _descend(train_planes.transpose(1, 2, 0), targets.reshape(train_planes.shape[1:]), config, betas)[0]
+    return _descend(train, targets.reshape(train[0].shape), config, betas)[0]
 
 
 def _test_triples(image: np.ndarray, mask: np.ndarray, models: list, threshold: float) -> list:
-    """Each model's (dice, precision, recall) on one test patient."""
-    features, targets = _feature_stack(image, len(image), image.shape[1:]), mask.reshape(len(image), -1)
+    """Each model's (dice, precision, recall) on one test patient, whose five
+    feature planes, the ones included, `predict` reads as (frames, pixels, 5)."""
+    planes = np.empty((N_FEATURES, len(image), image[0].size))
+    planes[-1] = 1.0
+    _feature_stack(image, planes[0], planes[1:-1])
+    features, targets = planes.transpose(1, 2, 0), mask.reshape(len(image), -1)
     return [hard_metrics(predict(model, features), targets, threshold) for model in models]
 
 

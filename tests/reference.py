@@ -6,7 +6,10 @@ whole morphology passes, which the stacked volume corruption must match
 frame for frame; `loss` is 1 - f_beta, whose central differences check
 the closed-form gradient that the trainer descends; `descend` trains one
 beta over all frames at once, which the lockstep descent must match to
-1e-12; `zscore_modality` is the z-scoring formula whose bytes
+1e-12; `stacked_descend` is the lockstep descent with its products
+reading a `five_plane_stack` (the stored features and a plane of ones)
+in place, whose bytes the descent on the stored planes must keep;
+`zscore_modality` is the z-scoring formula whose bytes
 `volume.zscore_normalize` must keep.
 """
 
@@ -16,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from segnoise.metrics import f_beta, f_beta_terms
+from segnoise.metrics import f_beta, f_beta_loss_grad, f_beta_terms
 from segnoise.morphology import SizeChange, dilate, erode, size_change
 from segnoise.noise import NoiseMode, sample_scale
 from segnoise.specs import TrainConfig, check_beta
-from segnoise.trainer import (N_FEATURES, LinearSegmenter, TrainingDiverged, _initial_weights,
+from segnoise.trainer import (BLOCK_BYTES, N_FEATURES, LinearSegmenter, TrainingDiverged, _initial_weights,
                               _sigmoid_from_half)
 
 
@@ -87,6 +90,46 @@ def descend(features, targets, config: TrainConfig, beta: float):
         grad_w = grad_z.reshape(-1) @ flat_features / n_frames
         w = w - config.learning_rate * grad_w
     return LinearSegmenter(weights=w), history
+
+
+def five_plane_stack(raw, boxes) -> np.ndarray:
+    """(frames, pixels, N_FEATURES) float64 view of C-contiguous feature
+    planes: the stored raw and box planes and a plane of ones, as the
+    trainer materialised its features before it stored only four."""
+    planes = np.empty((N_FEATURES, *np.shape(raw)))
+    planes[0], planes[1:-1], planes[-1] = raw, boxes, 1.0
+    return planes.transpose(1, 2, 0)
+
+
+@np.errstate(all="ignore")
+def stacked_descend(stack, targets, config: TrainConfig, betas):
+    """The lockstep descent over blocks of frames as it ran on a
+    `five_plane_stack`: both products read each block of the planes in
+    place. Returns the models and the (epochs, betas) mean losses."""
+    b2 = np.array([[check_beta(b) ** 2] for b in betas])
+    planes = stack.transpose(2, 0, 1)
+    n_frames, n_pixels = targets.shape
+    step = max(1, BLOCK_BYTES // (8 * n_pixels))
+    w = np.tile(_initial_weights(config), (len(b2), 1))
+    history = np.empty((config.epochs, len(b2)))
+    for epoch in range(config.epochs):
+        half_w, grad_w, loss = 0.5 * w, np.zeros_like(w), np.zeros(len(b2))
+        for start in range(0, n_frames, step):
+            rows = min(step, n_frames - start)
+            block = planes[:, start:start + rows].reshape(N_FEATURES, -1)
+            t = targets[start:start + rows].astype(np.float64)
+            q = np.tanh(half_w @ block) + 1.0  # 2p
+            q_frames = q.reshape(len(b2), rows, n_pixels)
+            tp = 0.5 * np.einsum("bfp,fp->bf", q_frames, t)
+            numer, denom = f_beta_terms(tp, 0.5 * q_frames.sum(axis=-1), t.sum(axis=-1), b2)
+            loss += (1.0 - numer / denom).sum(axis=-1)
+            grad = f_beta_loss_grad(t, numer, denom, b2).reshape(q.shape) * q * (2.0 - q)
+            grad_w += grad @ block.T
+        history[epoch] = loss / n_frames
+        if not np.isfinite(history[epoch]).all():
+            raise TrainingDiverged(epoch)
+        w = w - config.learning_rate * (0.25 * grad_w / n_frames)
+    return [LinearSegmenter(weights=row) for row in w], history
 
 
 def zscore_modality(grid) -> np.ndarray:

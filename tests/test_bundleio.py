@@ -644,6 +644,52 @@ class TestNifti:
         with pytest.raises(ValueError, match="not finite|truncated"):
             read_nifti(path)
 
+    @pytest.mark.parametrize("vox_offset", [348.0, 351.0, 352.5, 400.25])
+    def test_vox_offset_below_352_or_fractional_rejected(self, tmp_path, vox_offset):
+        path = tmp_path / "vol.nii"
+        write_nifti(path, np.zeros((2, 2, 2), dtype=np.float32), "f4")
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 108, vox_offset)
+        path.write_bytes(bytes(blob) + bytes(64))
+        with pytest.raises(ValueError, match=rf"vol\.nii: vox_offset {vox_offset} is not a whole number >= 352"):
+            read_nifti(path)
+
+    def test_whole_vox_offset_past_352_reads_from_there(self, tmp_path):
+        data = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
+        path = tmp_path / "vol.nii"
+        write_nifti(path, data, "f4")
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 108, 368.0)
+        path.write_bytes(bytes(blob[:352]) + bytes(16) + bytes(blob[352:]))
+        assert np.array_equal(read_nifti(path), data)
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    @pytest.mark.parametrize("slope, inter", [
+        (2.0, 0.0), (-1.0, 0.0), (0.5, 3.0), (1.0, 3.0), (1.0, -0.5),
+        (np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (0.0, np.nan), (0.0, np.inf), (1.0, -np.inf),
+    ])
+    def test_scaled_or_non_finite_scaling_rejected(self, tmp_path, endian, slope, inter):
+        # A slope of 2 used to import the stored voxels, half the intensities.
+        path = tmp_path / "vol.nii"
+        write_nifti(path, np.ones((2, 2, 2), dtype=np.int16), "i2", endian=endian)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(endian + "2f", blob, 112, slope, inter)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=rf"vol\.nii: unsupported voxel scaling scl_slope {slope}, "
+                                             rf"scl_inter {inter}; need slope 0, or slope 1 with intercept 0"):
+            read_nifti(path)
+
+    @pytest.mark.parametrize("slope, inter", [(0.0, 0.0), (0.0, 5.0), (1.0, 0.0), (1.0, -0.0)])
+    def test_unscaled_voxels_read_as_stored(self, tmp_path, slope, inter):
+        # Under NIfTI-1 a slope of 0 means no scaling, whatever the intercept.
+        data = np.arange(8, dtype=np.int16).reshape(2, 2, 2)
+        path = tmp_path / "vol.nii"
+        write_nifti(path, data, "i2")
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<2f", blob, 112, slope, inter)
+        path.write_bytes(bytes(blob))
+        assert np.array_equal(read_nifti(path), data)
+
     def test_gzip_rejected(self, tmp_path):
         path = tmp_path / "vol.nii.gz"
         path.write_bytes(b"\x1f\x8b" + b"\x00" * 400)

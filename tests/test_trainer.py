@@ -655,12 +655,18 @@ def test_no_blas_pin_without_the_symbol(grid_setup, monkeypatch):
         pool._openblas_threads.cache_clear()
 
 
+def _stored_planes(rng, frames: int, pixels: int):
+    """Random float64 (raw, boxes) planes as `_feature_stack` stores them."""
+    planes = rng.normal(size=(4, frames, pixels))
+    return planes[0], planes[1:]
+
+
 def test_descend_peak_memory_stays_within_four_frame_arrays():
     # The descent holds blocks of frames, so its peak is far below the
     # old bound of p, the gradient and two more (frames, pixels) arrays.
     rng = np.random.default_rng(8)
     frames, pixels = 48, 4096
-    features = rng.normal(size=(frames, pixels, 5))
+    features = _stored_planes(rng, frames, pixels)
     targets = (rng.random((frames, pixels)) < 0.3).astype(np.float64)
     tracemalloc.start()
     try:
@@ -675,7 +681,7 @@ def test_descend_peak_memory_on_bool_targets_stays_within_three_frame_arrays():
     # Bool targets are cast a block at a time, never copied whole.
     rng = np.random.default_rng(8)
     frames, pixels = 48, 4096
-    features = rng.normal(size=(frames, pixels, 5))
+    features = _stored_planes(rng, frames, pixels)
     targets = rng.random((frames, pixels)) < 0.3
     tracemalloc.start()
     try:
@@ -688,29 +694,30 @@ def test_descend_peak_memory_on_bool_targets_stays_within_three_frame_arrays():
 
 def _descent_peak(frames: int, betas) -> int:
     """tracemalloc's peak during a lockstep descent, beyond its inputs:
-    feature-major planes and bool targets of `frames` 64x64 frames."""
+    stored feature planes and bool targets of `frames` 64x64 frames."""
     rng = np.random.default_rng(frames)
-    planes = rng.normal(size=(5, frames, 4096))
+    features = _stored_planes(rng, frames, 4096)
     targets = rng.random((frames, 4096)) < 0.3
     tracemalloc.start()
     try:
-        _descend(planes.transpose(1, 2, 0), targets, TrainConfig(epochs=3), betas)
+        _descend(features, targets, TrainConfig(epochs=3), betas)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_descend_memory_beyond_its_inputs_does_not_grow_with_the_frames():
-    # Per block: every beta's probabilities and gradient, and the block's
-    # targets as float64; nothing (frames, pixels) sized, nor one float
-    # per frame (384 bytes for 48 more frames). The two peaks can differ
-    # by a few bytes of Python objects, after a first run has warmed up.
+    # Per block: every beta's probabilities and gradient, the block's
+    # targets as float64 and its five feature rows; nothing (frames,
+    # pixels) sized, nor one float per frame (384 bytes for 48 more
+    # frames). The two peaks can differ by a few bytes of Python objects,
+    # after a first run has warmed up.
     betas = (0.0, 0.4, 1.0, 2.0)
     _descent_peak(48, betas)
     peak = _descent_peak(48, betas)
     assert abs(_descent_peak(96, betas) - peak) <= 64
     block = trainer.BLOCK_BYTES // (8 * 4096) * 4096 * 8
-    assert peak < (2 * len(betas) + 4) * block
+    assert peak < (2 * len(betas) + trainer.N_FEATURES + 4) * block
 
 
 def _grid_peak(source, split, sigma2_values, seeds) -> int:
@@ -746,12 +753,12 @@ def default_grid_inputs():
     config = cfgmod.DEFAULT_CONFIG
     source = cfgmod.source_from(config)
     split = cfgmod.foldplan_from(config, source.ids).folds[0]
-    masks, train_planes, _ = trainer._grid_inputs(source, split)
+    masks, features, _ = trainer._grid_inputs(source, split)
     targets = np.concatenate([
         corrupt_mask_volume(masks[pid], NoiseMode.DILATE, 4.0, 2, pid)[0].reshape(masks[pid].shape[0], -1)
         for pid in split.train_ids
     ]).astype(bool)
-    return train_planes.transpose(1, 2, 0), targets
+    return features, targets
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0, 2.0])
@@ -773,17 +780,59 @@ def test_lockstep_descent_matches_the_per_beta_reference(default_grid_inputs):
     betas, config = (0.0, 0.4, 1.0, 2.0), TrainConfig()
     models, history = _descend(features, targets, config, betas)
     assert history.shape == (config.epochs, len(betas))
+    stack = reference.five_plane_stack(*features)
     for model, losses, beta in zip(models, history.T, betas):
-        expected, expected_losses = reference.descend(features, targets, config, beta)
+        expected, expected_losses = reference.descend(stack, targets, config, beta)
         assert np.allclose(model.weights, expected.weights, rtol=1e-12, atol=0)
         assert np.allclose(losses, expected_losses, rtol=1e-12, atol=0)
+
+
+def test_grid_train_features_take_28_bytes_per_train_pixel(grid_setup):
+    # A float32 raw plane and three float64 box planes; no plane of ones.
+    source, split = grid_setup
+    tracemalloc.start()
+    try:
+        masks, train, _ = trainer._grid_inputs(source, split)
+        held = tracemalloc.get_traced_memory()[0]
+        del train
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    pixels = sum(masks[pid].size for pid in split.train_ids)
+    assert pixels >= 2**16
+    assert held <= 28 * pixels + 4096
+
+
+def _float64_features():
+    """Stored planes of 10 float64 64x64 frames, as `train` builds them,
+    and bool targets: three blocks, the last one short."""
+    rng = np.random.default_rng(21)
+    frames = rng.normal(size=(10, 64, 64))
+    raw = np.empty((10, 4096))
+    features = trainer._feature_stack(frames, raw, np.empty((3, *raw.shape)))
+    return features, rng.random(raw.shape) < 0.3
+
+
+@pytest.mark.parametrize("frames", ["float32", "float64"])
+def test_descend_on_stored_planes_is_bit_identical_to_a_five_plane_stack(default_grid_inputs, frames):
+    # The block buffer holds the same values as the materialised planes,
+    # so both products, and with them the weights and losses, keep their bits.
+    features, targets = default_grid_inputs if frames == "float32" else _float64_features()
+    assert features[0].dtype == frames
+    betas, config = (0.0, 0.4, 1.0, 2.0), TrainConfig(epochs=50)
+    models, history = _descend(features, targets, config, betas)
+    expected, expected_history = reference.stacked_descend(reference.five_plane_stack(*features), targets,
+                                                           config, betas)
+    assert history.tobytes() == expected_history.tobytes()
+    for model, want in zip(models, expected, strict=True):
+        assert model.weights.tobytes() == want.weights.tobytes()
 
 
 def test_lockstep_descent_raises_at_the_epoch_one_betas_loss_turns_non_finite(monkeypatch):
     # One block per epoch, so the terms' n-th call is epoch n's. Epoch 3
     # gives the second beta a non-finite numerator; the first stays finite.
     rng = np.random.default_rng(3)
-    features = rng.normal(size=(6, 64, 5))
+    features = _stored_planes(rng, 6, 64)
     targets = rng.random((6, 64)) < 0.3
     calls = []
     original = trainer.f_beta_terms
