@@ -339,8 +339,8 @@ def read_nifti(path: str | Path) -> np.ndarray:
 
     Returns the voxel grid as (frames, height, width), i.e. the NIfTI
     z-axis becomes the frame axis. Supports datatypes uint8, int16 and
-    float32 in either byte order, unscaled (scl_slope 0 or 1, with no
-    intercept beside a slope of 1); everything else raises ValueError.
+    float32 in either byte order, unscaled (scl_slope 0 or non-finite, or
+    1 with intercept 0); everything else raises ValueError.
     """
     path = Path(path)
     if not path.is_file():
@@ -386,10 +386,10 @@ def read_nifti(path: str | Path) -> np.ndarray:
     if vox_offset < 352 or not vox_offset.is_integer():  # n+1 data follows 4 extension bytes
         raise ValueError(f"{path}: vox_offset {vox_offset} is not a whole number >= 352")
     offset = int(vox_offset)
-    # A slope of 0 means no scaling (NIfTI-1); the voxels are imported as stored.
-    if not (scl_slope in (0.0, 1.0) and math.isfinite(scl_inter) and (scl_slope == 0.0 or scl_inter == 0.0)):
+    # A slope of 0 or a non-finite one means no scaling, as nifti1_io and nibabel read it.
+    if math.isfinite(scl_slope) and scl_slope != 0.0 and (scl_slope != 1.0 or scl_inter != 0.0):
         raise ValueError(f"{path}: unsupported voxel scaling scl_slope {scl_slope}, scl_inter {scl_inter}; "
-                         "need slope 0, or slope 1 with intercept 0")
+                         "need slope 0 or non-finite, or slope 1 with intercept 0")
 
     dtype = np.dtype(endian + _NIFTI_DTYPES[datatype])
     count = nx * ny * nz

@@ -13,14 +13,14 @@ to the soft recall (tp + 1) / (sum_t + 1) as beta -> inf. The loss
 is 1 - f_beta.
 
 These formulas exist once, in a kernel over (..., pixels) arrays:
-`confusion_sums`, `f_beta_terms` (N, D) and `f_beta_loss_grad`
-(d(1 - N/D)/dp). The scores, the finite-difference gradient and the
-toy trainer's descent (`trainer._descend`, one frame per row and every
-beta at once, which takes its own sums without a p * t temporary) all
-run through it, so `gradcheck` verifies the gradient that training
-follows. Every score triple comes from `score_triples`, which takes
-sums of any shape, so the oracle scores all its repetitions' integer
-counts in one call.
+`confusion_sums`, `f_beta_terms` (N, D), `f_beta_grad_rows` and
+`f_beta_loss_grad` (d(1 - N/D)/dp). The scores, the finite-difference
+gradient and the toy trainer's descent (`trainer._descend`, one frame
+per row and every beta at once, which takes its own sums without a
+p * t temporary) all run through it, so `gradcheck` verifies the
+gradient that training follows. Every score triple comes from
+`score_triples`, which takes sums of any shape, so the oracle scores
+all its repetitions' integer counts in one call.
 Scores sum over the whole input, so the same functions score 2-D frames
 and 3-D volumes. A volume's per-frame scores come from one loop,
 `score_blocks`, which reads the prediction a block of frames at a time,
@@ -59,9 +59,12 @@ def f_beta_terms(tp, sum_p, sum_t, b2: float):
     return (1.0 + b2) * tp + SMOOTHING, b2 * sum_t + sum_p + SMOOTHING
 
 
-def f_beta_loss_grad(
-    t: np.ndarray, numer, denom, b2, out: np.ndarray | None = None
-) -> np.ndarray:
+def f_beta_grad_rows(numer, denom, b2) -> np.ndarray:
+    """(..., 2) rows (a, c) of `f_beta_loss_grad`: N/D^2 and -(1+b2)/D."""
+    return np.stack(np.broadcast_arrays(numer / (denom * denom), -(1.0 + b2) / denom), axis=-1)
+
+
+def f_beta_loss_grad(t: np.ndarray, numer, denom, b2, out: np.ndarray | None = None) -> np.ndarray:
     """d(1 - N/D)/dp for targets (..., pixels) and N, D of shape (...),
     which may carry extra leading axes (one per beta of a lockstep
     descent) that a scalar or array b2 broadcasts against.
@@ -73,13 +76,9 @@ def f_beta_loss_grad(
     a*1 and c*t are exact, so only the sum rounds, and it is several times
     faster than a masked copy. With `out` the result is written there.
     """
-    a = numer / (denom * denom)
-    rows = np.stack(np.broadcast_arrays(a, -(1.0 + b2) / denom), axis=-1)
-    t = np.asarray(t)
-    basis = np.empty(t.shape[:-1] + (2, t.shape[-1]))
-    basis[..., 0, :] = 1.0
-    basis[..., 1, :] = t
-    grad = np.matmul(rows[..., None, :], basis, out=None if out is None else out[..., None, :])
+    basis = np.stack(np.broadcast_arrays(1.0, t), axis=-2)  # each pixel's (1, t), in float64
+    rows = f_beta_grad_rows(numer, denom, b2)[..., None, :]
+    grad = np.matmul(rows, basis, out=None if out is None else out[..., None, :])
     return grad[..., 0, :] if out is None else out
 
 

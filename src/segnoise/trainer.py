@@ -20,7 +20,7 @@ from . import pool
 from .atomic import csv_text, write_text
 from .config import CorpusSource
 from .folds import DatasetSplit
-from .metrics import ScoreTriple, check_beta, f_beta_loss_grad, f_beta_terms, hard_metrics
+from .metrics import ScoreTriple, check_beta, f_beta_grad_rows, f_beta_terms, hard_metrics
 from .noise import corrupt_masks
 from .specs import NoiseMode, TrainConfig, check_distinct, check_sigma2_values
 from .svgplot import heatmap
@@ -98,10 +98,10 @@ def extract_features(frame) -> np.ndarray:
 
 
 def _feature_stack(frames, raw: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fill `frames`' raw intensities into `raw` (frames, pixels), float32 only
-    if every frame is (it holds them exactly), and their box features into the
-    float64 planes `boxes` (3, frames, pixels); return both. No bias plane is
-    stored. Feature-major planes roughly halve the cost of the descent's products."""
+    """Fill `frames`' raw intensities into `raw` (frames, pixels; float32
+    only if every frame is) and their box features into the float64 planes
+    `boxes` (3, frames, pixels); return both. No bias plane is stored.
+    Feature-major planes roughly halve the cost of the descent's products."""
     for row, frame in zip(range(len(raw)), frames, strict=True):
         features = extract_features(frame).reshape(-1, N_FEATURES)
         raw[row] = features[:, 0]
@@ -142,34 +142,34 @@ def _descend(
     features: `_feature_stack`'s (raw, boxes) planes; targets: (frames,
     pixels), bool or 0/1 floats. The loss couples pixels only through each
     frame's (tp, sum_p), so an epoch walks blocks of whole frames
-    (`BLOCK_BYTES`). Per block, the four stored rows are copied into one
-    reused (N_FEATURES, block pixels) float64 buffer whose last row is
-    ones; one product of it gives every beta's logits, the targets are
-    cast to float64, the metrics kernel gives the per-frame terms and
-    d loss / d p, and one product of it adds every beta's weight gradient.
-    The memory held beyond the inputs does not grow with the frame count.
-    The sigmoid's halving is left out (q = 2p): powers of two scale tp,
-    sum_p and the gradient exactly. A non-finite loss raises `TrainingDiverged`.
+    (`BLOCK_BYTES`). Per block, one reused float64 buffer takes the four
+    stored rows, a row of ones set once and the targets. One product of its
+    first N_FEATURES rows gives every beta's logits; the metrics kernel
+    gives the per-frame terms, and one beta at a time d loss / d p as its
+    rows times the buffer's last two, each pixel's (1, t); one product adds
+    every beta's weight gradient. Memory beyond the inputs does not grow
+    with the frame count. The sigmoid's halving is left out (q = 2p): powers
+    of two scale tp, sum_p and the gradient exactly. A non-finite loss
+    raises `TrainingDiverged`.
     """
     b2 = np.array([[check_beta(b) ** 2] for b in betas])
     raw, boxes = features
     n_frames, n_pixels = targets.shape
     step = max(1, BLOCK_BYTES // (8 * n_pixels))
     w = np.tile(_initial_weights(config), (len(b2), 1))
-    q_buf, grad_buf = np.empty((2, len(b2), step * n_pixels))
-    t_buf = np.empty((step, n_pixels))
-    block_buf = np.empty((N_FEATURES, step * n_pixels))
-    block_buf[-1] = 1.0
+    q_buf, g_buf = np.empty((len(b2), step * n_pixels)), np.empty((step, 1, n_pixels))
+    buf = np.empty((N_FEATURES + 1, step, n_pixels))  # raw, three boxes, ones, targets
+    buf[N_FEATURES - 1] = 1.0
     history = np.empty((config.epochs, len(b2)))
     for epoch in range(config.epochs):
         half_w, grad_w, loss = 0.5 * w, np.zeros_like(w), np.zeros(len(b2))
         for start in range(0, n_frames, step):
             rows = min(step, n_frames - start)
-            block = block_buf[:, :rows * n_pixels]
-            np.copyto(block[0].reshape(rows, n_pixels), raw[start:start + rows])
-            np.copyto(block[1:-1].reshape(3, rows, n_pixels), boxes[:, start:start + rows])
-            t = t_buf[:rows]
+            np.copyto(buf[0, :rows], raw[start:start + rows])
+            np.copyto(buf[1:-2, :rows], boxes[:, start:start + rows])
+            t = buf[-1, :rows]
             np.copyto(t, targets[start:start + rows])
+            block = buf[:-1, :rows].reshape(N_FEATURES, -1)
             q = np.matmul(half_w, block, out=q_buf[:, :rows * n_pixels])
             np.tanh(q, out=q)
             q += 1.0  # 2p
@@ -177,12 +177,14 @@ def _descend(
             tp = 0.5 * np.einsum("bfp,fp->bf", q_frames, t)
             numer, denom = f_beta_terms(tp, 0.5 * q_frames.sum(axis=-1), t.sum(axis=-1), b2)
             loss += (1.0 - numer / denom).sum(axis=-1)
-            # dL/dz = dL/dp * p * (1 - p), as 4x that: dL/dp * q * (2 - q).
-            grad = grad_buf[:, :rows * n_pixels]
-            f_beta_loss_grad(t, numer, denom, b2, out=grad.reshape(q_frames.shape))
-            grad *= q
-            grad *= np.subtract(2.0, q, out=q)
-            grad_w += grad @ block.T
+            # dL/dz = dL/dp * p * (1 - p), as 4x that: dL/dp * q * (2 - q),
+            # written over q one beta at a time beside that beta's dL/dp.
+            basis = buf[-2:, :rows].transpose(1, 0, 2)  # each frame's (1, t)
+            for q_b, ac in zip(q_frames, f_beta_grad_rows(numer, denom, b2)[..., None, :]):
+                g = np.matmul(ac, basis, out=g_buf[:rows])[:, 0]
+                g *= q_b
+                np.multiply(np.subtract(2.0, q_b, out=q_b), g, out=q_b)
+            grad_w += q @ block.T
         history[epoch] = loss / n_frames
         if not np.isfinite(history[epoch]).all():
             raise TrainingDiverged(epoch)
@@ -195,13 +197,11 @@ def train(samples, config: TrainConfig, beta: float = 1.0) -> tuple[LinearSegmen
     the f-beta loss."""
     if not samples:
         raise ValueError("need at least one training sample")
-    images = [np.asarray(img) for img, _ in samples]
-    shapes = {img.shape for img in images}
+    shapes = {np.asarray(img).shape for img, _ in samples}
     if len(shapes) != 1:
         raise ValueError(f"all frames must share one shape, got {sorted(shapes)}")
-    dtype = np.float32 if all(img.dtype == np.float32 for img in images) else np.float64
-    raw = np.empty((len(images), images[0].size), dtype)
-    feats = _feature_stack(images, raw, np.empty((3, *raw.shape)))
+    raw = np.empty((len(samples), math.prod(shapes.pop())))
+    feats = _feature_stack((img for img, _ in samples), raw, np.empty((3, *raw.shape)))
     targets = np.stack([np.asarray(mask).reshape(-1) for _, mask in samples])
     if not is_binary(targets):
         raise ValueError("mask values must be exactly 0 or 1")

@@ -707,17 +707,17 @@ def _descent_peak(frames: int, betas) -> int:
 
 
 def test_descend_memory_beyond_its_inputs_does_not_grow_with_the_frames():
-    # Per block: every beta's probabilities and gradient, the block's
-    # targets as float64 and its five feature rows; nothing (frames,
-    # pixels) sized, nor one float per frame (384 bytes for 48 more
-    # frames). The two peaks can differ by a few bytes of Python objects,
-    # after a first run has warmed up.
+    # Per block: every beta's probabilities, one beta's gradient and the
+    # buffer of its five feature rows and float64 targets; nothing
+    # (frames, pixels) sized, nor one float per frame (384 bytes for 48
+    # more frames). The two peaks can differ by a few bytes of Python
+    # objects, after a first run has warmed up.
     betas = (0.0, 0.4, 1.0, 2.0)
     _descent_peak(48, betas)
     peak = _descent_peak(48, betas)
     assert abs(_descent_peak(96, betas) - peak) <= 64
     block = trainer.BLOCK_BYTES // (8 * 4096) * 4096 * 8
-    assert peak < (2 * len(betas) + trainer.N_FEATURES + 4) * block
+    assert peak < (2 * len(betas) + 4) * block
 
 
 def _grid_peak(source, split, sigma2_values, seeds) -> int:
