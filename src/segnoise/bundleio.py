@@ -16,9 +16,10 @@ float32 per-voxel probabilities.
 Float32 payloads are read through one checked block reader: a block of
 frames (about BLOCK_BYTES) at a time into one reused buffer, rejecting
 non-finite values. `load_mask` scans a bundle's intensities through it
-and keeps none, `write_patient` copies them and `read_intensities` fills
-an array from it, and `open_prediction` streams a prediction through it,
-each block also checked against [0, 1].
+and keeps none, `write_patient` copies them, `read_intensities` (and so
+`load_patient`) fills an array from it, and `open_prediction` streams a
+prediction through it, each block also checked against [0, 1]. The
+uint8 mask and labels are read whole.
 
 The NIfTI importer covers exactly the subset needed to convert external
 volumes into bundles: single-file uncompressed NIfTI-1 (magic ``n+1``),
@@ -32,7 +33,7 @@ import json
 import math
 import struct
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -131,11 +132,11 @@ def _check_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> Path:
     return path
 
 
-def _read_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> np.ndarray:
-    """The payload as a read-only array that owns its data, so that a
-    record adopts it without a copy."""
-    _check_raw(path, shape, dtype)
-    arr = np.empty(shape, dtype=dtype)
+def _read_raw(path: Path, shape: tuple[int, int, int]) -> np.ndarray:
+    """A uint8 payload (mask or labels) as a read-only array that owns
+    its data, so that a record adopts it without a copy."""
+    _check_raw(path, shape, "u1")
+    arr = np.empty(shape, dtype=np.uint8)
     with open(path, "rb") as fh:
         if fh.readinto(arr) != arr.nbytes:
             raise ValueError(f"{path} shrank while it was read")
@@ -179,7 +180,7 @@ def _read_meta(bundle: Path, *keys: str) -> tuple[dict, tuple[int, int, int]]:
     if not meta_path.is_file():
         raise FileNotFoundError(f"missing {META_NAME} in {bundle}")
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(meta_path.read_bytes())  # JSON is UTF-8 (RFC 8259), whatever the locale
     except RecursionError:
         raise ValueError(f"{meta_path}: JSON nested too deeply") from None
     for key in ("patient_id", "shape", "byte_order", *keys):
@@ -197,10 +198,10 @@ def _read_meta(bundle: Path, *keys: str) -> tuple[dict, tuple[int, int, int]]:
     return meta, tuple(shape)
 
 
-def _read_patient(bundle: Path, read_modality: Callable) -> tuple:
-    """A patient bundle's (id, modalities, mask, labels), each modality
-    as `read_modality(path, shape)` returns it. Every check but the
-    intensities' is made here; labels may be None."""
+def _read_patient(bundle: Path) -> tuple:
+    """A patient bundle's (id, modality payload paths, mask, labels),
+    each payload's size checked. Every check but the intensities' values
+    is made here; labels may be None."""
     meta, shape = _read_meta(bundle, "modalities")
     names = meta["modalities"]
     if not isinstance(names, list) or not names:
@@ -208,26 +209,27 @@ def _read_patient(bundle: Path, read_modality: Callable) -> tuple:
     names = [check_name(name, "modality name") for name in names]
     if len(set(names)) < len(names):
         raise ValueError(f"{bundle / META_NAME}: modalities name one modality twice: {names!r}")
-    grids = {name: read_modality(bundle / f"{name}.raw", shape) for name in names}
+    paths = {name: _check_raw(bundle / f"{name}.raw", shape, "<f4") for name in names}
 
     labels_path = bundle / "labels.raw"
     mask_path = bundle / "mask.raw"
     labels = None
     if labels_path.is_file():
-        labels = validate_labels(_read_raw(labels_path, shape, "u1"))
+        labels = validate_labels(_read_raw(labels_path, shape))
     if mask_path.is_file():
-        mask = validate_mask_volume(_read_raw(mask_path, shape, "u1"))
+        mask = validate_mask_volume(_read_raw(mask_path, shape))
     elif labels is not None:
         mask = binarize_labels(labels)
     else:
         raise FileNotFoundError(f"bundle {bundle} has neither mask.raw nor labels.raw")
-    return meta["patient_id"], grids, mask, labels
+    return meta["patient_id"], paths, mask, labels
 
 
 def load_patient(path: str | Path) -> PatientRecord:
-    """Load a patient bundle; validates shapes, labels and intensities."""
-    pid, grids, mask, labels = _read_patient(
-        Path(path), lambda raw, shape: _read_raw(raw, shape, "<f4"))
+    """Load a patient bundle; validates shapes, labels and intensities,
+    each read through the checked block reader (`read_intensities`)."""
+    pid, paths, mask, labels = _read_patient(Path(path))
+    grids = {name: read_intensities(raw, mask.shape) for name, raw in paths.items()}
     volume = MultiModalVolume(patient_id=pid, modalities=grids)
     return PatientRecord(volume=volume, mask=mask, labels=labels)
 
@@ -237,15 +239,15 @@ def open_patient(path: str | Path) -> tuple[str, dict[str, Path], np.ndarray]:
     nothing of the intensities: every check that `load_patient` makes
     is made except the intensities' finiteness, which `write_patient`
     checks as it copies them."""
-    pid, paths, mask, _ = _read_patient(
-        Path(path), lambda raw, shape: _check_raw(raw, shape, "<f4"))
-    return pid, paths, mask
+    return _read_patient(Path(path))[:3]
 
 
 def load_mask(path: str | Path) -> tuple[str, np.ndarray]:
     """A patient bundle's (id, mask) after every check that
     `load_patient` makes; no intensities are kept."""
-    pid, _, mask, _ = _read_patient(Path(path), _scan_intensities)
+    pid, paths, mask, _ = _read_patient(Path(path))
+    for raw in paths.values():
+        _scan_intensities(raw, mask.shape)
     return pid, mask
 
 

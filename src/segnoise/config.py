@@ -195,8 +195,8 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> dict:
             if not file_path.is_file():
                 raise FileNotFoundError(f"config file not found: {file_path}")
             try:
-                user = json.loads(file_path.read_text())
-            except json.JSONDecodeError as exc:
+                user = json.loads(file_path.read_bytes())  # JSON is UTF-8 (RFC 8259), whatever the locale
+            except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
                 raise ConfigError(f"config {file_path}: invalid JSON ({exc})") from exc
             if not isinstance(user, dict):
                 raise ConfigError(f"config {file_path}: top level must be an object")

@@ -14,13 +14,14 @@ is 1 - f_beta.
 
 These formulas exist once, in a kernel over (..., pixels) arrays:
 `confusion_sums`, `f_beta_terms` (N, D), `f_beta_grad_rows` and
-`f_beta_loss_grad` (d(1 - N/D)/dp). The scores, the finite-difference
-gradient and the toy trainer's descent (`trainer._descend`, one frame
-per row and every beta at once, which takes its own sums without a
-p * t temporary) all run through it, so `gradcheck` verifies the
-gradient that training follows. Every score triple comes from
-`score_triples`, which takes sums of any shape, so the oracle scores
-all its repetitions' integer counts in one call.
+`f_beta_loss_grad` (d(1 - N/D)/dp). The scores and the finite-difference
+gradient run through it, and the toy trainer's descent
+(`trainer._descend`, one frame per row and every beta at once, which
+takes its own sums without a p * t temporary) runs its (a, c) rows,
+`f_beta_grad_rows`, so `gradcheck` verifies the gradient that training
+follows. Every score triple comes from `score_triples`, which takes
+sums of any shape, so the oracle scores all its repetitions' integer
+counts in one call.
 Scores sum over the whole input, so the same functions score 2-D frames
 and 3-D volumes. A volume's per-frame scores come from one loop,
 `score_blocks`, which reads the prediction a block of frames at a time,
@@ -64,22 +65,18 @@ def f_beta_grad_rows(numer, denom, b2) -> np.ndarray:
     return np.stack(np.broadcast_arrays(numer / (denom * denom), -(1.0 + b2) / denom), axis=-1)
 
 
-def f_beta_loss_grad(t: np.ndarray, numer, denom, b2, out: np.ndarray | None = None) -> np.ndarray:
-    """d(1 - N/D)/dp for targets (..., pixels) and N, D of shape (...),
-    which may carry extra leading axes (one per beta of a lockstep
-    descent) that a scalar or array b2 broadcasts against.
+def f_beta_loss_grad(t: np.ndarray, numer, denom, b2) -> np.ndarray:
+    """d(1 - N/D)/dp for targets (..., pixels) and N, D of shape (...).
 
     The partial w.r.t. p_i is (N - (1+b2)*t_i*D) / D^2 = a + c*t_i with
     a = N/D^2 and c = -(1+b2)/D. Targets are 0 or 1, so each pixel takes
     a where t = 0 and c + a, rounded once, where t = 1. This select runs
     as a product of each row's (a, c) with each pixel's (1, t) in float64:
     a*1 and c*t are exact, so only the sum rounds, and it is several times
-    faster than a masked copy. With `out` the result is written there.
+    faster than a masked copy.
     """
     basis = np.stack(np.broadcast_arrays(1.0, t), axis=-2)  # each pixel's (1, t), in float64
-    rows = f_beta_grad_rows(numer, denom, b2)[..., None, :]
-    grad = np.matmul(rows, basis, out=None if out is None else out[..., None, :])
-    return grad[..., 0, :] if out is None else out
+    return np.matmul(f_beta_grad_rows(numer, denom, b2)[..., None, :], basis)[..., 0, :]
 
 
 def _is_count(arr: np.ndarray) -> bool:

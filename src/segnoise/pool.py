@@ -8,9 +8,10 @@ worker by the pool initializer, so it crosses the process boundary at
 most once per worker (not at all under fork), never once per task.
 A pool starts only when the work left can pay for it: `map_cells` runs
 tasks in the parent, timing each, until the tasks left would take more
-than `POOL_MIN_WORK_S` there, and only then starts workers for the rest
-(see `map_cells`). The process machinery is imported only when a pool
-starts, so that a command that runs in-process does not load it.
+than `POOL_MIN_WORK_S` there, and only then starts workers for the rest,
+in chunks sized from the measured task time (see `map_cells`). The
+process machinery is imported only when a pool starts, so that a
+command that runs in-process does not load it.
 
 No cell gains wall time from a second BLAS thread, only CPU time, so
 `cli.main` has OpenBLAS start with one thread, and `map_cells` pins it
@@ -127,7 +128,7 @@ def _one_blas_thread():
                 os.environ[name] = value
 
 
-def map_cells(function, tasks: list, ctx, jobs: int, chunksize: int | None = None) -> list:
+def map_cells(function, tasks: list, ctx, jobs: int) -> list:
     """`function` over `tasks` with `ctx` installed, in canonical order,
     on one BLAS thread (`_one_blas_thread`).
 
@@ -141,12 +142,12 @@ def map_cells(function, tasks: list, ctx, jobs: int, chunksize: int | None = Non
     BLAS thread. Otherwise every task runs in the parent. Every cell's
     streams are keyed, so the choice never changes a result.
 
-    By default the pool's tasks go out in about eight chunks per worker,
-    so that short tasks do not each pay a round trip to the pool;
-    callers whose tasks take much longer than a round trip (a gridsearch
-    cell, all its betas' descent, takes about 2 s) pass `chunksize=1`,
-    so that no worker idles while another works through a chunk at the
-    end.
+    The pool's tasks go out in chunks sized from the mean task time
+    measured here: about eight per worker, so that short tasks share a
+    round trip to the pool, but at most an eighth of `POOL_MIN_WORK_S`
+    of work each and at least one task, so that no worker idles at the
+    end while another works through a long chunk (a gridsearch cell,
+    all its betas' descent, takes about 2 s and goes out alone).
     """
     results = []
     with _one_blas_thread():
@@ -167,8 +168,8 @@ def map_cells(function, tasks: list, ctx, jobs: int, chunksize: int | None = Non
             from concurrent.futures import ProcessPoolExecutor
 
             workers = min(jobs, len(rest))
-            if chunksize is None:
-                chunksize = max(1, len(rest) // (8 * workers))
+            chunksize = max(1, min(len(rest) // (8 * workers),
+                                   int(POOL_MIN_WORK_S * len(results) / (8 * busy))))
             with ProcessPoolExecutor(max_workers=workers, initializer=_install, initargs=(ctx,)) as pool:
                 results += pool.map(function, rest, chunksize=chunksize)
     return results

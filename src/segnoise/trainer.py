@@ -362,8 +362,7 @@ def beta_gridsearch(
     ctx = (train_planes, [validate_mask_volume(masks[pid]) for pid in split.train_ids], split.train_ids,
            mode, base_config or TrainConfig(), betas)
     del train_planes  # the context's alone, so that it goes with it
-    # A task is a cell's descent (about 2 s at the default 200 epochs and six betas).
-    models = [m for cell in pool.map_cells(_grid_task, keys, ctx, jobs, chunksize=1) for m in cell]
+    models = [m for cell in pool.map_cells(_grid_task, keys, ctx, jobs) for m in cell]
     del ctx
     triples = [_test_triples(tests.pop(pid), masks[pid], models, threshold) for pid in split.test_ids]
     means = np.array(triples, dtype=np.float64).mean(axis=0).reshape(len(keys), len(betas), 3)

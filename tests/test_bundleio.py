@@ -150,9 +150,9 @@ class TestBundleSourceMasks:
         write_bundle(sample_record(), tmp_path)
         real_read = bundleio._read_raw
 
-        def read(path, shape, dtype):
-            assert dtype == "u1", f"{path.name} read whole"
-            return real_read(path, shape, dtype)
+        def read(path, shape):
+            assert path.name in ("mask.raw", "labels.raw"), f"{path.name} read whole"
+            return real_read(path, shape)
 
         monkeypatch.setattr(bundleio, "_read_raw", read)
         assert list(source_masks(tmp_path)) == ["case-1"]
@@ -430,6 +430,14 @@ class TestBundleErrors:
         grid[0] = np.nan
         grid.tofile(bundle / "t1.raw")
         with pytest.raises(ValueError, match="non-finite"):
+            load_patient(bundle)
+
+    def test_nan_intensity_error_names_the_payload(self, tmp_path):
+        bundle = write_bundle(sample_record(), tmp_path)
+        grid = np.fromfile(bundle / "t2.raw", dtype="<f4")
+        grid[-1] = np.nan
+        grid.tofile(bundle / "t2.raw")
+        with pytest.raises(ValueError, match=re.escape(str(bundle / "t2.raw"))):
             load_patient(bundle)
 
     def test_big_endian_meta_rejected(self, tmp_path):

@@ -159,6 +159,29 @@ def test_oracle_and_gridsearch_on_phantoms_never_import_bundleio(tmp_path):
         "oracle False", "gridsearch False"]
 
 
+@pytest.mark.parametrize("reader", ["config", "meta"])
+def test_json_input_is_utf8_in_an_ascii_locale(tmp_path, reader):
+    # JSON is UTF-8 whatever the locale: a config's output_dir and a
+    # meta.json field written in UTF-8 decode to the same text in a
+    # process whose locale encoding is ASCII.
+    text = "r\u00e9sultats"
+    if reader == "config":
+        (tmp_path / "cfg.json").write_bytes(json.dumps({"output_dir": text}, ensure_ascii=False).encode())
+        code = "from segnoise import config; print(ascii(config.load_config('cfg.json')['output_dir']))"
+    else:
+        (record,) = generate_corpus(PhantomSpec(depth=2, height=32, width=32, margin=4), 1, 7)
+        bundle = write_bundle(record, tmp_path / "bundles")
+        meta = json.loads((bundle / "meta.json").read_bytes())
+        (bundle / "meta.json").write_bytes(json.dumps({**meta, "note": text}, ensure_ascii=False).encode())
+        code = ("from segnoise import bundleio; (record,) = bundleio.load_dataset('bundles'); "
+                "print(ascii(bundleio._read_meta(bundleio.index_bundles('bundles')[record.patient_id])[0]['note']))")
+    env = _fresh_interpreter_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    run = subprocess.run([sys.executable, "-c", "import locale; assert locale.getpreferredencoding() != 'UTF-8'; "
+                          + code], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == ascii(text)
+
+
 needs_openblas = pytest.mark.skipif(pool._openblas_threads() is None,
                                     reason="numpy's bundled OpenBLAS not found")
 TINY_GRADCHECK = ["gradcheck", "--trials", "1", "--height", "4", "--width", "4"]

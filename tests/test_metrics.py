@@ -208,15 +208,14 @@ class TestGradLoss:
         assert np.all(np.abs(grad - reference) <= 1e-15 * scale)
 
     @pytest.mark.parametrize("dtype", [bool, np.float64])
-    def test_kernel_writes_into_out_bit_for_bit(self, dtype):
+    def test_kernel_gives_bool_and_float_targets_the_same_bytes(self, dtype):
         rng = np.random.default_rng(9)
         p = rng.random((7, 300))
         t = (rng.random((7, 300)) < 0.4).astype(dtype)
         numer, denom = f_beta_terms(*confusion_sums(p, t), 0.36)
-        buf = np.full(t.shape, np.nan)
-        assert f_beta_loss_grad(t, numer, denom, 0.36, out=buf) is buf
-        assert buf.tobytes() == f_beta_loss_grad(t, numer, denom, 0.36).tobytes()
-        assert buf.tobytes() == f_beta_loss_grad(t.astype(np.float64), numer, denom, 0.36).tobytes()
+        grad = f_beta_loss_grad(t, numer, denom, 0.36)
+        assert grad.shape == t.shape and grad.dtype == np.float64
+        assert grad.tobytes() == f_beta_loss_grad(t.astype(np.float64), numer, denom, 0.36).tobytes()
 
     @pytest.mark.parametrize("dtype", [bool, np.float64])
     def test_kernel_over_a_leading_beta_axis_equals_each_beta_alone(self, dtype):
@@ -228,8 +227,8 @@ class TestGradLoss:
         t = (rng.random((5, 300)) < 0.4).astype(dtype)
         b2 = np.array([[0.0], [0.16], [1.0], [4.0]])
         numer, denom = f_beta_terms(np.einsum("bfp,fp->bf", p, t), p.sum(axis=-1), t.sum(axis=-1), b2)
-        out = np.full(p.shape, np.nan)
-        assert f_beta_loss_grad(t, numer, denom, b2, out=out) is out
+        out = f_beta_loss_grad(t, numer, denom, b2)
+        assert out.shape == p.shape
         for b in range(len(b2)):
             alone = f_beta_loss_grad(t, numer[b], denom[b], float(b2[b, 0]))
             n, d = numer[b][:, None], denom[b][:, None]

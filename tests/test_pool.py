@@ -65,8 +65,41 @@ def test_workers_read_the_installed_context_and_results_keep_task_order(start_me
 def test_one_task_per_chunk_keeps_task_order(costly_tasks, pool_starts):
     squares = [i * i for i in range(20)]
     tasks = list(range(20))[::-1]
-    assert pool.map_cells(_context_entry, tasks, squares, 2, chunksize=1) == squares[::-1]
+    assert pool.map_cells(_context_entry, tasks, squares, 2) == squares[::-1]
     assert pool_starts == [2]
+
+
+@pytest.fixture
+def pool_chunks(monkeypatch):
+    """The chunk size of each pool map that `pool.map_cells` runs."""
+    chunks = []
+
+    class Chunked(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            chunks.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Chunked)
+    return chunks
+
+
+def test_costly_tasks_go_to_the_workers_one_at_a_time(costly_tasks, pool_chunks):
+    # 49 tasks left for two workers would make chunks of 49 // 16 = 3,
+    # but an hour per task caps a chunk far below one task.
+    assert pool.map_cells(_context_entry, list(range(50)), list(range(50)), 2) == list(range(50))
+    assert pool_chunks == [1]
+
+
+@pytest.mark.parametrize("step, tasks, chunk", [
+    (1 / 1024, 600, 599 // 16),  # about eight chunks per worker
+    (1 / 128, 200, 8),  # each chunk at most an eighth of POOL_MIN_WORK_S: 0.5 / 8 / (1/128)
+])
+def test_short_tasks_that_pay_for_a_pool_go_out_in_chunks(monkeypatch, pool_chunks, step, tasks, chunk):
+    # Each task reads `step` seconds (exact in binary), so the tasks left
+    # after the first exceed POOL_MIN_WORK_S and a pool starts there.
+    monkeypatch.setattr(pool, "_clock", itertools.count(0.0, step).__next__)
+    assert pool.map_cells(_context_entry, list(range(tasks)), list(range(tasks)), 2) == list(range(tasks))
+    assert pool_chunks == [chunk]
 
 
 def test_one_worker_runs_in_process_and_clears_the_context():
@@ -149,7 +182,7 @@ def test_costly_tasks_run_the_first_in_the_parent_then_start_min_jobs_workers(
     start_method, costly_tasks, pool_starts, jobs
 ):
     tasks = list(range(5))[::-1]
-    results = pool.map_cells(_where, tasks, "ctx", jobs, chunksize=1)
+    results = pool.map_cells(_where, tasks, "ctx", jobs)
     assert [task for _, task, _ in results] == tasks
     assert all(ctx == "ctx" for _, _, ctx in results)
     assert results[0][0] == os.getpid() and os.getpid() not in [pid for pid, _, _ in results[1:]]

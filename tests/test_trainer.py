@@ -486,7 +486,7 @@ class TestGridsearch:
         # The context holds the clean train masks, not any cell's targets.
         assert train_ids == split.train_ids and mode is NoiseMode.DILATE
         assert all(np.array_equal(mask, source.mask(pid)) for mask, pid in zip(train_masks, train_ids, strict=True))
-        assert kwargs == {"chunksize": 1}  # a task is a whole cell's descent
+        assert kwargs == {}
 
         serial.write_outputs(tmp_path / "serial")
         parallel.write_outputs(tmp_path / "parallel")
