@@ -14,12 +14,12 @@ Prediction bundles mirror the layout with a single ``pred.raw`` holding
 float32 per-voxel probabilities.
 
 Float32 payloads are read through one checked block reader: a block of
-frames (about BLOCK_BYTES) at a time into one reused buffer, rejecting
-non-finite values. `load_mask` scans a bundle's intensities through it
-and keeps none, `write_patient` copies them, `read_intensities` (and so
-`load_patient`) fills an array from it, and `open_prediction` streams a
-prediction through it, each block also checked against [0, 1]. The
-uint8 mask and labels are read whole.
+frames (about BLOCK_BYTES) at a time, into one reused buffer or straight
+into the array it fills, rejecting non-finite values. `load_mask` scans
+a bundle's intensities through it and keeps none, `write_patient` copies
+them, `read_intensities` (and so `load_patient`) fills an array with it,
+and `open_prediction` streams a prediction through it, each block also
+checked against [0, 1]. The uint8 mask and labels are read whole.
 
 The NIfTI importer covers exactly the subset needed to convert external
 volumes into bundles: single-file uncompressed NIfTI-1 (magic ``n+1``),
@@ -144,19 +144,20 @@ def _read_raw(path: Path, shape: tuple[int, int, int]) -> np.ndarray:
     return arr
 
 
-def _checked_blocks(path: Path, shape: tuple[int, int, int], message: str) -> Iterator[np.ndarray]:
+def _checked_blocks(path: Path, shape: tuple[int, int, int], message: str, out=None) -> Iterator[np.ndarray]:
     """A float32 payload's frames, a block (about BLOCK_BYTES) at a time,
-    as (frames, H*W) views of one reused buffer. A block holding a
-    non-finite value raises ValueError(message) before it is yielded.
-    A consumer is done with a block when it asks for the next."""
+    as (frames, H*W) views of one reused buffer, or of `out` (an empty
+    float32 array of `shape`, left holding the payload) when given. A
+    block holding a non-finite value raises ValueError(message) before it
+    is yielded. A consumer is done with a block when it asks for the next."""
     _check_raw(path, shape, "<f4")
     depth, frame = shape[0], shape[1] * shape[2]
     step = max(1, BLOCK_BYTES // (4 * frame))
-    buf = np.empty((min(step, depth), frame), dtype="<f4")
-    finite = np.empty(buf.shape, dtype=bool)
+    finite = np.empty((min(step, depth), frame), dtype=bool)
+    frames = np.empty(finite.shape, dtype="<f4") if out is None else out.reshape(depth, frame)
     with open(path, "rb") as fh:
         for start in range(0, depth, step):
-            block = buf[:min(step, depth - start)]
+            block = frames[:depth - start] if out is None else frames[start:start + step]
             if fh.readinto(block) != block.nbytes:
                 raise ValueError(f"{path} shrank while it was read")
             if not np.isfinite(block, out=finite[:len(block)]).all():
@@ -311,21 +312,15 @@ def open_prediction(path: str | Path) -> tuple[str, tuple[int, int, int], Iterat
     return meta["patient_id"], shape, blocks()
 
 
-def _filled(shape: tuple[int, int, int], blocks: Iterator[np.ndarray]) -> np.ndarray:
-    """The frames that `blocks` yields, as one read-only float32 array of `shape`."""
-    arr = np.empty(shape, dtype="<f4")
-    frames, start = arr.reshape(shape[0], -1), 0
-    for block in blocks:
-        frames[start:start + len(block)] = block
-        start += len(block)
-    arr.setflags(write=False)
-    return arr
-
-
 def read_intensities(path: str | Path, shape: tuple[int, int, int]) -> np.ndarray:
     """An intensity payload (as `open_patient` gives it) as a read-only
-    float32 array, filled through the checked block reader."""
-    return _filled(shape, _checked_blocks(Path(path), shape, f"{path} contains non-finite intensities"))
+    float32 array, read through the checked block reader straight into
+    the array's frames."""
+    arr = np.empty(shape, dtype="<f4")
+    for _ in _checked_blocks(Path(path), shape, f"{path} contains non-finite intensities", arr):
+        pass
+    arr.setflags(write=False)
+    return arr
 
 
 def load_prediction(path: str | Path) -> tuple[str, np.ndarray]:
@@ -333,7 +328,13 @@ def load_prediction(path: str | Path) -> tuple[str, np.ndarray]:
     as the read-only float32 array it holds, checked as
     `open_prediction` checks it."""
     pid, shape, blocks = open_prediction(path)
-    return pid, _filled(shape, blocks)
+    arr = np.empty(shape, dtype="<f4")
+    frames, start = arr.reshape(shape[0], -1), 0
+    for block in blocks:
+        frames[start:start + len(block)] = block
+        start += len(block)
+    arr.setflags(write=False)
+    return pid, arr
 
 
 def read_nifti(path: str | Path) -> np.ndarray:
