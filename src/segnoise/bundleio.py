@@ -20,6 +20,8 @@ a bundle's intensities through it and keeps none, `write_patient` copies
 them, `read_intensities` (and so `load_patient`) fills an array with it,
 and `open_prediction` streams a prediction through it, each block also
 checked against [0, 1]. The uint8 mask and labels are read whole.
+`write_patient` checks every array it is given before it creates
+anything, so that a bundle it writes loads back unchanged.
 
 The NIfTI importer covers exactly the subset needed to convert external
 volumes into bundles: single-file uncompressed NIfTI-1 (magic ``n+1``),
@@ -42,6 +44,7 @@ from .volume import (
     MultiModalVolume,
     PatientRecord,
     binarize_labels,
+    check_grid,
     check_name,
     validate_labels,
     validate_mask_volume,
@@ -97,19 +100,28 @@ def write_patient(
 ) -> Path:
     """Write one patient bundle under `out_root`; returns its directory.
 
-    Each modality is an intensity array or the Path of a bundle's
-    payload of the mask's shape (as `open_patient` gives them), which is
-    copied a block at a time and must hold finite values only.
+    Every array is checked before anything is created, so that what is
+    written loads back unchanged: a 3-D 0/1 mask, labels in {0, 1, 2, 4}
+    of its shape, and at least one modality, each safely named and none
+    named `labels` or `mask`. A modality is a finite 3-D intensity array
+    of the mask's shape, or the Path of a bundle's payload of that shape
+    (as `open_patient` gives them), which is copied a block at a time and
+    must hold finite values only.
     """
+    bundle = Path(out_root) / check_name(patient_id, "patient id")
+    mask = validate_mask_volume(mask)
+    if not modalities:
+        raise ValueError(f"patient {patient_id!r} needs at least one modality")
+    if {"labels", "mask"} & set(modalities):
+        raise ValueError("'labels' and 'mask' name a bundle's own payloads, not a modality")
     payloads = {
         check_name(name, "modality name"):
-            grid if isinstance(grid, Path) else np.ascontiguousarray(grid, dtype="<f4")
+            grid if isinstance(grid, Path) else np.ascontiguousarray(check_grid(name, grid, mask.shape), "<f4")
         for name, grid in modalities.items()
     }
     if labels is not None:
-        payloads["labels"] = np.ascontiguousarray(labels, dtype=np.uint8)
-    payloads["mask"] = np.ascontiguousarray(mask, dtype=np.uint8)
-    bundle = Path(out_root) / check_name(patient_id, "patient id")
+        payloads["labels"] = np.ascontiguousarray(validate_labels(labels, mask.shape))
+    payloads["mask"] = np.ascontiguousarray(mask)
     return _write_payloads(bundle, _meta(patient_id, mask.shape, modalities), payloads)
 
 
@@ -184,6 +196,8 @@ def _read_meta(bundle: Path, *keys: str) -> tuple[dict, tuple[int, int, int]]:
         meta = json.loads(meta_path.read_bytes())  # JSON is UTF-8 (RFC 8259), whatever the locale
     except RecursionError:
         raise ValueError(f"{meta_path}: JSON nested too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ValueError(f"{meta_path}: invalid JSON ({exc})") from None
     for key in ("patient_id", "shape", "byte_order", *keys):
         if not isinstance(meta, dict) or key not in meta:
             raise ValueError(f"{meta_path}: missing key {key!r}")
@@ -410,15 +424,11 @@ def import_nifti(
     labels: str | Path | None = None,
     mask: str | Path | None = None,
 ) -> Path:
-    """Convert per-modality NIfTI files into a patient bundle."""
-    grids = {name: read_nifti(p).astype(np.float32) for name, p in modalities.items()}
-    label_arr = validate_labels(read_nifti(labels)) if labels is not None else None
-    if mask is not None:
-        mask_arr = validate_mask_volume(read_nifti(mask))
-    elif label_arr is not None:
-        mask_arr = binarize_labels(label_arr)
-    else:
+    """Convert per-modality NIfTI files into a patient bundle, checked as
+    `write_patient` checks every bundle."""
+    if labels is None and mask is None:
         raise ValueError("import_nifti needs a labels or mask volume")
-    volume = MultiModalVolume(patient_id=patient_id, modalities=grids)
-    record = PatientRecord(volume=volume, mask=mask_arr, labels=label_arr)
-    return write_bundle(record, out_root)
+    label_arr = None if labels is None else read_nifti(labels)
+    mask_arr = binarize_labels(label_arr) if mask is None else read_nifti(mask)
+    grids = {name: read_nifti(p) for name, p in modalities.items()}
+    return write_patient(patient_id, grids, mask_arr, out_root, label_arr)

@@ -8,7 +8,8 @@ standard library), and those dataclasses also range-check their
 sections. The modules that build data are imported by the builders
 that use them. Validation is strict: unknown keys and wrong types are
 errors, and exactly one data source (a bundle directory or a phantom
-spec) must be active.
+spec) must be active. Commands read it through a `CorpusSource`, one
+patient's (modalities, mask) at a time; only the benchmark builds records.
 """
 
 from __future__ import annotations
@@ -239,16 +240,6 @@ class CorpusSource:
     mask: Callable[[str], np.ndarray]
     payloads: Callable[[str], tuple[dict, np.ndarray]]
 
-    @classmethod
-    def of(cls, records) -> CorpusSource:
-        by_id = {r.patient_id: r for r in records}
-        return cls(tuple(sorted(by_id)), lambda pid: by_id[pid].shape, lambda pid: by_id[pid].mask,
-                   lambda pid: _record_payloads(by_id[pid]))
-
-
-def _record_payloads(record: PatientRecord) -> tuple[dict, np.ndarray]:
-    return record.volume.modalities, record.mask
-
 
 def bundle_source(root: str | Path) -> CorpusSource:
     """The bundles under `root`: masks read with every check, payloads as
@@ -261,7 +252,9 @@ def bundle_source(root: str | Path) -> CorpusSource:
 
 
 def source_from(config: dict) -> CorpusSource:
-    """The configured corpus: `bundle_source(data.path)`, or phantoms generated one at a time."""
+    """The configured corpus: `bundle_source(data.path)`, or phantoms
+    generated one at a time, each `payloads` the (modalities, mask) pair
+    that `generate_phantom` returns."""
     data = config["data"]
     if data["path"] is not None:
         return bundle_source(data["path"])
@@ -271,7 +264,7 @@ def source_from(config: dict) -> CorpusSource:
     seeds = corpus_seeds(ph["patients"], ph["seed"])
     return CorpusSource(tuple(sorted(seeds)), lambda pid: (spec.depth, spec.height, spec.width),
                         lambda pid: phantom_mask(spec, seeds[pid])[0],
-                        lambda pid: _record_payloads(generate_phantom(spec, seeds[pid], patient_id=pid)))
+                        lambda pid: generate_phantom(spec, seeds[pid]))
 
 
 def records_from(config: dict) -> list[PatientRecord]:

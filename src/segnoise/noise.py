@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -359,25 +359,10 @@ def corrupt_mask_volume(
 def corrupt_patient(
     mask, patient_id: str, split: DatasetSplit, spec: NoiseSpec
 ) -> tuple[np.ndarray, list[CorruptionRecord]]:
-    """One patient's step of `corrupt_dataset`: a train or validation
-    mask comes back corrupted, with one report row per frame; any other
-    mask comes back as a copy, with no rows."""
+    """One split patient's mask as `corrupt` writes it: a train or
+    validation mask corrupted, with one report row per frame; any other
+    mask as a copy, with no rows."""
     if patient_id not in split.train_ids + split.val_ids:
         return np.array(mask, dtype=np.uint8), []
     return corrupt_mask_volume(mask, spec.mode, spec.sigma2, spec.seed, patient_id)
 
-
-def corrupt_dataset(
-    masks: Mapping[str, np.ndarray], split: DatasetSplit, spec: NoiseSpec
-) -> tuple[dict[str, np.ndarray], CorruptionReport]:
-    """Corrupt the train and validation masks of a {patient id: mask}
-    mapping; test masks pass through bit-identical. Returns (the split's
-    masks by patient id, audit report).
-    """
-    split.check_known(masks)
-    corrupted: dict[str, np.ndarray] = {}
-    rows: list[CorruptionRecord] = []
-    for pid in sorted(split.all_ids):
-        corrupted[pid], patient_rows = corrupt_patient(masks[pid], pid, split, spec)
-        rows += patient_rows
-    return corrupted, CorruptionReport(records=tuple(rows))

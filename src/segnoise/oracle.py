@@ -43,17 +43,12 @@ from .svgplot import line_plot
 
 
 def _point_seeds(points: Sequence[Sequence[int]], reps: Sequence[int]) -> np.ndarray:
-    """`cell_seed` of each rep of each (base_seed, mode_index, sigma_index,
-    fold_index) point, as a (points, reps) uint64 array, seeded in one step:
-    `generate_state(2)` is `stream_states`' first word with its halves swapped."""
+    """Each rep's seed at each (base_seed, mode_index, sigma_index,
+    fold_index) point, a (points, reps) uint64 array: `SeedSequence([*point,
+    rep]).generate_state(2)`, high word first, seeded in one step, as that
+    is `stream_states`' first word with its halves swapped."""
     first = stream_states(points, [(rep,) for rep in reps])[:, 0]
     return ((first << np.uint64(32)) | (first >> np.uint64(32))).reshape(len(points), len(reps))
-
-
-def cell_seed(base_seed: int, mode_index: int, sigma_index: int, fold_index: int, rep: int) -> int:
-    """Stable 64-bit seed for one sweep cell: `SeedSequence([base_seed,
-    mode_index, sigma_index, fold_index, rep]).generate_state(2)`, high word first."""
-    return int(_point_seeds([(base_seed, mode_index, sigma_index, fold_index)], [rep])[0, 0])
 
 
 def _check_test_ids(known, split: DatasetSplit) -> None:

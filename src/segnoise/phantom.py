@@ -4,7 +4,9 @@ Each frame's mask is a union of filled ellipses kept at least `margin`
 pixels away from the frame border, so simulated dilations have headroom
 and border-free morphology identities hold exactly. Modality images are
 background mean plus a foreground offset inside the mask plus Gaussian
-intensity noise. Everything is deterministic per seed.
+intensity noise. Everything is deterministic per seed. A phantom is the
+(modalities, mask) pair that `write_patient` takes; only
+`generate_corpus` wraps phantoms in records, with their ids.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ def phantom_mask(spec: PhantomSpec, seed: int) -> tuple[np.ndarray, np.random.Ge
     return np.stack([_frame_mask(spec, rng) for _ in range(spec.depth)]), rng
 
 
-def generate_phantom(spec: PhantomSpec, seed: int, patient_id: str | None = None) -> PatientRecord:
-    """One synthetic patient, deterministic per (spec, seed)."""
-    pid = patient_id if patient_id is not None else f"phantom-{int(seed):08d}"
+def generate_phantom(spec: PhantomSpec, seed: int) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """One synthetic patient's (modalities, mask), deterministic per (spec, seed)."""
     mask, rng = phantom_mask(spec, seed)
     base = spec.foreground_offset * mask
     base += spec.background_mean
@@ -48,12 +49,10 @@ def generate_phantom(spec: PhantomSpec, seed: int, patient_id: str | None = None
         rng.standard_normal(out=image)
         image *= spec.noise_std
         image += base
-        # Read-only and owning its data, so the volume adopts it uncopied.
+        # Read-only and owning its data, so that a record adopts it uncopied.
         grids[name] = image.astype(np.float32)
         grids[name].setflags(write=False)
-    del base, image
-    volume = MultiModalVolume(patient_id=pid, modalities=grids)
-    return PatientRecord(volume=volume, mask=mask)
+    return grids, mask
 
 
 def corpus_seeds(count: int, seed: int) -> dict[str, int]:
@@ -65,5 +64,8 @@ def corpus_seeds(count: int, seed: int) -> dict[str, int]:
 
 
 def generate_corpus(spec: PhantomSpec, count: int, seed: int) -> list[PatientRecord]:
-    """`count` phantoms with ids phantom-000..., seeded per patient."""
-    return [generate_phantom(spec, child, patient_id=pid) for pid, child in corpus_seeds(count, seed).items()]
+    """`count` phantoms as records with ids phantom-000..., seeded per patient."""
+    seeds = corpus_seeds(count, seed)
+    phantoms = (generate_phantom(spec, child) for child in seeds.values())
+    return [PatientRecord(volume=MultiModalVolume(pid, grids), mask=mask)
+            for pid, (grids, mask) in zip(seeds, phantoms)]

@@ -24,7 +24,7 @@ from .metrics import ScoreTriple, check_beta, f_beta_grad_rows, f_beta_terms, ha
 from .noise import corrupt_masks
 from .specs import NoiseMode, TrainConfig, check_distinct, check_sigma2_values
 from .svgplot import heatmap
-from .volume import is_binary, validate_mask_volume, zscore_normalize
+from .volume import validate_mask_volume, zscore_normalize
 
 N_FEATURES = 5
 
@@ -192,23 +192,6 @@ def _descend(
     return [LinearSegmenter(weights=row) for row in w], history
 
 
-def train(samples, config: TrainConfig, beta: float = 1.0) -> tuple[LinearSegmenter, list[float]]:
-    """Train on (image frame, mask frame) pairs of one common shape with
-    the f-beta loss."""
-    if not samples:
-        raise ValueError("need at least one training sample")
-    shapes = {np.asarray(img).shape for img, _ in samples}
-    if len(shapes) != 1:
-        raise ValueError(f"all frames must share one shape, got {sorted(shapes)}")
-    raw = np.empty((len(samples), math.prod(shapes.pop())))
-    feats = _feature_stack((img for img, _ in samples), raw, np.empty((3, *raw.shape)))
-    targets = np.stack([np.asarray(mask).reshape(-1) for _, mask in samples])
-    if not is_binary(targets):
-        raise ValueError("mask values must be exactly 0 or 1")
-    (model,), history = _descend(feats, targets.astype(bool, copy=False), config, (beta,))
-    return model, history[:, 0].tolist()
-
-
 @dataclass(frozen=True)
 class GridResult:
     """The grid's clean-test scores, `scores[sigma2, beta, metric, seed]`:
@@ -326,9 +309,10 @@ def beta_gridsearch(
 ) -> GridResult:
     """Corrupt train masks, train every beta, score on clean test masks.
 
-    The `config.CorpusSource` (`CorpusSource.of` wraps records) is read
-    one split patient at a time through `payloads`, keeping its mask and,
-    for a test patient, its z-scored first modality, read alone. Each
+    The `config.CorpusSource` (from `config.source_from` or
+    `bundle_source`) is read one split patient at a time through
+    `payloads`, keeping its mask and, for a test patient, its z-scored
+    first modality, read alone. Each
     (sigma2, seed) cell's task corrupts the train masks in one
     `noise.corrupt_masks` step, and every beta trains on those same
     targets (paired comparison).

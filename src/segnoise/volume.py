@@ -50,12 +50,19 @@ def _valid_labels(arr: np.ndarray) -> bool:
     return bool(np.isin(arr, VALID_LABELS).all())
 
 
-def validate_labels(labels) -> np.ndarray:
-    arr = np.asarray(labels)
+def _check_shape(arr: np.ndarray, what: str, shape) -> np.ndarray:
+    """`arr` if it is 3-D, and of `shape` when that is given; else ValueError."""
     if arr.ndim != 3:
-        raise ValueError(f"label volume must be 3-D, got shape {arr.shape}")
+        raise ValueError(f"{what} must be 3-D, got shape {arr.shape}")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{what} shape {arr.shape} != {shape}")
+    return arr
+
+
+def validate_labels(labels, shape=None) -> np.ndarray:
+    arr = _check_shape(np.asarray(labels), "labels", shape)
     if not _valid_labels(arr):
-        bad = sorted(set(np.unique(arr)) - set(VALID_LABELS))
+        bad = sorted(set(np.unique(arr).tolist()) - set(VALID_LABELS))
         raise ValueError(f"illegal label values {bad}; allowed: {list(VALID_LABELS)}")
     return arr.astype(np.uint8, copy=False)
 
@@ -70,13 +77,20 @@ def is_binary(arr: np.ndarray) -> bool:
     return bool(((arr == 0) | (arr == 1)).all())
 
 
-def validate_mask_volume(mask) -> np.ndarray:
-    arr = np.asarray(mask)
-    if arr.ndim != 3:
-        raise ValueError(f"mask volume must be 3-D, got shape {arr.shape}")
+def validate_mask_volume(mask, shape=None) -> np.ndarray:
+    arr = _check_shape(np.asarray(mask), "mask", shape)
     if not is_binary(arr):
         raise ValueError("mask volume values must be exactly 0 or 1")
     return arr.astype(np.uint8, copy=False)
+
+
+def check_grid(name: str, grid, shape=None) -> np.ndarray:
+    """Modality `name`'s grid as float32 if it is 3-D, of `shape` when
+    given, and finite; else ValueError."""
+    arr = _check_shape(np.asarray(grid, dtype=np.float32), f"modality {name!r}", shape)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"modality {name!r} contains non-finite intensities")
+    return arr
 
 
 def binarize_labels(labels) -> np.ndarray:
@@ -96,19 +110,10 @@ class MultiModalVolume:
         check_name(self.patient_id, "patient id")
         if not self.modalities:
             raise ValueError("volume needs at least one modality")
-        shapes = set()
-        converted = {}
+        converted, shape = {}, None
         for name, grid in self.modalities.items():
-            check_name(name, "modality name")
-            arr = np.asarray(grid, dtype=np.float32)
-            if arr.ndim != 3:
-                raise ValueError(f"modality {name!r} must be 3-D, got shape {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"modality {name!r} contains non-finite intensities")
-            shapes.add(arr.shape)
-            converted[name] = _adopt(arr)
-        if len(shapes) > 1:
-            raise ValueError(f"modalities disagree on shape: {sorted(shapes)}")
+            converted[name] = _adopt(check_grid(check_name(name, "modality name"), grid, shape))
+            shape = converted[name].shape
         object.__setattr__(self, "modalities", converted)
 
     @property
@@ -125,19 +130,9 @@ class PatientRecord:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        mask = _adopt(validate_mask_volume(self.mask))
-        object.__setattr__(self, "mask", mask)
-        if mask.shape != self.volume.shape:
-            raise ValueError(
-                f"mask shape {mask.shape} != volume shape {self.volume.shape}"
-            )
+        object.__setattr__(self, "mask", _adopt(validate_mask_volume(self.mask, self.volume.shape)))
         if self.labels is not None:
-            labels = _adopt(validate_labels(self.labels))
-            object.__setattr__(self, "labels", labels)
-            if labels.shape != self.volume.shape:
-                raise ValueError(
-                    f"labels shape {labels.shape} != volume shape {self.volume.shape}"
-                )
+            object.__setattr__(self, "labels", _adopt(validate_labels(self.labels, self.volume.shape)))
 
     @property
     def patient_id(self) -> str:

@@ -5,11 +5,31 @@ import sys
 import pytest
 
 from segnoise import pool
+from segnoise.config import CorpusSource
+from segnoise.noise import CorruptionReport, corrupt_patient
 
 
 def mask_map(records) -> dict:
     """{patient id: mask} of `records`, the input that the mask sweeps take."""
     return {r.patient_id: r.mask for r in records}
+
+
+def record_source(records) -> CorpusSource:
+    """A `CorpusSource` over records in memory, sorted by id, whose
+    `payloads` are each record's own modalities and mask."""
+    by_id = {r.patient_id: r for r in records}
+    return CorpusSource(tuple(sorted(by_id)), lambda pid: by_id[pid].shape, lambda pid: by_id[pid].mask,
+                        lambda pid: (by_id[pid].volume.modalities, by_id[pid].mask))
+
+
+def corrupt_split(masks, split, spec) -> tuple[dict, CorruptionReport]:
+    """The split's masks by id and their report, `corrupt_patient` of
+    each split patient in id order, as the `corrupt` command runs it."""
+    corrupted, rows = {}, []
+    for pid in sorted(split.all_ids):
+        corrupted[pid], patient_rows = corrupt_patient(masks[pid], pid, split, spec)
+        rows += patient_rows
+    return corrupted, CorruptionReport(records=tuple(rows))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

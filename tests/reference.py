@@ -10,11 +10,16 @@ beta over all frames at once, which the lockstep descent must match to
 reading a `five_plane_stack` (the stored features and a plane of ones)
 in place, whose bytes the descent on the stored planes must keep;
 `zscore_modality` is the z-scoring formula whose bytes
-`volume.zscore_normalize` must keep.
+`volume.zscore_normalize` must keep; `train` is the one-beta trainer on
+(image frame, mask frame) pairs, the lockstep descent with one beta over
+the same feature planes that the gridsearch fills; `cell_seed` is the
+`SeedSequence` formula of one oracle cell's seed, which
+`oracle._point_seeds` must match for every point and rep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +28,9 @@ from segnoise.metrics import f_beta, f_beta_loss_grad, f_beta_terms
 from segnoise.morphology import SizeChange, dilate, erode, size_change
 from segnoise.noise import NoiseMode, sample_scale
 from segnoise.specs import TrainConfig, check_beta
-from segnoise.trainer import (BLOCK_BYTES, N_FEATURES, LinearSegmenter, TrainingDiverged, _initial_weights,
-                              _sigmoid_from_half)
+from segnoise.trainer import (BLOCK_BYTES, N_FEATURES, LinearSegmenter, TrainingDiverged, _descend,
+                              _feature_stack, _initial_weights, _sigmoid_from_half)
+from segnoise.volume import is_binary
 
 
 @dataclass(frozen=True)
@@ -141,3 +147,27 @@ def zscore_modality(grid) -> np.ndarray:
     out = np.zeros_like(grid, dtype=np.float64)
     out[region] = (values - values.mean()) / values.std()
     return out.astype(np.float32)
+
+
+def train(samples, config: TrainConfig, beta: float = 1.0) -> tuple[LinearSegmenter, list[float]]:
+    """Train on (image frame, mask frame) pairs of one common shape with
+    the f-beta loss."""
+    if not samples:
+        raise ValueError("need at least one training sample")
+    shapes = {np.asarray(img).shape for img, _ in samples}
+    if len(shapes) != 1:
+        raise ValueError(f"all frames must share one shape, got {sorted(shapes)}")
+    raw = np.empty((len(samples), math.prod(shapes.pop())))
+    feats = _feature_stack((img for img, _ in samples), raw, np.empty((3, *raw.shape)))
+    targets = np.stack([np.asarray(mask).reshape(-1) for _, mask in samples])
+    if not is_binary(targets):
+        raise ValueError("mask values must be exactly 0 or 1")
+    (model,), history = _descend(feats, targets.astype(bool, copy=False), config, (beta,))
+    return model, history[:, 0].tolist()
+
+
+def cell_seed(base_seed: int, mode_index: int, sigma_index: int, fold_index: int, rep: int) -> int:
+    """One oracle cell's 64-bit seed: `generate_state(2)` of its
+    SeedSequence, high word first."""
+    high, low = np.random.SeedSequence([base_seed, mode_index, sigma_index, fold_index, rep]).generate_state(2)
+    return (int(high) << 32) | int(low)

@@ -14,16 +14,15 @@ import numpy as np
 import pytest
 
 from segnoise.cli import main as cli_main
-from segnoise.config import CorpusSource
 from segnoise.folds import DatasetSplit, make_folds
 from segnoise.metrics import f_beta, grad_loss, soft_metrics
 from segnoise.morphology import dilate, erode
-from segnoise.noise import NoiseMode, NoiseSpec, corrupt_dataset, sample_scale
+from segnoise.noise import NoiseMode, NoiseSpec, sample_scale
 from segnoise.oracle import SweepConfig, run_sweep
 from segnoise.phantom import PhantomSpec, generate_corpus
 from segnoise.trainer import TrainConfig, beta_gridsearch
 
-from conftest import mask_map
+from conftest import corrupt_split, mask_map, record_source
 from reference import loss
 
 RESULTS = []
@@ -127,7 +126,7 @@ def test_criterion_4_containment_invariants(grid_corpus):
     violations = 0
     for mode in (NoiseMode.DILATE, NoiseMode.ERODE, NoiseMode.RANDOM):
         spec = NoiseSpec(mode=mode, sigma2=4.0, seed=404)
-        masks, report_rows = corrupt_dataset(mask_map(corpus), split, spec)
+        masks, report_rows = corrupt_split(mask_map(corpus), split, spec)
         for row in report_rows.records:
             original = by_id[row.patient_id].mask[row.frame].astype(np.float64)
             corrupted = masks[row.patient_id][row.frame].astype(np.float64)
@@ -196,7 +195,7 @@ def test_criterion_7_bias_cancellation_direction(grid_corpus):
     corpus, split = grid_corpus
     betas = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
     grid = beta_gridsearch(
-        CorpusSource.of(corpus),
+        record_source(corpus),
         split,
         betas=betas,
         mode=NoiseMode.DILATE,
@@ -230,7 +229,7 @@ def test_criterion_8_learned_bias_direction(grid_corpus):
     stats = {}
     for mode in (NoiseMode.ERODE, NoiseMode.DILATE):
         grid = beta_gridsearch(
-            CorpusSource.of(corpus),
+            record_source(corpus),
             split,
             betas=(1.0,),
             mode=mode,

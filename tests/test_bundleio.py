@@ -117,9 +117,11 @@ class TestBundleRoundtrip:
         assert load_patient(bundle).mask.sum() == 0
 
     def test_phantom_roundtrip(self, tmp_path):
-        rec = generate_phantom(PhantomSpec(depth=3), seed=11)
-        loaded = load_patient(write_bundle(rec, tmp_path))
-        assert np.array_equal(loaded.mask, rec.mask)
+        modalities, mask = generate_phantom(PhantomSpec(depth=3), seed=11)
+        loaded = load_patient(write_patient("phantom-11", modalities, mask, tmp_path))
+        assert np.array_equal(loaded.mask, mask)
+        assert {name: grid.tobytes() for name, grid in loaded.volume.modalities.items()} == {
+            name: grid.tobytes() for name, grid in modalities.items()}
 
 
 class TestNoSecondCopy:
@@ -403,6 +405,13 @@ class TestBundleErrors:
         with pytest.raises(FileNotFoundError, match="meta.json"):
             load_patient(tmp_path)
 
+    @pytest.mark.parametrize("blob", [b"", b"{", b"\xff\xfe{}"], ids=["empty", "cut", "not-utf8"])
+    def test_meta_that_is_not_json_names_the_file(self, tmp_path, blob):
+        bundle = write_bundle(sample_record(), tmp_path)
+        (bundle / "meta.json").write_bytes(blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bundle / 'meta.json'))}: invalid JSON"):
+            load_patient(bundle)
+
     def test_missing_modality_file(self, tmp_path):
         bundle = write_bundle(sample_record(), tmp_path)
         (bundle / "t2.raw").unlink()
@@ -566,6 +575,86 @@ class TestUnsafeNames:
         before = tree(tmp_path)
         with pytest.raises(ValueError, match="not a safe file name"):
             import_nifti(pid, {modality: tmp_path / "t1.nii"}, tmp_path / "out", mask=tmp_path / "mask.nii")
+        assert tree(tmp_path) == before
+
+
+def _bad_write(case):
+    """(modalities, mask, labels) of one input that `write_patient` must
+    reject; each once wrote a bundle that failed to load or loaded changed."""
+    shape = (2, 4, 4)
+    grid, mask, labels = np.ones(shape, dtype=np.float32), np.zeros(shape, dtype=np.uint8), None
+    modalities = {"t1": grid}
+    if case == "modality-of-another-shape":
+        modalities["t2"] = np.ones((2, 4, 5), dtype=np.float32)
+    elif case == "nan-intensity":
+        modalities["t1"] = grid.copy()
+        modalities["t1"][1, 2, 3] = np.nan
+    elif case == "2-d-mask":
+        mask = mask[0]
+    elif case == "mask-holding-3":
+        mask[0, 1, 1] = 3
+    elif case == "no-modality":
+        modalities = {}
+    elif case == "float-mask-0.7":
+        mask = mask.astype(np.float64)
+        mask[0, 1, 1] = 0.7
+    elif case == "int64-mask-256":
+        mask = mask.astype(np.int64)
+        mask[0, 1, 1] = 256
+    elif case == "label-260":
+        labels = np.zeros(shape, dtype=np.int64)
+        labels[0, 1, 1] = 260
+    elif case == "labels-of-another-shape":
+        labels = np.zeros((2, 4, 5), dtype=np.uint8)
+    elif case == "modality-named-mask":
+        modalities = {"mask": grid}
+    return modalities, mask, labels
+
+
+class TestWritePatientChecks:
+    @pytest.mark.parametrize("case, message", [
+        ("modality-of-another-shape", r"modality 't2' shape \(2, 4, 5\) != \(2, 4, 4\)"),
+        ("nan-intensity", "modality 't1' contains non-finite intensities"),
+        ("2-d-mask", "mask must be 3-D"),
+        ("mask-holding-3", "mask volume values must be exactly 0 or 1"),
+        ("no-modality", "needs at least one modality"),
+        ("float-mask-0.7", "mask volume values must be exactly 0 or 1"),
+        ("int64-mask-256", "mask volume values must be exactly 0 or 1"),
+        ("label-260", r"illegal label values \[260\]"),
+        ("labels-of-another-shape", r"labels shape \(2, 4, 5\) != \(2, 4, 4\)"),
+        ("modality-named-mask", "name a bundle's own payloads"),
+    ])
+    def test_rejected_before_anything_is_written(self, tmp_path, case, message):
+        out = tmp_path / "out"
+        write_bundle(sample_record(pid="kept"), out)
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        modalities, mask, labels = _bad_write(case)
+        with pytest.raises(ValueError, match=message):
+            write_patient("case-1", modalities, mask, out, labels)
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+        assert tree(tmp_path) == ["out", "out/kept", *(f"out/kept/{name}" for name in tree(out / "kept"))]
+
+    def test_accepted_arrays_load_back_equal(self, tmp_path):
+        # A bool mask, int16 intensities and int64 labels are cast, not changed.
+        rng = np.random.default_rng(5)
+        labels = rng.choice([0, 1, 2, 4], size=(2, 4, 4))
+        mask = labels > 0
+        modalities = {"t1": rng.integers(-300, 300, size=(2, 4, 4)).astype(np.int16)}
+        loaded = load_patient(write_patient("case-1", modalities, mask, tmp_path, labels))
+        assert np.array_equal(loaded.mask, mask) and np.array_equal(loaded.labels, labels)
+        assert np.array_equal(loaded.volume.modalities["t1"], modalities["t1"])
+
+    @pytest.mark.parametrize("fault", ["nan", "shape"])
+    def test_import_nifti_writes_nothing_for_a_bad_modality(self, tmp_path, fault):
+        shape = (2, 4, 4)
+        t1 = np.ones(shape if fault == "nan" else (2, 4, 5), dtype=np.float32)
+        t1[1, 2, 3] = np.nan if fault == "nan" else 2.0
+        write_nifti(tmp_path / "t1.nii", t1, "f4")
+        write_nifti(tmp_path / "mask.nii", np.zeros(shape, dtype=np.uint8), "u1")
+        (tmp_path / "out").mkdir()
+        before = tree(tmp_path)
+        with pytest.raises(ValueError, match="non-finite" if fault == "nan" else "shape"):
+            import_nifti("case-1", {"t1": tmp_path / "t1.nii"}, tmp_path / "out", mask=tmp_path / "mask.nii")
         assert tree(tmp_path) == before
 
 

@@ -15,10 +15,9 @@ import pytest
 import segnoise
 from segnoise import bundleio, phantom, pool
 from segnoise import config as cfgmod
-from segnoise.bundleio import index_bundles, load_dataset, write_bundle, write_prediction
+from segnoise.bundleio import index_bundles, load_dataset, write_bundle, write_patient, write_prediction
 from segnoise.cli import _config_overrides, build_parser, main
 from segnoise.phantom import PhantomSpec, generate_corpus
-from segnoise.volume import MultiModalVolume, PatientRecord
 
 
 def tree_bytes(root: Path) -> dict:
@@ -455,21 +454,24 @@ class TestOnePatientAtATime:
         (["corrupt", "--train-size", "1", "--val-size", "1", "--test-size", "1"], 3),
     ])
     def test_at_most_one_record_is_alive(self, tmp_path, monkeypatch, command, generated):
-        records = []
+        # A phantom is a (modalities, mask) pair, which takes no weak
+        # reference. It is alive while one of its grids is: gridsearch
+        # keeps every split patient's mask, but no patient's grids.
+        patients = []
         most_alive = 0
         original = phantom.generate_phantom
 
         def tracked(*args, **kwargs):
             nonlocal most_alive
-            record = original(*args, **kwargs)
-            records.append(weakref.ref(record))
-            most_alive = max(most_alive, sum(ref() is not None for ref in records))
-            return record
+            modalities, mask = original(*args, **kwargs)
+            patients.append([weakref.ref(grid) for grid in modalities.values()])
+            most_alive = max(most_alive, sum(any(ref() is not None for ref in refs) for refs in patients))
+            return modalities, mask
 
         monkeypatch.setattr(phantom, "generate_phantom", tracked)
         config = small_phantom_config(tmp_path)
         assert main([command[0], "--config", str(config), "--out", str(tmp_path / "out"), *command[1:]]) == 0
-        assert len(records) == generated
+        assert len(patients) == generated
         assert most_alive == 1
 
 
@@ -718,9 +720,7 @@ class TestStreamedScore:
         rng = np.random.default_rng(0)
         for pid in ("a", "b", "c", "d"):
             mask = (rng.random(cls.SHAPE) < 0.3).astype(np.uint8)
-            grids = {"t1": rng.normal(size=cls.SHAPE).astype(np.float32)}
-            write_bundle(PatientRecord(volume=MultiModalVolume(patient_id=pid, modalities=grids),
-                                       mask=mask), data)
+            write_patient(pid, {"t1": rng.normal(size=cls.SHAPE).astype(np.float32)}, mask, data)
         for pid in predicted:
             write_prediction(pid, rng.random(cls.SHAPE), preds)
         return data, preds

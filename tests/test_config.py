@@ -234,7 +234,7 @@ class TestCorpusSource:
         for seed in corpus_seeds(3, 7).values():
             mask = phantom_mask(spec, seed)[0]
             assert mask.dtype == np.uint8
-            assert mask.tobytes() == generate_phantom(spec, seed).mask.tobytes()
+            assert mask.tobytes() == generate_phantom(spec, seed)[1].tobytes()
 
     def test_the_source_has_exactly_four_accessors(self):
         assert [f.name for f in dataclasses.fields(CorpusSource)] == ["ids", "shape", "mask", "payloads"]
@@ -278,13 +278,19 @@ class TestCorpusSource:
             assert {name: grid.tobytes() for name, grid in record.volume.modalities.items()} == {
                 name: grid.tobytes() for name, grid in modalities.items()}
 
-    def test_in_memory_source(self):
-        records = [generate_phantom(PhantomSpec(depth=2), seed, patient_id=pid)
-                   for pid, seed in (("b", 1), ("a", 2))]
-        source = CorpusSource.of(records)
-        assert source.ids == ("a", "b")
-        assert source.mask("a") is records[1].mask
-        assert source.shape("a") == (2, 64, 64)
-        modalities, mask = source.payloads("b")
-        assert modalities is records[0].volume.modalities
-        assert mask is records[0].mask
+    def test_phantom_payloads_are_the_generated_pair(self):
+        # The phantom backend hands out `generate_phantom`'s own pair,
+        # with no record around it: read-only float32 grids and the mask.
+        config = load_config(None, {"data": {"phantom": {"patients": 3, "depth": 2}}})
+        source, spec = source_from(config), phantom_spec_from(config)
+        seeds = corpus_seeds(3, config["data"]["phantom"]["seed"])
+        assert source.ids == tuple(sorted(seeds))
+        for pid in source.ids:
+            modalities, mask = source.payloads(pid)
+            grids, expected = generate_phantom(spec, seeds[pid])
+            assert list(modalities) == list(spec.modalities)
+            assert {name: grid.tobytes() for name, grid in modalities.items()} == {
+                name: grid.tobytes() for name, grid in grids.items()}
+            assert all(grid.dtype == np.float32 and not grid.flags.writeable for grid in modalities.values())
+            assert mask.tobytes() == expected.tobytes() == source.mask(pid).tobytes()
+            assert source.shape(pid) == mask.shape == (2, 64, 64)

@@ -126,10 +126,35 @@ def test_the_corpus_source_reads_and_writes_through_payloads():
         assert names[name] + attrs[name] == 0, (module, name)
 
 
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / module).read_text())
+    return next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_records_are_built_only_in_the_benchmarks_readers():
+    # A patient is a (modalities, mask) pair everywhere but in the two
+    # functions that build the benchmark's records, load_patient and
+    # generate_corpus; volume defines the record types. The writer, the
+    # corpus source and the commands name no record type at all.
+    records = {"PatientRecord", "MultiModalVolume"}
+    built = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) in records:
+                    built.add((path.stem, getattr(node, "name", None)))
+    assert {(module, name) for module, name in built if module != "volume"} <= {
+        ("bundleio", "load_patient"), ("phantom", "generate_corpus")}
+    for node in (_function("bundleio.py", "write_patient"), _function("config.py", "source_from"),
+                 ast.parse((SRC / "cli.py").read_text())):
+        names, attrs = references(node)
+        assert sorted(records & (set(names) | set(attrs))) == []
+
+
 def test_the_sweeps_and_their_kernels_name_no_record_type():
-    # Records are built or loaded in volume, phantom, bundleio and
-    # config; the sweeps take masks or a `CorpusSource`, and the kernels
-    # under them take arrays.
+    # Records are built in bundleio and phantom only (see above); the
+    # sweeps take masks or a `CorpusSource`, and the kernels under them
+    # take arrays.
     records = {"PatientRecord", "MultiModalVolume"}
     named = {}
     for module in ("noise.py", "oracle.py", "trainer.py", "metrics.py", "morphology.py", "pool.py"):

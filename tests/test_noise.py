@@ -13,7 +13,6 @@ from segnoise.noise import (
     CorruptionReport,
     NoiseMode,
     NoiseSpec,
-    corrupt_dataset,
     corrupt_mask_volume,
     count_masks,
     draw_frames,
@@ -24,7 +23,7 @@ from segnoise.noise import (
 from segnoise.noise import _patient_key
 from segnoise.phantom import PhantomSpec, generate_corpus
 
-from conftest import mask_map
+from conftest import corrupt_split, mask_map
 from reference import corrupt_frame
 
 
@@ -537,7 +536,7 @@ class TestCorruptDataset:
         corpus = small_corpus()
         split = self.make_split([r.patient_id for r in corpus])
         spec = NoiseSpec(mode=NoiseMode.DILATE, sigma2=0.0, seed=1)
-        masks, report = corrupt_dataset(mask_map(corpus), split, spec)
+        masks, report = corrupt_split(mask_map(corpus), split, spec)
         for rec in corpus:
             assert np.array_equal(masks[rec.patient_id], rec.mask)
         assert all(r.op == "none" for r in report.records)
@@ -546,7 +545,7 @@ class TestCorruptDataset:
         corpus = small_corpus()
         split = self.make_split([r.patient_id for r in corpus])
         spec = NoiseSpec(mode=NoiseMode.RANDOM, sigma2=5.0, seed=2)
-        masks, _ = corrupt_dataset(mask_map(corpus), split, spec)
+        masks, _ = corrupt_split(mask_map(corpus), split, spec)
         by_id = {r.patient_id: r for r in corpus}
         for pid in split.test_ids:
             assert masks[pid].tobytes() == by_id[pid].mask.tobytes()
@@ -555,8 +554,8 @@ class TestCorruptDataset:
         corpus = small_corpus()
         split = self.make_split([r.patient_id for r in corpus])
         spec = NoiseSpec(mode=NoiseMode.RANDOM, sigma2=3.0, seed=3)
-        masks_a, report_a = corrupt_dataset(mask_map(corpus), split, spec)
-        masks_b, report_b = corrupt_dataset(mask_map(corpus), split, spec)
+        masks_a, report_a = corrupt_split(mask_map(corpus), split, spec)
+        masks_b, report_b = corrupt_split(mask_map(corpus), split, spec)
         assert report_a == report_b
         for pid in masks_a:
             assert np.array_equal(masks_a[pid], masks_b[pid])
@@ -568,7 +567,7 @@ class TestCorruptDataset:
         means = []
         for sigma2 in (1.0, 2.0, 3.0, 4.0, 5.0):
             spec = NoiseSpec(mode=NoiseMode.DILATE, sigma2=sigma2, seed=11)
-            _, report = corrupt_dataset(mask_map(corpus), split, spec)
+            _, report = corrupt_split(mask_map(corpus), split, spec)
             means.append(report.mean_delta_s())
         assert means[0] > 1.0
         assert all(a < b for a, b in zip(means, means[1:]))
@@ -579,21 +578,23 @@ class TestCorruptDataset:
         split = DatasetSplit(train_ids=ids[:5], val_ids=(), test_ids=ids[5:])
         by_id = {r.patient_id: r for r in corpus}
         for mode, cmp in ((NoiseMode.DILATE, np.greater_equal), (NoiseMode.ERODE, np.less_equal)):
-            masks, _ = corrupt_dataset(mask_map(corpus), split, NoiseSpec(mode=mode, sigma2=4.0, seed=7))
+            masks, _ = corrupt_split(mask_map(corpus), split, NoiseSpec(mode=mode, sigma2=4.0, seed=7))
             for pid in split.train_ids:
                 assert np.all(cmp(masks[pid], by_id[pid].mask))
 
     def test_unknown_patient_rejected(self):
+        # A split names only known patients: `corrupt` plans its folds
+        # from the source's ids, and the sweeps check each split.
         corpus = small_corpus()
         split = DatasetSplit(train_ids=("ghost",), val_ids=(), test_ids=())
-        with pytest.raises(KeyError, match="ghost"):
-            corrupt_dataset(mask_map(corpus), split, NoiseSpec(mode=NoiseMode.DILATE, sigma2=1.0, seed=0))
+        with pytest.raises(KeyError, match=r"unknown patient ids: \['ghost'\]"):
+            split.check_known(mask_map(corpus))
 
     def test_report_rows_sorted_and_op_none_iff_k_zero(self):
         corpus = small_corpus()
         split = self.make_split([r.patient_id for r in corpus])
         spec = NoiseSpec(mode=NoiseMode.RANDOM, sigma2=2.0, seed=13)
-        _, report = corrupt_dataset(mask_map(corpus), split, spec)
+        _, report = corrupt_split(mask_map(corpus), split, spec)
         keys = [(r.patient_id, r.frame) for r in report.records]
         assert keys == sorted(keys)
         for r in report.records:
@@ -604,7 +605,7 @@ class TestCorruptDataset:
         ids = [r.patient_id for r in corpus]
         split = DatasetSplit(train_ids=ids[:2], val_ids=(), test_ids=ids[2:])
         spec = NoiseSpec(mode=NoiseMode.ERODE, sigma2=1.5, seed=4)
-        _, report = corrupt_dataset(mask_map(corpus), split, spec)
+        _, report = corrupt_split(mask_map(corpus), split, spec)
         path = tmp_path / "report.csv"
         report.to_csv(path)
         lines = path.read_text().splitlines()
@@ -624,7 +625,7 @@ class TestCorruptDataset:
         corpus = generate_corpus(spec2, count=3, seed=0)
         ids = [r.patient_id for r in corpus]
         split = DatasetSplit(train_ids=ids[:2], val_ids=(), test_ids=ids[2:])
-        masks, report = corrupt_dataset(mask_map(corpus), split, NoiseSpec(mode=NoiseMode.ERODE, sigma2=5.0, seed=6))
+        masks, report = corrupt_split(mask_map(corpus), split, NoiseSpec(mode=NoiseMode.ERODE, sigma2=5.0, seed=6))
         for rec in corpus:
             assert np.array_equal(masks[rec.patient_id], rec.mask)
         assert all(r.delta_s is None for r in report.records)

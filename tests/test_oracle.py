@@ -9,11 +9,11 @@ from segnoise import noise, oracle, pool
 from segnoise.folds import DatasetSplit, FoldPlan, make_folds
 from segnoise.metrics import score_volumewise
 from segnoise.noise import NoiseMode, count_masks, frame_rng
-from segnoise.oracle import SweepConfig, cell_seed, run_sweep, simulate_noise_robust
-from segnoise.phantom import PhantomSpec, generate_corpus, generate_phantom
+from segnoise.oracle import SweepConfig, _point_seeds, run_sweep, simulate_noise_robust
+from segnoise.phantom import PhantomSpec, generate_corpus, phantom_mask
 
 from conftest import mask_map
-from reference import corrupt_frame
+from reference import cell_seed, corrupt_frame
 
 
 @pytest.fixture(scope="module")
@@ -202,13 +202,12 @@ class TestSweepResultReductions:
         assert self.rows_of(result.to_summary_csv_string, monkeypatch) == expected
 
 
-def frame_by_frame_triple(corpus, split, mode, sigma2, seed):
+def frame_by_frame_triple(masks, split, mode, sigma2, seed):
     """The oracle triple from `corrupt_frame` on every frame with its
     own `frame_rng`: a reference that shares no code with the stacks."""
-    by_id = mask_map(corpus)
     triples = []
     for pid in split.test_ids:
-        mask = by_id[pid]
+        mask = masks[pid]
         corrupted = np.stack([corrupt_frame(frame, mode, sigma2, frame_rng(seed, pid, i))[0]
                               for i, frame in enumerate(mask)])
         triples.append(score_volumewise(corrupted, mask))
@@ -230,7 +229,7 @@ class TestSweepPoint:
         assert scores.shape == (3, len(seeds)) and scores.dtype == np.float64
         for column, seed in zip(scores.T.tolist(), seeds):
             assert tuple(column) == simulate_noise_robust(mask_map(corpus), plan.folds[1], mode, sigma2, seed)
-            assert tuple(column) == frame_by_frame_triple(corpus, plan.folds[1], mode, sigma2, seed)
+            assert tuple(column) == frame_by_frame_triple(masks, plan.folds[1], mode, sigma2, seed)
 
     def test_sigma_zero_is_corrupted_and_scored(self, corpus, plan, monkeypatch):
         # Criterion 6's exact 1.0 at sigma2 = 0 must come from drawn
@@ -256,11 +255,10 @@ class TestSweepPoint:
     def test_one_seeding_and_one_draw_per_frame_shape(self, corpus, plan, monkeypatch):
         # Two depths of 48x48 frames and one mask of 40x56 frames: two frame shapes.
         spec = PhantomSpec(depth=6, height=48, width=48, radius_min=4, radius_max=8, margin=8)
-        extra = [generate_phantom(spec, 1, patient_id="deep-1"), generate_phantom(spec, 2, patient_id="deep-2"),
-                 generate_phantom(PhantomSpec(depth=3, height=40, width=56, radius_min=4, radius_max=8,
-                                              margin=8), 3, patient_id="wide-3")]
-        records = list(corpus) + extra
-        test_ids = plan.folds[0].test_ids[:2] + tuple(r.patient_id for r in extra)
+        extra = {"deep-1": phantom_mask(spec, 1)[0], "deep-2": phantom_mask(spec, 2)[0],
+                 "wide-3": phantom_mask(PhantomSpec(depth=3, height=40, width=56, radius_min=4, radius_max=8,
+                                                    margin=8), 3)[0]}
+        test_ids = plan.folds[0].test_ids[:2] + tuple(extra)
         split = DatasetSplit(train_ids=(), val_ids=(), test_ids=test_ids)
         calls = []
         for name in ("stream_states", "draw_frames"):
@@ -268,11 +266,11 @@ class TestSweepPoint:
             monkeypatch.setattr(noise, name,
                                 lambda *args, real=real, name=name: calls.append(name) or real(*args))
         seeds = (9, 8, 7)
-        masks = mask_map(records)
+        masks = {**mask_map(corpus), **extra}
         scores = sweep_point(masks, FoldPlan(folds=(split,), seed=0), (0, NoiseMode.RANDOM, 4.0, seeds))
         assert calls == ["stream_states", "draw_frames"] * 2
         for column, seed in zip(scores.T.tolist(), seeds):
-            assert tuple(column) == frame_by_frame_triple(records, split, NoiseMode.RANDOM, 4.0, seed)
+            assert tuple(column) == frame_by_frame_triple(masks, split, NoiseMode.RANDOM, 4.0, seed)
 
     def test_point_memory_bounded_by_the_stack_budget(self):
         spec = PhantomSpec(depth=40, height=128, width=128, radius_min=12, radius_max=30, margin=16)
@@ -349,30 +347,25 @@ def test_a_sweep_that_raises_restores_the_thread_count_and_environment(
 
 
 class TestCellSeed:
+    # `_point_seeds` is the package's seeding; `reference.cell_seed` is
+    # the SeedSequence formula it must match.
     def test_distinct_cells_get_distinct_seeds(self):
-        seeds = {
-            cell_seed(0, m, s, f, r)
-            for m in range(3)
-            for s in range(6)
-            for f in range(2)
-            for r in range(5)
-        }
-        assert len(seeds) == 3 * 6 * 2 * 5
+        points = [(0, m, s, f) for m in range(3) for s in range(6) for f in range(2)]
+        seeds = _point_seeds(points, range(5))
+        assert seeds.shape == (3 * 6 * 2, 5)
+        assert len(set(seeds.ravel().tolist())) == 3 * 6 * 2 * 5
 
     def test_stable_across_calls(self):
-        assert cell_seed(42, 1, 2, 3, 4) == cell_seed(42, 1, 2, 3, 4)
+        assert _point_seeds([(42, 1, 2, 3)], [4]).tolist() == _point_seeds([(42, 1, 2, 3)], [4]).tolist()
 
     @pytest.mark.parametrize("base_seed", [0, 123, 2**32 - 1, 2**32, 2**63 + 5, 2**64, 2**95 + 7])
     def test_vectorised_seeds_equal_seed_sequence(self, base_seed):
         # Bases of one, two and three uint32 words, and reps past 2^32,
         # which lengthen the entropy past SeedSequence's pool.
         reps = [0, 1, 29, 2**32 - 1, 2**32, 2**40 + 3]
-        for point in [(m, s, f) for m in (0, 2) for s in (0, 5) for f in (0, 1)]:
-            expected = []
-            for rep in reps:
-                state = np.random.SeedSequence([base_seed, *point, rep]).generate_state(2)
-                expected.append((int(state[0]) << 32) | int(state[1]))
-            assert [cell_seed(base_seed, *point, rep) for rep in reps] == expected
+        points = [(base_seed, m, s, f) for m in (0, 2) for s in (0, 5) for f in (0, 1)]
+        expected = [[cell_seed(*point, rep) for rep in reps] for point in points]
+        assert _point_seeds(points, reps).tolist() == expected
 
     def test_one_call_seeds_equal_each_points_cell_seeds(self, monkeypatch):
         # run_sweep seeds the whole sweep in one step; on the default

@@ -2,7 +2,8 @@
 bundle meta.json and payloads, prediction bundles and config JSON.
 Whatever the bytes, a reader returns or raises ValueError (which
 includes ConfigError, JSONDecodeError and UnicodeDecodeError) or
-FileNotFoundError; nothing else escapes."""
+FileNotFoundError; nothing else escapes. And the writer of bundles
+accepts only what its reader reads back unchanged."""
 
 import copy
 import json
@@ -15,7 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from segnoise import config as cfgmod
-from segnoise.bundleio import load_dataset, open_prediction, read_nifti, write_bundle, write_prediction
+from segnoise.bundleio import (load_dataset, load_patient, open_prediction, read_nifti, write_bundle, write_patient,
+                               write_prediction)
 from segnoise.volume import MultiModalVolume, PatientRecord
 
 ALLOWED = (ValueError, FileNotFoundError)
@@ -169,6 +171,48 @@ def test_bundle_readers_return_or_raise_value_error(meta_edit, payload_edit):
         records = _outcome(lambda: load_dataset(root))
     if records is not None:
         assert all(np.isfinite(grid).all() for r in records for grid in r.volume.modalities.values())
+
+
+SHAPE = (2, 3, 3)
+# Per dtype, the values an array may hold: mostly valid ones, then the
+# kinds that once wrote bundles that failed to load or loaded changed.
+MASK_VALUES = {"bool": [False, True], "u1": [0, 1, 0, 1, 3, 255], "i8": [0, 1, 0, 1, 256, -1],
+               "f8": [0.0, 1.0, 0.0, 1.0, 0.7, float("nan")]}
+LABEL_VALUES = {"u1": [0, 1, 2, 4, 0, 3], "i8": [0, 1, 2, 4, 260, -4], "f8": [0.0, 1.0, 2.0, 4.0, 2.5]}
+GRID_VALUES = {"f4": [0.0, -1.5, 7.25, 3e38, float("nan")], "f8": [0.1, -2.0, 1e39, float("inf")],
+               "i2": [0, -300, 12]}
+
+
+@st.composite
+def arrays(draw, values):
+    """A mostly SHAPE-shaped array of a drawn dtype and drawn values."""
+    shape = draw(_mostly(SHAPE, (2, 3, 4), (3, 3), (1, 2, 3, 3)))
+    dtype = draw(st.sampled_from(sorted(values)))
+    cells = draw(st.lists(st.sampled_from(values[dtype]), min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    return np.array(cells, dtype=dtype).reshape(shape)
+
+
+@FUZZ
+@given(st.sampled_from(["case-1", "case-1", "../x", "a/b", "."]),
+       st.dictionaries(_mostly("t1", "t2", "mask", "labels", "../t"), arrays(GRID_VALUES), max_size=3),
+       arrays(MASK_VALUES), st.none() | arrays(LABEL_VALUES))
+def test_what_write_patient_accepts_loads_back_equal(pid, modalities, mask, labels):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "out"
+        root.mkdir()
+        with np.errstate(over="ignore"):  # a float64 past float32's range casts to inf, and is rejected
+            bundle = _outcome(lambda: write_patient(pid, modalities, mask, root, labels))
+        if bundle is None:
+            assert list(root.iterdir()) == []
+            return
+        record = load_patient(bundle)
+    assert record.patient_id == pid
+    assert np.array_equal(record.mask, mask)
+    assert labels is None and record.labels is None or np.array_equal(record.labels, labels)
+    assert list(record.volume.modalities) == list(modalities)
+    for name, grid in record.volume.modalities.items():
+        assert grid.tobytes() == np.asarray(modalities[name], dtype=np.float32).tobytes()
 
 
 def _drain(path):

@@ -14,7 +14,7 @@ from segnoise import config as cfgmod
 from segnoise import pool, trainer
 from segnoise.folds import DatasetSplit, make_folds
 from segnoise.metrics import hard_metrics, soft_metrics
-from segnoise.noise import NoiseMode, NoiseSpec, corrupt_dataset, corrupt_mask_volume
+from segnoise.noise import NoiseMode, NoiseSpec, corrupt_mask_volume
 from segnoise.phantom import PhantomSpec, generate_corpus
 from segnoise.trainer import (
     LinearSegmenter,
@@ -24,13 +24,12 @@ from segnoise.trainer import (
     beta_gridsearch,
     extract_features,
     predict,
-    train,
 )
 from segnoise.volume import MultiModalVolume, zscore_normalize
 
 import reference
-from conftest import mask_map
-from reference import loss
+from conftest import corrupt_split, mask_map, record_source
+from reference import loss, train
 
 
 def brute_force_box_mean(frame, radius):
@@ -268,7 +267,7 @@ def _fail(*args):
 @pytest.fixture(scope="module")
 def grid_setup(corpus):
     plan = make_folds([r.patient_id for r in corpus], 1, (4, 1, 3), seed=3)
-    return cfgmod.CorpusSource.of(corpus), plan.folds[0]
+    return record_source(corpus), plan.folds[0]
 
 
 class TestGridsearch:
@@ -283,7 +282,7 @@ class TestGridsearch:
         cell = grid.scores[0, 0, :, 0]
 
         # Plain pipeline: sigma2=0 leaves masks clean.
-        masks, _ = corrupt_dataset(
+        masks, _ = corrupt_split(
             mask_map(corpus), split, NoiseSpec(mode=NoiseMode.DILATE, sigma2=0.0, seed=0)
         )
         by_id = {r.patient_id: r for r in corpus}
@@ -521,12 +520,12 @@ class TestGridsearch:
             zscore_normalize(flat[0].volume.modalities["m1"])
         kwargs = dict(betas=[0.6, 1.0], mode=NoiseMode.DILATE, sigma2_values=[2.0], seeds=[1],
                       base_config=TrainConfig(learning_rate=3.0, epochs=5))
-        grid = beta_gridsearch(cfgmod.CorpusSource.of(flat), split, **kwargs)
+        grid = beta_gridsearch(record_source(flat), split, **kwargs)
         assert grid.scores.tobytes() == beta_gridsearch(source, split, **kwargs).scores.tobytes()
         first_flat = [replace(r, volume=MultiModalVolume(r.patient_id, {
             "m1": np.ones(r.shape, dtype=np.float32), "m0": r.volume.modalities["m0"]})) for r in corpus]
         with pytest.raises(ValueError, match=f"patient '{split.train_ids[0]}', modality 'm1': zero variance"):
-            beta_gridsearch(cfgmod.CorpusSource.of(first_flat), split, **kwargs)
+            beta_gridsearch(record_source(first_flat), split, **kwargs)
 
     def test_mixed_frame_shapes_rejected_before_any_feature(self, grid_setup, corpus, monkeypatch):
         source, split = grid_setup
@@ -540,7 +539,7 @@ class TestGridsearch:
 
         monkeypatch.setattr(trainer, "_feature_stack", no_features)
         with pytest.raises(ValueError, match=rf"{odd_id}.*\(48, 48\).*{split.train_ids[0]}.*\(64, 64\)"):
-            beta_gridsearch(cfgmod.CorpusSource.of(records), split, betas=[1.0], mode=NoiseMode.DILATE,
+            beta_gridsearch(record_source(records), split, betas=[1.0], mode=NoiseMode.DILATE,
                             sigma2_values=[1.0], seeds=[0])
 
     @pytest.mark.parametrize("jobs", [0, -2])
@@ -740,7 +739,7 @@ def test_grid_memory_does_not_grow_with_its_cells(cheap_tasks):
     split = DatasetSplit(train_ids=tuple(ids[:4]), val_ids=(), test_ids=(ids[4],))
     targets = sum(r.mask.size for r in corpus if r.patient_id in split.train_ids)
     assert targets >= 2**20
-    source = cfgmod.CorpusSource.of(corpus)
+    source = record_source(corpus)
     _grid_peak(source, split, [1.0, 2.0], [0])
     two = _grid_peak(source, split, [1.0, 2.0], [0])
     eight = _grid_peak(source, split, [1.0, 2.0, 3.0, 4.0], [0, 1])

@@ -107,8 +107,7 @@ class TestZScore:
         # Normalising the region in place and assigning it into float32
         # zeros must give the bytes of the float64 volume cast at the end.
         rng = np.random.default_rng(3)
-        record = generate_phantom(PhantomSpec(depth=6, height=40, width=48), seed=3, patient_id="p")
-        grid = record.volume.modalities["m0"].copy()
+        grid = generate_phantom(PhantomSpec(depth=6, height=40, width=48), seed=3)[0]["m0"].copy()
         grid[:, :3] = 0.0
         grid[0, 5, 5] = 1e-30  # a tiny value is still brain
         grids = {"m0": grid, "m1": rng.normal(200.0, 90.0, size=grid.shape).astype(np.float32)}
@@ -246,32 +245,31 @@ class TestMakeFolds:
 class TestPhantom:
     def test_zero_blobs_gives_empty_mask(self):
         spec = PhantomSpec(blobs_min=0, blobs_max=0)
-        rec = generate_phantom(spec, seed=1)
-        assert rec.mask.sum() == 0
+        _, mask = generate_phantom(spec, seed=1)
+        assert mask.sum() == 0
 
     def test_deterministic_per_seed(self):
         spec = PhantomSpec()
-        a = generate_phantom(spec, seed=7)
-        b = generate_phantom(spec, seed=7)
-        assert np.array_equal(a.mask, b.mask)
+        (grids_a, mask_a), (grids_b, mask_b) = generate_phantom(spec, seed=7), generate_phantom(spec, seed=7)
+        assert np.array_equal(mask_a, mask_b)
         for name in spec.modalities:
-            assert np.array_equal(a.volume.modalities[name], b.volume.modalities[name])
+            assert np.array_equal(grids_a[name], grids_b[name])
 
     def test_modalities_are_the_float64_formula_built_without_a_copy(self):
         spec = PhantomSpec(depth=40, height=128, width=128, modalities=("a", "b", "c", "d"))
         tracemalloc.start()
         try:
-            rec = generate_phantom(spec, seed=3)
+            grids, mask = generate_phantom(spec, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # Held: the mask and four float32 grids. Beyond them live one
         # float64 base and one float64 draw buffer (16 bytes a voxel);
         # float64 temporaries per modality and a copy of each grid took 34.
-        held = rec.mask.nbytes + sum(grid.nbytes for grid in rec.volume.modalities.values())
-        assert peak < held + 24 * rec.mask.size
+        held = mask.nbytes + sum(grid.nbytes for grid in grids.values())
+        assert peak < held + 24 * mask.size
         mask, rng = phantom_mask(spec, 3)
-        for grid in rec.volume.modalities.values():
+        for grid in grids.values():
             noise = rng.standard_normal(mask.shape) * spec.noise_std
             expected = (spec.background_mean + spec.foreground_offset * mask + noise).astype(np.float32)
             assert grid.tobytes() == expected.tobytes()
@@ -279,21 +277,21 @@ class TestPhantom:
     def test_mask_respects_margin(self):
         spec = PhantomSpec(depth=6, margin=8)
         for seed in range(5):
-            rec = generate_phantom(spec, seed=seed)
+            _, mask = generate_phantom(spec, seed=seed)
             m = spec.margin
-            assert rec.mask[:, :m, :].sum() == 0
-            assert rec.mask[:, -m:, :].sum() == 0
-            assert rec.mask[:, :, :m].sum() == 0
-            assert rec.mask[:, :, -m:].sum() == 0
+            assert mask[:, :m, :].sum() == 0
+            assert mask[:, -m:, :].sum() == 0
+            assert mask[:, :, :m].sum() == 0
+            assert mask[:, :, -m:].sum() == 0
 
     def test_nonempty_frame_areas_within_rasterization_bounds(self):
         spec = PhantomSpec(depth=8, height=64, width=64, radius_min=5, radius_max=10, margin=8)
-        rec = generate_phantom(spec, seed=7)
+        _, mask = generate_phantom(spec, seed=7)
         # A rasterized ellipse with semi-axes in [5, 10] counts between
         # pi*5^2 and pi*10^2 pixels, within a perimeter-order slack.
         low = np.pi * 5.0**2 - 2 * np.pi * 10.0
         high = spec.blobs_max * (np.pi * 10.0**2 + 2 * np.pi * 10.0)
-        for frame in rec.mask:
+        for frame in mask:
             area = int(frame.sum())
             if area:
                 assert low <= area <= high
