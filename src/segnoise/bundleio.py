@@ -41,7 +41,6 @@ import numpy as np
 
 from .atomic import replacing, write_bytes, write_text
 from .volume import (
-    MultiModalVolume,
     PatientRecord,
     binarize_labels,
     check_grid,
@@ -87,6 +86,8 @@ def _write_payloads(bundle: Path, meta: dict, payloads: dict[str, np.ndarray | P
                 _scan_intensities(payload, tuple(meta["shape"]), sink)
         else:
             write_bytes(bundle / f"{name}.raw", payload)
+    if "labels" not in payloads:  # a rewrite without labels keeps none of the old ones
+        (bundle / "labels.raw").unlink(missing_ok=True)
     _write_json(bundle / META_NAME, meta)
     return bundle
 
@@ -127,8 +128,7 @@ def write_patient(
 
 def write_bundle(record: PatientRecord, out_root: str | Path) -> Path:
     """Write one patient bundle under `out_root`; returns its directory."""
-    return write_patient(record.patient_id, record.volume.modalities, record.mask,
-                         out_root, record.labels)
+    return write_patient(record.patient_id, record.modalities, record.mask, out_root, record.labels)
 
 
 def _check_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> Path:
@@ -241,12 +241,12 @@ def _read_patient(bundle: Path) -> tuple:
 
 
 def load_patient(path: str | Path) -> PatientRecord:
-    """Load a patient bundle; validates shapes, labels and intensities,
-    each read through the checked block reader (`read_intensities`)."""
+    """Load a patient bundle as a record. `_read_patient` checks its
+    meta.json, sizes, mask and labels; each intensity voxel's finiteness
+    is checked once, as the block reader fills it (`read_intensities`)."""
     pid, paths, mask, labels = _read_patient(Path(path))
     grids = {name: read_intensities(raw, mask.shape) for name, raw in paths.items()}
-    volume = MultiModalVolume(patient_id=pid, modalities=grids)
-    return PatientRecord(volume=volume, mask=mask, labels=labels)
+    return PatientRecord(pid, grids, mask, labels)
 
 
 def open_patient(path: str | Path) -> tuple[str, dict[str, Path], np.ndarray]:

@@ -9,7 +9,8 @@ sections. The modules that build data are imported by the builders
 that use them. Validation is strict: unknown keys and wrong types are
 errors, and exactly one data source (a bundle directory or a phantom
 spec) must be active. Commands read it through a `CorpusSource`, one
-patient's (modalities, mask) at a time; only the benchmark builds records.
+patient's (modalities, mask) at a time; only the benchmark builds the
+flat `PatientRecord`s of checked arrays (`records_from`).
 """
 
 from __future__ import annotations

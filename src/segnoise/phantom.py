@@ -6,7 +6,8 @@ and border-free morphology identities hold exactly. Modality images are
 background mean plus a foreground offset inside the mask plus Gaussian
 intensity noise. Everything is deterministic per seed. A phantom is the
 (modalities, mask) pair that `write_patient` takes; only
-`generate_corpus` wraps phantoms in records, with their ids.
+`generate_corpus` wraps phantoms, finite and 0/1 by construction, in
+records with their ids: a record checks nothing itself.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .specs import PhantomSpec
-from .volume import MultiModalVolume, PatientRecord
+from .volume import PatientRecord
 
 
 def _frame_mask(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
@@ -67,5 +68,4 @@ def generate_corpus(spec: PhantomSpec, count: int, seed: int) -> list[PatientRec
     """`count` phantoms as records with ids phantom-000..., seeded per patient."""
     seeds = corpus_seeds(count, seed)
     phantoms = (generate_phantom(spec, child) for child in seeds.values())
-    return [PatientRecord(volume=MultiModalVolume(pid, grids), mask=mask)
-            for pid, (grids, mask) in zip(seeds, phantoms)]
+    return [PatientRecord(pid, grids, mask) for pid, (grids, mask) in zip(seeds, phantoms)]

@@ -67,8 +67,8 @@ def _box_mean(arr: np.ndarray, radius: int) -> np.ndarray:
     return _box_sum(arr, radius) / (2 * radius + 1) ** 2
 
 
-def _box_std(arr: np.ndarray, radius: int) -> np.ndarray:
-    mean = _box_mean(arr, radius)
+def _box_std(arr: np.ndarray, mean: np.ndarray, radius: int) -> np.ndarray:
+    """The box std of `arr`, whose box mean of that radius is `mean`."""
     mean_sq = _box_mean(arr * arr, radius)
     return np.sqrt(np.clip(mean_sq - mean * mean, 0.0, None))
 
@@ -91,10 +91,8 @@ def extract_features(frame) -> np.ndarray:
         raise ValueError(f"image frame must be 2-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("image frame contains non-finite values")
-    return np.stack(
-        [arr, _box_mean(arr, 1), _box_std(arr, 1), _box_mean(arr, 3), np.ones_like(arr)],
-        axis=-1,
-    )
+    mean = _box_mean(arr, 1)
+    return np.stack([arr, mean, _box_std(arr, mean, 1), _box_mean(arr, 3), np.ones_like(arr)], axis=-1)
 
 
 def _feature_stack(frames, raw: np.ndarray, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,20 +251,21 @@ def _first_modality(source: CorpusSource, pid: str, masks: dict) -> np.ndarray:
 
 
 def _grid_inputs(source: CorpusSource, split: DatasetSplit):
-    """Check from the source's ids and shapes that the split's patients
-    exist and share one frame shape; then read each train and test
-    patient once. Return the masks by id, the train features as the
-    (raw, boxes) planes `_feature_stack` fills, and each test patient's
-    z-scored first modality by id."""
+    """Check from the source's ids that the split's patients exist, and
+    from its shapes that the train and test patients, the only ones
+    read, share one frame shape; then read each of them once. Return the
+    masks by id, the train features as the (raw, boxes) planes
+    `_feature_stack` fills, and each test patient's z-scored first
+    modality by id."""
     split.check_known(source.ids)
     if not split.train_ids or not split.test_ids:
         raise ValueError("split needs non-empty train and test subsets")
-    shapes = {pid: source.shape(pid) for pid in split.all_ids}
+    shapes = {pid: source.shape(pid) for pid in (*split.train_ids, *split.test_ids)}
     first, frame_shape = split.train_ids[0], shapes[split.train_ids[0]][1:]
-    for pid in split.all_ids:
-        if shapes[pid][1:] != frame_shape:
+    for pid, shape in shapes.items():
+        if shape[1:] != frame_shape:
             raise ValueError(
-                f"patient {pid!r} has frames of shape {shapes[pid][1:]}, but the "
+                f"patient {pid!r} has frames of shape {shape[1:]}, but the "
                 f"first train patient {first!r} has {frame_shape}; a split needs one frame shape"
             )
     masks: dict[str, np.ndarray] = {}

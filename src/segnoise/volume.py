@@ -1,11 +1,14 @@
-"""Patient data model: multi-modal volumes, label merging, normalization.
+"""Patient data model: the checks that readers and writers make, label
+merging, normalization, and the benchmark's flat patient record.
 
 Volumes are (frames D, height H, width W) arrays. Labels carry the four
 allowed values {0 background, 1, 2, 4}; binarization merges the three
 tumor classes into one whole-tumor mask. Z-score normalization is
 volume-wise per modality over the brain region, which is defined as the
 voxels whose original intensity is non-zero (skull-stripped volumes are
-zero outside the brain).
+zero outside the brain). A `PatientRecord` holds arrays that its
+builder (`bundleio.load_patient` or `phantom.generate_corpus`) has
+already checked or generated, so it only makes them read-only.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def _valid_labels(arr: np.ndarray) -> bool:
     return bool(np.isin(arr, VALID_LABELS).all())
 
 
-def _check_shape(arr: np.ndarray, what: str, shape) -> np.ndarray:
+def _check_shape(arr: np.ndarray, what: str, shape=None) -> np.ndarray:
     """`arr` if it is 3-D, and of `shape` when that is given; else ValueError."""
     if arr.ndim != 3:
         raise ValueError(f"{what} must be 3-D, got shape {arr.shape}")
@@ -77,16 +80,16 @@ def is_binary(arr: np.ndarray) -> bool:
     return bool(((arr == 0) | (arr == 1)).all())
 
 
-def validate_mask_volume(mask, shape=None) -> np.ndarray:
-    arr = _check_shape(np.asarray(mask), "mask", shape)
+def validate_mask_volume(mask) -> np.ndarray:
+    arr = _check_shape(np.asarray(mask), "mask")
     if not is_binary(arr):
         raise ValueError("mask volume values must be exactly 0 or 1")
     return arr.astype(np.uint8, copy=False)
 
 
-def check_grid(name: str, grid, shape=None) -> np.ndarray:
-    """Modality `name`'s grid as float32 if it is 3-D, of `shape` when
-    given, and finite; else ValueError."""
+def check_grid(name: str, grid, shape) -> np.ndarray:
+    """Modality `name`'s grid as float32 if it is 3-D, of `shape` and
+    finite; else ValueError."""
     arr = _check_shape(np.asarray(grid, dtype=np.float32), f"modality {name!r}", shape)
     if not np.isfinite(arr).all():
         raise ValueError(f"modality {name!r} contains non-finite intensities")
@@ -100,47 +103,25 @@ def binarize_labels(labels) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MultiModalVolume:
-    """Co-registered scalar intensity grids, one per named modality."""
+class PatientRecord:
+    """One patient: intensity grids by modality name, binary mask and
+    optional labels, as their builder checked or generated them; the
+    arrays are made read-only (`_adopt`)."""
 
     patient_id: str
     modalities: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        check_name(self.patient_id, "patient id")
-        if not self.modalities:
-            raise ValueError("volume needs at least one modality")
-        converted, shape = {}, None
-        for name, grid in self.modalities.items():
-            converted[name] = _adopt(check_grid(check_name(name, "modality name"), grid, shape))
-            shape = converted[name].shape
-        object.__setattr__(self, "modalities", converted)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return next(iter(self.modalities.values())).shape
-
-
-@dataclass(frozen=True)
-class PatientRecord:
-    """One patient: image volume, optional labels, binary mask."""
-
-    volume: MultiModalVolume
     mask: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", _adopt(validate_mask_volume(self.mask, self.volume.shape)))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", _adopt(validate_labels(self.labels, self.volume.shape)))
+        object.__setattr__(self, "modalities", {name: _adopt(grid) for name, grid in self.modalities.items()})
+        object.__setattr__(self, "mask", _adopt(self.mask))
+        object.__setattr__(self, "labels", None if self.labels is None else _adopt(self.labels))
 
     @property
-    def patient_id(self) -> str:
-        return self.volume.patient_id
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.volume.shape
+    def volume(self) -> PatientRecord:
+        """The record itself, for the benchmark's `record.volume.modalities`."""
+        return self
 
 
 @np.errstate(invalid="ignore")  # a non-finite value gives a NaN std, which is rejected

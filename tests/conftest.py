@@ -18,8 +18,8 @@ def record_source(records) -> CorpusSource:
     """A `CorpusSource` over records in memory, sorted by id, whose
     `payloads` are each record's own modalities and mask."""
     by_id = {r.patient_id: r for r in records}
-    return CorpusSource(tuple(sorted(by_id)), lambda pid: by_id[pid].shape, lambda pid: by_id[pid].mask,
-                        lambda pid: (by_id[pid].volume.modalities, by_id[pid].mask))
+    return CorpusSource(tuple(sorted(by_id)), lambda pid: by_id[pid].mask.shape, lambda pid: by_id[pid].mask,
+                        lambda pid: (by_id[pid].modalities, by_id[pid].mask))
 
 
 def corrupt_split(masks, split, spec) -> tuple[dict, CorruptionReport]:

@@ -2,6 +2,7 @@ import json
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from segnoise.bundleio import (
 )
 from segnoise.cli import _config_overrides, build_parser, main
 from segnoise.phantom import PhantomSpec, generate_phantom
-from segnoise.volume import MultiModalVolume, PatientRecord
+from segnoise.volume import PatientRecord
 
 
 def sample_record(pid="case-1", shape=(2, 4, 4)):
@@ -32,8 +33,7 @@ def sample_record(pid="case-1", shape=(2, 4, 4)):
     }
     labels = rng.choice([0, 1, 2, 4], size=shape).astype(np.uint8)
     mask = np.isin(labels, (1, 2, 4)).astype(np.uint8)
-    vol = MultiModalVolume(patient_id=pid, modalities=grids)
-    return PatientRecord(volume=vol, mask=mask, labels=labels)
+    return PatientRecord(pid, grids, mask, labels)
 
 
 def write_nifti(path, data, datatype, endian="<"):
@@ -88,7 +88,7 @@ class TestBundleRoundtrip:
         assert np.array_equal(loaded.mask, rec.mask)
         assert np.array_equal(loaded.labels, rec.labels)
         for name in ("t1", "t2"):
-            assert np.array_equal(loaded.volume.modalities[name], rec.volume.modalities[name])
+            assert np.array_equal(loaded.modalities[name], rec.modalities[name])
 
     def test_write_is_byte_deterministic(self, tmp_path):
         rec = sample_record()
@@ -107,11 +107,7 @@ class TestBundleRoundtrip:
     def test_all_background_labels_give_empty_mask(self, tmp_path):
         shape = (2, 4, 4)
         grids = {"t1": np.ones(shape, dtype=np.float32)}
-        rec = PatientRecord(
-            volume=MultiModalVolume(patient_id="bg", modalities=grids),
-            mask=np.zeros(shape, dtype=np.uint8),
-            labels=np.zeros(shape, dtype=np.uint8),
-        )
+        rec = PatientRecord("bg", grids, np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8))
         bundle = write_bundle(rec, tmp_path)
         (bundle / "mask.raw").unlink()
         assert load_patient(bundle).mask.sum() == 0
@@ -120,14 +116,14 @@ class TestBundleRoundtrip:
         modalities, mask = generate_phantom(PhantomSpec(depth=3), seed=11)
         loaded = load_patient(write_patient("phantom-11", modalities, mask, tmp_path))
         assert np.array_equal(loaded.mask, mask)
-        assert {name: grid.tobytes() for name, grid in loaded.volume.modalities.items()} == {
+        assert {name: grid.tobytes() for name, grid in loaded.modalities.items()} == {
             name: grid.tobytes() for name, grid in modalities.items()}
 
 
 class TestNoSecondCopy:
     def test_loaded_arrays_are_read_only_and_own_their_data(self, tmp_path):
         loaded = load_patient(write_bundle(sample_record(), tmp_path))
-        for arr in (*loaded.volume.modalities.values(), loaded.mask, loaded.labels):
+        for arr in (*loaded.modalities.values(), loaded.mask, loaded.labels):
             assert arr.flags.owndata and not arr.flags.writeable
 
     def test_prediction_loads_as_the_float32_it_holds(self, tmp_path):
@@ -135,6 +131,23 @@ class TestNoSecondCopy:
         _, loaded = load_prediction(write_prediction("case-9", pred, tmp_path))
         assert loaded.dtype == np.float32
         assert np.array_equal(loaded, pred.astype(np.float32))
+
+
+def test_load_dataset_checks_each_intensity_voxel_once(tmp_path, monkeypatch):
+    # The block reader checks each voxel's finiteness as it fills the
+    # array; the record that holds it checks nothing again.
+    for pid in ("a", "b"):
+        write_bundle(sample_record(pid=pid, shape=(3, 4, 5)), tmp_path)
+    isfinite, sizes = np.isfinite, []
+
+    def counted(arr, *args, **kwargs):
+        sizes.append(np.size(arr))
+        return isfinite(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    records = load_dataset(tmp_path)
+    monkeypatch.undo()
+    assert sum(sizes) == sum(grid.size for r in records for grid in r.modalities.values()) == 2 * 2 * 60
 
 
 class TestBundleSourceMasks:
@@ -213,7 +226,7 @@ class TestBlockReader:
         pid, paths, mask = open_patient(source)
         assert paths == {"t1": source / "t1.raw", "t2": source / "t2.raw"}
         streamed = write_patient(pid, paths, mask, tmp_path / "streamed")
-        written = write_bundle(PatientRecord(volume=record.volume, mask=record.mask), tmp_path / "written")
+        written = write_bundle(replace(record, labels=None), tmp_path / "written")
         assert tree(streamed) == tree(written) == ["mask.raw", "meta.json", "t1.raw", "t2.raw"]
         for name in tree(written):
             assert (streamed / name).read_bytes() == (written / name).read_bytes()
@@ -398,6 +411,26 @@ class TestInterruptedWrites:
             assert [r.patient_id for r in load_dataset(tmp_path)] == ["a"]
         else:
             assert list(bundleio.index_bundles(tmp_path, "prediction")) == ["a"]
+
+
+class TestRewrite:
+    # A bundle rewritten without labels keeps none of its old labels.raw.
+    def test_without_labels_at_another_shape_loads(self, tmp_path):
+        write_bundle(sample_record(pid="p0"), tmp_path)
+        mask = np.zeros((3, 5, 5), dtype=np.uint8)
+        mask[1, 2, 2] = 1
+        bundle = write_patient("p0", {"t1": np.ones((3, 5, 5), dtype=np.float32)}, mask, tmp_path)
+        assert not (bundle / "labels.raw").exists()
+        pid, loaded = bundleio.load_mask(bundle)
+        assert pid == "p0" and np.array_equal(loaded, mask)
+
+    def test_without_labels_at_the_same_shape_loads_no_labels(self, tmp_path):
+        record = sample_record(pid="p0")
+        assert record.labels.any()
+        write_bundle(record, tmp_path)
+        empty = np.zeros(record.mask.shape, dtype=np.uint8)
+        loaded = load_patient(write_patient("p0", record.modalities, empty, tmp_path))
+        assert loaded.labels is None and not loaded.mask.any()
 
 
 class TestBundleErrors:
@@ -589,6 +622,8 @@ def _bad_write(case):
     elif case == "nan-intensity":
         modalities["t1"] = grid.copy()
         modalities["t1"][1, 2, 3] = np.nan
+    elif case == "mask-of-another-shape":
+        mask = np.zeros((2, 4, 5), dtype=np.uint8)
     elif case == "2-d-mask":
         mask = mask[0]
     elif case == "mask-holding-3":
@@ -615,6 +650,7 @@ class TestWritePatientChecks:
     @pytest.mark.parametrize("case, message", [
         ("modality-of-another-shape", r"modality 't2' shape \(2, 4, 5\) != \(2, 4, 4\)"),
         ("nan-intensity", "modality 't1' contains non-finite intensities"),
+        ("mask-of-another-shape", r"modality 't1' shape \(2, 4, 4\) != \(2, 4, 5\)"),
         ("2-d-mask", "mask must be 3-D"),
         ("mask-holding-3", "mask volume values must be exactly 0 or 1"),
         ("no-modality", "needs at least one modality"),
@@ -642,7 +678,7 @@ class TestWritePatientChecks:
         modalities = {"t1": rng.integers(-300, 300, size=(2, 4, 4)).astype(np.int16)}
         loaded = load_patient(write_patient("case-1", modalities, mask, tmp_path, labels))
         assert np.array_equal(loaded.mask, mask) and np.array_equal(loaded.labels, labels)
-        assert np.array_equal(loaded.volume.modalities["t1"], modalities["t1"])
+        assert np.array_equal(loaded.modalities["t1"], modalities["t1"])
 
     @pytest.mark.parametrize("fault", ["nan", "shape"])
     def test_import_nifti_writes_nothing_for_a_bad_modality(self, tmp_path, fault):
@@ -832,5 +868,5 @@ class TestNifti:
         )
         rec = load_patient(bundle)
         assert rec.patient_id == "imported-1"
-        assert np.array_equal(rec.volume.modalities["t1"], t1)
+        assert np.array_equal(rec.modalities["t1"], t1)
         assert np.array_equal(rec.mask, np.isin(labels, (1, 2, 4)).astype(np.uint8))

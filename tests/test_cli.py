@@ -224,7 +224,7 @@ class TestPhantomCmd:
         assert main(["phantom", "--config", str(config), "--out", str(out)]) == 0
         records = load_dataset(out)
         assert len(records) == 6
-        assert records[0].shape == (3, 48, 48)
+        assert records[0].mask.shape == (3, 48, 48)
 
     def test_byte_identical_reruns(self, tmp_path):
         config = small_phantom_config(tmp_path)
@@ -247,7 +247,7 @@ class TestPhantomCmd:
         out = tmp_path / "corpus"
         assert main(["phantom", "--config", str(config), "--out", str(out), "--patients", "2"]) == 0
         records = load_dataset(out)
-        assert [r.shape for r in records] == [(3, 48, 48)] * 2
+        assert [r.mask.shape for r in records] == [(3, 48, 48)] * 2
 
     def test_unsafe_modality_name_writes_nothing_outside_out(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -115,7 +115,7 @@ class TestBuilders:
         assert spec.depth == 2
         records = records_from(config)
         assert len(records) == 3
-        assert records[0].shape == (2, 48, 48)
+        assert records[0].mask.shape == (2, 48, 48)
 
     def test_records_are_the_sources_records_in_id_order(self, tmp_path):
         path = write_config(tmp_path, {"data": {"phantom": {"patients": 3, "depth": 2}}})
@@ -126,7 +126,7 @@ class TestBuilders:
         assert [r.patient_id for r in records] == list(source.ids)
         for record in records:
             assert record.mask.tobytes() == source.mask(record.patient_id).tobytes()
-            assert source.shape(record.patient_id) == record.shape == (2, 64, 64)
+            assert source.shape(record.patient_id) == record.mask.shape == (2, 64, 64)
 
     def test_foldplan_and_specs(self):
         config = load_config(None)
@@ -275,7 +275,7 @@ class TestCorpusSource:
         for record in records:
             modalities, mask = phantoms.payloads(record.patient_id)
             assert record.mask.tobytes() == mask.tobytes()
-            assert {name: grid.tobytes() for name, grid in record.volume.modalities.items()} == {
+            assert {name: grid.tobytes() for name, grid in record.modalities.items()} == {
                 name: grid.tobytes() for name, grid in modalities.items()}
 
     def test_phantom_payloads_are_the_generated_pair(self):

@@ -134,9 +134,9 @@ def _function(module: str, name: str) -> ast.FunctionDef:
 def test_records_are_built_only_in_the_benchmarks_readers():
     # A patient is a (modalities, mask) pair everywhere but in the two
     # functions that build the benchmark's records, load_patient and
-    # generate_corpus; volume defines the record types. The writer, the
+    # generate_corpus; volume defines the record type. The writer, the
     # corpus source and the commands name no record type at all.
-    records = {"PatientRecord", "MultiModalVolume"}
+    records = {"PatientRecord"}
     built = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -155,12 +155,37 @@ def test_the_sweeps_and_their_kernels_name_no_record_type():
     # Records are built in bundleio and phantom only (see above); the
     # sweeps take masks or a `CorpusSource`, and the kernels under them
     # take arrays.
-    records = {"PatientRecord", "MultiModalVolume"}
+    records = {"PatientRecord"}
     named = {}
     for module in ("noise.py", "oracle.py", "trainer.py", "metrics.py", "morphology.py", "pool.py"):
         names, attrs = references(ast.parse((SRC / module).read_text()))
         named[module] = sorted(records & (set(names) | set(attrs)))
     assert named == dict.fromkeys(named, [])
+
+
+def test_the_one_record_type_only_adopts_its_arrays():
+    # Records are built from arrays that their readers checked or that
+    # the phantom generator made, so the one record type checks nothing
+    # again: its __post_init__ calls `_adopt` and nothing else.
+    classes = [node for node in ast.parse((SRC / "volume.py").read_text()).body if isinstance(node, ast.ClassDef)]
+    assert [node.name for node in classes] == ["PatientRecord"]
+    post_init = next(node for node in classes[0].body
+                     if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+    called = {ast.unparse(node.func) for node in ast.walk(post_init) if isinstance(node, ast.Call)}
+    assert called == {"_adopt", "object.__setattr__", "self.modalities.items"}
+
+
+def test_only_the_benchmark_reads_a_records_volume():
+    # `PatientRecord.volume` is the record itself, kept only because
+    # perfbench/child.py reads `record.volume.modalities`; the package and
+    # the tests read `record.modalities`.
+    def readers(path):
+        return [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and node.attr == "volume"]
+
+    assert [line for path in sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+            for line in readers(path)] == []
+    assert readers(BENCH_CHILD) != []
 
 
 def test_importing_the_commands_does_not_load_numpy_random():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from segnoise import config as cfgmod
 from segnoise.bundleio import (load_dataset, load_patient, open_prediction, read_nifti, write_bundle, write_patient,
                                write_prediction)
-from segnoise.volume import MultiModalVolume, PatientRecord
+from segnoise.volume import PatientRecord
 
 ALLOWED = (ValueError, FileNotFoundError)
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100,
@@ -102,8 +102,8 @@ def test_read_nifti_returns_a_3d_grid_or_raises_value_error(blob):
 def _sample_record():
     rng = np.random.default_rng(3)
     labels = rng.choice(np.array([0, 1, 2, 4], dtype=np.uint8), size=(2, 3, 3))
-    volume = MultiModalVolume("case-1", {"t1": rng.normal(size=(2, 3, 3)).astype(np.float32)})
-    return PatientRecord(volume=volume, mask=(labels > 0).astype(np.uint8), labels=labels)
+    return PatientRecord("case-1", {"t1": rng.normal(size=(2, 3, 3)).astype(np.float32)},
+                         (labels > 0).astype(np.uint8), labels)
 
 
 # Drawn meta.json fields, None deleting the key; strategies are built once, as building one is costly.
@@ -170,7 +170,7 @@ def test_bundle_readers_return_or_raise_value_error(meta_edit, payload_edit):
             _outcome(lambda: source.payloads(pid))
         records = _outcome(lambda: load_dataset(root))
     if records is not None:
-        assert all(np.isfinite(grid).all() for r in records for grid in r.volume.modalities.values())
+        assert all(np.isfinite(grid).all() for r in records for grid in r.modalities.values())
 
 
 SHAPE = (2, 3, 3)
@@ -210,8 +210,8 @@ def test_what_write_patient_accepts_loads_back_equal(pid, modalities, mask, labe
     assert record.patient_id == pid
     assert np.array_equal(record.mask, mask)
     assert labels is None and record.labels is None or np.array_equal(record.labels, labels)
-    assert list(record.volume.modalities) == list(modalities)
-    for name, grid in record.volume.modalities.items():
+    assert list(record.modalities) == list(modalities)
+    for name, grid in record.modalities.items():
         assert grid.tobytes() == np.asarray(modalities[name], dtype=np.float32).tobytes()
 
 

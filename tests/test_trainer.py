@@ -25,7 +25,7 @@ from segnoise.trainer import (
     extract_features,
     predict,
 )
-from segnoise.volume import MultiModalVolume, zscore_normalize
+from segnoise.volume import zscore_normalize
 
 import reference
 from conftest import corrupt_split, mask_map, record_source
@@ -57,7 +57,7 @@ def corpus():
 def samples(corpus):
     pairs = []
     for rec in corpus[:4]:
-        image = zscore_normalize(rec.volume.modalities["m0"])
+        image = zscore_normalize(rec.modalities["m0"])
         for frame_index in range(image.shape[0]):
             pairs.append((image[frame_index], rec.mask[frame_index]))
     return pairs
@@ -288,13 +288,13 @@ class TestGridsearch:
         by_id = {r.patient_id: r for r in corpus}
         samples = []
         for pid in split.train_ids:
-            image = zscore_normalize(by_id[pid].volume.modalities["m0"])
+            image = zscore_normalize(by_id[pid].modalities["m0"])
             for f in range(image.shape[0]):
                 samples.append((image[f], masks[pid][f]))
         model, _ = train(samples, cfg, beta=1.0)
         triples = []
         for pid in split.test_ids:
-            image = zscore_normalize(by_id[pid].volume.modalities["m0"])
+            image = zscore_normalize(by_id[pid].modalities["m0"])
             pred = np.stack([predict(model, extract_features(fr)) for fr in image])
             triples.append(hard_metrics(pred, by_id[pid].mask))
         expected = np.array(triples).mean(axis=0)
@@ -514,16 +514,16 @@ class TestGridsearch:
         # rejects, changes nothing. A flat first modality is rejected
         # with its patient and modality named.
         source, split = grid_setup
-        flat = [replace(r, volume=MultiModalVolume(r.patient_id, {
-            "m0": r.volume.modalities["m0"], "m1": np.ones(r.shape, dtype=np.float32)})) for r in corpus]
+        flat = [replace(r, modalities={
+            "m0": r.modalities["m0"], "m1": np.ones(r.mask.shape, dtype=np.float32)}) for r in corpus]
         with pytest.raises(ValueError, match="zero variance"):
-            zscore_normalize(flat[0].volume.modalities["m1"])
+            zscore_normalize(flat[0].modalities["m1"])
         kwargs = dict(betas=[0.6, 1.0], mode=NoiseMode.DILATE, sigma2_values=[2.0], seeds=[1],
                       base_config=TrainConfig(learning_rate=3.0, epochs=5))
         grid = beta_gridsearch(record_source(flat), split, **kwargs)
         assert grid.scores.tobytes() == beta_gridsearch(source, split, **kwargs).scores.tobytes()
-        first_flat = [replace(r, volume=MultiModalVolume(r.patient_id, {
-            "m1": np.ones(r.shape, dtype=np.float32), "m0": r.volume.modalities["m0"]})) for r in corpus]
+        first_flat = [replace(r, modalities={
+            "m1": np.ones(r.mask.shape, dtype=np.float32), "m0": r.modalities["m0"]}) for r in corpus]
         with pytest.raises(ValueError, match=f"patient '{split.train_ids[0]}', modality 'm1': zero variance"):
             beta_gridsearch(record_source(first_flat), split, **kwargs)
 
@@ -541,6 +541,17 @@ class TestGridsearch:
         with pytest.raises(ValueError, match=rf"{odd_id}.*\(48, 48\).*{split.train_ids[0]}.*\(64, 64\)"):
             beta_gridsearch(record_source(records), split, betas=[1.0], mode=NoiseMode.DILATE,
                             sigma2_values=[1.0], seeds=[0])
+
+    def test_a_validation_patient_of_another_frame_shape_is_never_read(self, grid_setup, corpus):
+        source, split = grid_setup
+        odd_id = split.val_ids[0]
+        small = {r.patient_id: r for r in generate_corpus(
+            PhantomSpec(depth=4, height=48, width=48), count=len(corpus), seed=7)}
+        records = [small[r.patient_id] if r.patient_id == odd_id else r for r in corpus]
+        kwargs = dict(betas=[1.0], mode=NoiseMode.DILATE, sigma2_values=[1.0], seeds=[0],
+                      base_config=TrainConfig(learning_rate=3.0, epochs=5))
+        grid = beta_gridsearch(record_source(records), split, **kwargs)
+        assert grid.scores.tobytes() == beta_gridsearch(source, split, **kwargs).scores.tobytes()
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, grid_setup, jobs):

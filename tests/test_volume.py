@@ -9,18 +9,19 @@ import reference
 from segnoise.folds import make_folds
 from segnoise.phantom import PhantomSpec, generate_corpus, generate_phantom, phantom_mask
 from segnoise.volume import (
-    MultiModalVolume,
     PatientRecord,
     VALID_LABELS,
     binarize_labels,
+    check_grid,
+    check_name,
     validate_labels,
     zscore_normalize,
 )
 
 
-def make_volume(shape=(2, 4, 4), names=("t1", "t2"), fill=1.0, pid="p0"):
-    grids = {n: np.full(shape, fill, dtype=np.float32) for n in names}
-    return MultiModalVolume(patient_id=pid, modalities=grids)
+def make_volume(fill=1.0):
+    grids = {n: np.full((2, 4, 4), fill, dtype=np.float32) for n in ("t1", "t2")}
+    return PatientRecord("p0", grids, np.zeros((2, 4, 4), dtype=np.uint8))
 
 
 class TestBinarizeLabels:
@@ -135,37 +136,29 @@ class TestZScore:
 
 
 class TestVolumeTypes:
+    # A record checks nothing; `write_patient` checks each modality
+    # (`check_grid`, against the mask's shape) and each name (`check_name`).
     def test_modalities_must_share_shape(self):
-        grids = {
-            "t1": np.zeros((2, 4, 4), dtype=np.float32),
-            "t2": np.zeros((2, 4, 5), dtype=np.float32),
-        }
-        with pytest.raises(ValueError, match="shape"):
-            MultiModalVolume(patient_id="p", modalities=grids)
+        with pytest.raises(ValueError, match=r"modality 't2' shape \(2, 4, 5\) != \(2, 4, 4\)"):
+            check_grid("t2", np.zeros((2, 4, 5), dtype=np.float32), (2, 4, 4))
 
     def test_non_finite_rejected(self):
         grid = np.zeros((1, 2, 2), dtype=np.float32)
         grid[0, 0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            MultiModalVolume(patient_id="p", modalities={"m": grid})
+            check_grid("m", grid, grid.shape)
 
     @pytest.mark.parametrize("name", ["../escaped", "..", ".", "a/b", "", "x y", 7])
     def test_unsafe_names_rejected(self, name):
-        with pytest.raises(ValueError, match="not a safe file name"):
-            make_volume(pid=name)
-        with pytest.raises(ValueError, match="not a safe file name"):
-            make_volume(names=("t1", name))
-
-    def test_record_shape_consistency(self):
-        vol = make_volume(shape=(2, 4, 4))
-        with pytest.raises(ValueError, match="mask shape"):
-            PatientRecord(volume=vol, mask=np.zeros((2, 4, 5), dtype=np.uint8))
+        for what in ("patient id", "modality name"):
+            with pytest.raises(ValueError, match=f"^{what} .* is not a safe file name"):
+                check_name(name, what)
 
     def test_record_arrays_are_frozen(self):
-        vol = make_volume()
-        rec = PatientRecord(volume=vol, mask=np.zeros((2, 4, 4), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            rec.mask[0, 0, 0] = 1
+        rec = make_volume()
+        for arr in (rec.mask, rec.modalities["t1"]):
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 1
 
     @pytest.mark.parametrize("source", ["writable", "read-only view"])
     def test_caller_arrays_are_copied(self, source):
@@ -175,10 +168,10 @@ class TestVolumeTypes:
             grid = base[:]
             grid.setflags(write=False)
         mask = base.astype(np.uint8)
-        rec = PatientRecord(volume=MultiModalVolume(patient_id="p", modalities={"m": grid}), mask=mask)
+        rec = PatientRecord("p", {"m": grid}, mask)
         base[0, 0, 0] = 5.0
         mask[0, 0, 0] = 1
-        assert rec.volume.modalities["m"][0, 0, 0] == 0.0
+        assert rec.modalities["m"][0, 0, 0] == 0.0
         assert rec.mask[0, 0, 0] == 0
 
     def test_read_only_owned_arrays_are_adopted(self):
@@ -186,19 +179,17 @@ class TestVolumeTypes:
         mask = np.zeros((2, 4, 4), dtype=np.uint8)
         for arr in (grid, mask):
             arr.setflags(write=False)
-        rec = PatientRecord(volume=MultiModalVolume(patient_id="p", modalities={"m": grid}), mask=mask)
-        assert rec.volume.modalities["m"] is grid
+        rec = PatientRecord("p", {"m": grid}, mask)
+        assert rec.modalities["m"] is grid
         assert rec.mask is mask
 
     def test_normalize_record_keeps_mask(self):
         rng = np.random.default_rng(3)
         grid = rng.normal(2.0, 1.0, size=(2, 4, 4)).astype(np.float32)
-        vol = MultiModalVolume(patient_id="p", modalities={"m": grid})
         mask = np.zeros((2, 4, 4), dtype=np.uint8)
         mask[0, 1, 1] = 1
-        rec = PatientRecord(volume=vol, mask=mask)
-        rec = replace(rec, volume=MultiModalVolume(rec.patient_id, {
-            name: zscore_normalize(grid) for name, grid in rec.volume.modalities.items()}))
+        rec = PatientRecord("p", {"m": grid}, mask)
+        rec = replace(rec, modalities={name: zscore_normalize(grid) for name, grid in rec.modalities.items()})
         assert np.array_equal(rec.mask, mask)
 
 
