@@ -7,11 +7,12 @@ Bundle layout (one directory per patient)::
                       voxel size in mm, byte order ("little")
         <name>.raw    one per modality; float32, little-endian, C-order
                       (frame-major)
-        labels.raw    optional; uint8 label values {0,1,2,4}
-        mask.raw      optional; uint8 {0,1}; derived from labels when absent
+        mask.raw      uint8 {0,1}; the binary whole-tumor mask
 
 Prediction bundles mirror the layout with a single ``pred.raw`` holding
-float32 per-voxel probabilities.
+float32 per-voxel probabilities. A bundle directory holds exactly
+``meta.json`` and the payloads of its last write: a rewrite removes
+every other ``*.raw`` in it.
 
 Float32 payloads are read through one checked block reader: a block of
 frames (about BLOCK_BYTES) at a time, into one reused buffer or straight
@@ -19,14 +20,15 @@ into the array it fills, rejecting non-finite values. `load_mask` scans
 a bundle's intensities through it and keeps none, `write_patient` copies
 them, `read_intensities` (and so `load_patient`) fills an array with it,
 and `open_prediction` streams a prediction through it, each block also
-checked against [0, 1]. The uint8 mask and labels are read whole.
+checked against [0, 1]. The uint8 mask is read whole.
 `write_patient` checks every array it is given before it creates
 anything, so that a bundle it writes loads back unchanged.
 
 The NIfTI importer covers exactly the subset needed to convert external
 volumes into bundles: single-file uncompressed NIfTI-1 (magic ``n+1``),
 3-D, unscaled, datatypes uint8 / int16 / float32, either endianness.
-Anything else is rejected.
+Anything else is rejected. A BraTS labels volume is merged into the
+whole-tumor mask on import; a bundle stores the mask alone.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .volume import (
     binarize_labels,
     check_grid,
     check_name,
-    validate_labels,
     validate_mask_volume,
 )
 
@@ -75,9 +76,9 @@ def _write_json(path: Path, payload: dict) -> None:
 def _write_payloads(bundle: Path, meta: dict, payloads: dict[str, np.ndarray | Path]) -> Path:
     """Write each payload atomically, then meta.json, which is what makes
     a directory a bundle: an interrupted write leaves no bundle that a
-    loader lists, and a rewrite first unlists the old one. A Path
-    payload is another bundle's intensity payload, copied through the
-    checked block reader."""
+    loader lists, and a rewrite first unlists the old one, then removes
+    every `*.raw` that it did not write. A Path payload is another
+    bundle's intensity payload, copied through the checked block reader."""
     bundle.mkdir(parents=True, exist_ok=True)
     (bundle / META_NAME).unlink(missing_ok=True)
     for name, payload in payloads.items():
@@ -86,8 +87,8 @@ def _write_payloads(bundle: Path, meta: dict, payloads: dict[str, np.ndarray | P
                 _scan_intensities(payload, tuple(meta["shape"]), sink)
         else:
             write_bytes(bundle / f"{name}.raw", payload)
-    if "labels" not in payloads:  # a rewrite without labels keeps none of the old ones
-        (bundle / "labels.raw").unlink(missing_ok=True)
+    for stale in [path for path in bundle.glob("*.raw") if path.stem not in payloads]:
+        stale.unlink()
     _write_json(bundle / META_NAME, meta)
     return bundle
 
@@ -97,38 +98,34 @@ def write_patient(
     modalities: dict[str, np.ndarray | Path],
     mask: np.ndarray,
     out_root: str | Path,
-    labels: np.ndarray | None = None,
 ) -> Path:
     """Write one patient bundle under `out_root`; returns its directory.
 
     Every array is checked before anything is created, so that what is
-    written loads back unchanged: a 3-D 0/1 mask, labels in {0, 1, 2, 4}
-    of its shape, and at least one modality, each safely named and none
-    named `labels` or `mask`. A modality is a finite 3-D intensity array
-    of the mask's shape, or the Path of a bundle's payload of that shape
-    (as `open_patient` gives them), which is copied a block at a time and
-    must hold finite values only.
+    written loads back unchanged: a 3-D 0/1 mask and at least one
+    modality, each safely named and none named `mask`. A modality is a
+    finite 3-D intensity array of the mask's shape, or the Path of a
+    bundle's payload of that shape (as `open_patient` gives them), which
+    is copied a block at a time and must hold finite values only.
     """
     bundle = Path(out_root) / check_name(patient_id, "patient id")
     mask = validate_mask_volume(mask)
     if not modalities:
         raise ValueError(f"patient {patient_id!r} needs at least one modality")
-    if {"labels", "mask"} & set(modalities):
-        raise ValueError("'labels' and 'mask' name a bundle's own payloads, not a modality")
+    if "mask" in modalities:
+        raise ValueError("'mask' names a bundle's own payload, not a modality")
     payloads = {
         check_name(name, "modality name"):
             grid if isinstance(grid, Path) else np.ascontiguousarray(check_grid(name, grid, mask.shape), "<f4")
         for name, grid in modalities.items()
     }
-    if labels is not None:
-        payloads["labels"] = np.ascontiguousarray(validate_labels(labels, mask.shape))
     payloads["mask"] = np.ascontiguousarray(mask)
     return _write_payloads(bundle, _meta(patient_id, mask.shape, modalities), payloads)
 
 
 def write_bundle(record: PatientRecord, out_root: str | Path) -> Path:
     """Write one patient bundle under `out_root`; returns its directory."""
-    return write_patient(record.patient_id, record.modalities, record.mask, out_root, record.labels)
+    return write_patient(record.patient_id, record.modalities, record.mask, out_root)
 
 
 def _check_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> Path:
@@ -145,8 +142,8 @@ def _check_raw(path: Path, shape: tuple[int, int, int], dtype: str) -> Path:
 
 
 def _read_raw(path: Path, shape: tuple[int, int, int]) -> np.ndarray:
-    """A uint8 payload (mask or labels) as a read-only array that owns
-    its data, so that a record adopts it without a copy."""
+    """A uint8 payload (the mask) as a read-only array that owns its
+    data, so that a record adopts it without a copy."""
     _check_raw(path, shape, "u1")
     arr = np.empty(shape, dtype=np.uint8)
     with open(path, "rb") as fh:
@@ -213,10 +210,12 @@ def _read_meta(bundle: Path, *keys: str) -> tuple[dict, tuple[int, int, int]]:
     return meta, tuple(shape)
 
 
-def _read_patient(bundle: Path) -> tuple:
-    """A patient bundle's (id, modality payload paths, mask, labels),
-    each payload's size checked. Every check but the intensities' values
-    is made here; labels may be None."""
+def open_patient(path: str | Path) -> tuple[str, dict[str, Path], np.ndarray]:
+    """A patient bundle's (id, modality payload paths, mask): its checked
+    meta.json, each payload's size and the 0/1 mask, reading nothing of
+    the intensities. Their finiteness is checked by whoever reads them:
+    `load_patient`, `load_mask`, or `write_patient` as it copies them."""
+    bundle = Path(path)
     meta, shape = _read_meta(bundle, "modalities")
     names = meta["modalities"]
     if not isinstance(names, list) or not names:
@@ -225,42 +224,21 @@ def _read_patient(bundle: Path) -> tuple:
     if len(set(names)) < len(names):
         raise ValueError(f"{bundle / META_NAME}: modalities name one modality twice: {names!r}")
     paths = {name: _check_raw(bundle / f"{name}.raw", shape, "<f4") for name in names}
-
-    labels_path = bundle / "labels.raw"
-    mask_path = bundle / "mask.raw"
-    labels = None
-    if labels_path.is_file():
-        labels = validate_labels(_read_raw(labels_path, shape))
-    if mask_path.is_file():
-        mask = validate_mask_volume(_read_raw(mask_path, shape))
-    elif labels is not None:
-        mask = binarize_labels(labels)
-    else:
-        raise FileNotFoundError(f"bundle {bundle} has neither mask.raw nor labels.raw")
-    return meta["patient_id"], paths, mask, labels
+    return meta["patient_id"], paths, validate_mask_volume(_read_raw(bundle / "mask.raw", shape))
 
 
 def load_patient(path: str | Path) -> PatientRecord:
-    """Load a patient bundle as a record. `_read_patient` checks its
-    meta.json, sizes, mask and labels; each intensity voxel's finiteness
-    is checked once, as the block reader fills it (`read_intensities`)."""
-    pid, paths, mask, labels = _read_patient(Path(path))
-    grids = {name: read_intensities(raw, mask.shape) for name, raw in paths.items()}
-    return PatientRecord(pid, grids, mask, labels)
-
-
-def open_patient(path: str | Path) -> tuple[str, dict[str, Path], np.ndarray]:
-    """A patient bundle's (id, modality payload paths, mask), reading
-    nothing of the intensities: every check that `load_patient` makes
-    is made except the intensities' finiteness, which `write_patient`
-    checks as it copies them."""
-    return _read_patient(Path(path))[:3]
+    """Load a patient bundle as a record, checked as `open_patient`
+    checks it; each intensity voxel's finiteness is checked once, as the
+    block reader fills it (`read_intensities`)."""
+    pid, paths, mask = open_patient(path)
+    return PatientRecord(pid, {name: read_intensities(raw, mask.shape) for name, raw in paths.items()}, mask)
 
 
 def load_mask(path: str | Path) -> tuple[str, np.ndarray]:
     """A patient bundle's (id, mask) after every check that
     `load_patient` makes; no intensities are kept."""
-    pid, paths, mask, _ = _read_patient(Path(path))
+    pid, paths, mask = open_patient(path)
     for raw in paths.values():
         _scan_intensities(raw, mask.shape)
     return pid, mask
@@ -425,10 +403,11 @@ def import_nifti(
     mask: str | Path | None = None,
 ) -> Path:
     """Convert per-modality NIfTI files into a patient bundle, checked as
-    `write_patient` checks every bundle."""
-    if labels is None and mask is None:
-        raise ValueError("import_nifti needs a labels or mask volume")
-    label_arr = None if labels is None else read_nifti(labels)
-    mask_arr = binarize_labels(label_arr) if mask is None else read_nifti(mask)
+    `write_patient` checks every bundle. Exactly one of `labels` (BraTS
+    classes {0, 1, 2, 4}, merged into the whole-tumor mask) and `mask`
+    (0/1) gives the bundle's mask."""
+    if (labels is None) == (mask is None):
+        raise ValueError("import_nifti needs exactly one of a labels and a mask volume")
+    mask_arr = read_nifti(mask) if labels is None else binarize_labels(read_nifti(labels))
     grids = {name: read_nifti(p) for name, p in modalities.items()}
-    return write_patient(patient_id, grids, mask_arr, out_root, label_arr)
+    return write_patient(patient_id, grids, mask_arr, out_root)

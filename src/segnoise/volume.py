@@ -1,12 +1,13 @@
 """Patient data model: the checks that readers and writers make, label
 merging, normalization, and the benchmark's flat patient record.
 
-Volumes are (frames D, height H, width W) arrays. Labels carry the four
-allowed values {0 background, 1, 2, 4}; binarization merges the three
-tumor classes into one whole-tumor mask. Z-score normalization is
-volume-wise per modality over the brain region, which is defined as the
-voxels whose original intensity is non-zero (skull-stripped volumes are
-zero outside the brain). A `PatientRecord` holds arrays that its
+Volumes are (frames D, height H, width W) arrays. BraTS labels carry the
+four allowed values {0 background, 1, 2, 4}; binarization merges the
+three tumor classes into the one binary whole-tumor mask that bundles
+store and every command reads. Z-score normalization is volume-wise per
+modality over the brain region, which is defined as the voxels whose
+original intensity is non-zero (skull-stripped volumes are zero outside
+the brain). A `PatientRecord` holds arrays that its
 builder (`bundleio.load_patient` or `phantom.generate_corpus`) has
 already checked or generated, so it only makes them read-only.
 """
@@ -62,8 +63,8 @@ def _check_shape(arr: np.ndarray, what: str, shape=None) -> np.ndarray:
     return arr
 
 
-def validate_labels(labels, shape=None) -> np.ndarray:
-    arr = _check_shape(np.asarray(labels), "labels", shape)
+def validate_labels(labels) -> np.ndarray:
+    arr = _check_shape(np.asarray(labels), "labels")
     if not _valid_labels(arr):
         bad = sorted(set(np.unique(arr).tolist()) - set(VALID_LABELS))
         raise ValueError(f"illegal label values {bad}; allowed: {list(VALID_LABELS)}")
@@ -104,19 +105,17 @@ def binarize_labels(labels) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PatientRecord:
-    """One patient: intensity grids by modality name, binary mask and
-    optional labels, as their builder checked or generated them; the
-    arrays are made read-only (`_adopt`)."""
+    """One patient: intensity grids by modality name and the binary
+    mask, as their builder checked or generated them; the arrays are made
+    read-only (`_adopt`)."""
 
     patient_id: str
     modalities: dict[str, np.ndarray]
     mask: np.ndarray
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "modalities", {name: _adopt(grid) for name, grid in self.modalities.items()})
         object.__setattr__(self, "mask", _adopt(self.mask))
-        object.__setattr__(self, "labels", None if self.labels is None else _adopt(self.labels))
 
     @property
     def volume(self) -> PatientRecord:

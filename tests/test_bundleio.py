@@ -2,7 +2,6 @@ import json
 import re
 import struct
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,9 +30,8 @@ def sample_record(pid="case-1", shape=(2, 4, 4)):
         "t1": rng.normal(size=shape).astype(np.float32),
         "t2": rng.normal(size=shape).astype(np.float32),
     }
-    labels = rng.choice([0, 1, 2, 4], size=shape).astype(np.uint8)
-    mask = np.isin(labels, (1, 2, 4)).astype(np.uint8)
-    return PatientRecord(pid, grids, mask, labels)
+    mask = rng.integers(0, 2, size=shape, dtype=np.uint8)
+    return PatientRecord(pid, grids, mask)
 
 
 def write_nifti(path, data, datatype, endian="<"):
@@ -86,7 +84,6 @@ class TestBundleRoundtrip:
         loaded = load_patient(bundle)
         assert loaded.patient_id == "case-1"
         assert np.array_equal(loaded.mask, rec.mask)
-        assert np.array_equal(loaded.labels, rec.labels)
         for name in ("t1", "t2"):
             assert np.array_equal(loaded.modalities[name], rec.modalities[name])
 
@@ -94,23 +91,9 @@ class TestBundleRoundtrip:
         rec = sample_record()
         a = write_bundle(rec, tmp_path / "a")
         b = write_bundle(rec, tmp_path / "b")
-        for name in ("meta.json", "t1.raw", "t2.raw", "labels.raw", "mask.raw"):
+        assert tree(a) == tree(b) == ["mask.raw", "meta.json", "t1.raw", "t2.raw"]
+        for name in tree(a):
             assert (a / name).read_bytes() == (b / name).read_bytes()
-
-    def test_mask_derived_from_labels_when_absent(self, tmp_path):
-        rec = sample_record()
-        bundle = write_bundle(rec, tmp_path)
-        (bundle / "mask.raw").unlink()
-        loaded = load_patient(bundle)
-        assert np.array_equal(loaded.mask, rec.mask)
-
-    def test_all_background_labels_give_empty_mask(self, tmp_path):
-        shape = (2, 4, 4)
-        grids = {"t1": np.ones(shape, dtype=np.float32)}
-        rec = PatientRecord("bg", grids, np.zeros(shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8))
-        bundle = write_bundle(rec, tmp_path)
-        (bundle / "mask.raw").unlink()
-        assert load_patient(bundle).mask.sum() == 0
 
     def test_phantom_roundtrip(self, tmp_path):
         modalities, mask = generate_phantom(PhantomSpec(depth=3), seed=11)
@@ -123,7 +106,7 @@ class TestBundleRoundtrip:
 class TestNoSecondCopy:
     def test_loaded_arrays_are_read_only_and_own_their_data(self, tmp_path):
         loaded = load_patient(write_bundle(sample_record(), tmp_path))
-        for arr in (*loaded.modalities.values(), loaded.mask, loaded.labels):
+        for arr in (*loaded.modalities.values(), loaded.mask):
             assert arr.flags.owndata and not arr.flags.writeable
 
     def test_prediction_loads_as_the_float32_it_holds(self, tmp_path):
@@ -154,7 +137,6 @@ class TestBundleSourceMasks:
     def test_masks_equal_the_dataset_masks(self, tmp_path):
         for pid in ("zeta", "alpha"):
             write_bundle(sample_record(pid=pid), tmp_path)
-        (tmp_path / "zeta" / "mask.raw").unlink()  # derived from labels.raw
         masks = source_masks(tmp_path)
         records = load_dataset(tmp_path)
         assert list(masks) == [r.patient_id for r in records] == ["alpha", "zeta"]
@@ -166,7 +148,7 @@ class TestBundleSourceMasks:
         real_read = bundleio._read_raw
 
         def read(path, shape):
-            assert path.name in ("mask.raw", "labels.raw"), f"{path.name} read whole"
+            assert path.name == "mask.raw", f"{path.name} read whole"
             return real_read(path, shape)
 
         monkeypatch.setattr(bundleio, "_read_raw", read)
@@ -226,7 +208,7 @@ class TestBlockReader:
         pid, paths, mask = open_patient(source)
         assert paths == {"t1": source / "t1.raw", "t2": source / "t2.raw"}
         streamed = write_patient(pid, paths, mask, tmp_path / "streamed")
-        written = write_bundle(replace(record, labels=None), tmp_path / "written")
+        written = write_bundle(record, tmp_path / "written")
         assert tree(streamed) == tree(written) == ["mask.raw", "meta.json", "t1.raw", "t2.raw"]
         for name in tree(written):
             assert (streamed / name).read_bytes() == (written / name).read_bytes()
@@ -238,7 +220,7 @@ class TestBlockReader:
         pid, paths, mask = open_patient(source)
         with pytest.raises(ValueError, match="t2.raw contains non-finite"):
             write_patient(pid, paths, mask, tmp_path / "out")
-        assert tree(tmp_path / "out") == ["a", "a/labels.raw", "a/mask.raw", "a/t1.raw", "a/t2.raw"]
+        assert tree(tmp_path / "out") == ["a", "a/mask.raw", "a/t1.raw", "a/t2.raw"]
 
 
 def _raw_edit(name, index, value, dtype):
@@ -262,7 +244,7 @@ SCORE_FAULTS = {
     "unsafe-modality-name": (lambda b: edit_meta(b, modalities=["t1", "../t2"]), ValueError),
     "unsafe-patient-id": (lambda b: edit_meta(b, patient_id="../b"), ValueError),
     "non-binary-mask": (_raw_edit("mask.raw", 0, 2, "u1"), ValueError),
-    "illegal-labels": (_raw_edit("labels.raw", 0, 3, "u1"), ValueError),
+    "missing-mask": (lambda b: (b / "mask.raw").unlink(), FileNotFoundError),
     "duplicate-ids": (lambda b: edit_meta(b, patient_id="a"), ValueError),
     "bool-patient-id": (lambda b: edit_meta(b, patient_id=True), ValueError),
     "int-patient-id": (lambda b: edit_meta(b, patient_id=7), ValueError),
@@ -414,23 +396,40 @@ class TestInterruptedWrites:
 
 
 class TestRewrite:
-    # A bundle rewritten without labels keeps none of its old labels.raw.
+    # A bundle directory holds exactly meta.json and the payloads of its last write.
     def test_without_labels_at_another_shape_loads(self, tmp_path):
         write_bundle(sample_record(pid="p0"), tmp_path)
         mask = np.zeros((3, 5, 5), dtype=np.uint8)
         mask[1, 2, 2] = 1
         bundle = write_patient("p0", {"t1": np.ones((3, 5, 5), dtype=np.float32)}, mask, tmp_path)
-        assert not (bundle / "labels.raw").exists()
+        assert tree(bundle) == ["mask.raw", "meta.json", "t1.raw"]
         pid, loaded = bundleio.load_mask(bundle)
         assert pid == "p0" and np.array_equal(loaded, mask)
 
+    def test_with_fewer_modalities_keeps_no_stale_payload(self, tmp_path):
+        write_bundle(sample_record(pid="p0"), tmp_path)
+        mask = np.zeros((2, 4, 4), dtype=np.uint8)
+        mask[1, 2, 2] = 1
+        bundle = write_patient("p0", {"t1": np.ones((2, 4, 4), dtype=np.float32)}, mask, tmp_path)
+        assert tree(bundle) == ["mask.raw", "meta.json", "t1.raw"]
+        pid, loaded = bundleio.load_mask(bundle)
+        assert pid == "p0" and np.array_equal(loaded, mask)
+
+    def test_a_prediction_over_a_patient_bundle_keeps_only_its_payload(self, tmp_path):
+        write_bundle(sample_record(pid="p0"), tmp_path)
+        bundle = write_prediction("p0", np.full((2, 4, 4), 0.5), tmp_path)
+        assert tree(bundle) == ["meta.json", "pred.raw"]
+        assert load_prediction(bundle)[0] == "p0"
+
     def test_without_labels_at_the_same_shape_loads_no_labels(self, tmp_path):
+        # An older version stored labels.raw beside mask.raw; a rewrite removes it.
         record = sample_record(pid="p0")
-        assert record.labels.any()
-        write_bundle(record, tmp_path)
+        bundle = write_bundle(record, tmp_path)
+        (bundle / "labels.raw").write_bytes(bytes([4]) * record.mask.size)
         empty = np.zeros(record.mask.shape, dtype=np.uint8)
         loaded = load_patient(write_patient("p0", record.modalities, empty, tmp_path))
-        assert loaded.labels is None and not loaded.mask.any()
+        assert tree(bundle) == ["mask.raw", "meta.json", "t1.raw", "t2.raw"]
+        assert not loaded.mask.any()
 
 
 class TestBundleErrors:
@@ -456,14 +455,6 @@ class TestBundleErrors:
         raw = (bundle / "t2.raw").read_bytes()
         (bundle / "t2.raw").write_bytes(raw + b"\x00" * 16)  # 2x4x5 worth
         with pytest.raises(ValueError, match="shape mismatch"):
-            load_patient(bundle)
-
-    def test_illegal_label_value(self, tmp_path):
-        bundle = write_bundle(sample_record(), tmp_path)
-        labels = np.fromfile(bundle / "labels.raw", dtype=np.uint8)
-        labels[0] = 3
-        labels.tofile(bundle / "labels.raw")
-        with pytest.raises(ValueError, match="illegal label"):
             load_patient(bundle)
 
     def test_non_finite_intensity(self, tmp_path):
@@ -493,9 +484,31 @@ class TestBundleErrors:
     def test_neither_mask_nor_labels(self, tmp_path):
         bundle = write_bundle(sample_record(), tmp_path)
         (bundle / "mask.raw").unlink()
-        (bundle / "labels.raw").unlink()
-        with pytest.raises(FileNotFoundError, match="neither"):
+        with pytest.raises(FileNotFoundError, match=re.escape(str(bundle / "mask.raw"))):
             load_patient(bundle)
+
+    @pytest.mark.parametrize("reader", [load_patient, bundleio.open_patient, bundleio.load_mask],
+                             ids=lambda f: f.__name__)
+    def test_an_older_labels_only_bundle_is_rejected_naming_mask_raw(self, tmp_path, reader):
+        # An older version derived the mask from labels.raw when mask.raw
+        # was absent; a bundle now stores its mask, and labels.raw is never read.
+        bundle = write_bundle(sample_record(), tmp_path)
+        (bundle / "mask.raw").rename(bundle / "labels.raw")
+        with pytest.raises(FileNotFoundError, match=re.escape(str(bundle / "mask.raw"))):
+            reader(bundle)
+
+    def test_an_older_bundles_illegal_labels_raw_is_never_read(self, tmp_path, monkeypatch):
+        # An older version stored labels.raw beside mask.raw and rejected a
+        # label outside the BraTS classes; a read now never opens it.
+        record = sample_record(pid="p0")
+        bundle = write_bundle(record, tmp_path)
+        (bundle / "labels.raw").write_bytes(bytes([3]) * record.mask.size)
+        opened = []
+        monkeypatch.setattr(bundleio, "open", lambda path, *args: opened.append(path.name) or open(path, *args),
+                            raising=False)
+        loaded = load_patient(bundle)
+        assert bundleio.load_mask(bundle)[0] == open_patient(bundle)[0] == "p0"
+        assert np.array_equal(loaded.mask, record.mask) and "labels.raw" not in opened
 
     def test_load_dataset_sorted(self, tmp_path):
         for pid in ("zeta", "alpha"):
@@ -612,10 +625,10 @@ class TestUnsafeNames:
 
 
 def _bad_write(case):
-    """(modalities, mask, labels) of one input that `write_patient` must
-    reject; each once wrote a bundle that failed to load or loaded changed."""
+    """(modalities, mask) of one input that `write_patient` must reject;
+    each once wrote a bundle that failed to load or loaded changed."""
     shape = (2, 4, 4)
-    grid, mask, labels = np.ones(shape, dtype=np.float32), np.zeros(shape, dtype=np.uint8), None
+    grid, mask = np.ones(shape, dtype=np.float32), np.zeros(shape, dtype=np.uint8)
     modalities = {"t1": grid}
     if case == "modality-of-another-shape":
         modalities["t2"] = np.ones((2, 4, 5), dtype=np.float32)
@@ -636,14 +649,9 @@ def _bad_write(case):
     elif case == "int64-mask-256":
         mask = mask.astype(np.int64)
         mask[0, 1, 1] = 256
-    elif case == "label-260":
-        labels = np.zeros(shape, dtype=np.int64)
-        labels[0, 1, 1] = 260
-    elif case == "labels-of-another-shape":
-        labels = np.zeros((2, 4, 5), dtype=np.uint8)
     elif case == "modality-named-mask":
         modalities = {"mask": grid}
-    return modalities, mask, labels
+    return modalities, mask
 
 
 class TestWritePatientChecks:
@@ -656,28 +664,25 @@ class TestWritePatientChecks:
         ("no-modality", "needs at least one modality"),
         ("float-mask-0.7", "mask volume values must be exactly 0 or 1"),
         ("int64-mask-256", "mask volume values must be exactly 0 or 1"),
-        ("label-260", r"illegal label values \[260\]"),
-        ("labels-of-another-shape", r"labels shape \(2, 4, 5\) != \(2, 4, 4\)"),
-        ("modality-named-mask", "name a bundle's own payloads"),
+        ("modality-named-mask", "names a bundle's own payload"),
     ])
     def test_rejected_before_anything_is_written(self, tmp_path, case, message):
         out = tmp_path / "out"
         write_bundle(sample_record(pid="kept"), out)
         before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
-        modalities, mask, labels = _bad_write(case)
+        modalities, mask = _bad_write(case)
         with pytest.raises(ValueError, match=message):
-            write_patient("case-1", modalities, mask, out, labels)
+            write_patient("case-1", modalities, mask, out)
         assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
         assert tree(tmp_path) == ["out", "out/kept", *(f"out/kept/{name}" for name in tree(out / "kept"))]
 
     def test_accepted_arrays_load_back_equal(self, tmp_path):
-        # A bool mask, int16 intensities and int64 labels are cast, not changed.
+        # A bool mask and int16 intensities are cast, not changed.
         rng = np.random.default_rng(5)
-        labels = rng.choice([0, 1, 2, 4], size=(2, 4, 4))
-        mask = labels > 0
+        mask = rng.choice([0, 1, 2, 4], size=(2, 4, 4)) > 0
         modalities = {"t1": rng.integers(-300, 300, size=(2, 4, 4)).astype(np.int16)}
-        loaded = load_patient(write_patient("case-1", modalities, mask, tmp_path, labels))
-        assert np.array_equal(loaded.mask, mask) and np.array_equal(loaded.labels, labels)
+        loaded = load_patient(write_patient("case-1", modalities, mask, tmp_path))
+        assert np.array_equal(loaded.mask, mask)
         assert np.array_equal(loaded.modalities["t1"], modalities["t1"])
 
     @pytest.mark.parametrize("fault", ["nan", "shape"])
@@ -870,3 +875,34 @@ class TestNifti:
         assert rec.patient_id == "imported-1"
         assert np.array_equal(rec.modalities["t1"], t1)
         assert np.array_equal(rec.mask, np.isin(labels, (1, 2, 4)).astype(np.uint8))
+        assert tree(tmp_path / "out") == ["imported-1", *(f"imported-1/{name}" for name in
+                                                         ("mask.raw", "meta.json", "t1.raw"))]
+
+
+# Exactly one of a labels volume and a mask volume gives the mask; a
+# labels volume must hold BraTS classes only and match the modalities' shape.
+IMPORT_FAULTS = {
+    "label-3": r"illegal label values \[3\]",
+    "label-260": r"illegal label values \[260\]",
+    "labels-of-another-shape": r"modality 't1' shape \(2, 4, 4\) != \(2, 4, 5\)",
+    "labels-and-mask": "exactly one of a labels and a mask volume",
+    "neither": "exactly one of a labels and a mask volume",
+}
+
+
+class TestImportNiftiChecks:
+    @pytest.mark.parametrize("case", list(IMPORT_FAULTS))
+    def test_rejected_before_anything_is_written(self, tmp_path, case):
+        shape = (2, 4, 4)
+        labels = np.zeros(shape if case != "labels-of-another-shape" else (2, 4, 5), dtype=np.int16)
+        labels[0, 1, 1] = {"label-3": 3, "label-260": 260}.get(case, 4)
+        write_nifti(tmp_path / "t1.nii", np.ones(shape, dtype=np.float32), "f4")
+        write_nifti(tmp_path / "seg.nii", labels, "i2")
+        write_nifti(tmp_path / "mask.nii", np.zeros(shape, dtype=np.uint8), "u1")
+        labels_only = {"labels": tmp_path / "seg.nii"}
+        given = {"labels-and-mask": {**labels_only, "mask": tmp_path / "mask.nii"}, "neither": {}}.get(case, labels_only)
+        (tmp_path / "out").mkdir()
+        before = tree(tmp_path)
+        with pytest.raises(ValueError, match=IMPORT_FAULTS[case]):
+            import_nifti("case-1", {"t1": tmp_path / "t1.nii"}, tmp_path / "out", **given)
+        assert tree(tmp_path) == before

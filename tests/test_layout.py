@@ -175,6 +175,26 @@ def test_the_one_record_type_only_adopts_its_arrays():
     assert called == {"_adopt", "object.__setattr__", "self.modalities.items"}
 
 
+def test_a_patient_is_its_modalities_and_its_mask():
+    # Every command reads a bundle's modalities and its whole-tumor mask
+    # only, so neither the record nor the writer carries labels, and no
+    # code names a stored labels payload: `import_nifti` merges a labels
+    # volume into the mask before it writes.
+    record = next(node for node in ast.parse((SRC / "volume.py").read_text()).body
+                  if isinstance(node, ast.ClassDef) and node.name == "PatientRecord")
+    fields = [node.target.id for node in record.body if isinstance(node, ast.AnnAssign)]
+    assert fields == ["patient_id", "modalities", "mask"]
+    assert [arg.arg for arg in _function("bundleio.py", "write_patient").args.args] == [
+        "patient_id", "modalities", "mask", "out_root"]
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        named += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                  and "labels.raw" in str(node.value) and id(node) not in docstrings]
+    assert named == []
+
+
 def test_only_the_benchmark_reads_a_records_volume():
     # `PatientRecord.volume` is the record itself, kept only because
     # perfbench/child.py reads `record.volume.modalities`; the package and

@@ -101,9 +101,8 @@ def test_read_nifti_returns_a_3d_grid_or_raises_value_error(blob):
 
 def _sample_record():
     rng = np.random.default_rng(3)
-    labels = rng.choice(np.array([0, 1, 2, 4], dtype=np.uint8), size=(2, 3, 3))
     return PatientRecord("case-1", {"t1": rng.normal(size=(2, 3, 3)).astype(np.float32)},
-                         (labels > 0).astype(np.uint8), labels)
+                         rng.integers(0, 2, size=(2, 3, 3), dtype=np.uint8))
 
 
 # Drawn meta.json fields, None deleting the key; strategies are built once, as building one is costly.
@@ -151,14 +150,14 @@ def _edit(bundle, meta_edit, payload_edit):
         elif action == "grow":
             path.write_bytes(data + bytes(1 + index % 8))
         else:
-            item = bytes([index]) if name in ("mask.raw", "labels.raw") else struct.pack("<f", value)
+            item = bytes([index]) if name == "mask.raw" else struct.pack("<f", value)
             if len(data) >= len(item):
                 at = len(item) * (index % (len(data) // len(item)))
                 path.write_bytes(data[:at] + item + data[at + len(item):])
 
 
 @FUZZ
-@given(meta_edits(), payload_edits(["t1.raw", "mask.raw", "labels.raw"]))
+@given(meta_edits(), payload_edits(["t1.raw", "mask.raw"]))
 def test_bundle_readers_return_or_raise_value_error(meta_edit, payload_edit):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -178,7 +177,6 @@ SHAPE = (2, 3, 3)
 # kinds that once wrote bundles that failed to load or loaded changed.
 MASK_VALUES = {"bool": [False, True], "u1": [0, 1, 0, 1, 3, 255], "i8": [0, 1, 0, 1, 256, -1],
                "f8": [0.0, 1.0, 0.0, 1.0, 0.7, float("nan")]}
-LABEL_VALUES = {"u1": [0, 1, 2, 4, 0, 3], "i8": [0, 1, 2, 4, 260, -4], "f8": [0.0, 1.0, 2.0, 4.0, 2.5]}
 GRID_VALUES = {"f4": [0.0, -1.5, 7.25, 3e38, float("nan")], "f8": [0.1, -2.0, 1e39, float("inf")],
                "i2": [0, -300, 12]}
 
@@ -196,20 +194,19 @@ def arrays(draw, values):
 @FUZZ
 @given(st.sampled_from(["case-1", "case-1", "../x", "a/b", "."]),
        st.dictionaries(_mostly("t1", "t2", "mask", "labels", "../t"), arrays(GRID_VALUES), max_size=3),
-       arrays(MASK_VALUES), st.none() | arrays(LABEL_VALUES))
-def test_what_write_patient_accepts_loads_back_equal(pid, modalities, mask, labels):
+       arrays(MASK_VALUES))
+def test_what_write_patient_accepts_loads_back_equal(pid, modalities, mask):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "out"
         root.mkdir()
         with np.errstate(over="ignore"):  # a float64 past float32's range casts to inf, and is rejected
-            bundle = _outcome(lambda: write_patient(pid, modalities, mask, root, labels))
+            bundle = _outcome(lambda: write_patient(pid, modalities, mask, root))
         if bundle is None:
             assert list(root.iterdir()) == []
             return
         record = load_patient(bundle)
     assert record.patient_id == pid
     assert np.array_equal(record.mask, mask)
-    assert labels is None and record.labels is None or np.array_equal(record.labels, labels)
     assert list(record.modalities) == list(modalities)
     for name, grid in record.modalities.items():
         assert grid.tobytes() == np.asarray(modalities[name], dtype=np.float32).tobytes()
